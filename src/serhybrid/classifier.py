@@ -3,7 +3,7 @@
 Three one-vs-rest heads trained by SMO on the dual with a linear kernel,
 followed by per-head Platt scaling of the decision values. Probabilities
 are the normalized Platt sigmoids; confidence is their maximum. Training
-is deterministic given the seed.
+is deterministic: the working set is chosen by a fixed rule, not drawn.
 """
 
 import json
@@ -11,11 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, NonFiniteInput, TooFewSamples
+from .errors import (ConfigError, DegenerateLabels, InvalidModel,
+                     NonFiniteInput, SolverDidNotConverge, TooFewSamples)
 from .features import DIMENSIONS, FeatureVector
 from .labels import CLASSES
 
 MODEL_SCHEMA = "serhybrid-svm-v1"
+
+# iteration cap per head: max(MAX_ITER_FLOOR, 100 n), as in LIBSVM
+MAX_ITER_FLOOR = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -54,55 +58,59 @@ def _as_matrix(vectors):
     return X
 
 
-def _smo_binary(K, y, C, tol, max_passes, rng):
-    """Simplified SMO on a precomputed kernel matrix.
+def _smo_binary(X, y, C, tol, max_iter):
+    """SMO with second-order working-set selection (Fan, Chen & Lin, JMLR
+    2005; the LIBSVM rule) on the linear-kernel dual
 
-    y in {-1, +1}. Returns (alphas, b). The partner index is drawn from the
-    seeded generator, so training is reproducible.
+        min 1/2 a'Qa - sum(a),  0 <= a <= C,  y'a = 0,  Q_st = y_s y_t x_s.x_t
+
+    y in {-1, +1}. Kernel rows are computed on demand, so memory is O(n d).
+    Stops when the maximal KKT violation m(a) - M(a) is <= tol. The bias is
+    the mean score of the free vectors or, with none, (m + M) / 2, as in
+    LIBSVM. Returns (alphas, b, iterations, violation).
     """
     n = len(y)
     alphas = np.zeros(n)
-    b = 0.0
-    passes = 0
-    while passes < max_passes:
-        changed = 0
-        for i in range(n):
-            e_i = float(K[i] @ (alphas * y) + b - y[i])
-            r_i = y[i] * e_i
-            if (r_i < -tol and alphas[i] < C) or (r_i > tol and alphas[i] > 0):
-                j = (i + 1 + int(rng.integers(n - 1))) % n
-                e_j = float(K[j] @ (alphas * y) + b - y[j])
-                a_i_old, a_j_old = alphas[i], alphas[j]
-                if y[i] != y[j]:
-                    lo = max(0.0, a_j_old - a_i_old)
-                    hi = min(C, C + a_j_old - a_i_old)
-                else:
-                    lo = max(0.0, a_i_old + a_j_old - C)
-                    hi = min(C, a_i_old + a_j_old)
-                if lo == hi:
-                    continue
-                eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-                if eta >= 0:
-                    continue
-                a_j = a_j_old - y[j] * (e_i - e_j) / eta
-                a_j = min(hi, max(lo, a_j))
-                if abs(a_j - a_j_old) < 1e-12:
-                    continue
-                a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-                alphas[i], alphas[j] = a_i, a_j
-                b1 = b - e_i - y[i] * (a_i - a_i_old) * K[i, i] \
-                    - y[j] * (a_j - a_j_old) * K[i, j]
-                b2 = b - e_j - y[i] * (a_i - a_i_old) * K[i, j] \
-                    - y[j] * (a_j - a_j_old) * K[j, j]
-                if 0 < a_i < C:
-                    b = b1
-                elif 0 < a_j < C:
-                    b = b2
-                else:
-                    b = 0.5 * (b1 + b2)
-                changed += 1
-        passes = passes + 1 if changed == 0 else 0
-    return alphas, b
+    score = y.copy()  # -y * gradient, the gradient being Q a - 1
+    diag = np.einsum("ij,ij->i", X, X)
+    pos = y > 0
+    up = pos.copy()    # alpha may move towards y: a < C if y = +1, a > 0 if y = -1
+    low = ~pos         # alpha may move against y
+    for iteration in range(max_iter):
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        m = score[i]
+        low_min = np.where(low, score, np.inf).min()
+        violation = float(m - low_min)
+        if violation <= tol:
+            break
+        k_i = X @ X[i]
+        cand = np.flatnonzero(low & (score < m))
+        gain = m - score[cand]
+        curv = np.maximum(diag[i] + diag[cand] - 2.0 * k_i[cand], 1e-12)
+        j = int(cand[np.argmax(gain * gain / curv)])
+        step = (m - score[j]) / max(diag[i] + diag[j] - 2.0 * k_i[j], 1e-12)
+        room_i = C - alphas[i] if pos[i] else alphas[i]
+        room_j = alphas[j] if pos[j] else C - alphas[j]
+        step = min(step, room_i, room_j)
+        alphas[i] += y[i] * step
+        alphas[j] -= y[j] * step
+        # land exactly on a bound the step was clipped to
+        if step == room_i:
+            alphas[i] = C if pos[i] else 0.0
+        if step == room_j:
+            alphas[j] = 0.0 if pos[j] else C
+        for t in (i, j):
+            up[t] = alphas[t] < C if pos[t] else alphas[t] > 0
+            low[t] = alphas[t] > 0 if pos[t] else alphas[t] < C
+        score -= step * (k_i - X @ X[j])
+    else:
+        raise SolverDidNotConverge(
+            f"SVM solver stopped at its {max_iter}-iteration cap with KKT "
+            f"violation {violation:.3g} > tol {tol:g}")
+    # at the optimum score = b on the free vectors and m <= b <= M otherwise
+    free = up & low
+    b = float(score[free].mean()) if free.any() else 0.5 * float(m + low_min)
+    return alphas, b, iteration, violation
 
 
 def _fit_platt(decision, target, max_iter=100, min_step=1e-10, sigma=1e-12):
@@ -191,7 +199,7 @@ class SvmModel:
     platt_a: np.ndarray        # (3,)
     platt_b: np.ndarray        # (3,)
     scaler: Scaler
-    meta: dict                 # C, tol, seed, max_passes, iteration counts
+    meta: dict                 # C, tol; per head: support, iterations, KKT violation
 
     def to_json(self):
         return json.dumps({
@@ -211,21 +219,39 @@ class SvmModel:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        if doc.get("schema") != MODEL_SCHEMA:
-            raise ValueError(f"unexpected model schema: {doc.get('schema')!r}")
-        scaler = Scaler(
-            mean=np.array([float(v) for v in doc["scaler"]["mean"]]),
-            std=np.array([float(v) for v in doc["scaler"]["std"]]),
-            zero_variance=tuple(doc["scaler"]["zero_variance"]),
-        )
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError or undecodable bytes
+            raise InvalidModel(f"model is not valid JSON: {exc}")
+        if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
+            schema = doc.get("schema") if isinstance(doc, dict) else None
+            raise InvalidModel(f"unexpected model schema: {schema!r}")
+        missing = [k for k in _MODEL_KEYS if k not in doc]
+        if missing:
+            raise InvalidModel(f"model lacks {', '.join(missing)}")
+        scaler, meta = doc["scaler"], doc["meta"]
+        if not isinstance(scaler, dict) or not isinstance(meta, dict):
+            raise InvalidModel("model scaler and meta must be JSON objects")
+        missing = [k for k in ("mean", "std", "zero_variance") if k not in scaler]
+        if missing:
+            raise InvalidModel(f"model scaler lacks {', '.join(missing)}")
+        if doc["classes"] != list(CLASSES):
+            raise InvalidModel(f"model classes {doc['classes']!r}, expected {list(CLASSES)}")
+        zero_variance = scaler["zero_variance"]
+        if not isinstance(zero_variance, list) or any(d not in DIMENSIONS for d in zero_variance):
+            raise InvalidModel("model scaler.zero_variance must list feature dimensions")
+        heads, dims = (len(CLASSES),), (len(DIMENSIONS),)
+        std = _float_array(scaler["std"], dims, "scaler.std")
+        if np.any(std <= 0):
+            raise InvalidModel("model scaler.std must be positive")
         return cls(
-            weights=np.array([[float(v) for v in row] for row in doc["weights"]]),
-            biases=np.array([float(v) for v in doc["biases"]]),
-            platt_a=np.array([float(v) for v in doc["platt_a"]]),
-            platt_b=np.array([float(v) for v in doc["platt_b"]]),
-            scaler=scaler,
-            meta=doc["meta"],
+            weights=_float_array(doc["weights"], heads + dims, "weights"),
+            biases=_float_array(doc["biases"], heads, "biases"),
+            platt_a=_float_array(doc["platt_a"], heads, "platt_a"),
+            platt_b=_float_array(doc["platt_b"], heads, "platt_b"),
+            scaler=Scaler(mean=_float_array(scaler["mean"], dims, "scaler.mean"),
+                          std=std, zero_variance=tuple(zero_variance)),
+            meta=meta,
         )
 
     def save(self, path):
@@ -234,16 +260,39 @@ class SvmModel:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             return cls.from_json(fh.read())
 
 
-def train(vectors, labels, C=1.0, tol=1e-3, max_passes=100, seed=0):
+_MODEL_KEYS = ("classes", "weights", "biases", "platt_a", "platt_b", "scaler", "meta")
+
+
+def _float_array(value, shape, name):
+    """A finite float array of exactly ``shape`` from a (nested) list of
+    numbers or numeric strings; InvalidModel otherwise."""
+    try:
+        rows = value if len(shape) == 2 else [value]
+        arr = np.array([[float(v) for v in row] for row in rows])
+    except (TypeError, ValueError):
+        raise InvalidModel(f"model {name} is not a list of numbers")
+    if len(shape) == 1:
+        arr = arr.reshape(-1)
+    if arr.shape != shape:
+        raise InvalidModel(f"model {name} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidModel(f"model {name} has non-finite values")
+    return arr
+
+
+def train(vectors, labels, C=1.0, tol=1e-3):
     """Train the 3-class one-vs-rest model.
 
-    Requires all three classes in ``labels``. Platt parameters are fit on
-    the training decision values (no inner CV).
+    Requires all three classes in ``labels``. Each head is solved until its
+    maximal KKT violation is <= ``tol``. Platt parameters are fit on the
+    training decision values (no inner CV).
     """
+    if not (0 < C < np.inf and tol > 0):
+        raise ConfigError(f"SVM needs 0 < C < inf and tol > 0, got C={C!r}, tol={tol!r}")
     X_raw = _as_matrix(vectors)
     labels = list(labels)
     present = set(labels)
@@ -251,16 +300,15 @@ def train(vectors, labels, C=1.0, tol=1e-3, max_passes=100, seed=0):
         raise DegenerateLabels(f"need all classes {CLASSES}, got {sorted(present)}")
     scaler = fit_scaler(vectors)
     X = scaler.transform(X_raw)
-    K = X @ X.T
+    max_iter = max(MAX_ITER_FLOOR, 100 * len(labels))
     weights = np.zeros((len(CLASSES), X.shape[1]))
     biases = np.zeros(len(CLASSES))
     platt_a = np.zeros(len(CLASSES))
     platt_b = np.zeros(len(CLASSES))
-    iters = []
+    support, iterations, violations = [], [], []
     for k, cls_label in enumerate(CLASSES):
         y = np.where(np.array(labels) == cls_label, 1.0, -1.0)
-        rng = np.random.default_rng([seed, k])
-        alphas, b = _smo_binary(K, y, C, tol, max_passes, rng)
+        alphas, b, n_iter, violation = _smo_binary(X, y, C, tol, max_iter)
         w = (alphas * y) @ X
         decision = X @ w + b
         a_k, b_k = _fit_platt(decision, (y > 0).astype(float))
@@ -268,9 +316,11 @@ def train(vectors, labels, C=1.0, tol=1e-3, max_passes=100, seed=0):
         biases[k] = b
         platt_a[k] = a_k
         platt_b[k] = b_k
-        iters.append(int(np.count_nonzero(alphas > 0)))
-    meta = {"C": C, "tol": tol, "max_passes": max_passes, "seed": seed,
-            "support_counts": iters}
+        support.append(int(np.count_nonzero(alphas > 0)))
+        iterations.append(n_iter)
+        violations.append(violation)
+    meta = {"C": C, "tol": tol, "support_counts": support,
+            "iterations": iterations, "kkt_violation": violations}
     return SvmModel(weights=weights, biases=biases, platt_a=platt_a,
                     platt_b=platt_b, scaler=scaler, meta=meta)
 

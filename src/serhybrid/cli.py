@@ -159,9 +159,7 @@ def cmd_train(cfg):
     labels = [gold[e.sample_id] for e in selected]
     model = classifier.train(vectors, labels,
                              C=float(cfg.get("svm_c", 1.0)),
-                             tol=float(cfg.get("svm_tol", 1e-3)),
-                             max_passes=int(cfg.get("max_passes", 100)),
-                             seed=int(cfg.get("seed", 0)))
+                             tol=float(cfg.get("svm_tol", 1e-3)))
     model.save(cfg["model_out"])
     correct = sum(classifier.predict(model, v).label == y
                   for v, y in zip(vectors, labels))
@@ -238,12 +236,25 @@ def cmd_evaluate(cfg):
     return 0
 
 
+ANNOTATORS = ("annotator_a", "annotator_b", "annotator_c")
+
+
 def cmd_kappa(cfg):
     _require(cfg, "annotations")
     rows = []
     with open(cfg["annotations"], newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((row["annotator_a"], row["annotator_b"], row["annotator_c"]))
+        reader = csv.DictReader(fh)
+        missing = [c for c in ANNOTATORS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"annotation file lacks columns: {', '.join(missing)}")
+        for row in reader:
+            labels = tuple(row[c] for c in ANNOTATORS)
+            for column, label in zip(ANNOTATORS, labels):
+                if label not in CLASSES:
+                    raise DataError(
+                        f"annotation line {reader.line_num} ({row.get('sample_id')}): "
+                        f"{column} label {label!r} is not one of {', '.join(CLASSES)}")
+            rows.append(labels)
     if not rows:
         raise DataError("annotation file has no rows")
     table = np.zeros((len(rows), len(CLASSES)), dtype=np.int64)
@@ -405,7 +416,6 @@ def build_parser():
     p.add_argument("--split")
     p.add_argument("--svm-c", dest="svm_c", type=float)
     p.add_argument("--svm-tol", dest="svm_tol", type=float)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="run inference over a manifest")

@@ -57,6 +57,14 @@ class NonFiniteInput(DataError):
     """Feature matrix or vector contains NaN or infinity."""
 
 
+class SolverDidNotConverge(DataError):
+    """The SVM solver reached its iteration cap above its KKT tolerance."""
+
+
+class InvalidModel(DataError):
+    """Model file is not valid JSON or violates the model schema."""
+
+
 # --- reasoning / LLM ---
 
 class SchemaError(ConfigError):

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -385,8 +386,10 @@ class HttpLlmClient:
         text = query_llm(prompt, self.cfg, sample_id=sample_id, session=self._session)
         latency = (time.monotonic() - t0) * 1000.0
         if self.cache_dir:
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
+            # a temp file per writer: concurrent misses on one prompt each
+            # publish a whole file, and the last replace wins
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         return LlmResult(text=text, cached=False, latency_ms=latency)

@@ -73,10 +73,10 @@ def planted_corpus(tmp_path_factory):
     return _corpus_bundle(planted_recipe(), tmp_path_factory.mktemp("planted"))
 
 
-def train_on(bundle, seed=0):
+def train_on(bundle):
     vectors = [bundle.features[e.sample_id] for e in bundle.entries]
     labels = [bundle.gold[e.sample_id] for e in bundle.entries]
-    return train(vectors, labels, seed=seed)
+    return train(vectors, labels)
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,22 @@
 """Scaler, SVM training, calibration, and model serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from serhybrid.classifier import (MlEvidence, Scaler, SvmModel, fit_scaler,
-                                  predict, train)
-from serhybrid.errors import (DegenerateLabels, NonFiniteInput, TooFewSamples)
+from serhybrid.classifier import (MlEvidence, Scaler, SvmModel, _smo_binary,
+                                  fit_scaler, predict, train)
+from serhybrid.errors import (ConfigError, DataError, DegenerateLabels,
+                              InvalidModel, NonFiniteInput,
+                              SolverDidNotConverge, TooFewSamples)
 from serhybrid.features import DIM_INDEX, DIMENSIONS, FeatureVector
 from serhybrid.labels import CLASSES
 
 
 def _blobs(seed=0, n_per_class=10, spread=0.3):
-    """Three well-separated Gaussian blobs in feature space."""
+    """Three Gaussian blobs in feature space; well separated at the default
+    spread, overlapping from a spread of a few units."""
     rng = np.random.default_rng(seed)
     centers = {
         "angry": ("energy_mean", 6.0),
@@ -65,13 +70,13 @@ class TestScaler:
 class TestTrain:
     def test_separable_blobs_perfect_training_accuracy(self):
         vectors, labels = _blobs(seed=2)
-        model = train(vectors, labels, seed=0)
+        model = train(vectors, labels)
         preds = [predict(model, v).label for v in vectors]
         assert preds == labels
 
     def test_probabilities_normalized(self):
         vectors, labels = _blobs(seed=2)
-        model = train(vectors, labels, seed=0)
+        model = train(vectors, labels)
         for v in vectors:
             evidence = predict(model, v)
             assert abs(float(evidence.per_class_probs.sum()) - 1.0) < 1e-9
@@ -79,8 +84,8 @@ class TestTrain:
 
     def test_retrain_is_bit_identical(self):
         vectors, labels = _blobs(seed=2)
-        first = train(vectors, labels, seed=7)
-        second = train(vectors, labels, seed=7)
+        first = train(vectors, labels)
+        second = train(vectors, labels)
         assert first.to_json() == second.to_json()
 
     def test_missing_class_rejected(self):
@@ -89,6 +94,13 @@ class TestTrain:
         with pytest.raises(DegenerateLabels):
             train([v for v, _ in kept], [y for _, y in kept])
 
+    @pytest.mark.parametrize("C,tol", [(0.0, 1e-3), (np.inf, 1e-3),
+                                       (1.0, 0.0), (1.0, float("nan"))])
+    def test_out_of_range_solver_settings_rejected(self, C, tol):
+        vectors, labels = _blobs()
+        with pytest.raises(ConfigError):
+            train(vectors, labels, C=C, tol=tol)
+
     def test_non_finite_vector_rejected_at_predict(self):
         vectors, labels = _blobs()
         model = train(vectors, labels)
@@ -96,6 +108,50 @@ class TestTrain:
         bad[0] = np.inf
         with pytest.raises(NonFiniteInput):
             predict(model, FeatureVector(bad))
+
+
+class TestSolver:
+    def _overlap(self):
+        vectors, labels = _blobs(seed=1, n_per_class=30, spread=8.0)
+        model = train(vectors, labels)
+        X = model.scaler.transform(np.stack([v.values for v in vectors]))
+        return model, X, np.array(labels)
+
+    def test_every_head_stops_within_tol(self):
+        model, _, _ = self._overlap()
+        assert len(model.meta["kkt_violation"]) == len(CLASSES)
+        assert all(v <= model.meta["tol"] for v in model.meta["kkt_violation"])
+        assert all(n > 0 for n in model.meta["iterations"])
+
+    def test_duality_gap_small(self):
+        model, X, labels = self._overlap()
+        C = model.meta["C"]
+        for k, label in enumerate(CLASSES):
+            y = np.where(labels == label, 1.0, -1.0)
+            alphas, _, _, _ = _smo_binary(X, y, C, model.meta["tol"], 10_000_000)
+            w = (alphas * y) @ X
+            assert np.array_equal(w, model.weights[k])
+            hinge = np.maximum(0.0, 1.0 - y * (X @ w + model.biases[k])).sum()
+            primal = 0.5 * w @ w + C * hinge
+            dual = alphas.sum() - 0.5 * w @ w
+            assert 0.0 <= primal - dual <= 1e-3 * primal
+
+    def test_bias_without_free_vectors_is_midpoint(self):
+        # both alphas end at C = 0.1, so w = 0.2 and any b in [-1.2, 0.4]
+        # gives the same hinge sum; the solver takes the midpoint
+        X = np.array([[3.0], [1.0]])
+        alphas, b, _, _ = _smo_binary(X, np.array([1.0, -1.0]), 0.1, 1e-3, 100)
+        assert alphas.tolist() == [0.1, 0.1]
+        assert b == pytest.approx(-0.4)
+
+    def test_iteration_cap_is_a_data_error(self):
+        vectors, labels = _blobs(seed=1, n_per_class=30, spread=8.0)
+        X = fit_scaler(vectors).transform(np.stack([v.values for v in vectors]))
+        y = np.where(np.array(labels) == "calm", 1.0, -1.0)
+        with pytest.raises(SolverDidNotConverge) as info:
+            _smo_binary(X, y, 1.0, 1e-3, 3)
+        assert isinstance(info.value, DataError)
+        assert "\n" not in str(info.value)
 
 
 class TestPredict:
@@ -123,7 +179,7 @@ class TestPredict:
 class TestSerialization:
     def test_model_json_roundtrip_exact(self, tmp_path):
         vectors, labels = _blobs(seed=4)
-        model = train(vectors, labels, seed=1)
+        model = train(vectors, labels)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = SvmModel.load(path)
@@ -136,8 +192,29 @@ class TestSerialization:
         assert loaded.meta == model.meta
 
     def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidModel):
             SvmModel.from_json('{"schema": "something-else"}')
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("platt_b"),
+        lambda doc: doc["scaler"].pop("std"),
+        lambda doc: doc["weights"].pop(),
+        lambda doc: doc["biases"].append("0.0"),
+        lambda doc: doc["weights"][0].__setitem__(0, "nan"),
+        lambda doc: doc["scaler"]["mean"].__setitem__(0, "abc"),
+        lambda doc: doc["scaler"]["std"].__setitem__(0, "0.0"),
+        lambda doc: doc.__setitem__("classes", ["calm", "angry", "panic"]),
+    ])
+    def test_malformed_model_rejected(self, edit):
+        vectors, labels = _blobs(seed=4)
+        doc = json.loads(train(vectors, labels).to_json())
+        edit(doc)
+        with pytest.raises(InvalidModel):
+            SvmModel.from_json(json.dumps(doc))
+
+    def test_non_json_model_rejected(self):
+        with pytest.raises(InvalidModel):
+            SvmModel.from_json("not json")
 
     def test_evidence_roundtrip_exact(self):
         evidence = MlEvidence(label="panic", confidence=0.875,

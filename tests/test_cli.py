@@ -26,8 +26,7 @@ def workspace(tmp_path_factory):
                      str(features), "--stats-out", str(stats)]) == 0
     model = root / "model.json"
     assert cli.main(["train", "--manifest", str(manifest), "--features",
-                     str(features), "--model-out", str(model), "--seed",
-                     "0"]) == 0
+                     str(features), "--model-out", str(model)]) == 0
     return {"root": root, "manifest": str(manifest), "features": str(features),
             "stats": str(stats), "model": str(model)}
 
@@ -52,6 +51,29 @@ class TestExitCodes:
                          "--endpoint-url", "http://127.0.0.1:1/v1",
                          "--model-name", "m",
                          "--out", str(tmp_path / "p.jsonl")]) == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: json.dumps(dict(doc, schema="serhybrid-svm-v0")),
+        lambda doc: json.dumps(dict(doc, scaler={"mean": doc["scaler"]["mean"]})),
+        lambda doc: "this is not JSON",
+    ], ids=["wrong-schema", "missing-scaler-key", "not-json"])
+    def test_malformed_model_is_data_error(self, workspace, tmp_path, capsys,
+                                           corrupt):
+        with open(workspace["model"]) as fh:
+            doc = json.load(fh)
+        model = tmp_path / "model.json"
+        model.write_text(corrupt(doc))
+        assert cli.main(["predict", "--manifest", workspace["manifest"],
+                         "--features", workspace["features"],
+                         "--model", str(model),
+                         "--stats", workspace["stats"],
+                         "--version", "v4_hybrid", "--tau", "0",
+                         "--endpoint-url", "http://127.0.0.1:1/v1",
+                         "--model-name", "m",
+                         "--out", str(tmp_path / "p.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unreadable_config_is_config_error(self, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -140,6 +162,22 @@ class TestKappa:
         assert -1.0 <= doc["fleiss_kappa"] <= 1.0
         assert set(doc["pairwise"]) == {"A-B", "A-C", "B-C"}
         assert "Fleiss kappa" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("table,named", [
+        ("sample_id,annotator_a,annotator_b,annotator_c\n"
+         "s0,calm,calm,calm\n"
+         "s1,angry,furious,panic\n", ["line 3", "s1", "'furious'"]),
+        ("sample_id,annotator_a,annotator_b\n"
+         "s0,calm,calm\n", ["annotator_c"]),
+    ], ids=["unknown-label", "missing-column"])
+    def test_bad_annotations_are_data_errors(self, tmp_path, capsys, table,
+                                             named):
+        path = tmp_path / "annotations.csv"
+        path.write_text(table)
+        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert all(part in err for part in named)
 
     def test_empty_annotations_rejected(self, tmp_path):
         path = tmp_path / "annotations.csv"

@@ -1,12 +1,15 @@
 """Rules, prompts, answer parsing, and the LLM client."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 import requests
 
 from mockllm import CANNED_AUTO_RULES, MockLlmServer, ScriptedClient
+from serhybrid import reasoning
 from serhybrid.errors import (EmptyGeneration, EmptyRules, LlmTimeout,
                               LlmTransportError, MissingEvidence, SchemaError)
 from serhybrid.classifier import MlEvidence
@@ -226,6 +229,41 @@ class TestHttpClient:
             assert second.latency_ms == 0.0
             assert second.text == first.text
             assert server.request_count == 1
+
+    def test_concurrent_misses_on_one_prompt_both_complete(self, tmp_path,
+                                                           monkeypatch):
+        # both writers reach the cache rename together: a temp file shared
+        # between them is gone by the time the second rename runs
+        barrier = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def replace_together(src, dst):
+            barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(reasoning.os, "replace", replace_together)
+        cache = tmp_path / "cache"
+        prompt = build_transcript_prompt("i panic when this happens")
+        results, errors = [], []
+        with MockLlmServer() as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url),
+                                   cache_dir=str(cache))
+
+            def run():
+                try:
+                    results.append(client.complete(prompt))
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+            assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [parse_label(r.text) for r in results] == ["panic", "panic"]
+        assert [p.suffix for p in cache.iterdir()] == [".txt"]
 
     def test_batch_preserves_input_order(self, tmp_path):
         with MockLlmServer() as server:
