@@ -12,42 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DegenerateLabels, InvalidModel,
-                     NonFiniteInput, SolverDidNotConverge, TooFewSamples)
-from .features import DIMENSIONS, FeatureVector
+                     NonFiniteInput, SolverDidNotConverge)
+from .features import DIMENSIONS, CorpusStats, FeatureVector
 from .labels import CLASSES
 
 MODEL_SCHEMA = "serhybrid-svm-v1"
 
 # iteration cap per head: max(MAX_ITER_FLOOR, 100 n), as in LIBSVM
 MAX_ITER_FLOOR = 10_000_000
-
-
-@dataclass(frozen=True)
-class Scaler:
-    """Per-dimension standardizer; stds clamped to >= 1e-8."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    zero_variance: tuple
-
-    def transform(self, X):
-        return (X - self.mean) / self.std
-
-    def inverse_transform(self, X):
-        return X * self.std + self.mean
-
-
-def fit_scaler(vectors):
-    """Column means/stds over feature vectors; zero-variance columns get
-    std 1e-8 and are flagged."""
-    if len(vectors) < 2:
-        raise TooFewSamples(f"scaler needs >= 2 samples, got {len(vectors)}")
-    X = _as_matrix(vectors)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    flagged = tuple(DIMENSIONS[i] for i in np.flatnonzero(std == 0.0))
-    std = np.maximum(std, 1e-8)
-    return Scaler(mean=mean, std=std, zero_variance=flagged)
 
 
 def _as_matrix(vectors):
@@ -198,7 +170,7 @@ class SvmModel:
     biases: np.ndarray         # (3,)
     platt_a: np.ndarray        # (3,)
     platt_b: np.ndarray        # (3,)
-    scaler: Scaler
+    scaler: CorpusStats
     meta: dict                 # C, tol; per head: support, iterations, KKT violation
 
     def to_json(self):
@@ -249,8 +221,8 @@ class SvmModel:
             biases=_float_array(doc["biases"], heads, "biases"),
             platt_a=_float_array(doc["platt_a"], heads, "platt_a"),
             platt_b=_float_array(doc["platt_b"], heads, "platt_b"),
-            scaler=Scaler(mean=_float_array(scaler["mean"], dims, "scaler.mean"),
-                          std=std, zero_variance=tuple(zero_variance)),
+            scaler=CorpusStats(mean=_float_array(scaler["mean"], dims, "scaler.mean"),
+                               std=std, zero_variance=tuple(zero_variance)),
             meta=meta,
         )
 
@@ -298,7 +270,7 @@ def train(vectors, labels, C=1.0, tol=1e-3):
     present = set(labels)
     if present != set(CLASSES):
         raise DegenerateLabels(f"need all classes {CLASSES}, got {sorted(present)}")
-    scaler = fit_scaler(vectors)
+    scaler = CorpusStats.from_matrix(X_raw)
     X = scaler.transform(X_raw)
     max_iter = max(MAX_ITER_FLOOR, 100 * len(labels))
     weights = np.zeros((len(CLASSES), X.shape[1]))

@@ -172,13 +172,23 @@ def _load_transcripts(path):
     out = {}
     if str(path).endswith(".jsonl"):
         with open(path) as fh:
-            for line in fh:
-                if line.strip():
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
                     doc = json.loads(line)
                     out[doc["sample_id"]] = doc["transcript"]
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{path} line {n}: needs sample_id and "
+                                    f"transcript ({type(exc).__name__}: {exc})")
     else:
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("sample_id", "transcript")
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}: transcripts lack columns: {', '.join(missing)}")
+            for row in reader:
                 out[row["sample_id"]] = row["transcript"]
     return out
 
@@ -202,8 +212,7 @@ def cmd_predict(cfg):
         _require(cfg, "features", "model", "stats")
         feats = read_features_csv(cfg["features"])
         model = classifier.SvmModel.load(cfg["model"])
-        with open(cfg["stats"]) as fh:
-            stats = CorpusStats.from_json(fh.read())
+        stats = CorpusStats.load(cfg["stats"])
         rules = _load_rules_arg(cfg)
         predictions, report = hybrid.run_pipeline(
             entries, feats, model, rules, stats, client, version,
@@ -301,8 +310,7 @@ def cmd_refine(cfg):
     entries = corpus.load_manifest(cfg["manifest"])
     gold, _ = _gold_by_id(entries)
     feats = read_features_csv(cfg["features"])
-    with open(cfg["stats"]) as fh:
-        stats = CorpusStats.from_json(fh.read())
+    stats = CorpusStats.load(cfg["stats"])
     errors, correct = [], []
     for p in predictions:
         g = gold[p.sample_id]
@@ -351,8 +359,7 @@ def cmd_compare(cfg):
     gold, _ = _gold_by_id(entries)
     feats = read_features_csv(cfg["features"])
     model = classifier.SvmModel.load(cfg["model"])
-    with open(cfg["stats"]) as fh:
-        stats = CorpusStats.from_json(fh.read())
+    stats = CorpusStats.load(cfg["stats"])
     seed_rules = _load_rules_arg(cfg, "rules")
     refined_rules = (reasoning.load_rules(cfg["refined_rules"])
                      if cfg.get("refined_rules") else seed_rules)

@@ -45,10 +45,6 @@ class MissingStats(ConfigError):
 
 # --- classifier ---
 
-class TooFewSamples(DataError):
-    """Scaler fitting needs at least two samples."""
-
-
 class DegenerateLabels(DataError):
     """Training requires all three emotion classes to be present."""
 
@@ -68,7 +64,8 @@ class InvalidModel(DataError):
 # --- reasoning / LLM ---
 
 class SchemaError(ConfigError):
-    """Rule file or manifest violates its documented schema."""
+    """A rule, proposals, corpus-stats or manifest file violates its
+    documented schema."""
 
 
 class EmptyRules(ConfigError):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import EmptySeries, MissingStats, SignalTooShort
+from .errors import (DataError, EmptySeries, MissingStats, SchemaError,
+                     SignalTooShort)
 
 UNVOICED = math.nan
 
@@ -102,14 +103,20 @@ def write_features_csv(path, rows):
 def read_features_csv(path):
     """Read the CSV written by write_features_csv; returns {sample_id: FeatureVector}."""
     out = {}
+    expected = ["schema", "sample_id", *DIMENSIONS]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["schema", "sample_id", *DIMENSIONS]
-        if header != expected:
-            raise ValueError(f"{path}: unexpected feature CSV header")
+        if next(reader, None) != expected:
+            raise DataError(f"{path}: unexpected feature CSV header")
         for row in reader:
-            out[row[1]] = FeatureVector(np.array([float(v) for v in row[2:]], dtype=np.float64))
+            if len(row) != len(expected):
+                raise DataError(f"{path} line {reader.line_num}: expected "
+                                f"{len(expected)} columns, got {len(row)}")
+            try:
+                values = np.array([float(v) for v in row[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{path} line {reader.line_num}: {exc}")
+            out[row[1]] = FeatureVector(values)
     return out
 
 
@@ -275,10 +282,11 @@ def aggregate(series):
 
 @dataclass(frozen=True)
 class CorpusStats:
-    """Per-dimension mean/std over a reference corpus, for z-scoring.
+    """Per-dimension mean/std over a reference corpus: the z-scoring of
+    the prompts and the classifier's standardizer.
 
-    Dimensions with zero variance are flagged and their std clamped so
-    z-scores stay finite.
+    Dimensions with zero variance are flagged and their std clamped to
+    1e-8 so z-scores stay finite.
     """
 
     mean: np.ndarray
@@ -287,15 +295,23 @@ class CorpusStats:
 
     @classmethod
     def from_vectors(cls, vectors):
-        X = np.stack([v.values for v in vectors])
+        return cls.from_matrix(np.stack([v.values for v in vectors]))
+
+    @classmethod
+    def from_matrix(cls, X):
+        """Column statistics of an (n_samples, n_dims) matrix."""
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         flagged = tuple(DIMENSIONS[i] for i in np.flatnonzero(std == 0.0))
         std = np.maximum(std, 1e-8)
         return cls(mean=mean, std=std, zero_variance=flagged)
 
+    def transform(self, X):
+        """z-scores of a raw vector or of each row of a matrix."""
+        return (X - self.mean) / self.std
+
     def z_scores(self, vector):
-        return (vector.values - self.mean) / self.std
+        return self.transform(vector.values)
 
     def z_score(self, vector, dimension):
         i = DIM_INDEX[dimension]
@@ -310,14 +326,28 @@ class CorpusStats:
         }, indent=2)
 
     @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
+    def from_json(cls, text, where="corpus stats"):
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError or undecodable bytes
+            raise SchemaError(f"{where}: invalid JSON ({exc})")
+        if not (isinstance(doc, dict) and isinstance(doc.get("mean"), dict)
+                and isinstance(doc.get("std"), dict)):
+            raise SchemaError(f"{where}: needs 'mean' and 'std' objects keyed by dimension")
         missing = [d for d in DIMENSIONS if d not in doc["mean"] or d not in doc["std"]]
         if missing:
-            raise MissingStats(f"corpus stats missing dimensions: {missing}")
-        mean = np.array([float(doc["mean"][d]) for d in DIMENSIONS])
-        std = np.array([float(doc["std"][d]) for d in DIMENSIONS])
+            raise MissingStats(f"{where}: missing dimensions: {missing}")
+        try:
+            mean = np.array([float(doc["mean"][d]) for d in DIMENSIONS])
+            std = np.array([float(doc["std"][d]) for d in DIMENSIONS])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: mean and std must be numbers ({exc})")
         return cls(mean=mean, std=std, zero_variance=tuple(doc.get("zero_variance", ())))
+
+    @classmethod
+    def load(cls, path):
+        with open(path, "rb") as fh:
+            return cls.from_json(fh.read(), where=str(path))
 
 
 def level_for_z(z):

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .classifier import MlEvidence, predict
-from .errors import LlmError, ManifestError
+from .errors import DataError, LlmError, ManifestError
 from .features import describe
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
                         build_transcript_prompt, parse_label)
@@ -22,13 +22,6 @@ DEFAULT_TAU = 0.7
 
 SOURCES = ("ml_direct", "llm_reasoned", "fallback_ml", "fallback_rule",
            "fallback_default")
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    path: str  # "Direct" | "Reason"
-    confidence: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -67,12 +60,6 @@ class Prediction:
                    latency_ms=doc.get("latency_ms", 0.0))
 
 
-def route(ml, tau):
-    """Direct when confidence >= tau; tau > 1 forces every sample to Reason."""
-    path = "Direct" if ml.confidence >= tau else "Reason"
-    return RoutingDecision(path=path, confidence=ml.confidence, threshold=tau)
-
-
 def _rule_fallback_label(rules, desc):
     """Strongest rule whose conditions hold on the description's z-scores;
     None when nothing fires."""
@@ -85,115 +72,96 @@ def _rule_fallback_label(rules, desc):
 
 
 def _fallback(sample_id, ml, rules, desc, version, reason_code, rationale=None):
+    """The ML label, else the strongest matching rule, else calm."""
     if ml is not None:
-        return Prediction(sample_id=sample_id, label=ml.label, source="fallback_ml",
-                          ml_evidence=ml, prompt_version=version.value,
-                          rationale=rationale, reason_code=reason_code)
-    rule_label = _rule_fallback_label(rules, desc) if rules is not None else None
-    if rule_label is not None:
-        return Prediction(sample_id=sample_id, label=rule_label, source="fallback_rule",
-                          ml_evidence=None, prompt_version=version.value,
-                          rationale=rationale, reason_code=reason_code)
-    return Prediction(sample_id=sample_id, label="calm", source="fallback_default",
-                      ml_evidence=None, prompt_version=version.value,
+        label, source = ml.label, "fallback_ml"
+    else:
+        label = _rule_fallback_label(rules, desc) if rules is not None else None
+        source = "fallback_rule" if label is not None else "fallback_default"
+    return Prediction(sample_id=sample_id, label=label or "calm", source=source,
+                      ml_evidence=ml, prompt_version=version,
                       rationale=rationale, reason_code=reason_code)
 
 
-def infer(vector, model, rules, stats, client, version, tau=DEFAULT_TAU,
-          sample_id=""):
-    """Produce one Prediction for a feature vector.
+def _resolve(client, routed, rules, version, predictions):
+    """Send the routed (index, sample_id, prompt, ml, desc) items in one
+    batch and set predictions[index] for each: the parsed answer, or the
+    fallback chain when the LLM fails or its answer names no label.
 
-    v4_hybrid routes by confidence; all other versions always reason.
+    Returns (cache_hits, failures).
     """
-    ml = predict(model, vector)
-    desc = describe(vector, stats)
-    if version is PromptVersion.v4_hybrid:
-        decision = route(ml, tau)
-        if decision.path == "Direct":
-            return Prediction(sample_id=sample_id, label=ml.label,
-                              source="ml_direct", ml_evidence=ml,
-                              prompt_version=version.value)
-        prompt = build_prompt(version, desc, rules, ml=ml)
-    else:
-        prompt = build_prompt(version, desc, rules)
-    try:
-        result = client.complete(prompt, sample_id=sample_id)
-    except LlmError as exc:
-        return _fallback(sample_id, ml, rules, desc, version,
-                         reason_code=f"llm_error:{type(exc).__name__}")
-    label = parse_label(result.text)
-    if label is None:
-        return _fallback(sample_id, ml, rules, desc, version,
-                         reason_code="parse_failure", rationale=result.text)
-    return Prediction(sample_id=sample_id, label=label, source="llm_reasoned",
-                      ml_evidence=ml, prompt_version=version.value,
-                      rationale=result.text, latency_ms=result.latency_ms)
+    cache_hits = 0
+    failures = []
+    if not routed:
+        return cache_hits, failures
+    results = client.complete_batch([(sid, prompt) for _, sid, prompt, _, _ in routed])
+    for (i, sid, _, ml, desc), result in zip(routed, results):
+        if isinstance(result, LlmError):
+            error = type(result).__name__
+            failures.append({"sample_id": sid, "error": error})
+            predictions[i] = _fallback(sid, ml, rules, desc, version,
+                                       reason_code=f"llm_error:{error}")
+            continue
+        if result.cached:
+            cache_hits += 1
+        label = parse_label(result.text)
+        if label is None:
+            failures.append({"sample_id": sid, "error": "ParseFailure"})
+            predictions[i] = _fallback(sid, ml, rules, desc, version,
+                                       reason_code="parse_failure",
+                                       rationale=result.text)
+        else:
+            predictions[i] = Prediction(sample_id=sid, label=label,
+                                        source="llm_reasoned", ml_evidence=ml,
+                                        prompt_version=version,
+                                        rationale=result.text,
+                                        latency_ms=result.latency_ms)
+    return cache_hits, failures
+
+
+def _require_all(entries, available, what):
+    missing = [e.sample_id for e in entries if e.sample_id not in available]
+    if missing:
+        raise ManifestError(f"no {what} for samples: {missing[:5]}"
+                            + ("..." if len(missing) > 5 else ""))
 
 
 def run_pipeline(entries, features_by_id, model, rules, stats, client, version,
                  tau=DEFAULT_TAU):
     """Run inference over manifest entries, in manifest order.
 
-    Returns (predictions, report). The report counts routing, sources,
-    cache hits, and per-sample failures; v5 first asks the LLM to generate
-    its own rule set.
+    v4_hybrid answers a sample directly when the classifier's confidence
+    is >= tau and reasons otherwise, so tau > 1 forces every sample to
+    Reason; all other versions always reason. Returns (predictions,
+    report). The report counts routing, sources, cache hits, and
+    per-sample failures; v5 first asks the LLM to generate its own rule set.
     """
-    missing = [e.sample_id for e in entries if e.sample_id not in features_by_id]
-    if missing:
-        raise ManifestError(f"no feature vectors for samples: {missing[:5]}"
-                            + ("..." if len(missing) > 5 else ""))
+    _require_all(entries, features_by_id, "feature vectors")
     active_rules = rules
     generated_dropped = []
     if version is PromptVersion.v5_auto:
         active_rules, generated_dropped = auto_generate_rules(client)
 
     # Phase 1: classify everything, decide routing, build prompts.
-    ml_by_id = {}
-    desc_by_id = {}
-    routed = []  # (index, sample_id, prompt)
+    v4 = version is PromptVersion.v4_hybrid
     predictions = [None] * len(entries)
+    routed = []  # (index, sample_id, prompt, ml, desc)
     for i, entry in enumerate(entries):
         vec = features_by_id[entry.sample_id]
         ml = predict(model, vec)
         desc = describe(vec, stats)
-        ml_by_id[entry.sample_id] = ml
-        desc_by_id[entry.sample_id] = desc
-        if version is PromptVersion.v4_hybrid and route(ml, tau).path == "Direct":
+        if v4 and ml.confidence >= tau:
             predictions[i] = Prediction(sample_id=entry.sample_id, label=ml.label,
                                         source="ml_direct", ml_evidence=ml,
                                         prompt_version=version.value)
         else:
             prompt = build_prompt(version, desc, active_rules,
-                                  ml=ml if version is PromptVersion.v4_hybrid else None)
-            routed.append((i, entry.sample_id, prompt))
+                                  ml=ml if v4 else None)
+            routed.append((i, entry.sample_id, prompt, ml, desc))
 
     # Phase 2: batched LLM calls, bounded concurrency, input-order results.
-    cache_hits = 0
-    failures = []
-    if routed:
-        results = client.complete_batch([(sid, prompt) for _, sid, prompt in routed])
-        for (i, sid, _), result in zip(routed, results):
-            ml = ml_by_id[sid]
-            desc = desc_by_id[sid]
-            if isinstance(result, LlmError):
-                failures.append({"sample_id": sid, "error": type(result).__name__})
-                predictions[i] = _fallback(sid, ml, active_rules, desc, version,
-                                           reason_code=f"llm_error:{type(result).__name__}")
-                continue
-            if result.cached:
-                cache_hits += 1
-            label = parse_label(result.text)
-            if label is None:
-                failures.append({"sample_id": sid, "error": "ParseFailure"})
-                predictions[i] = _fallback(sid, ml, active_rules, desc, version,
-                                           reason_code="parse_failure",
-                                           rationale=result.text)
-            else:
-                predictions[i] = Prediction(sample_id=sid, label=label,
-                                            source="llm_reasoned", ml_evidence=ml,
-                                            prompt_version=version.value,
-                                            rationale=result.text,
-                                            latency_ms=result.latency_ms)
+    cache_hits, failures = _resolve(client, routed, active_rules, version.value,
+                                    predictions)
 
     source_counts = {}
     for p in predictions:
@@ -222,39 +190,11 @@ def run_text_baseline(entries, transcripts_by_id, client):
     Every sample is sent to the LLM with its pre-computed transcript;
     failures fall back to the default label.
     """
-    missing = [e.sample_id for e in entries if e.sample_id not in transcripts_by_id]
-    if missing:
-        raise ManifestError(f"no transcripts for samples: {missing[:5]}"
-                            + ("..." if len(missing) > 5 else ""))
-    items = [(e.sample_id, build_transcript_prompt(transcripts_by_id[e.sample_id]))
-             for e in entries]
-    results = client.complete_batch(items)
-    predictions = []
-    cache_hits = 0
-    failures = []
-    for entry, result in zip(entries, results):
-        sid = entry.sample_id
-        if isinstance(result, LlmError):
-            failures.append({"sample_id": sid, "error": type(result).__name__})
-            predictions.append(Prediction(
-                sample_id=sid, label="calm", source="fallback_default",
-                ml_evidence=None, prompt_version=TEXT_BASELINE,
-                reason_code=f"llm_error:{type(result).__name__}"))
-            continue
-        if result.cached:
-            cache_hits += 1
-        label = parse_label(result.text)
-        if label is None:
-            failures.append({"sample_id": sid, "error": "ParseFailure"})
-            predictions.append(Prediction(
-                sample_id=sid, label="calm", source="fallback_default",
-                ml_evidence=None, prompt_version=TEXT_BASELINE,
-                reason_code="parse_failure", rationale=result.text))
-        else:
-            predictions.append(Prediction(
-                sample_id=sid, label=label, source="llm_reasoned",
-                ml_evidence=None, prompt_version=TEXT_BASELINE,
-                rationale=result.text, latency_ms=result.latency_ms))
+    _require_all(entries, transcripts_by_id, "transcripts")
+    routed = [(i, e.sample_id, build_transcript_prompt(transcripts_by_id[e.sample_id]),
+               None, None) for i, e in enumerate(entries)]
+    predictions = [None] * len(entries)
+    cache_hits, failures = _resolve(client, routed, None, TEXT_BASELINE, predictions)
     report = {
         "schema": "serhybrid-run-report-v1",
         "version": TEXT_BASELINE,
@@ -276,7 +216,13 @@ def write_predictions(path, predictions):
 def read_predictions(path):
     out = []
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 out.append(Prediction.from_dict(json.loads(line)))
+            except KeyError as exc:
+                raise DataError(f"{path} line {n}: prediction lacks {exc}")
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise DataError(f"{path} line {n}: malformed prediction ({exc})")
     return out

@@ -96,16 +96,7 @@ class RuleSet:
         return json.dumps({
             "schema": RULES_SCHEMA,
             "version": self.version,
-            "rules": [{
-                "id": r.id,
-                "statement": r.statement,
-                "conditions": [{"dimension": c.dimension,
-                                "comparator": c.comparator,
-                                "threshold_z": c.threshold_z} for c in r.conditions],
-                "implied_label": r.implied_label,
-                "strength": r.strength,
-                "origin": r.origin,
-            } for r in self.rules],
+            "rules": [rule_to_dict(r) for r in self.rules],
             "confusion_notes": [{"labels": list(n.labels), "text": n.text}
                                 for n in self.confusion_notes],
         }, indent=2)
@@ -115,12 +106,33 @@ class RuleSet:
             fh.write(self.to_json())
 
 
-def _parse_rule(doc, where):
+def rule_to_dict(rule):
+    """The rule-file form of one Rule; parse_rule reads it back."""
+    return {
+        "id": rule.id,
+        "statement": rule.statement,
+        "conditions": [{"dimension": c.dimension,
+                        "comparator": c.comparator,
+                        "threshold_z": c.threshold_z} for c in rule.conditions],
+        "implied_label": rule.implied_label,
+        "strength": rule.strength,
+        "origin": rule.origin,
+    }
+
+
+def parse_rule(doc, where):
+    """Validate one rule object of a rule file; SchemaError names ``where``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: rule must be a JSON object")
     for key in ("id", "statement", "conditions", "implied_label", "strength", "origin"):
         if key not in doc:
             raise SchemaError(f"{where}: rule missing field {key!r}")
+    if not isinstance(doc["conditions"], list):
+        raise SchemaError(f"{where}: conditions must be a list")
     conditions = []
     for i, c in enumerate(doc["conditions"]):
+        if not isinstance(c, dict):
+            raise SchemaError(f"{where}: condition {i} must be a JSON object")
         dim = c.get("dimension")
         if dim not in DIM_INDEX:
             raise SchemaError(f"{where}: unknown dimension {dim!r} in condition {i}")
@@ -137,7 +149,10 @@ def _parse_rule(doc, where):
     label = doc["implied_label"]
     if label not in CLASSES:
         raise SchemaError(f"{where}: unknown implied label {label!r}")
-    strength = float(doc["strength"])
+    try:
+        strength = float(doc["strength"])
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: strength must be a number, got {doc['strength']!r}")
     if not 0.0 < strength <= 1.0:
         raise SchemaError(f"{where}: strength must be in (0, 1], got {strength}")
     origin = doc["origin"]
@@ -158,7 +173,7 @@ def parse_ruleset(text, where="ruleset"):
     rules = []
     seen = set()
     for i, rdoc in enumerate(doc.get("rules", [])):
-        rule = _parse_rule(rdoc, f"{where}: rules[{i}]")
+        rule = parse_rule(rdoc, f"{where}: rules[{i}]")
         if rule.id in seen:
             raise SchemaError(f"{where}: duplicate rule id {rule.id!r}")
         seen.add(rule.id)
@@ -452,7 +467,7 @@ def auto_generate_rules(client, dimension_names=DIMENSIONS):
             doc = dict(doc)
             doc.setdefault("origin", "auto")
             doc["origin"] = "auto"
-            rule = _parse_rule(doc, f"generated[{i}]")
+            rule = parse_rule(doc, f"generated[{i}]")
         except (SchemaError, TypeError) as exc:
             dropped.append(str(exc))
             continue

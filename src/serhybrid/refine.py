@@ -14,11 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdMismatch, VersionConflict
+from .errors import IdMismatch, SchemaError, VersionConflict
 from .evaluation import confusion_counts
 from .features import DIMENSIONS
 from .labels import CLASSES
-from .reasoning import Condition, Rule, RuleSet
+from .reasoning import Condition, Rule, RuleSet, parse_rule, rule_to_dict
 
 PROPOSALS_SCHEMA = "serhybrid-proposals-v1"
 
@@ -133,27 +133,21 @@ def mine_error_patterns(errors, correct, stats, min_support=5):
     return patterns
 
 
+PROPOSAL_STATUSES = ("pending", "accepted", "rejected")
+
+
 @dataclass(frozen=True)
 class RuleProposal:
     candidate: Rule
     pattern: ErrorPattern
-    status: str  # pending | accepted | rejected
+    status: str  # one of PROPOSAL_STATUSES
     base_version: int
 
     def to_dict(self):
-        r = self.candidate
         return {
             "status": self.status,
             "base_version": self.base_version,
-            "candidate": {
-                "id": r.id,
-                "statement": r.statement,
-                "conditions": [{"dimension": c.dimension, "comparator": c.comparator,
-                                "threshold_z": c.threshold_z} for c in r.conditions],
-                "implied_label": r.implied_label,
-                "strength": r.strength,
-                "origin": r.origin,
-            },
+            "candidate": rule_to_dict(self.candidate),
             "pattern": {
                 "gold": self.pattern.gold,
                 "predicted": self.pattern.predicted,
@@ -167,24 +161,30 @@ class RuleProposal:
         }
 
     @classmethod
-    def from_dict(cls, doc):
-        c = doc["candidate"]
-        rule = Rule(id=c["id"], statement=c["statement"],
-                    conditions=tuple(Condition(x["dimension"], x["comparator"],
-                                               float(x["threshold_z"]))
-                                     for x in c["conditions"]),
-                    implied_label=c["implied_label"], strength=float(c["strength"]),
-                    origin=c["origin"])
-        p = doc["pattern"]
-        pattern = ErrorPattern(gold=p["gold"], predicted=p["predicted"],
-                               support=int(p["support"]),
-                               top_deltas=tuple(Delta(d["dimension"],
-                                                      float(d["effect_size"]),
-                                                      int(d["direction"]),
-                                                      float(d["error_median_z"]))
-                                                for d in p["top_deltas"]))
-        return cls(candidate=rule, pattern=pattern, status=doc["status"],
-                   base_version=int(doc["base_version"]))
+    def from_dict(cls, doc, where):
+        """Validate one proposal; its candidate must be a valid rule-file
+        rule. Raises SchemaError naming ``where``."""
+        try:
+            status = doc["status"]
+            if status not in PROPOSAL_STATUSES:
+                raise SchemaError(f"{where}: status must be one of "
+                                  f"{', '.join(PROPOSAL_STATUSES)}, got {status!r}")
+            rule = parse_rule(doc["candidate"], f"{where}: candidate")
+            p = doc["pattern"]
+            pattern = ErrorPattern(gold=p["gold"], predicted=p["predicted"],
+                                   support=int(p["support"]),
+                                   top_deltas=tuple(Delta(d["dimension"],
+                                                          float(d["effect_size"]),
+                                                          int(d["direction"]),
+                                                          float(d["error_median_z"]))
+                                                    for d in p["top_deltas"]))
+            base_version = int(doc["base_version"])
+        except KeyError as exc:
+            raise SchemaError(f"{where}: missing field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: malformed proposal ({exc})")
+        return cls(candidate=rule, pattern=pattern, status=status,
+                   base_version=base_version)
 
 
 def propose_rules(patterns, base_version):
@@ -225,9 +225,19 @@ def write_proposals(path, proposals):
 
 
 def read_proposals(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return [RuleProposal.from_dict(p) for p in doc["proposals"]]
+    """Load and validate a proposals file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or undecodable bytes
+        raise SchemaError(f"{path}: invalid JSON ({exc})")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != PROPOSALS_SCHEMA:
+        raise SchemaError(f"{path}: expected schema {PROPOSALS_SCHEMA!r}, got {schema!r}")
+    if not isinstance(doc.get("proposals"), list):
+        raise SchemaError(f"{path}: 'proposals' must be a list")
+    return [RuleProposal.from_dict(p, f"{path}: proposals[{i}]")
+            for i, p in enumerate(doc["proposals"])]
 
 
 def apply_refinement(rules, accepted):

@@ -1,16 +1,16 @@
-"""Scaler, SVM training, calibration, and model serialization."""
+"""Standardizer, SVM training, calibration, and model serialization."""
 
 import json
 
 import numpy as np
 import pytest
 
-from serhybrid.classifier import (MlEvidence, Scaler, SvmModel, _smo_binary,
-                                  fit_scaler, predict, train)
+from serhybrid.classifier import (MlEvidence, SvmModel, _smo_binary, predict,
+                                  train)
 from serhybrid.errors import (ConfigError, DataError, DegenerateLabels,
                               InvalidModel, NonFiniteInput,
-                              SolverDidNotConverge, TooFewSamples)
-from serhybrid.features import DIM_INDEX, DIMENSIONS, FeatureVector
+                              SolverDidNotConverge)
+from serhybrid.features import DIM_INDEX, DIMENSIONS, CorpusStats, FeatureVector
 from serhybrid.labels import CLASSES
 
 
@@ -34,37 +34,37 @@ def _blobs(seed=0, n_per_class=10, spread=0.3):
 
 
 class TestScaler:
+    """The classifier standardizes with features.CorpusStats."""
+
     def test_mean_std(self):
-        vectors, _ = _blobs()
-        scaler = fit_scaler(vectors)
+        vectors, labels = _blobs()
+        scaler = CorpusStats.from_vectors(vectors)
         X = np.stack([v.values for v in vectors])
         assert np.allclose(scaler.mean, X.mean(axis=0))
         assert np.allclose(scaler.std, np.maximum(X.std(axis=0), 1e-8))
-
-    def test_transform_inverse_roundtrip(self):
-        vectors, _ = _blobs()
-        scaler = fit_scaler(vectors)
-        X = np.stack([v.values for v in vectors])
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
+        model = train(vectors, labels)
+        assert np.array_equal(model.scaler.mean, scaler.mean)
+        assert np.array_equal(model.scaler.std, scaler.std)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
-            fit_scaler([FeatureVector(np.zeros(len(DIMENSIONS)))])
+        with pytest.raises(DegenerateLabels):
+            train([FeatureVector(np.zeros(len(DIMENSIONS)))], ["calm"])
 
     def test_zero_variance_flagged(self):
         base = np.zeros(len(DIMENSIONS))
         a = base.copy()
         a[0] = 1.0
-        scaler = fit_scaler([FeatureVector(base), FeatureVector(a)])
+        scaler = CorpusStats.from_vectors([FeatureVector(base), FeatureVector(a)])
         assert DIMENSIONS[1] in scaler.zero_variance
         assert DIMENSIONS[0] not in scaler.zero_variance
         assert scaler.std[1] == 1e-8
 
     def test_non_finite_rejected(self):
-        bad = np.zeros(len(DIMENSIONS))
+        vectors, labels = _blobs()
+        bad = vectors[0].values.copy()
         bad[3] = np.nan
         with pytest.raises(NonFiniteInput):
-            fit_scaler([FeatureVector(bad), FeatureVector(bad)])
+            train([FeatureVector(bad)] + vectors[1:], labels)
 
 
 class TestTrain:
@@ -146,7 +146,7 @@ class TestSolver:
 
     def test_iteration_cap_is_a_data_error(self):
         vectors, labels = _blobs(seed=1, n_per_class=30, spread=8.0)
-        X = fit_scaler(vectors).transform(np.stack([v.values for v in vectors]))
+        X = CorpusStats.from_vectors(vectors).transform(np.stack([v.values for v in vectors]))
         y = np.where(np.array(labels) == "calm", 1.0, -1.0)
         with pytest.raises(SolverDidNotConverge) as info:
             _smo_binary(X, y, 1.0, 1e-3, 3)
@@ -158,7 +158,7 @@ class TestPredict:
     def _flat_model(self):
         """Zero weights and neutral Platt heads: every class ties at 0.5."""
         n = len(DIMENSIONS)
-        scaler = Scaler(mean=np.zeros(n), std=np.ones(n), zero_variance=())
+        scaler = CorpusStats(mean=np.zeros(n), std=np.ones(n), zero_variance=())
         return SvmModel(weights=np.zeros((3, n)), biases=np.zeros(3),
                         platt_a=np.zeros(3), platt_b=np.zeros(3),
                         scaler=scaler, meta={})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mockllm import MockLlmServer
-from serhybrid import cli
+from serhybrid import cli, reasoning
 from serhybrid.audio_io import AudioSignal, save_wav
 from serhybrid.reasoning import default_ruleset
 
@@ -210,6 +210,152 @@ class TestRefine:
                          "--rules-out", str(rules_out)]) == 0
         doc = json.loads(rules_out.read_text())
         assert doc["version"] == 2
+
+
+def _valid_proposals():
+    return {"schema": "serhybrid-proposals-v1", "proposals": [{
+        "status": "accepted",
+        "base_version": 1,
+        "candidate": {
+            "id": "refined-panic-vs-angry-pitch_std",
+            "statement": "Actual panic mistaken for angry shows high pitch_std.",
+            "conditions": [{"dimension": "pitch_std", "comparator": ">=",
+                            "threshold_z": 0.5}],
+            "implied_label": "panic", "strength": 0.6, "origin": "refined"},
+        "pattern": {"gold": "panic", "predicted": "angry", "support": 6,
+                    "top_deltas": [{"dimension": "pitch_std",
+                                    "effect_size": -1.2, "direction": -1,
+                                    "error_median_z": 0.5}]},
+    }]}
+
+
+def _typo_dimension(doc):
+    doc["proposals"][0]["candidate"]["conditions"][0]["dimension"] = "pitch_sdt"
+
+
+def _typo_status(doc):
+    doc["proposals"][0]["status"] = "acepted"
+
+
+def _wrong_schema(doc):
+    doc["schema"] = "serhybrid-rules-v1"
+
+
+def _no_proposals_key(doc):
+    del doc["proposals"]
+
+
+def _no_pattern(doc):
+    del doc["proposals"][0]["pattern"]
+
+
+class TestProposalValidation:
+    """refine --apply validates proposals as strictly as load_rules."""
+
+    def _apply(self, tmp_path, doc):
+        proposals = tmp_path / "proposals.json"
+        proposals.write_text(json.dumps(doc))
+        rules_in = tmp_path / "rules.json"
+        default_ruleset().save(rules_in)
+        rules_out = tmp_path / "rules_v2.json"
+        code = cli.main(["refine", "--apply", str(proposals),
+                         "--rules", str(rules_in), "--rules-out", str(rules_out)])
+        return code, rules_out
+
+    def test_valid_proposal_applies(self, tmp_path):
+        code, rules_out = self._apply(tmp_path, _valid_proposals())
+        assert code == 0
+        rules = reasoning.load_rules(rules_out)
+        assert rules.version == 2
+        assert rules.rules[-1].id == "refined-panic-vs-angry-pitch_std"
+
+    @pytest.mark.parametrize("corrupt", [
+        _typo_dimension, _typo_status, _wrong_schema, _no_proposals_key,
+        _no_pattern,
+    ], ids=["dimension-typo", "status-typo", "wrong-schema",
+            "no-proposals-key", "no-pattern"])
+    def test_malformed_proposals_are_config_errors(self, tmp_path, capsys,
+                                                   corrupt):
+        doc = _valid_proposals()
+        corrupt(doc)
+        code, rules_out = self._apply(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not rules_out.exists()
+
+
+def _bad_feature_cell(ws, tmp_path):
+    lines = open(ws["features"]).read().splitlines()
+    cells = lines[1].split(",")
+    cells[5] = "abc"
+    lines[1] = ",".join(cells)
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return ["train", "--manifest", ws["manifest"], "--features", str(bad),
+            "--model-out", str(tmp_path / "model.json")]
+
+
+def _predict_with_stats(text):
+    def case(ws, tmp_path):
+        bad = tmp_path / "stats.json"
+        bad.write_text(text(ws))
+        return ["predict", "--manifest", ws["manifest"],
+                "--features", ws["features"], "--model", ws["model"],
+                "--stats", str(bad), "--version", "v4_hybrid", "--tau", "0",
+                "--endpoint-url", "http://127.0.0.1:1/v1", "--model-name", "m",
+                "--out", str(tmp_path / "p.jsonl")]
+    return case
+
+
+def _stats_without_mean(ws):
+    doc = json.loads(open(ws["stats"]).read())
+    del doc["mean"]
+    return json.dumps(doc)
+
+
+def _transcripts_without_column(ws, tmp_path):
+    bad = tmp_path / "transcripts.csv"
+    bad.write_text("sample_id,text\nx,hello\n")
+    return ["predict", "--manifest", ws["manifest"], "--version",
+            "text_baseline", "--transcripts", str(bad),
+            "--endpoint-url", "http://127.0.0.1:1/v1", "--model-name", "m",
+            "--out", str(tmp_path / "p.jsonl")]
+
+
+def _prediction_without_label(ws, tmp_path):
+    preds = tmp_path / "preds.jsonl"
+    assert cli.main(["predict", "--manifest", ws["manifest"],
+                     "--features", ws["features"], "--model", ws["model"],
+                     "--stats", ws["stats"], "--version", "v4_hybrid",
+                     "--tau", "0", "--endpoint-url", "http://127.0.0.1:1/v1",
+                     "--model-name", "m", "--out", str(preds)]) == 0
+    rows = [json.loads(line) for line in preds.read_text().splitlines()]
+    del rows[2]["label"]
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return ["evaluate", "--predictions", str(preds), "--manifest", ws["manifest"]]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", [
+        _bad_feature_cell,
+        _predict_with_stats(lambda ws: "{not json"),
+        _predict_with_stats(_stats_without_mean),
+        _transcripts_without_column,
+        _prediction_without_label,
+    ], ids=["features-cell-abc", "stats-not-json", "stats-without-mean",
+            "transcripts-without-column", "prediction-without-label"])
+    def test_one_line_never_a_traceback(self, workspace, tmp_path, capsys,
+                                        case):
+        argv = case(workspace, tmp_path)
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.count("\n") == 1
+        assert err.startswith(("configuration error: ", "data error: "))
+        assert "Traceback" not in err
 
 
 class TestPreprocess:

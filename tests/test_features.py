@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from serhybrid.audio_io import AudioSignal
-from serhybrid.errors import EmptySeries, MissingStats, SignalTooShort
+from serhybrid.errors import DataError, EmptySeries, MissingStats, SignalTooShort
 from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
                                 CorpusStats, FeatureVector, FrameSeries,
                                 aggregate, describe, estimate_pitch,
@@ -165,7 +165,7 @@ class TestFeatureVector:
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="header"):
             read_features_csv(path)
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mockllm import OracleClient, RulesLiteralClient, ScriptedClient, TimeoutClient
-from serhybrid.classifier import MlEvidence
-from serhybrid.errors import LlmTimeout, ManifestError
+from serhybrid.classifier import MlEvidence, predict
+from serhybrid.errors import ManifestError
 from serhybrid.features import DIMENSIONS, CorpusStats, describe
-from serhybrid.hybrid import (Prediction, _fallback, infer, read_predictions,
-                              route, run_pipeline, run_text_baseline,
-                              write_predictions)
+from serhybrid.hybrid import (DEFAULT_TAU, Prediction, _fallback,
+                              read_predictions, run_pipeline,
+                              run_text_baseline, write_predictions)
 from serhybrid.reasoning import PromptVersion, RuleSet, default_ruleset
 from test_features import vec
 
@@ -26,31 +26,56 @@ def _unit_stats():
                        std=np.ones(len(DIMENSIONS)), zero_variance=())
 
 
+def _one(bundle, model, client, version, tau=DEFAULT_TAU):
+    """run_pipeline on the bundle's first entry; returns its Prediction."""
+    predictions, _ = run_pipeline(bundle.entries[:1], bundle.features, model,
+                                  default_ruleset(), bundle.stats, client,
+                                  version, tau=tau)
+    return predictions[0]
+
+
 class TestRoute:
-    def test_boundary_is_direct(self):
-        assert route(_evidence(0.7), 0.7).path == "Direct"
+    """v4_hybrid answers directly when confidence >= tau."""
 
-    def test_below_threshold_reasons(self):
-        assert route(_evidence(0.69999), 0.7).path == "Reason"
+    def _confidence(self, bundle, model):
+        return predict(model, bundle.features[bundle.entries[0].sample_id]).confidence
 
-    def test_tau_above_one_forces_reasoning(self):
-        assert route(_evidence(1.0), 1.01).path == "Reason"
+    def test_boundary_is_direct(self, separable_corpus, separable_model):
+        tau = self._confidence(separable_corpus, separable_model)
+        pred = _one(separable_corpus, separable_model, RulesLiteralClient(),
+                    PromptVersion.v4_hybrid, tau=tau)
+        assert pred.source == "ml_direct"
 
-    def test_tau_zero_forces_direct(self):
-        assert route(_evidence(0.0), 0.0).path == "Direct"
+    def test_below_threshold_reasons(self, separable_corpus, separable_model):
+        tau = np.nextafter(self._confidence(separable_corpus, separable_model), 2.0)
+        pred = _one(separable_corpus, separable_model, RulesLiteralClient(),
+                    PromptVersion.v4_hybrid, tau=tau)
+        assert pred.source == "llm_reasoned"
+
+    def test_tau_above_one_forces_reasoning(self, separable_corpus,
+                                            separable_model):
+        pred = _one(separable_corpus, separable_model, RulesLiteralClient(),
+                    PromptVersion.v4_hybrid, tau=1.01)
+        assert pred.source == "llm_reasoned"
+
+    def test_tau_zero_forces_direct(self, separable_corpus, separable_model):
+        pred = _one(separable_corpus, separable_model, RulesLiteralClient(),
+                    PromptVersion.v4_hybrid, tau=0.0)
+        assert pred.source == "ml_direct"
 
 
 class TestFallback:
     def test_ml_first(self):
         pred = _fallback("s", _evidence(0.4, "panic"), default_ruleset(),
                          describe(vec(), _unit_stats()),
-                         PromptVersion.v2_rules, reason_code="llm_error:X")
+                         "v2_rules", reason_code="llm_error:X")
         assert (pred.source, pred.label) == ("fallback_ml", "panic")
+        assert pred.prompt_version == "v2_rules"
 
     def test_rule_when_no_ml(self):
         desc = describe(vec(pitch_std=2.0, energy_std=2.0), _unit_stats())
         pred = _fallback("s", None, default_ruleset(), desc,
-                         PromptVersion.v2_rules, reason_code="llm_error:X")
+                         "v2_rules", reason_code="llm_error:X")
         assert (pred.source, pred.label) == ("fallback_rule", "panic")
 
     def test_strongest_matching_rule_wins(self):
@@ -60,25 +85,23 @@ class TestFallback:
                             strength=0.9, origin="human")
         rules = RuleSet(version=1, rules=(weak, strong))
         desc = describe(vec(pitch_std=2.0, energy_std=2.0), _unit_stats())
-        pred = _fallback("s", None, rules, desc, PromptVersion.v2_rules,
-                         reason_code="x")
+        pred = _fallback("s", None, rules, desc, "v2_rules", reason_code="x")
         assert pred.label == "calm"
 
     def test_default_when_nothing_fires(self):
         desc = describe(vec(), _unit_stats())
         pred = _fallback("s", None, default_ruleset(), desc,
-                         PromptVersion.v2_rules, reason_code="llm_error:X")
+                         "v2_rules", reason_code="llm_error:X")
         assert (pred.source, pred.label) == ("fallback_default", "calm")
 
 
 class TestInfer:
+    """One-sample runs through run_pipeline."""
+
     def test_direct_path_skips_llm(self, separable_corpus, separable_model):
         client = RulesLiteralClient()
-        entry = separable_corpus.entries[0]
-        pred = infer(separable_corpus.features[entry.sample_id],
-                     separable_model, default_ruleset(), separable_corpus.stats,
-                     client, PromptVersion.v4_hybrid, tau=0.0,
-                     sample_id=entry.sample_id)
+        pred = _one(separable_corpus, separable_model, client,
+                    PromptVersion.v4_hybrid, tau=0.0)
         assert pred.source == "ml_direct"
         assert client.calls == 0
         assert pred.ml_evidence is not None
@@ -86,30 +109,22 @@ class TestInfer:
     def test_reason_path_records_rationale(self, separable_corpus,
                                             separable_model):
         client = RulesLiteralClient()
-        entry = separable_corpus.entries[0]
-        pred = infer(separable_corpus.features[entry.sample_id],
-                     separable_model, default_ruleset(), separable_corpus.stats,
-                     client, PromptVersion.v4_hybrid, tau=1.01,
-                     sample_id=entry.sample_id)
+        pred = _one(separable_corpus, separable_model, client,
+                    PromptVersion.v4_hybrid, tau=1.01)
         assert pred.source == "llm_reasoned"
         assert client.calls == 1
         assert "LABEL:" in pred.rationale
 
     def test_llm_error_falls_back_to_ml(self, separable_corpus, separable_model):
-        entry = separable_corpus.entries[0]
-        pred = infer(separable_corpus.features[entry.sample_id],
-                     separable_model, default_ruleset(), separable_corpus.stats,
-                     TimeoutClient(), PromptVersion.v2_rules,
-                     sample_id=entry.sample_id)
+        pred = _one(separable_corpus, separable_model, TimeoutClient(),
+                    PromptVersion.v2_rules)
         assert pred.source == "fallback_ml"
         assert pred.reason_code == "llm_error:LlmTimeout"
 
     def test_parse_failure_falls_back(self, separable_corpus, separable_model):
-        entry = separable_corpus.entries[0]
-        pred = infer(separable_corpus.features[entry.sample_id],
-                     separable_model, default_ruleset(), separable_corpus.stats,
-                     ScriptedClient(["no emotion words here"]),
-                     PromptVersion.v1_basic, sample_id=entry.sample_id)
+        pred = _one(separable_corpus, separable_model,
+                    ScriptedClient(["no emotion words here"]),
+                    PromptVersion.v1_basic)
         assert pred.source == "fallback_ml"
         assert pred.reason_code == "parse_failure"
         assert pred.rationale == "no emotion words here"

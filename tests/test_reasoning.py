@@ -83,6 +83,9 @@ class TestRuleSets:
         lambda d: d["rules"][0].pop("statement"),
         lambda d: d["rules"][1].update(id=d["rules"][0]["id"]),
         lambda d: d["confusion_notes"][0].update(labels=["calm", "joyful"]),
+        lambda d: d["rules"][0].update(strength="high"),
+        lambda d: d["rules"][0].update(conditions="pitch_std > 1"),
+        lambda d: d["rules"][0]["conditions"].append("pitch_std > 1"),
     ])
     def test_schema_violations_rejected(self, mutate):
         doc = self._doc()
@@ -300,6 +303,18 @@ class TestAutoGeneration:
     def test_invalid_json_raises(self):
         with pytest.raises(EmptyGeneration):
             auto_generate_rules(ScriptedClient(["[{not valid json]"]))
+
+    def test_malformed_rule_objects_dropped(self):
+        good = {"id": "g", "statement": "s", "implied_label": "panic",
+                "strength": 0.5, "conditions": [{"dimension": "pitch_std",
+                                                 "comparator": ">",
+                                                 "threshold_z": 1.0}]}
+        answer = json.dumps([dict(good, id="word-strength", strength="high"),
+                             dict(good, id="text-condition", conditions=["x"]),
+                             good])
+        rules, dropped = auto_generate_rules(ScriptedClient([answer]))
+        assert [r.id for r in rules.rules] == ["g"]
+        assert len(dropped) == 2
 
     def test_nothing_survives_raises(self):
         bogus = json.dumps([{"id": "x", "statement": "s",
