@@ -14,6 +14,7 @@ import scipy.io.wavfile
 import scipy.signal
 
 from .errors import EmptySignal, UnsupportedFormat
+from .features import frame_matrix
 
 TARGET_RATE = 16000
 TARGET_PEAK = 0.95
@@ -127,12 +128,7 @@ def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
 
 def _frame_rms(x, frame_len, hop_len):
     """RMS energy of each full frame of ``x``; empty array if too short."""
-    n = len(x)
-    if n < frame_len:
-        return np.empty(0)
-    n_frames = 1 + (n - frame_len) // hop_len
-    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
-    frames = x[idx]
+    frames = frame_matrix(x, frame_len, hop_len)
     return np.sqrt(np.mean(frames * frames, axis=1))
 
 

@@ -27,9 +27,12 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path}: expected a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _resolved(args, config):
@@ -155,6 +158,7 @@ def cmd_train(cfg):
     entries = corpus.load_manifest(cfg["manifest"])
     gold, selected = _gold_by_id(entries, cfg.get("split"))
     feats = read_features_csv(cfg["features"])
+    hybrid.require_all(selected, feats, "feature vectors")
     vectors = [feats[e.sample_id] for e in selected]
     labels = [gold[e.sample_id] for e in selected]
     model = classifier.train(vectors, labels,
@@ -311,6 +315,8 @@ def cmd_refine(cfg):
     gold, _ = _gold_by_id(entries)
     feats = read_features_csv(cfg["features"])
     stats = CorpusStats.load(cfg["stats"])
+    hybrid.require_all(predictions, gold, "gold labels")
+    hybrid.require_all(predictions, feats, "feature vectors")
     errors, correct = [], []
     for p in predictions:
         g = gold[p.sample_id]

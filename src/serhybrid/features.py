@@ -120,20 +120,30 @@ def read_features_csv(path):
     return out
 
 
+def frame_matrix(x, frame_len, hop_len):
+    """Overlapping frames of a 1-D array as an (n_frames, frame_len) matrix.
+
+    Frame count is 1 + floor((N - frame_len) / hop_len); an array shorter
+    than one frame gives zero rows.
+    """
+    if len(x) < frame_len:
+        return np.empty((0, frame_len))
+    n_frames = 1 + (len(x) - frame_len) // hop_len
+    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
+    return x[idx]
+
+
 def frame_signal(signal, frame_ms=25.0, hop_ms=10.0):
     """Slice a standardized signal into overlapping frames (unwindowed).
 
-    Frame count is 1 + floor((N - frame_len) / hop_len). Raises
-    SignalTooShort when the signal does not cover one frame.
+    Raises SignalTooShort when the signal does not cover one frame.
     """
     x = np.asarray(signal.samples, dtype=np.float64)
     frame_len = int(round(frame_ms * signal.sample_rate / 1000.0))
     hop_len = int(round(hop_ms * signal.sample_rate / 1000.0))
     if len(x) < frame_len:
         raise SignalTooShort(f"signal has {len(x)} samples, frame needs {frame_len}")
-    n_frames = 1 + (len(x) - frame_len) // hop_len
-    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
-    return x[idx]
+    return frame_matrix(x, frame_len, hop_len)
 
 
 def rms_energy(frame):
@@ -142,64 +152,61 @@ def rms_energy(frame):
     return float(np.sqrt(np.mean(x * x)))
 
 
-def estimate_pitch(frame, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.6):
+def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.6):
     """Fundamental frequency via normalized autocorrelation.
 
-    The lag of the highest normalized-autocorrelation peak in
-    [1/fmax, 1/fmin] is refined with parabolic interpolation. Frames whose
-    peak clarity falls below ``clarity_threshold`` return UNVOICED.
+    ``frames`` is one frame or an (n_frames, frame_len) matrix; a frame
+    gives a float, a matrix an array with one pitch per row. In each row
+    the lag of the highest normalized-autocorrelation peak in
+    [1/fmax, 1/fmin] is refined with parabolic interpolation. Rows whose
+    peak clarity falls below ``clarity_threshold`` are UNVOICED.
     """
-    x = np.asarray(frame, dtype=np.float64)
-    x = x - x.mean()
-    n = len(x)
-    if not np.any(x):
-        return UNVOICED
+    x = np.asarray(frames, dtype=np.float64)
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
+    x = x - x.mean(axis=1, keepdims=True)
+    rows = np.arange(x.shape[0])
+    n = x.shape[1]
+    pitch = np.full(len(rows), UNVOICED)
     lag_min = max(1, int(sample_rate / fmax))
     lag_max = min(n - 1, int(math.ceil(sample_rate / fmin)))
     if lag_max <= lag_min:
-        return UNVOICED
+        return UNVOICED if single else pitch
     # raw autocorrelation via FFT
     nfft = 1 << (2 * n - 1).bit_length()
-    spec = np.fft.rfft(x, nfft)
-    acf = np.fft.irfft(spec * np.conj(spec), nfft)[:n]
+    spec = np.fft.rfft(x, nfft, axis=1)
+    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, :n]
     # normalization: r[t] / sqrt(e0[t] * e1[t]) with e0, e1 the energies of
     # the two overlapping windows of length n - t
-    csum = np.concatenate(([0.0], np.cumsum(x * x)))
+    csum = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(x * x, axis=1)), axis=1)
     lags = np.arange(n)
-    e0 = csum[n - lags] - csum[0]
-    e1 = csum[n] - csum[lags]
+    e0 = csum[:, n - lags] - csum[:, :1]
+    e1 = csum[:, n:] - csum[:, lags]
     denom = np.sqrt(e0 * e1)
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = np.where(denom > 0, acf / denom, 0.0)
-    window = norm[lag_min:lag_max + 1]
-    peak_val = float(np.max(window))
-    if peak_val < clarity_threshold:
-        return UNVOICED
     # a periodic signal repeats at every multiple of its period, so the
     # global maximum may sit on a subharmonic; take the smallest lag that
-    # is a local maximum within 10% of the peak
-    near = np.flatnonzero(window >= 0.9 * peak_val)
-    best = None
-    for k in near:
-        lag_k = k + lag_min
-        if norm[lag_k] >= norm[lag_k - 1] and norm[lag_k] >= norm[min(lag_k + 1, n - 1)]:
-            best = lag_k
-            break
-    if best is None:
-        best = int(np.argmax(window)) + lag_min
-    clarity = norm[best]
-    if clarity < clarity_threshold:
-        return UNVOICED
+    # is a local maximum within 10% of the peak, else the peak itself
+    window_lags = np.arange(lag_min, lag_max + 1)
+    window = norm[:, window_lags]
+    peak = window.max(axis=1, keepdims=True)
+    near = ((window >= 0.9 * peak)
+            & (window >= norm[:, window_lags - 1])
+            & (window >= norm[:, np.minimum(window_lags + 1, n - 1)]))
+    best = lag_min + np.where(near.any(axis=1), near.argmax(axis=1), window.argmax(axis=1))
+    clarity = norm[rows, best]
+    voiced = np.any(x, axis=1) & (clarity >= clarity_threshold)
     # parabolic interpolation around the peak
-    lag = float(best)
-    if 1 <= best < n - 1:
-        a, b, c = norm[best - 1], norm[best], norm[best + 1]
-        denom2 = a - 2.0 * b + c
-        if denom2 != 0.0:
-            delta = 0.5 * (a - c) / denom2
-            if abs(delta) < 1.0:
-                lag = best + delta
-    return sample_rate / lag
+    a = norm[rows, best - 1]
+    c = norm[rows, np.minimum(best + 1, n - 1)]
+    curvature = a - 2.0 * clarity + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 0.5 * (a - c) / curvature
+    refine = (best < n - 1) & (curvature != 0.0) & (np.abs(delta) < 1.0)
+    lag = np.where(refine, best + delta, best)
+    pitch[voiced] = sample_rate / lag[voiced]
+    return float(pitch[0]) if single else pitch
 
 
 def mel_scale(f_hz):
@@ -224,20 +231,20 @@ def mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax):
     return fb
 
 
-def mfcc(frame, sample_rate, n_mels=26, n_coeffs=N_MFCC, fmin=0.0, fmax=8000.0):
-    """MFCCs of a windowed frame: orthonormal DCT-II of log mel energies.
+def mfcc(frames, sample_rate, n_mels=26, n_coeffs=N_MFCC, fmin=0.0, fmax=8000.0):
+    """MFCCs of windowed frames: orthonormal DCT-II of log mel energies.
 
-    FFT size is the next power of two >= frame length; log floor is 1e-10.
-    Coefficient 0 is retained.
+    ``frames`` is one frame or an (n_frames, frame_len) matrix; the result
+    has ``n_coeffs`` coefficients per frame. FFT size is the next power of
+    two >= frame length; log floor is 1e-10. Coefficient 0 is retained.
     """
-    x = np.asarray(frame, dtype=np.float64)
-    nfft = 1 << (len(x) - 1).bit_length()
-    power = np.abs(np.fft.rfft(x, nfft)) ** 2
+    x = np.asarray(frames, dtype=np.float64)
+    nfft = 1 << (x.shape[-1] - 1).bit_length()
+    power = np.abs(np.fft.rfft(x, nfft, axis=-1)) ** 2
     fb = mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax)
-    energies = fb @ power
-    log_e = np.log(np.maximum(energies, 1e-10))
-    coeffs = scipy.fft.dct(log_e, type=2, norm="ortho")
-    return coeffs[:n_coeffs]
+    log_e = np.log(np.maximum(power @ fb.T, 1e-10))
+    coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1)
+    return coeffs[..., :n_coeffs]
 
 
 def extract_series(signal, frame_ms=25.0, hop_ms=10.0, fmin=60.0, fmax=400.0,
@@ -247,12 +254,9 @@ def extract_series(signal, frame_ms=25.0, hop_ms=10.0, fmin=60.0, fmax=400.0,
     Pitch and energy see raw frames; the MFCC path applies a Hann window.
     """
     frames = frame_signal(signal, frame_ms, hop_ms)
-    window = np.hanning(frames.shape[1])
-    pitch = np.array([estimate_pitch(f, signal.sample_rate, fmin, fmax, clarity_threshold)
-                      for f in frames])
+    pitch = estimate_pitch(frames, signal.sample_rate, fmin, fmax, clarity_threshold)
     energy = np.sqrt(np.mean(frames * frames, axis=1))
-    mfccs = np.array([mfcc(f * window, signal.sample_rate, n_mels, n_coeffs)
-                      for f in frames])
+    mfccs = mfcc(frames * np.hanning(frames.shape[1]), signal.sample_rate, n_mels, n_coeffs)
     return FrameSeries(pitch_hz=pitch, energy_rms=energy, mfcc=mfccs,
                        frame_ms=frame_ms, hop_ms=hop_ms)
 

@@ -119,7 +119,8 @@ def _resolve(client, routed, rules, version, predictions):
     return cache_hits, failures
 
 
-def _require_all(entries, available, what):
+def require_all(entries, available, what):
+    """Raise ManifestError naming the entries whose sample id ``available`` lacks."""
     missing = [e.sample_id for e in entries if e.sample_id not in available]
     if missing:
         raise ManifestError(f"no {what} for samples: {missing[:5]}"
@@ -136,7 +137,7 @@ def run_pipeline(entries, features_by_id, model, rules, stats, client, version,
     report). The report counts routing, sources, cache hits, and
     per-sample failures; v5 first asks the LLM to generate its own rule set.
     """
-    _require_all(entries, features_by_id, "feature vectors")
+    require_all(entries, features_by_id, "feature vectors")
     active_rules = rules
     generated_dropped = []
     if version is PromptVersion.v5_auto:
@@ -190,7 +191,7 @@ def run_text_baseline(entries, transcripts_by_id, client):
     Every sample is sent to the LLM with its pre-computed transcript;
     failures fall back to the default label.
     """
-    _require_all(entries, transcripts_by_id, "transcripts")
+    require_all(entries, transcripts_by_id, "transcripts")
     routed = [(i, e.sample_id, build_transcript_prompt(transcripts_by_id[e.sample_id]),
                None, None) for i, e in enumerate(entries)]
     predictions = [None] * len(entries)

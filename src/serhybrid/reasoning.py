@@ -168,6 +168,8 @@ def parse_ruleset(text, where="ruleset"):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{where}: invalid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != RULES_SCHEMA:
         raise SchemaError(f"{where}: expected schema {RULES_SCHEMA!r}, got {doc.get('schema')!r}")
     rules = []

@@ -2,11 +2,15 @@
 
 Everything here is deliberately written in plain Python (loops, Counter,
 Fraction) rather than vectorized numpy, so a shared bug with the package
-implementations is unlikely.
+implementations is unlikely. The DSP references keep numpy only for one
+dot product or one FFT per frame.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 
 def fleiss_kappa_direct(table):
@@ -86,3 +90,93 @@ def cohens_d_direct(group_a, group_b):
     if pooled_sq == 0.0:
         return 0.0
     return (mean_a - mean_b) / pooled_sq ** 0.5
+
+
+def pitch_direct(frame, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.6):
+    """Per-frame port of the normalized-autocorrelation pitch estimator.
+
+    The autocorrelation is summed lag by lag and the peak is searched with
+    a loop, as the per-frame code did. Returns Hz, or NaN when unvoiced.
+    """
+    x = [float(v) for v in frame]
+    n = len(x)
+    mean = math.fsum(x) / n
+    x = [v - mean for v in x]
+    if not any(x):
+        return math.nan
+    lag_min = max(1, int(sample_rate / fmax))
+    lag_max = min(n - 1, int(math.ceil(sample_rate / fmin)))
+    if lag_max <= lag_min:
+        return math.nan
+    # energies of the leading and trailing n - lag samples
+    csum = [0.0]
+    for v in x:
+        csum.append(csum[-1] + v * v)
+    arr = np.array(x)
+    norm = {}
+    for lag in range(lag_min - 1, min(lag_max + 2, n)):
+        r = float(np.dot(arr[:n - lag], arr[lag:]))
+        denom = math.sqrt((csum[n - lag] - csum[0]) * (csum[n] - csum[lag]))
+        norm[lag] = r / denom if denom > 0 else 0.0
+    peak = max(norm[lag] for lag in range(lag_min, lag_max + 1))
+    if peak < clarity_threshold:
+        return math.nan
+    # smallest local maximum within 10% of the peak, else the peak itself
+    best = None
+    for lag in range(lag_min, lag_max + 1):
+        if (norm[lag] >= 0.9 * peak and norm[lag] >= norm[lag - 1]
+                and norm[lag] >= norm[min(lag + 1, n - 1)]):
+            best = lag
+            break
+    if best is None:
+        best = max(range(lag_min, lag_max + 1), key=lambda lag: (norm[lag], -lag))
+    if norm[best] < clarity_threshold:
+        return math.nan
+    lag = float(best)
+    if 1 <= best < n - 1:
+        a, b, c = norm[best - 1], norm[best], norm[best + 1]
+        curvature = a - 2.0 * b + c
+        if curvature != 0.0:
+            delta = 0.5 * (a - c) / curvature
+            if abs(delta) < 1.0:
+                lag = best + delta
+    return sample_rate / lag
+
+
+def mfcc_direct(frames, sample_rate, n_mels=26, n_coeffs=13, fmin=0.0, fmax=8000.0):
+    """Per-frame port of the MFCC extractor for a list of windowed frames.
+
+    Triangular mel filters over rfft bins (FFT size the next power of two
+    >= frame length), log floor 1e-10, orthonormal DCT-II written out as a
+    sum. Returns one list of ``n_coeffs`` coefficients per frame.
+    """
+    frame_len = len(frames[0])
+    nfft = 1 << (frame_len - 1).bit_length()
+    lo_mel = 2595.0 * math.log10(1.0 + fmin / 700.0)
+    hi_mel = 2595.0 * math.log10(1.0 + fmax / 700.0)
+    edges = [700.0 * (10.0 ** ((lo_mel + (hi_mel - lo_mel) * k / (n_mels + 1)) / 2595.0) - 1.0)
+             for k in range(n_mels + 2)]
+    # each filter as (bin, weight) pairs with a non-zero weight
+    filters = []
+    for m in range(n_mels):
+        lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
+        weights = []
+        for b in range(nfft // 2 + 1):
+            f = b * sample_rate / nfft
+            w = max(0.0, min((f - lo) / (center - lo), (hi - f) / (hi - center)))
+            if w > 0.0:
+                weights.append((b, w))
+        filters.append(weights)
+    out = []
+    for frame in frames:
+        spectrum = np.fft.rfft(np.asarray(frame, dtype=np.float64), nfft)
+        power = [abs(complex(c)) ** 2 for c in spectrum]
+        log_e = [math.log(max(sum(w * power[b] for b, w in weights), 1e-10))
+                 for weights in filters]
+        coeffs = []
+        for k in range(n_coeffs):
+            scale = math.sqrt((1.0 if k == 0 else 2.0) / n_mels)
+            coeffs.append(scale * sum(e * math.cos(math.pi * k * (2 * m + 1) / (2 * n_mels))
+                                      for m, e in enumerate(log_e)))
+        out.append(coeffs)
+    return out

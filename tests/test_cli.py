@@ -337,6 +337,47 @@ def _prediction_without_label(ws, tmp_path):
     return ["evaluate", "--predictions", str(preds), "--manifest", ws["manifest"]]
 
 
+def _features_without_first_row(ws, tmp_path):
+    lines = open(ws["features"]).read().splitlines()
+    short = tmp_path / "features_short.csv"
+    short.write_text("\n".join([lines[0], *lines[2:]]) + "\n")
+    return str(short)
+
+
+def _train_on_short_features(ws, tmp_path):
+    return ["train", "--manifest", ws["manifest"],
+            "--features", _features_without_first_row(ws, tmp_path),
+            "--model-out", str(tmp_path / "model.json")]
+
+
+def _refine_on_short_features(ws, tmp_path):
+    preds = tmp_path / "preds.jsonl"
+    assert cli.main(["predict", "--manifest", ws["manifest"],
+                     "--features", ws["features"], "--model", ws["model"],
+                     "--stats", ws["stats"], "--version", "v4_hybrid",
+                     "--tau", "0", "--endpoint-url", "http://127.0.0.1:1/v1",
+                     "--model-name", "m", "--out", str(preds)]) == 0
+    return ["refine", "--predictions", str(preds), "--manifest", ws["manifest"],
+            "--features", _features_without_first_row(ws, tmp_path),
+            "--stats", ws["stats"],
+            "--proposals-out", str(tmp_path / "proposals.json")]
+
+
+def _rules_file_is_a_list(ws, tmp_path):
+    proposals = tmp_path / "proposals.json"
+    proposals.write_text(json.dumps(_valid_proposals()))
+    rules = tmp_path / "rules.json"
+    rules.write_text("[]")
+    return ["refine", "--apply", str(proposals), "--rules", str(rules),
+            "--rules-out", str(tmp_path / "rules_v2.json")]
+
+
+def _config_file_is_a_list(ws, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text("[1]")
+    return ["--config", str(config), "synth", "--out-dir", str(tmp_path / "d")]
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", [
         _bad_feature_cell,
@@ -355,6 +396,34 @@ class TestMalformedInputs:
         assert code in (1, 2)
         assert err.count("\n") == 1
         assert err.startswith(("configuration error: ", "data error: "))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", [
+        _train_on_short_features, _refine_on_short_features,
+    ], ids=["train", "refine"])
+    def test_missing_feature_rows_are_data_errors(self, workspace, tmp_path,
+                                                  capsys, case):
+        argv = case(workspace, tmp_path)
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: no feature vectors for samples: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", [
+        _rules_file_is_a_list, _config_file_is_a_list,
+    ], ids=["rules-list", "config-list"])
+    def test_non_object_files_are_config_errors(self, workspace, tmp_path,
+                                                capsys, case):
+        argv = case(workspace, tmp_path)
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
 

@@ -1,21 +1,27 @@
 """Frame-level extraction, aggregation, and corpus statistics."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from serhybrid.audio_io import AudioSignal
+import oracles
+from serhybrid.audio_io import AudioSignal, load_audio, standardize
 from serhybrid.errors import DataError, EmptySeries, MissingStats, SignalTooShort
 from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
                                 CorpusStats, FeatureVector, FrameSeries,
                                 aggregate, describe, estimate_pitch,
-                                extract_series, frame_signal, is_unvoiced,
+                                extract_series, frame_matrix, frame_signal,
+                                is_unvoiced,
                                 level_for_z, mel_filterbank, mel_scale,
                                 mel_to_hz, mfcc, read_features_csv,
                                 rms_energy, write_features_csv)
 
 SR = 16000
+
+PINNED = os.path.join(os.path.dirname(__file__), "data", "pinned_features.json")
 
 
 def _tone(freq, amp=0.5, duration_s=1.0):
@@ -40,6 +46,15 @@ class TestFraming:
     def test_too_short_rejected(self):
         with pytest.raises(SignalTooShort):
             frame_signal(AudioSignal(np.zeros(399), SR, "x"))
+
+    def test_frame_matrix_rows_and_short_input(self):
+        x = np.arange(1000, dtype=np.float64)
+        frames = frame_matrix(x, 400, 160)
+        assert frames.shape == (4, 400)
+        for k, row in enumerate(frames):
+            assert np.array_equal(row, x[160 * k:160 * k + 400])
+        assert np.array_equal(frame_signal(AudioSignal(x, SR, "x")), frames)
+        assert frame_matrix(x[:399], 400, 160).shape == (0, 400)
 
     def test_rms_energy_oracle(self):
         assert rms_energy([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
@@ -101,6 +116,61 @@ class TestExtractSeries:
         with pytest.raises(ValueError):
             FrameSeries(pitch_hz=np.zeros(3), energy_rms=np.zeros(2),
                         mfcc=np.zeros((3, N_MFCC)), frame_ms=25.0, hop_ms=10.0)
+
+
+def _assert_matches_per_frame(frames):
+    """Batched pitch and MFCC against the per-frame references."""
+    pitch = estimate_pitch(frames, SR)
+    ref_pitch = np.array([oracles.pitch_direct(f, SR) for f in frames])
+    assert pitch.shape == (len(frames),)
+    assert np.array_equal(np.isnan(pitch), np.isnan(ref_pitch))
+    np.testing.assert_allclose(pitch, ref_pitch, rtol=1e-9)
+    windowed = frames * np.hanning(frames.shape[1])
+    coeffs = mfcc(windowed, SR)
+    assert coeffs.shape == (len(frames), N_MFCC)
+    np.testing.assert_allclose(coeffs, oracles.mfcc_direct(list(windowed), SR),
+                               rtol=1e-9, atol=1e-9)
+    # one frame still gives a float and 13 coefficients
+    for k in (0, len(frames) - 1):
+        single = estimate_pitch(frames[k], SR)
+        assert isinstance(single, float)
+        np.testing.assert_allclose(single, pitch[k], rtol=1e-12)
+        np.testing.assert_allclose(mfcc(windowed[k], SR), coeffs[k],
+                                   rtol=1e-12, atol=1e-12)
+    return pitch
+
+
+class TestBatchedParity:
+    @pytest.mark.parametrize("sample_id", ["angry_000", "calm_050", "panic_099"])
+    def test_overlap_corpus_clips(self, overlap_corpus, sample_id):
+        entry = next(e for e in overlap_corpus.entries if e.sample_id == sample_id)
+        frames = frame_signal(standardize(load_audio(entry.audio_path)))
+        _assert_matches_per_frame(frames)
+
+    @pytest.mark.parametrize("freq", [60.0, 80.0, 350.0, 400.0])
+    def test_tones(self, freq):
+        frames = frame_signal(AudioSignal(_tone(freq, duration_s=0.5), SR, "x"))
+        pitch = _assert_matches_per_frame(frames)
+        assert not np.any(np.isnan(pitch))
+
+    def test_white_noise(self):
+        rng = np.random.default_rng(42)
+        frames = frame_signal(AudioSignal(rng.normal(size=SR // 4), SR, "x"))
+        _assert_matches_per_frame(frames)
+
+    def test_degenerate_frames(self):
+        click = np.zeros(400)
+        click[123] = 0.9
+        frames = np.stack([np.zeros(400), np.full(400, 0.25), click])
+        pitch = _assert_matches_per_frame(frames)
+        assert np.isnan(pitch[0]) and np.isnan(pitch[1])
+
+    def test_pinned_vectors(self, overlap_corpus):
+        with open(PINNED) as fh:
+            pinned = json.load(fh)["vectors"]
+        for sample_id, values in pinned.items():
+            np.testing.assert_allclose(overlap_corpus.features[sample_id].values,
+                                       values, rtol=1e-9, atol=0.0)
 
 
 class TestAggregate:
