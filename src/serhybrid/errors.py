@@ -82,11 +82,13 @@ class EmptyGeneration(DataError):
 
 class LlmError(PipelineError):
     """Base for LLM transport failures. Carries the sample id, when known,
-    so the caller can apply per-sample fallback."""
+    so the caller can apply per-sample fallback, and whether another
+    attempt at the same request may succeed."""
 
-    def __init__(self, message, sample_id=None):
+    def __init__(self, message, sample_id=None, retryable=False):
         super().__init__(message)
         self.sample_id = sample_id
+        self.retryable = retryable
 
 
 class LlmTimeout(LlmError):

@@ -164,7 +164,6 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     x = np.asarray(frames, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    x = x - x.mean(axis=1, keepdims=True)
     rows = np.arange(x.shape[0])
     n = x.shape[1]
     pitch = np.full(len(rows), UNVOICED)
@@ -172,6 +171,12 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     lag_max = min(n - 1, int(math.ceil(sample_rate / fmin)))
     if lag_max <= lag_min:
         return UNVOICED if single else pitch
+    # mean removal leaves a DC-only row a residual of rounding error, whose
+    # normalized ACF is 1 at every lag; a row counts as signal only when its
+    # residual exceeds that error bound
+    floor = n * np.finfo(np.float64).eps * np.abs(x).max(axis=1)
+    x = x - x.mean(axis=1, keepdims=True)
+    has_signal = np.abs(x).max(axis=1) > floor
     # raw autocorrelation via FFT
     nfft = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(x, nfft, axis=1)
@@ -196,7 +201,7 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
             & (window >= norm[:, np.minimum(window_lags + 1, n - 1)]))
     best = lag_min + np.where(near.any(axis=1), near.argmax(axis=1), window.argmax(axis=1))
     clarity = norm[rows, best]
-    voiced = np.any(x, axis=1) & (clarity >= clarity_threshold)
+    voiced = has_signal & (clarity >= clarity_threshold)
     # parabolic interpolation around the peak
     a = norm[rows, best - 1]
     c = norm[rows, np.minimum(best + 1, n - 1)]

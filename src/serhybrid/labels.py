@@ -8,10 +8,3 @@ use this order.
 CLASSES = ("angry", "calm", "panic")
 
 CLASS_INDEX = {label: i for i, label in enumerate(CLASSES)}
-
-
-def validate_label(label):
-    """Return the label if it is one of the known classes, else raise ValueError."""
-    if label not in CLASS_INDEX:
-        raise ValueError(f"unknown emotion label: {label!r} (expected one of {CLASSES})")
-    return label

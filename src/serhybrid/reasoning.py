@@ -6,20 +6,26 @@ responses are cached content-addressed by hash(model_name + prompt) so a
 warm-cache evaluation run is byte-reproducible.
 """
 
+import base64
 import concurrent.futures
+import copy
 import hashlib
+import http.client
 import json
 import os
 import re
+import selectors
 import tempfile
+import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import requests
-
-from .errors import (EmptyGeneration, EmptyRules, LlmError, LlmRateLimited,
-                     LlmTimeout, LlmTransportError, MissingEvidence, SchemaError)
+from .errors import (ConfigError, EmptyGeneration, EmptyRules, LlmError,
+                     LlmRateLimited, LlmTimeout, LlmTransportError,
+                     MissingEvidence, SchemaError)
 from .features import DIM_INDEX, DIMENSIONS
 from .labels import CLASSES
 
@@ -172,6 +178,12 @@ def parse_ruleset(text, where="ruleset"):
         raise SchemaError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != RULES_SCHEMA:
         raise SchemaError(f"{where}: expected schema {RULES_SCHEMA!r}, got {doc.get('schema')!r}")
+    version = doc.get("version", 1)
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise SchemaError(f"{where}: version must be an integer, got {version!r}")
+    for key in ("rules", "confusion_notes"):
+        if not isinstance(doc.get(key, []), list):
+            raise SchemaError(f"{where}: {key} must be a list")
     rules = []
     seen = set()
     for i, rdoc in enumerate(doc.get("rules", [])):
@@ -181,14 +193,19 @@ def parse_ruleset(text, where="ruleset"):
         seen.add(rule.id)
         rules.append(rule)
     notes = []
-    for ndoc in doc.get("confusion_notes", []):
-        pair = tuple(ndoc["labels"])
+    for i, ndoc in enumerate(doc.get("confusion_notes", [])):
+        if not isinstance(ndoc, dict) or "text" not in ndoc:
+            raise SchemaError(f"{where}: confusion_notes[{i}] must be an object "
+                              "with labels and text")
+        pair = ndoc.get("labels")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{where}: confusion_notes[{i}]: labels must be a "
+                              "list of two labels")
         for lbl in pair:
             if lbl not in CLASSES:
                 raise SchemaError(f"{where}: confusion note names unknown label {lbl!r}")
-        notes.append(ConfusionNote(labels=pair, text=str(ndoc["text"])))
-    return RuleSet(version=int(doc.get("version", 1)), rules=tuple(rules),
-                   confusion_notes=tuple(notes))
+        notes.append(ConfusionNote(labels=tuple(pair), text=str(ndoc["text"])))
+    return RuleSet(version=version, rules=tuple(rules), confusion_notes=tuple(notes))
 
 
 def load_rules(path):
@@ -306,8 +323,8 @@ class LlmEndpointConfig:
     """Where and how to reach the chat-completions endpoint.
 
     The API key is read from the environment variable named by
-    ``api_key_ref`` at request time; temperature is pinned to 0 so
-    evaluation runs are reproducible."""
+    ``api_key_ref`` when the client is created; temperature is pinned to 0
+    so evaluation runs are reproducible."""
 
     base_url: str
     model_name: str
@@ -327,58 +344,84 @@ class LlmEndpointConfig:
 class LlmResult:
     text: str
     cached: bool
-    latency_ms: float  # network round-trip only; 0.0 on cache hit
+    latency_ms: float  # the attempts' network round trips only; 0.0 on cache hit
 
 
-def query_llm(prompt, cfg, sample_id=None, session=None):
-    """POST one chat-completions request; retry with exponential backoff on
-    timeouts, transport errors, 429 and 5xx. Returns the raw answer text."""
-    sess = session or requests
-    url = cfg.base_url.rstrip("/") + "/chat/completions"
-    headers = {"Content-Type": "application/json"}
-    key = os.environ.get(cfg.api_key_ref, "")
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
-    body = {
-        "model": cfg.model_name,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": cfg.temperature,
-    }
-    last_err = None
-    for attempt in range(cfg.max_retries + 1):
-        if attempt:
-            time.sleep(cfg.retry_backoff_s * 2 ** (attempt - 1))
-        try:
-            resp = sess.post(url, json=body, headers=headers, timeout=cfg.timeout_s)
-        except requests.Timeout as exc:
-            last_err = LlmTimeout(f"timeout after {cfg.timeout_s}s: {exc}", sample_id)
-            continue
-        except requests.RequestException as exc:
-            last_err = LlmTransportError(str(exc), sample_id)
-            continue
-        if resp.status_code == 429:
-            last_err = LlmRateLimited("rate limited", sample_id)
-            continue
-        if resp.status_code >= 500:
-            last_err = LlmTransportError(f"server error {resp.status_code}", sample_id)
-            continue
-        if resp.status_code != 200:
-            raise LlmTransportError(f"unexpected status {resp.status_code}: {resp.text}",
-                                    sample_id)
-        try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
-            raise LlmTransportError(f"malformed response body: {exc}", sample_id)
-    raise last_err
+def query_llm(conn, target, body, headers, sample_id=None):
+    """Send one chat-completions request over ``conn``; return the answer text.
+
+    One attempt, no retry. The LlmError raised says through ``retryable``
+    whether another attempt may succeed: after a timeout, a transport error,
+    429 or 5xx it may; after any other status or a malformed body it will
+    not. A timeout or transport error closes ``conn``, so its next request
+    opens a new connection.
+    """
+    try:
+        conn.request("POST", target, body=body, headers=headers)
+        resp = conn.getresponse()
+        payload = resp.read()
+    except TimeoutError as exc:
+        conn.close()
+        raise LlmTimeout(f"timeout after {conn.timeout}s: {exc}", sample_id,
+                         retryable=True)
+    except (OSError, http.client.HTTPException) as exc:
+        conn.close()
+        raise LlmTransportError(f"{type(exc).__name__}: {exc}", sample_id,
+                                retryable=True)
+    if resp.status == 429:
+        raise LlmRateLimited("rate limited", sample_id, retryable=True)
+    if resp.status >= 500:
+        raise LlmTransportError(f"server error {resp.status}", sample_id, retryable=True)
+    if resp.status != 200:
+        raise LlmTransportError(
+            f"unexpected status {resp.status}: {payload.decode('utf-8', 'replace')}",
+            sample_id)
+    try:
+        text = json.loads(payload)["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise LlmTransportError(f"malformed response body: {exc!r}", sample_id)
+    if not isinstance(text, str):
+        raise LlmTransportError(f"malformed response body: content is {text!r}",
+                                sample_id)
+    return text
+
+
+def _peer_closed(sock):
+    """Whether an idle keep-alive socket is readable. With no request
+    outstanding, that means the peer has closed it (urllib3's
+    ``is_connection_dropped`` makes the same test)."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
+@dataclass(eq=False)
+class _Job:
+    """One distinct prompt of a batch, the input positions that hold it,
+    and the state of its attempts."""
+
+    sample_id: str
+    prompt: str
+    body: bytes
+    indices: list = field(default_factory=list)
+    not_before: float = 0.0  # time.monotonic() before which no attempt starts
+    failed_at: float = 0.0
+    latency_ms: float = 0.0  # round trips of the attempts so far
+    outcome: object = None  # LlmResult or LlmError of the last attempt
 
 
 class HttpLlmClient:
-    """Caching client over query_llm.
+    """Caching client for an OpenAI-style chat-completions endpoint.
 
-    ``complete`` returns an LlmResult; responses are cached in
-    ``cache_dir`` keyed by sha256(model_name + prompt). ``complete_batch``
-    issues at most ``cfg.max_in_flight`` concurrent requests and returns
-    results in input order.
+    ``complete`` makes one attempt at a prompt and returns an LlmResult;
+    responses are cached in ``cache_dir`` keyed by sha256(model_name +
+    prompt). ``complete_batch`` sends each distinct prompt once on at most
+    ``cfg.max_in_flight`` worker threads, retries the failures that may
+    succeed later, and returns results in input order.
+
+    Each thread keeps one keep-alive HTTP/1.1 connection. The endpoint is
+    reached through the proxy that ``http_proxy``/``https_proxy`` name,
+    unless ``no_proxy`` excludes its host.
     """
 
     def __init__(self, cfg, cache_dir=None):
@@ -386,21 +429,105 @@ class HttpLlmClient:
         self.cache_dir = cache_dir
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
-        self._session = requests.Session()
+        url = urllib.parse.urlsplit(cfg.base_url.rstrip("/") + "/chat/completions")
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise ConfigError(f"bad endpoint URL {cfg.base_url!r}: {exc}")
+        if (url.scheme not in ("http", "https") or not url.hostname
+                or re.search(r"[\x00-\x20\x7f]", cfg.base_url)):
+            raise ConfigError(f"endpoint URL must be an http:// or https:// URL "
+                              f"without spaces, got {cfg.base_url!r}")
+        https = url.scheme == "https"
+        self._connection_class = (http.client.HTTPSConnection if https
+                                  else http.client.HTTPConnection)
+        self._endpoint = (url.hostname, port or (443 if https else 80))
+        self._target = url.path + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        key = os.environ.get(cfg.api_key_ref, "")
+        if key:
+            self._headers["Authorization"] = f"Bearer {key}"
+        self._proxy = None
+        self._tunnel_headers = {}
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+            purl = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            try:
+                self._proxy = (purl.hostname, purl.port or 80)
+            except ValueError as exc:
+                raise ConfigError(f"bad proxy URL {proxy!r}: {exc}")
+            auth = {}
+            if purl.username:
+                creds = (urllib.parse.unquote(purl.username) + ":"
+                         + urllib.parse.unquote(purl.password or ""))
+                auth["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(creds.encode("utf-8")).decode("ascii"))
+            if https:
+                self._tunnel_headers = auth  # sent with CONNECT, not to the endpoint
+            else:
+                # a plain-HTTP proxy takes the absolute URI of the endpoint
+                self._target = urllib.parse.urlunsplit(url)
+                self._headers.update(auth)
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._connections = []
 
     def _cache_path(self, prompt):
         digest = hashlib.sha256(
             (self.cfg.model_name + "\x00" + prompt).encode("utf-8")).hexdigest()
         return os.path.join(self.cache_dir, digest + ".txt")
 
-    def complete(self, prompt, sample_id=None):
+    def _body(self, prompt):
+        return json.dumps({
+            "model": self.cfg.model_name,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.cfg.temperature,
+        }).encode("utf-8")
+
+    def _new_connection(self):
+        if self._proxy is None:
+            return self._connection_class(*self._endpoint, timeout=self.cfg.timeout_s)
+        conn = self._connection_class(*self._proxy, timeout=self.cfg.timeout_s)
+        if self._connection_class is http.client.HTTPSConnection:
+            conn.set_tunnel(*self._endpoint, headers=self._tunnel_headers)
+        return conn
+
+    def _connection(self):
+        """This thread's connection, made on first use. A kept-alive socket
+        that the peer has closed while idle is closed here, so the request
+        reconnects instead of failing on it."""
+        local = self._local
+        conn = getattr(local, "conn", None)
+        if conn is None:
+            conn = local.conn = self._new_connection()
+            with self._lock:
+                self._connections.append(conn)
+        elif conn.sock is not None and _peer_closed(conn.sock):
+            conn.close()
+        return conn
+
+    def close(self):
+        """Close every thread's connection; call with no request in flight.
+        The next request on any thread makes a new one."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
+
+    def complete(self, prompt, sample_id=None, body=None):
+        """One attempt at ``prompt``: the cached answer if there is one, else
+        one request, whose answer is then cached. ``body`` is the encoded
+        request when the caller has built it already. Raises LlmError."""
         if self.cache_dir:
             path = self._cache_path(prompt)
             if os.path.exists(path):
                 with open(path, encoding="utf-8") as fh:
                     return LlmResult(text=fh.read(), cached=True, latency_ms=0.0)
+        if body is None:
+            body = self._body(prompt)
         t0 = time.monotonic()
-        text = query_llm(prompt, self.cfg, sample_id=sample_id, session=self._session)
+        text = query_llm(self._connection(), self._target, body, self._headers, sample_id)
         latency = (time.monotonic() - t0) * 1000.0
         if self.cache_dir:
             # a temp file per writer: concurrent misses on one prompt each
@@ -411,22 +538,75 @@ class HttpLlmClient:
             os.replace(tmp, path)
         return LlmResult(text=text, cached=False, latency_ms=latency)
 
+    def _attempt(self, job):
+        """On a worker thread: wait until the job is due, make one attempt
+        through ``complete`` and record its outcome and round trip."""
+        delay = job.not_before - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        t0 = time.monotonic()
+        try:
+            result = self.complete(job.prompt, job.sample_id, body=job.body)
+        except LlmError as exc:
+            job.failed_at = time.monotonic()
+            job.latency_ms += (job.failed_at - t0) * 1000.0
+            job.outcome = exc
+        else:
+            job.outcome = result if result.cached else replace(
+                result, latency_ms=job.latency_ms + result.latency_ms)
+        return job
+
     def complete_batch(self, items):
         """items: list of (sample_id, prompt). Returns a list, in input
-        order, of LlmResult or LlmError per item."""
+        order, of LlmResult or LlmError per item.
+
+        Each distinct prompt is sent once, and its outcome goes to every
+        item that holds it. Attempts run in rounds: round k makes attempt k
+        of every prompt still pending, in order of the time each is due. A
+        timeout, transport error, 429 or 5xx on attempt k makes the prompt
+        due again ``retry_backoff_s * 2**(k-1)`` seconds after it failed,
+        up to ``max_retries`` retries. A worker waits for a due time only
+        when every prompt left in its round is due later, so no worker
+        sleeps while another prompt is ready to send.
+        """
+        jobs = {}
+        for idx, (sample_id, prompt) in enumerate(items):
+            job = jobs.get(prompt)
+            if job is None:
+                job = jobs[prompt] = _Job(sample_id, prompt, self._body(prompt))
+            job.indices.append(idx)
         results = [None] * len(items)
-
-        def run(idx):
-            sample_id, prompt = items[idx]
-            try:
-                results[idx] = self.complete(prompt, sample_id=sample_id)
-            except LlmError as exc:
-                results[idx] = exc
-
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.cfg.max_in_flight) as pool:
-            list(pool.map(run, range(len(items))))
+        pending = list(jobs.values())
+        try:
+            with concurrent.futures.ThreadPoolExecutor(
+                    max_workers=self.cfg.max_in_flight) as pool:
+                for attempt in range(self.cfg.max_retries + 1):
+                    if not pending:
+                        break
+                    due = sorted(pending, key=lambda job: job.not_before)
+                    pending = []
+                    for job in pool.map(self._attempt, due):
+                        outcome = job.outcome
+                        if (isinstance(outcome, LlmError) and outcome.retryable
+                                and attempt < self.cfg.max_retries):
+                            job.not_before = (job.failed_at
+                                              + self.cfg.retry_backoff_s * 2 ** attempt)
+                            pending.append(job)
+                            continue
+                        for idx in job.indices:
+                            results[idx] = _for_item(outcome, items[idx][0])
+        finally:
+            self.close()
         return results
+
+
+def _for_item(outcome, sample_id):
+    """A job's outcome as the result of one of its items: an error names
+    that item's sample id."""
+    if isinstance(outcome, LlmError) and outcome.sample_id != sample_id:
+        outcome = copy.copy(outcome)
+        outcome.sample_id = sample_id
+    return outcome
 
 
 def build_rule_generation_prompt(dimension_names=DIMENSIONS):
@@ -453,7 +633,9 @@ def auto_generate_rules(client, dimension_names=DIMENSIONS):
     """v5: let the LLM propose its own rules; schema-invalid proposals are
     dropped, and an entirely unparseable response raises EmptyGeneration."""
     prompt = build_rule_generation_prompt(dimension_names)
-    result = client.complete(prompt, sample_id="__rule_generation__")
+    result, = client.complete_batch([("__rule_generation__", prompt)])
+    if isinstance(result, LlmError):
+        raise result
     match = re.search(r"\[.*\]", result.text, re.DOTALL)
     if not match:
         raise EmptyGeneration("rule generation returned no JSON array")

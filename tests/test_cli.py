@@ -427,6 +427,67 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
 
+def _note_without_text(doc):
+    del doc["confusion_notes"][0]["text"]
+
+
+def _version_word(doc):
+    doc["version"] = "two"
+
+
+def _note_is_a_string(doc):
+    doc["confusion_notes"][0] = "angry vs panic: panic varies more"
+
+
+def _rules_is_a_number(doc):
+    doc["rules"] = 5
+
+
+def _note_labels_a_number(doc):
+    doc["confusion_notes"][0]["labels"] = 3
+
+
+def _refine_apply_with_rules(ws, tmp_path, rules):
+    proposals = tmp_path / "proposals.json"
+    proposals.write_text(json.dumps(_valid_proposals()))
+    return ["refine", "--apply", str(proposals), "--rules", str(rules),
+            "--rules-out", str(tmp_path / "rules_v2.json")]
+
+
+def _predict_with_rules(ws, tmp_path, rules):
+    return ["predict", "--manifest", ws["manifest"], "--features", ws["features"],
+            "--model", ws["model"], "--stats", ws["stats"], "--rules", str(rules),
+            "--version", "v2_rules", "--endpoint-url", "http://127.0.0.1:1/v1",
+            "--model-name", "m", "--out", str(tmp_path / "p.jsonl")]
+
+
+class TestMalformedRuleFiles:
+    """Every malformed part of a rules object is a one-line configuration
+    error, in each command that reads a rules file."""
+
+    @pytest.mark.parametrize("command", [_refine_apply_with_rules, _predict_with_rules],
+                             ids=["refine-apply", "predict-rules"])
+    @pytest.mark.parametrize("corrupt", [
+        _note_without_text, _version_word, _note_is_a_string, _rules_is_a_number,
+        _note_labels_a_number,
+    ], ids=["note-without-text", "version-word", "note-is-a-string",
+            "rules-is-a-number", "note-labels-a-number"])
+    def test_one_configuration_error_line(self, workspace, tmp_path, capsys,
+                                          corrupt, command):
+        doc = json.loads(default_ruleset().to_json())
+        corrupt(doc)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(doc))
+        argv = command(workspace, tmp_path, rules)
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestPreprocess:
     def test_segments_and_manifest(self, tmp_path, capsys):
         in_dir = tmp_path / "raw"

@@ -70,6 +70,14 @@ class TestPitch:
     def test_zeros_unvoiced(self):
         assert is_unvoiced(estimate_pitch(np.zeros(400), SR))
 
+    @pytest.mark.parametrize("level", [0.3, 1e-3])
+    def test_dc_only_frame_unvoiced(self, level):
+        # the mean of these levels is not exact in floating point, so mean
+        # removal leaves a constant residual of about one ulp
+        assert is_unvoiced(estimate_pitch(np.full(400, level), SR))
+        pitch = estimate_pitch(np.stack([np.full(400, level), _tone(150.0)[:400]]), SR)
+        assert np.isnan(pitch[0]) and abs(pitch[1] - 150.0) <= 2.0
+
     def test_white_noise_unvoiced(self):
         rng = np.random.default_rng(42)
         assert is_unvoiced(estimate_pitch(rng.normal(size=400), SR))

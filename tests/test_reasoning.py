@@ -1,17 +1,21 @@
 """Rules, prompts, answer parsing, and the LLM client."""
 
+import http.client
 import json
 import os
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-import requests
 
-from mockllm import CANNED_AUTO_RULES, MockLlmServer, ScriptedClient
+from mockllm import (CANNED_AUTO_RULES, MockLlmServer, ScriptedClient,
+                     rules_literal_answer)
 from serhybrid import reasoning
-from serhybrid.errors import (EmptyGeneration, EmptyRules, LlmTimeout,
-                              LlmTransportError, MissingEvidence, SchemaError)
+from serhybrid.errors import (ConfigError, EmptyGeneration, EmptyRules,
+                              LlmRateLimited, LlmTimeout, LlmTransportError,
+                              MissingEvidence, SchemaError)
 from serhybrid.classifier import MlEvidence
 from serhybrid.features import DIMENSIONS, CorpusStats, describe
 from serhybrid.reasoning import (ANSWER_INSTRUCTION, Condition,
@@ -151,28 +155,39 @@ class TestParseLabel:
 
 
 class _FakeResponse:
-    def __init__(self, status_code, content="LABEL: calm"):
-        self.status_code = status_code
-        self.text = "body"
-        self._content = content
+    def __init__(self, status, content="LABEL: calm", payload=None):
+        self.status = status
+        self._payload = payload if payload is not None else json.dumps(
+            {"choices": [{"message": {"content": content}}]}).encode()
 
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+    def read(self):
+        return self._payload
 
 
-class _FakeSession:
-    """Replays a script of responses/exceptions for post()."""
+class _FakeConnection:
+    """Replays a script of responses/exceptions, one per request, in the
+    shape of http.client.HTTPConnection."""
+
+    timeout = 30.0
+    sock = None
 
     def __init__(self, script):
         self.script = list(script)
         self.calls = 0
+        self.closed = 0
+        self._item = None
 
-    def post(self, url, **kwargs):
-        item = self.script[self.calls]
+    def request(self, method, url, body=None, headers=None):
+        self._item = self.script[self.calls]
         self.calls += 1
-        if isinstance(item, Exception):
-            raise item
-        return item
+        if isinstance(self._item, Exception):
+            raise self._item
+
+    def getresponse(self):
+        return self._item
+
+    def close(self):
+        self.closed += 1
 
 
 def _cfg(**kw):
@@ -182,41 +197,233 @@ def _cfg(**kw):
     return LlmEndpointConfig(**kw)
 
 
+def _scripted_client(script, **cfg):
+    client = HttpLlmClient(_cfg(**cfg))
+    conn = _FakeConnection(script)
+    client._new_connection = lambda: conn
+    return client, conn
+
+
 class TestQueryLlm:
+    """query_llm makes one attempt; complete_batch retries it."""
+
+    @pytest.mark.parametrize("item,error,retryable,closes", [
+        (TimeoutError("t"), LlmTimeout, True, True),
+        (ConnectionResetError("reset"), LlmTransportError, True, True),
+        (http.client.RemoteDisconnected("gone"), LlmTransportError, True, True),
+        (_FakeResponse(429), LlmRateLimited, True, False),
+        (_FakeResponse(500), LlmTransportError, True, False),
+        (_FakeResponse(503), LlmTransportError, True, False),
+        (_FakeResponse(400), LlmTransportError, False, False),
+        (_FakeResponse(200, payload=b'{"unexpected": true}'), LlmTransportError, False, False),
+        (_FakeResponse(200, payload=b'{"choices": 5}'), LlmTransportError, False, False),
+        (_FakeResponse(200, payload=b"not json"), LlmTransportError, False, False),
+        (_FakeResponse(200, content=None), LlmTransportError, False, False),
+    ], ids=["timeout", "reset", "disconnected", "429", "500", "503", "400",
+            "no-choices", "choices-number", "not-json", "null-content"])
+    def test_one_attempt_failures(self, item, error, retryable, closes):
+        conn = _FakeConnection([item])
+        with pytest.raises(error) as err:
+            query_llm(conn, "/v1/chat/completions", b"{}", {}, sample_id="s1")
+        assert type(err.value) is error
+        assert err.value.retryable is retryable
+        assert err.value.sample_id == "s1"
+        assert conn.closed == int(closes)
+
+    def test_one_attempt_success(self):
+        conn = _FakeConnection([_FakeResponse(200, "LABEL: panic")])
+        assert query_llm(conn, "/v1/chat/completions", b"{}", {}) == "LABEL: panic"
+        assert conn.closed == 0
+
     def test_retries_after_timeouts(self):
-        session = _FakeSession([requests.Timeout("t"), requests.Timeout("t"),
-                                _FakeResponse(200, "LABEL: panic")])
-        assert query_llm("p", _cfg(), session=session) == "LABEL: panic"
-        assert session.calls == 3
+        client, conn = _scripted_client([TimeoutError("t"), TimeoutError("t"),
+                                         _FakeResponse(200, "LABEL: panic")])
+        [result] = client.complete_batch([("s1", "p")])
+        assert result.text == "LABEL: panic"
+        assert conn.calls == 3
 
     @pytest.mark.parametrize("status", [429, 500, 503])
     def test_retries_on_retryable_statuses(self, status):
-        session = _FakeSession([_FakeResponse(status), _FakeResponse(200)])
-        assert query_llm("p", _cfg(), session=session) == "LABEL: calm"
-        assert session.calls == 2
+        client, conn = _scripted_client([_FakeResponse(status), _FakeResponse(200)])
+        [result] = client.complete_batch([("s1", "p")])
+        assert result.text == "LABEL: calm"
+        assert conn.calls == 2
 
     def test_exhausted_retries_raise_last_error(self):
-        session = _FakeSession([requests.Timeout("t")] * 3)
-        with pytest.raises(LlmTimeout) as err:
-            query_llm("p", _cfg(max_retries=2), sample_id="s1", session=session)
-        assert err.value.sample_id == "s1"
-        assert session.calls == 3
+        client, conn = _scripted_client([TimeoutError("t")] * 3, max_retries=2)
+        [result] = client.complete_batch([("s1", "p")])
+        assert isinstance(result, LlmTimeout)
+        assert result.sample_id == "s1"
+        assert conn.calls == 3
 
     def test_client_error_not_retried(self):
-        session = _FakeSession([_FakeResponse(400)])
-        with pytest.raises(LlmTransportError):
-            query_llm("p", _cfg(), session=session)
-        assert session.calls == 1
+        client, conn = _scripted_client([_FakeResponse(400)])
+        [result] = client.complete_batch([("s1", "p")])
+        assert isinstance(result, LlmTransportError)
+        assert conn.calls == 1
 
     def test_malformed_body_raises(self):
-        response = _FakeResponse(200)
-        response.json = lambda: {"unexpected": True}
-        with pytest.raises(LlmTransportError):
-            query_llm("p", _cfg(), session=_FakeSession([response]))
+        client, conn = _scripted_client([_FakeResponse(200, payload=b'{"unexpected": true}')])
+        [result] = client.complete_batch([("s1", "p")])
+        assert isinstance(result, LlmTransportError)
+        assert conn.calls == 1
+
+    def test_latency_is_round_trips_without_backoff(self):
+        client, conn = _scripted_client([_FakeResponse(503), _FakeResponse(200)],
+                                        retry_backoff_s=0.3)
+        [result] = client.complete_batch([("s1", "p")])
+        assert conn.calls == 2
+        assert 0.0 < result.latency_ms < 100.0
+
+    def test_shared_prompt_error_names_each_sample(self):
+        client, conn = _scripted_client([_FakeResponse(400)])
+        results = client.complete_batch([("s1", "p"), ("s2", "p")])
+        assert conn.calls == 1
+        assert [type(r) for r in results] == [LlmTransportError] * 2
+        assert [r.sample_id for r in results] == ["s1", "s2"]
 
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError):
             _cfg(max_in_flight=0)
+
+    @pytest.mark.parametrize("url", ["ftp://example.invalid/v1", "example.invalid/v1",
+                                     "http://example.invalid:port/v1",
+                                     "http://example.invalid/my v1"])
+    def test_unusable_endpoint_url_is_config_error(self, url):
+        with pytest.raises(ConfigError):
+            HttpLlmClient(_cfg(base_url=url))
+
+
+class _RecordingServer:
+    """Local HTTP/1.1 chat-completions endpoint for transport tests.
+
+    Answers with the rules-literal mock and logs each request's prompt and
+    arrival time. The first attempt at a prompt in ``refuse_first`` gets a
+    503. With ``close_after_reply`` it closes the socket after every reply
+    without a ``Connection: close`` header, as a server that drops idle
+    keep-alive connections does; ``closed`` is released once per socket
+    it has closed.
+    """
+
+    def __init__(self, refuse_first=(), close_after_reply=False):
+        log = self.log = []
+        refused = set()
+        closed = self.closed = threading.Semaphore(0)
+        accepted = self.accepted = []
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                prompt = body["messages"][0]["content"]
+                log.append((prompt, time.monotonic()))
+                if prompt in refuse_first and prompt not in refused:
+                    refused.add(prompt)
+                    status, doc = 503, {"error": "busy"}
+                else:
+                    status, doc = 200, {"choices": [{"message": {
+                        "content": rules_literal_answer(prompt)}}]}
+                payload = json.dumps(doc).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+                self.close_connection = close_after_reply
+
+            def log_message(self, *args):
+                pass
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def process_request(self, request, client_address):
+                accepted.append(client_address)
+                super().process_request(request, client_address)
+
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                closed.release()
+
+        self.httpd = Server(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+
+    @property
+    def base_url(self):
+        host, port = self.httpd.server_address
+        return f"http://{host}:{port}/v1"
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join(timeout=10)
+
+
+class TestTransport:
+    def test_keep_alive_connection_per_worker(self):
+        items = [(f"s{i}", build_transcript_prompt(f"calm {i}")) for i in range(8)]
+        with _RecordingServer() as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url, max_in_flight=2))
+            results = client.complete_batch(items)
+        assert [parse_label(r.text) for r in results] == ["calm"] * 8
+        assert len(server.log) == 8
+        assert len(server.accepted) <= 2
+
+    def test_peer_closing_idle_connection_costs_no_retry(self):
+        with _RecordingServer(close_after_reply=True) as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url, max_retries=0))
+            first = client.complete(build_transcript_prompt("calm"))
+            assert server.closed.acquire(timeout=10)
+            second = client.complete(build_transcript_prompt("panic"))
+            client.close()
+        assert [parse_label(r.text) for r in (first, second)] == ["calm", "panic"]
+        assert len(server.log) == 2
+        assert len(server.accepted) == 2
+
+    def test_http_proxy_gets_absolute_uri(self, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with MockLlmServer() as proxy:
+            monkeypatch.setenv("http_proxy", proxy.base_url.rsplit("/", 1)[0])
+            client = HttpLlmClient(_cfg(base_url="http://example.invalid/v1"))
+            [result] = client.complete_batch([("s1", build_transcript_prompt("angry"))])
+            assert proxy.request_count == 1
+        assert parse_label(result.text) == "angry"
+
+    def test_bad_proxy_url_is_config_error(self, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:port")
+        with pytest.raises(ConfigError):
+            HttpLlmClient(_cfg())
+
+    def test_no_proxy_host_is_reached_directly(self, monkeypatch):
+        for name in ("NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:1")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with MockLlmServer() as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url, max_retries=0))
+            [result] = client.complete_batch([("s1", build_transcript_prompt("angry"))])
+        assert parse_label(result.text) == "angry"
+
+    def test_retry_waits_without_holding_the_worker(self):
+        prompts = [build_transcript_prompt(f"calm {i}") for i in range(4)]
+        backoff = 0.2
+        with _RecordingServer(refuse_first={prompts[0]}) as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url, max_in_flight=1,
+                                        retry_backoff_s=backoff))
+            results = client.complete_batch([(f"s{i}", p) for i, p in enumerate(prompts)])
+        assert [parse_label(r.text) for r in results] == ["calm"] * 4
+        # the one worker sends the other prompts before the refused one's
+        # retry falls due, and the retry still waits out its backoff
+        assert [p for p, _ in server.log] == prompts + prompts[:1]
+        assert server.log[-1][1] - server.log[0][1] >= backoff
 
 
 class TestHttpClient:
@@ -277,6 +484,16 @@ class TestHttpClient:
                      for i, w in enumerate(words)]
             results = client.complete_batch(items)
             assert [parse_label(r.text) for r in results] == words
+
+    def test_batch_sends_each_distinct_prompt_once(self):
+        prompt = build_transcript_prompt("do not panic now")
+        with MockLlmServer() as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url))
+            results = client.complete_batch([(f"s{i}", prompt) for i in range(16)])
+            assert server.request_count == 1
+        assert len(results) == 16
+        assert len(set(results)) == 1
+        assert parse_label(results[0].text) == "panic"
 
     def test_no_cache_dir_always_queries(self):
         with MockLlmServer() as server:
