@@ -11,10 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.io.wavfile
-import scipy.signal
 
 from .errors import EmptySignal, UnsupportedFormat
-from .features import frame_matrix
+from .features import frame_matrix, rms_energy
 
 TARGET_RATE = 16000
 TARGET_PEAK = 0.95
@@ -114,6 +113,7 @@ def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
     if x.ndim == 2:
         x = x.mean(axis=0)
     if signal.sample_rate != target_rate:
+        import scipy.signal  # about 1 s to import; only resampling needs it
         ratio = Fraction(target_rate, signal.sample_rate)
         x = scipy.signal.resample_poly(x, ratio.numerator, ratio.denominator)
     peak = float(np.max(np.abs(x)))
@@ -124,12 +124,6 @@ def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
         # target_peak, which makes a second pass a no-op
         x = (x / peak) * target_peak
     return AudioSignal(x, target_rate, signal.source_id, degenerate=False)
-
-
-def _frame_rms(x, frame_len, hop_len):
-    """RMS energy of each full frame of ``x``; empty array if too short."""
-    frames = frame_matrix(x, frame_len, hop_len)
-    return np.sqrt(np.mean(frames * frames, axis=1))
 
 
 def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
@@ -145,7 +139,7 @@ def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
         return []
     frame_len = int(round(frame_ms * signal.sample_rate / 1000.0))
     hop_len = int(round(hop_ms * signal.sample_rate / 1000.0))
-    rms = _frame_rms(x, frame_len, hop_len)
+    rms = rms_energy(frame_matrix(x, frame_len, hop_len))
     if rms.size == 0:
         # shorter than one frame: judge the whole signal at once
         whole = np.sqrt(np.mean(x * x))
@@ -198,7 +192,7 @@ def _split_point(x, sample_rate, lo, hi, frame_ms=25.0, hop_ms=10.0,
     search_lo = max(lo + 1, mid - win)
     search_hi = min(hi - 1, mid + win)
     seg = x[search_lo:search_hi]
-    rms = _frame_rms(seg, frame_len, hop_len)
+    rms = rms_energy(frame_matrix(seg, frame_len, hop_len))
     if rms.size == 0:
         return mid
     return search_lo + int(np.argmin(rms)) * hop_len

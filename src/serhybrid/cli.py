@@ -50,17 +50,28 @@ def _require(cfg, *keys):
         raise ConfigError(f"missing required options: {', '.join('--' + m.replace('_', '-') for m in missing)}")
 
 
+# LLM client settings a config file or flag may give; LlmEndpointConfig
+# holds their defaults
+_CLIENT_SETTINGS = (("timeout_s", float), ("max_retries", int),
+                    ("max_in_flight", int), ("retry_backoff_s", float))
+
+
 def _endpoint(cfg):
     _require(cfg, "endpoint_url", "model_name")
-    return LlmEndpointConfig(
-        base_url=cfg["endpoint_url"],
-        model_name=cfg["model_name"],
-        api_key_ref=cfg.get("api_key_ref", "SERHYBRID_API_KEY"),
-        timeout_s=float(cfg.get("timeout_s", 30.0)),
-        max_retries=int(cfg.get("max_retries", 3)),
-        max_in_flight=int(cfg.get("max_in_flight", 4)),
-        retry_backoff_s=float(cfg.get("retry_backoff_s", 0.5)),
-    )
+    settings = {}
+    for key, kind in _CLIENT_SETTINGS:
+        if key not in cfg:
+            continue
+        try:
+            settings[key] = kind(cfg[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+    try:
+        return LlmEndpointConfig(base_url=cfg["endpoint_url"], model_name=cfg["model_name"],
+                                 api_key_ref=cfg.get("api_key_ref", "SERHYBRID_API_KEY"),
+                                 **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _client(cfg):

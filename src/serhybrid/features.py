@@ -46,10 +46,6 @@ SUMMARY_DIMS = (
 )
 
 
-def is_unvoiced(pitch):
-    return math.isnan(pitch)
-
-
 @dataclass(frozen=True)
 class FrameSeries:
     """Per-frame streams; pitch uses UNVOICED (NaN) for aperiodic frames."""
@@ -146,10 +142,12 @@ def frame_signal(signal, frame_ms=25.0, hop_ms=10.0):
     return frame_matrix(x, frame_len, hop_len)
 
 
-def rms_energy(frame):
-    """Root-mean-square of an unwindowed frame."""
-    x = np.asarray(frame, dtype=np.float64)
-    return float(np.sqrt(np.mean(x * x)))
+def rms_energy(frames):
+    """Root-mean-square of an unwindowed frame, or of each row of an
+    (n_frames, frame_len) matrix; a frame gives a float."""
+    x = np.asarray(frames, dtype=np.float64)
+    rms = np.sqrt(np.mean(x * x, axis=-1))
+    return float(rms) if x.ndim == 1 else rms
 
 
 def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.6):
@@ -177,14 +175,17 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     floor = n * np.finfo(np.float64).eps * np.abs(x).max(axis=1)
     x = x - x.mean(axis=1, keepdims=True)
     has_signal = np.abs(x).max(axis=1) > floor
-    # raw autocorrelation via FFT
-    nfft = 1 << (2 * n - 1).bit_length()
+    # raw autocorrelation via FFT, on the lags the peak picker reads: the
+    # window plus one neighbour each side; nfft >= n + n_lags - 1 keeps
+    # those lags free of circular wrap-around
+    n_lags = min(n, lag_max + 2)
+    nfft = scipy.fft.next_fast_len(n + n_lags - 1, real=True)
     spec = np.fft.rfft(x, nfft, axis=1)
-    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, :n]
+    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, :n_lags]
     # normalization: r[t] / sqrt(e0[t] * e1[t]) with e0, e1 the energies of
     # the two overlapping windows of length n - t
     csum = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(x * x, axis=1)), axis=1)
-    lags = np.arange(n)
+    lags = np.arange(n_lags)
     e0 = csum[:, n - lags] - csum[:, :1]
     e1 = csum[:, n:] - csum[:, lags]
     denom = np.sqrt(e0 * e1)
@@ -198,17 +199,17 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     peak = window.max(axis=1, keepdims=True)
     near = ((window >= 0.9 * peak)
             & (window >= norm[:, window_lags - 1])
-            & (window >= norm[:, np.minimum(window_lags + 1, n - 1)]))
+            & (window >= norm[:, np.minimum(window_lags + 1, n_lags - 1)]))
     best = lag_min + np.where(near.any(axis=1), near.argmax(axis=1), window.argmax(axis=1))
     clarity = norm[rows, best]
     voiced = has_signal & (clarity >= clarity_threshold)
     # parabolic interpolation around the peak
     a = norm[rows, best - 1]
-    c = norm[rows, np.minimum(best + 1, n - 1)]
+    c = norm[rows, np.minimum(best + 1, n_lags - 1)]
     curvature = a - 2.0 * clarity + c
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 0.5 * (a - c) / curvature
-    refine = (best < n - 1) & (curvature != 0.0) & (np.abs(delta) < 1.0)
+    refine = (best < n_lags - 1) & (curvature != 0.0) & (np.abs(delta) < 1.0)
     lag = np.where(refine, best + delta, best)
     pitch[voiced] = sample_rate / lag[voiced]
     return float(pitch[0]) if single else pitch
@@ -247,7 +248,9 @@ def mfcc(frames, sample_rate, n_mels=26, n_coeffs=N_MFCC, fmin=0.0, fmax=8000.0)
     nfft = 1 << (x.shape[-1] - 1).bit_length()
     power = np.abs(np.fft.rfft(x, nfft, axis=-1)) ** 2
     fb = mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax)
-    log_e = np.log(np.maximum(power @ fb.T, 1e-10))
+    # plain einsum never calls BLAS, whose thread pool would keep a second
+    # core spinning for this small product
+    log_e = np.log(np.maximum(np.einsum("...k,mk->...m", power, fb), 1e-10))
     coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1)
     return coeffs[..., :n_coeffs]
 
@@ -260,7 +263,7 @@ def extract_series(signal, frame_ms=25.0, hop_ms=10.0, fmin=60.0, fmax=400.0,
     """
     frames = frame_signal(signal, frame_ms, hop_ms)
     pitch = estimate_pitch(frames, signal.sample_rate, fmin, fmax, clarity_threshold)
-    energy = np.sqrt(np.mean(frames * frames, axis=1))
+    energy = rms_energy(frames)
     mfccs = mfcc(frames * np.hanning(frames.shape[1]), signal.sample_rate, n_mels, n_coeffs)
     return FrameSeries(pitch_hz=pitch, energy_rms=energy, mfcc=mfccs,
                        frame_ms=frame_ms, hop_ms=hop_ms)
@@ -321,10 +324,6 @@ class CorpusStats:
 
     def z_scores(self, vector):
         return self.transform(vector.values)
-
-    def z_score(self, vector, dimension):
-        i = DIM_INDEX[dimension]
-        return float((vector.values[i] - self.mean[i]) / self.std[i])
 
     def to_json(self):
         return json.dumps({

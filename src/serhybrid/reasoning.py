@@ -12,6 +12,7 @@ import copy
 import hashlib
 import http.client
 import json
+import math
 import os
 import re
 import selectors
@@ -338,6 +339,12 @@ class LlmEndpointConfig:
     def __post_init__(self):
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if not 0.0 < self.timeout_s < math.inf:
+            raise ValueError("timeout_s must be a positive finite number")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not 0.0 <= self.retry_backoff_s < math.inf:
+            raise ValueError("retry_backoff_s must be a non-negative finite number")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """WAV I/O, standardization, voice activity detection, segmentation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import serhybrid
 from serhybrid.audio_io import (TARGET_PEAK, TARGET_RATE, AudioSignal,
                                 VoicedInterval, detect_voice_activity,
                                 load_audio, save_wav, segment, standardize)
@@ -84,6 +89,25 @@ class TestStandardize:
         assert out.sample_rate == TARGET_RATE
         assert out.num_samples == 16000
         assert np.array_equal(out.samples, standardize(out).samples)
+
+    def test_scipy_signal_loaded_only_to_resample(self):
+        # importing the CLI leaves scipy.signal (about 1 s to import) unloaded;
+        # the first resampling loads it
+        code = """
+import sys
+import numpy as np
+import serhybrid.cli
+from serhybrid.audio_io import AudioSignal, standardize
+assert "scipy.signal" not in sys.modules, "scipy.signal loaded by the import"
+out = standardize(AudioSignal(np.sin(np.arange(44101) / 7.0), 44100, "x"))
+assert out.num_samples == -(-44101 * 160 // 441), out.num_samples
+assert "scipy.signal" in sys.modules
+"""
+        src = os.path.dirname(os.path.dirname(serhybrid.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_stereo_mixes_to_mono(self):
         left = _tone(amp=0.2)

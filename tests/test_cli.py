@@ -488,6 +488,37 @@ class TestMalformedRuleFiles:
         assert "Traceback" not in err
 
 
+class TestClientSettings:
+    """Bad LLM client settings in a config file are one configuration-error
+    line, never a traceback."""
+
+    @pytest.mark.parametrize("settings", [
+        {"max_in_flight": 0}, {"timeout_s": "soon"}, {"max_retries": "few"},
+        {"max_in_flight": "many"}, {"retry_backoff_s": "later"},
+        {"timeout_s": None}, {"timeout_s": 0}, {"max_retries": -1},
+        {"retry_backoff_s": -0.5},
+    ], ids=["in-flight-zero", "timeout-word", "retries-word", "in-flight-word",
+            "backoff-word", "timeout-null", "timeout-zero", "retries-negative",
+            "backoff-negative"])
+    def test_one_configuration_error_line(self, workspace, tmp_path, capsys,
+                                          settings):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "predict",
+                         "--manifest", workspace["manifest"],
+                         "--features", workspace["features"],
+                         "--model", workspace["model"], "--stats", workspace["stats"],
+                         "--version", "v4_hybrid", "--tau", "0",
+                         "--endpoint-url", "http://127.0.0.1:1/v1",
+                         "--model-name", "m", "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert next(iter(settings)) in err
+
+
 class TestPreprocess:
     def test_segments_and_manifest(self, tmp_path, capsys):
         in_dir = tmp_path / "raw"

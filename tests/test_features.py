@@ -14,7 +14,6 @@ from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
                                 CorpusStats, FeatureVector, FrameSeries,
                                 aggregate, describe, estimate_pitch,
                                 extract_series, frame_matrix, frame_signal,
-                                is_unvoiced,
                                 level_for_z, mel_filterbank, mel_scale,
                                 mel_to_hz, mfcc, read_features_csv,
                                 rms_energy, write_features_csv)
@@ -59,6 +58,8 @@ class TestFraming:
     def test_rms_energy_oracle(self):
         assert rms_energy([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
         assert rms_energy(np.zeros(10)) == 0.0
+        rows = rms_energy(np.array([[3.0, 4.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(rows, [math.sqrt(12.5), 0.0])
 
 
 class TestPitch:
@@ -68,19 +69,19 @@ class TestPitch:
         assert abs(estimate_pitch(frame, SR) - freq) <= 2.0
 
     def test_zeros_unvoiced(self):
-        assert is_unvoiced(estimate_pitch(np.zeros(400), SR))
+        assert math.isnan(estimate_pitch(np.zeros(400), SR))
 
     @pytest.mark.parametrize("level", [0.3, 1e-3])
     def test_dc_only_frame_unvoiced(self, level):
         # the mean of these levels is not exact in floating point, so mean
         # removal leaves a constant residual of about one ulp
-        assert is_unvoiced(estimate_pitch(np.full(400, level), SR))
+        assert math.isnan(estimate_pitch(np.full(400, level), SR))
         pitch = estimate_pitch(np.stack([np.full(400, level), _tone(150.0)[:400]]), SR)
         assert np.isnan(pitch[0]) and abs(pitch[1] - 150.0) <= 2.0
 
     def test_white_noise_unvoiced(self):
         rng = np.random.default_rng(42)
-        assert is_unvoiced(estimate_pitch(rng.normal(size=400), SR))
+        assert math.isnan(estimate_pitch(rng.normal(size=400), SR))
 
     def test_unvoiced_sentinel_is_nan(self):
         assert math.isnan(UNVOICED)
@@ -173,6 +174,24 @@ class TestBatchedParity:
         pitch = _assert_matches_per_frame(frames)
         assert np.isnan(pitch[0]) and np.isnan(pitch[1])
 
+    @pytest.mark.parametrize("sample_rate,frame_ms", [
+        (16000, 10.0), (8000, 10.0), (8000, 25.0), (44100, 25.0),
+    ])
+    def test_lag_window_edges(self, sample_rate, frame_ms):
+        # at 10 ms the lag window reaches the last lag of the frame
+        # (lag_max + 2 >= frame length), so the ACF covers every lag
+        t = np.arange(int(0.3 * sample_rate)) / sample_rate
+        rng = np.random.default_rng(7)
+        x = np.concatenate([0.5 * np.sin(2 * np.pi * 130.0 * t),
+                            0.3 * rng.normal(size=t.size),
+                            0.4 * np.sin(2 * np.pi * (110.0 + 200.0 * t) * t)])
+        frames = frame_signal(AudioSignal(x, sample_rate, "x"), frame_ms=frame_ms)
+        pitch = estimate_pitch(frames, sample_rate)
+        ref = np.array([oracles.pitch_direct(f, sample_rate) for f in frames])
+        assert np.array_equal(np.isnan(pitch), np.isnan(ref))
+        assert not np.all(np.isnan(pitch))
+        np.testing.assert_allclose(pitch, ref, rtol=1e-9)
+
     def test_pinned_vectors(self, overlap_corpus):
         with open(PINNED) as fh:
             pinned = json.load(fh)["vectors"]
@@ -253,7 +272,7 @@ class TestCorpusStats:
         stats = CorpusStats.from_vectors(vectors)
         assert stats.mean[DIM_INDEX["pitch_mean"]] == 150.0
         assert stats.std[DIM_INDEX["pitch_mean"]] == 50.0
-        assert stats.z_score(vec(pitch_mean=200.0), "pitch_mean") == 1.0
+        assert stats.z_scores(vec(pitch_mean=200.0))[DIM_INDEX["pitch_mean"]] == 1.0
 
     def test_zero_variance_flagged_and_clamped(self):
         stats = CorpusStats.from_vectors([vec(pitch_mean=1.0),

@@ -286,6 +286,15 @@ class TestQueryLlm:
         with pytest.raises(ValueError):
             _cfg(max_in_flight=0)
 
+    @pytest.mark.parametrize("settings", [
+        {"timeout_s": 0.0}, {"timeout_s": -1.0}, {"timeout_s": float("nan")},
+        {"timeout_s": float("inf")}, {"max_retries": -1},
+        {"retry_backoff_s": -0.5}, {"retry_backoff_s": float("nan")},
+    ])
+    def test_client_settings_validated(self, settings):
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            _cfg(**settings)
+
     @pytest.mark.parametrize("url", ["ftp://example.invalid/v1", "example.invalid/v1",
                                      "http://example.invalid:port/v1",
                                      "http://example.invalid/my v1"])
