@@ -139,46 +139,27 @@ def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
         return []
     frame_len = int(round(frame_ms * signal.sample_rate / 1000.0))
     hop_len = int(round(hop_ms * signal.sample_rate / 1000.0))
+    thr = peak * 10.0 ** (energy_floor_db / 20.0)
     rms = rms_energy(frame_matrix(x, frame_len, hop_len))
     if rms.size == 0:
         # shorter than one frame: judge the whole signal at once
-        whole = np.sqrt(np.mean(x * x))
-        thr = peak * 10.0 ** (energy_floor_db / 20.0)
-        return [VoicedInterval(0, len(x))] if whole > thr else []
-    thr = peak * 10.0 ** (energy_floor_db / 20.0)
+        return [VoicedInterval(0, len(x))] if np.sqrt(np.mean(x * x)) > thr else []
     voiced = rms > thr
     if hangover_frames > 0:
-        extended = voiced.copy()
-        run = 0
-        for i in range(len(voiced)):
-            if voiced[i]:
-                run = hangover_frames
-            elif run > 0:
-                extended[i] = True
-                run -= 1
-        voiced = extended
-    intervals = []
-    i = 0
-    n_frames = len(voiced)
-    while i < n_frames:
-        if voiced[i]:
-            j = i
-            while j + 1 < n_frames and voiced[j + 1]:
-                j += 1
-            start = i * hop_len
-            end = min(j * hop_len + frame_len, len(x))
-            intervals.append((start, end))
-            i = j + 1
-        else:
-            i += 1
-    # merge any overlap introduced by frame extents
-    merged = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return [VoicedInterval(s, e) for s, e in merged]
+        # a frame is voiced when it or one of the hangover_frames before it is
+        counts = np.concatenate(([0], np.cumsum(voiced)))
+        idx = np.arange(len(voiced))
+        voiced = counts[idx + 1] > counts[np.maximum(idx - hangover_frames, 0)]
+    edges = np.diff(np.concatenate(([0], voiced.astype(np.int8), [0])))
+    first = np.flatnonzero(edges == 1)
+    last = np.flatnonzero(edges == -1) - 1
+    starts = first * hop_len
+    ends = np.minimum(last * hop_len + frame_len, len(x))
+    # frame extents can make runs overlap; ends are monotonic, so a run
+    # joins the one before it when it starts at or before that run's end
+    joins = np.flatnonzero(starts[1:] <= ends[:-1])
+    starts, ends = np.delete(starts, joins + 1), np.delete(ends, joins)
+    return [VoicedInterval(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def _split_point(x, sample_rate, lo, hi, frame_ms=25.0, hop_ms=10.0,

@@ -1,9 +1,11 @@
 """Command-line entry point wiring the pipeline together.
 
 Subcommands: preprocess, features, train, predict, evaluate, kappa,
-refine, synth, compare. A JSON config file can supply defaults for any
-flag (flags win); every run report embeds the resolved configuration.
-Exit codes: 0 success, 1 configuration error, 2 data error.
+refine, synth, compare. ``COMMANDS`` declares each one's settings once:
+the parser makes a flag of each, and a JSON config file may give any of
+them, read as its flag reads its text (flags win). Settings left unset
+keep the library's defaults; every run report embeds the resolved
+configuration. Exit codes: 0 success, 1 configuration error, 2 data error.
 """
 
 import argparse
@@ -35,13 +37,45 @@ def _load_config(path):
     return config
 
 
+def _read_setting(key, value, kind):
+    """A config value read as its flag reads its text: a bool setting takes
+    a JSON boolean, any other a string or a number passed through str."""
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return kind(str(value))
+        except ValueError:
+            pass
+    raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {json.dumps(value)}")
+
+
 def _resolved(args, config):
-    """Config-file values fill in flags the user left at None; flags win."""
-    merged = dict(config)
+    """Config-file values fill in flags the user left at None; flags win.
+
+    A key no subcommand declares is an error, except ``max_passes``, which
+    the SVM no longer reads; it and another subcommand's keys are dropped.
+    """
+    own = dict(COMMANDS[args.command][2])
+    declared = {name for _, _, settings in COMMANDS.values() for name, _ in settings}
+    merged = {}
+    for key, value in config.items():
+        if key in own:
+            merged[key] = _read_setting(key, value, own[key])
+        elif key not in declared and key != "max_passes":
+            raise ConfigError(f"unknown config key {key!r}")
     for key, value in vars(args).items():
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _given(cfg, *names, **renamed):
+    """The named settings that are set, as keyword arguments (``renamed``
+    maps a keyword to its setting); unset ones keep the library default."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {kw: cfg[name] for kw, name in pairs if name in cfg}
 
 
 def _require(cfg, *keys):
@@ -50,26 +84,12 @@ def _require(cfg, *keys):
         raise ConfigError(f"missing required options: {', '.join('--' + m.replace('_', '-') for m in missing)}")
 
 
-# LLM client settings a config file or flag may give; LlmEndpointConfig
-# holds their defaults
-_CLIENT_SETTINGS = (("timeout_s", float), ("max_retries", int),
-                    ("max_in_flight", int), ("retry_backoff_s", float))
-
-
 def _endpoint(cfg):
     _require(cfg, "endpoint_url", "model_name")
-    settings = {}
-    for key, kind in _CLIENT_SETTINGS:
-        if key not in cfg:
-            continue
-        try:
-            settings[key] = kind(cfg[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
     try:
         return LlmEndpointConfig(base_url=cfg["endpoint_url"], model_name=cfg["model_name"],
-                                 api_key_ref=cfg.get("api_key_ref", "SERHYBRID_API_KEY"),
-                                 **settings)
+                                 **_given(cfg, "api_key_ref", "timeout_s", "max_retries",
+                                          "max_in_flight", "retry_backoff_s"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -115,12 +135,9 @@ def cmd_preprocess(cfg):
             std = audio_io.AudioSignal(std.samples, std.sample_rate,
                                        source_id=parent_id, degenerate=std.degenerate)
             intervals = audio_io.detect_voice_activity(
-                std,
-                energy_floor_db=float(cfg.get("energy_floor_db", -40.0)),
-                hangover_frames=int(cfg.get("hangover_frames", 5)))
+                std, **_given(cfg, "energy_floor_db", "hangover_frames"))
             segments = audio_io.segment(std, intervals,
-                                        max_len_s=float(cfg.get("max_len_s", 10.0)),
-                                        min_len_s=float(cfg.get("min_len_s", 0.5)))
+                                        **_given(cfg, "max_len_s", "min_len_s"))
         except PipelineError as exc:
             errors.append({"file": name, "error": str(exc)})
             continue
@@ -130,12 +147,11 @@ def cmd_preprocess(cfg):
             audio_io.save_wav(seg_path, seg.signal)
             entries.append(corpus.ManifestEntry(
                 sample_id=sample_id, audio_path=seg_path,
-                source_kind=cfg.get("source_kind", "synthetic"),
-                duration_s=seg.duration_seconds))
+                duration_s=seg.duration_seconds, **_given(cfg, "source_kind")))
     manifest_path = os.path.join(out_dir, "manifest.csv")
     corpus.save_manifest(manifest_path, entries)
     _write_json(os.path.join(out_dir, "preprocess_report.json"),
-                {"config": {k: v for k, v in cfg.items() if k != "func"},
+                {"config": cfg,
                  "files": len(names), "segments": len(entries), "errors": errors})
     print(f"wrote {len(entries)} segments from {len(names)} files to {out_dir}"
           + (f" ({len(errors)} files failed)" if errors else ""))
@@ -172,9 +188,7 @@ def cmd_train(cfg):
     hybrid.require_all(selected, feats, "feature vectors")
     vectors = [feats[e.sample_id] for e in selected]
     labels = [gold[e.sample_id] for e in selected]
-    model = classifier.train(vectors, labels,
-                             C=float(cfg.get("svm_c", 1.0)),
-                             tol=float(cfg.get("svm_tol", 1e-3)))
+    model = classifier.train(vectors, labels, **_given(cfg, C="svm_c", tol="svm_tol"))
     model.save(cfg["model_out"])
     correct = sum(classifier.predict(model, v).label == y
                   for v, y in zip(vectors, labels))
@@ -230,10 +244,9 @@ def cmd_predict(cfg):
         stats = CorpusStats.load(cfg["stats"])
         rules = _load_rules_arg(cfg)
         predictions, report = hybrid.run_pipeline(
-            entries, feats, model, rules, stats, client, version,
-            tau=float(cfg.get("tau", hybrid.DEFAULT_TAU)))
+            entries, feats, model, rules, stats, client, version, **_given(cfg, "tau"))
     hybrid.write_predictions(cfg["out"], predictions)
-    report["config"] = {k: v for k, v in cfg.items() if k != "func"}
+    report["config"] = cfg
     if cfg.get("report"):
         _write_json(cfg["report"], report)
     print(f"wrote {len(predictions)} predictions -> {cfg['out']} "
@@ -337,11 +350,11 @@ def cmd_refine(cfg):
         else:
             errors.append(refine.ErrorSample(p.sample_id, g, p.label, v))
     patterns = refine.mine_error_patterns(errors, correct, stats,
-                                          min_support=int(cfg.get("min_support", 5)))
-    base_version = int(cfg.get("base_version", 1))
+                                          **_given(cfg, "min_support"))
+    base = _given(cfg, "base_version")
     if cfg.get("rules"):
-        base_version = reasoning.load_rules(cfg["rules"]).version
-    proposals = refine.propose_rules(patterns, base_version)
+        base["base_version"] = reasoning.load_rules(cfg["rules"]).version
+    proposals = refine.propose_rules(patterns, **base)
     if cfg.get("accept_all"):
         proposals = [refine.RuleProposal(p.candidate, p.pattern, "accepted",
                                          p.base_version) for p in proposals]
@@ -357,11 +370,7 @@ def cmd_refine(cfg):
 
 def cmd_synth(cfg):
     _require(cfg, "out_dir")
-    recipe = corpus.SynthRecipe(
-        overlap=float(cfg.get("overlap", 0.0)),
-        seed=int(cfg.get("seed", 0)),
-        duration_s=float(cfg.get("duration_s", 2.0)),
-        n_per_class=int(cfg.get("n_per_class", 50)))
+    recipe = corpus.SynthRecipe(**_given(cfg, "overlap", "seed", "duration_s", "n_per_class"))
     entries = corpus.generate_synthetic_corpus(recipe, cfg["out_dir"])
     print(f"generated {len(entries)} samples -> {cfg['out_dir']}/manifest.csv")
     return 0
@@ -381,7 +390,6 @@ def cmd_compare(cfg):
     refined_rules = (reasoning.load_rules(cfg["refined_rules"])
                      if cfg.get("refined_rules") else seed_rules)
     client = _client(cfg)
-    tau = float(cfg.get("tau", hybrid.DEFAULT_TAU))
     rules_for = {
         PromptVersion.v1_basic: seed_rules,
         PromptVersion.v2_rules: seed_rules,
@@ -393,7 +401,7 @@ def cmd_compare(cfg):
     for version in PromptVersion:
         predictions, report = hybrid.run_pipeline(
             entries, feats, model, rules_for[version], stats, client, version,
-            tau=tau)
+            **_given(cfg, "tau"))
         hybrid.write_predictions(
             os.path.join(cfg["out_dir"], f"predictions_{version.value}.jsonl"),
             predictions)
@@ -403,12 +411,52 @@ def cmd_compare(cfg):
                     report)
         runs.append((version.value, rep))
     text, doc = evaluation.compare_report(runs)
-    doc["config"] = {k: v for k, v in cfg.items() if k != "func"}
+    doc["config"] = cfg
     with open(os.path.join(cfg["out_dir"], "compare.txt"), "w") as fh:
         fh.write(text + "\n")
     _write_json(os.path.join(cfg["out_dir"], "compare.json"), doc)
     print(text)
     return 0
+
+
+# LLM client settings, shared by predict and compare
+_CLIENT = (("endpoint_url", str), ("model_name", str), ("cache", str),
+           ("max_in_flight", int), ("timeout_s", float), ("max_retries", int),
+           ("retry_backoff_s", float), ("api_key_ref", str))
+
+# subcommand -> (handler, help, settings); a setting is (name, type), and
+# a bool one is a flag that takes no value
+COMMANDS = {
+    "preprocess": (cmd_preprocess, "standardize, VAD-filter and segment raw WAVs", (
+        ("in_dir", str), ("out_dir", str), ("energy_floor_db", float),
+        ("hangover_frames", int), ("max_len_s", float), ("min_len_s", float),
+        ("source_kind", str))),
+    "features": (cmd_features, "extract feature vectors for a manifest", (
+        ("manifest", str), ("out", str), ("stats_out", str))),
+    "train": (cmd_train, "train the SVM classifier", (
+        ("manifest", str), ("features", str), ("model_out", str), ("split", str),
+        ("svm_c", float), ("svm_tol", float))),
+    "predict": (cmd_predict, "run inference over a manifest", (
+        ("manifest", str), ("features", str), ("model", str), ("stats", str),
+        ("rules", str), ("version", str), ("tau", float), ("split", str),
+        ("transcripts", str), *_CLIENT, ("out", str), ("report", str))),
+    "evaluate": (cmd_evaluate, "score a predictions file against gold labels", (
+        ("predictions", str), ("manifest", str), ("out", str))),
+    "kappa": (cmd_kappa, "inter-annotator agreement statistics", (
+        ("annotations", str), ("out", str))),
+    "refine": (cmd_refine, "mine error patterns and manage rule proposals", (
+        ("predictions", str), ("manifest", str), ("features", str), ("stats", str),
+        ("rules", str), ("proposals_out", str), ("min_support", int),
+        ("base_version", int), ("accept_all", bool), ("apply", str),
+        ("rules_out", str))),
+    "synth": (cmd_synth, "generate the synthetic tone corpus", (
+        ("out_dir", str), ("n_per_class", int), ("overlap", float), ("seed", int),
+        ("duration_s", float))),
+    "compare": (cmd_compare, "run v1-v5 and emit the comparison table", (
+        ("manifest", str), ("features", str), ("model", str), ("stats", str),
+        ("rules", str), ("refined_rules", str), ("split", str), ("tau", float),
+        *_CLIENT, ("out_dir", str))),
+}
 
 
 def build_parser():
@@ -417,111 +465,22 @@ def build_parser():
         description="Hybrid speech emotion recognition pipeline")
     parser.add_argument("--config", help="JSON config file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="standardize, VAD-filter and segment raw WAVs")
-    p.add_argument("--in-dir", dest="in_dir")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--energy-floor-db", dest="energy_floor_db", type=float)
-    p.add_argument("--hangover-frames", dest="hangover_frames", type=int)
-    p.add_argument("--max-len-s", dest="max_len_s", type=float)
-    p.add_argument("--min-len-s", dest="min_len_s", type=float)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("features", help="extract feature vectors for a manifest")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--stats-out", dest="stats_out")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="train the SVM classifier")
-    p.add_argument("--manifest")
-    p.add_argument("--features")
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--split")
-    p.add_argument("--svm-c", dest="svm_c", type=float)
-    p.add_argument("--svm-tol", dest="svm_tol", type=float)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="run inference over a manifest")
-    p.add_argument("--manifest")
-    p.add_argument("--features")
-    p.add_argument("--model")
-    p.add_argument("--stats")
-    p.add_argument("--rules")
-    p.add_argument("--version")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--split")
-    p.add_argument("--transcripts")
-    p.add_argument("--endpoint-url", dest="endpoint_url")
-    p.add_argument("--model-name", dest="model_name")
-    p.add_argument("--cache")
-    p.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    p.add_argument("--timeout-s", dest="timeout_s", type=float)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-    p.add_argument("--out")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="score a predictions file against gold labels")
-    p.add_argument("--predictions")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("kappa", help="inter-annotator agreement statistics")
-    p.add_argument("--annotations")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_kappa)
-
-    p = sub.add_parser("refine", help="mine error patterns and manage rule proposals")
-    p.add_argument("--predictions")
-    p.add_argument("--manifest")
-    p.add_argument("--features")
-    p.add_argument("--stats")
-    p.add_argument("--rules")
-    p.add_argument("--proposals-out", dest="proposals_out")
-    p.add_argument("--min-support", dest="min_support", type=int)
-    p.add_argument("--accept-all", dest="accept_all", action="store_const", const=True)
-    p.add_argument("--apply", help="proposals file with statuses to apply")
-    p.add_argument("--rules-out", dest="rules_out")
-    p.set_defaults(func=cmd_refine)
-
-    p = sub.add_parser("synth", help="generate the synthetic tone corpus")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n-per-class", dest="n_per_class", type=int)
-    p.add_argument("--overlap", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--duration-s", dest="duration_s", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("compare", help="run v1-v5 and emit the comparison table")
-    p.add_argument("--manifest")
-    p.add_argument("--features")
-    p.add_argument("--model")
-    p.add_argument("--stats")
-    p.add_argument("--rules")
-    p.add_argument("--refined-rules", dest="refined_rules")
-    p.add_argument("--split")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--endpoint-url", dest="endpoint_url")
-    p.add_argument("--model-name", dest="model_name")
-    p.add_argument("--cache")
-    p.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    p.add_argument("--timeout-s", dest="timeout_s", type=float)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_compare)
-
+    for command, (_, help_text, settings) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kind in settings:
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=kind)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        cfg = _resolved(args, config)
-        return args.func(cfg)
+        cfg = _resolved(args, _load_config(args.config))
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

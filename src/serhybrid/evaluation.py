@@ -14,36 +14,24 @@ from .errors import EmptyInput, IdMismatch, InvalidTable, LengthMismatch
 from .labels import CLASS_INDEX, CLASSES
 
 
-class _Undefined:
-    """Sentinel for kappa values that are undefined (expected agreement 1)."""
+class _Sentinel:
+    """A named marker compared by identity; copies and pickles resolve to
+    the module-level instance."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name):
+        self._name = name
 
     def __repr__(self):
-        return "UNDEFINED"
+        return self._name
+
+    def __reduce__(self):
+        return self._name
 
 
-UNDEFINED = _Undefined()
-
-
-class _NoMajority:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NO_MAJORITY"
-
-
-NO_MAJORITY = _NoMajority()
+# kappa values that are undefined (expected agreement 1)
+UNDEFINED = _Sentinel("UNDEFINED")
+# a three-way annotator split
+NO_MAJORITY = _Sentinel("NO_MAJORITY")
 
 
 @dataclass(frozen=True)

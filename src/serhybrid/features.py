@@ -34,8 +34,6 @@ DIMENSIONS = (
 
 DIM_INDEX = {name: i for i, name in enumerate(DIMENSIONS)}
 
-LEVELS = ("very low", "low", "moderate", "high", "very high")
-
 # summary lines rendered into prompts: (display name, dimension)
 SUMMARY_DIMS = (
     ("pitch level", "pitch_mean"),

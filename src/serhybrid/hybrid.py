@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .classifier import MlEvidence, predict
 from .errors import DataError, LlmError, ManifestError
 from .features import describe
+from .labels import CLASSES
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
                         build_transcript_prompt, parse_label)
 
@@ -50,6 +51,12 @@ class Prediction:
 
     @classmethod
     def from_dict(cls, doc):
+        """Raises KeyError for a missing field and ValueError for a label
+        outside CLASSES or a source outside SOURCES."""
+        if doc["label"] not in CLASSES:
+            raise ValueError(f"label {doc['label']!r} is not one of {', '.join(CLASSES)}")
+        if doc["source"] not in SOURCES:
+            raise ValueError(f"source {doc['source']!r} is not one of {', '.join(SOURCES)}")
         ml = doc.get("ml_evidence")
         return cls(sample_id=doc["sample_id"], label=doc["label"],
                    source=doc["source"],

@@ -187,7 +187,7 @@ class RuleProposal:
                    base_version=base_version)
 
 
-def propose_rules(patterns, base_version):
+def propose_rules(patterns, base_version=1):
     """One candidate rule per pattern, from the top-delta dimension.
 
     The threshold is the error group's median z-score on that dimension.

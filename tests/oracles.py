@@ -180,3 +180,57 @@ def mfcc_direct(frames, sample_rate, n_mels=26, n_coeffs=13, fmin=0.0, fmax=8000
                                       for m, e in enumerate(log_e)))
         out.append(coeffs)
     return out
+
+
+def vad_direct(x, sample_rate, frame_ms=25.0, hop_ms=10.0, energy_floor_db=-40.0,
+               hangover_frames=5):
+    """Frame-by-frame port of the energy VAD.
+
+    Each frame's RMS is compared with a floor relative to the peak; a
+    hangover counter keeps frames voiced after an active one; a scan finds
+    the voiced runs and a pass merges runs whose frame extents overlap.
+    Returns a list of (start, end) sample pairs.
+    """
+    x = [float(v) for v in x]
+    peak = max(abs(v) for v in x)
+    if peak == 0.0:
+        return []
+    frame_len = int(round(frame_ms * sample_rate / 1000.0))
+    hop_len = int(round(hop_ms * sample_rate / 1000.0))
+    thr = peak * 10.0 ** (energy_floor_db / 20.0)
+    if len(x) < frame_len:
+        whole = math.sqrt(math.fsum(v * v for v in x) / len(x))
+        return [(0, len(x))] if whole > thr else []
+    n_frames = 1 + (len(x) - frame_len) // hop_len
+    voiced = []
+    for k in range(n_frames):
+        frame = x[k * hop_len:k * hop_len + frame_len]
+        voiced.append(math.sqrt(math.fsum(v * v for v in frame) / frame_len) > thr)
+    if hangover_frames > 0:
+        extended = list(voiced)
+        run = 0
+        for i in range(n_frames):
+            if voiced[i]:
+                run = hangover_frames
+            elif run > 0:
+                extended[i] = True
+                run -= 1
+        voiced = extended
+    intervals = []
+    i = 0
+    while i < n_frames:
+        if voiced[i]:
+            j = i
+            while j + 1 < n_frames and voiced[j + 1]:
+                j += 1
+            intervals.append((i * hop_len, min(j * hop_len + frame_len, len(x))))
+            i = j + 1
+        else:
+            i += 1
+    merged = []
+    for start, end in intervals:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged

@@ -16,6 +16,8 @@ from serhybrid.audio_io import (TARGET_PEAK, TARGET_RATE, AudioSignal,
                                 load_audio, save_wav, segment, standardize)
 from serhybrid.errors import EmptySignal, UnsupportedFormat
 
+from oracles import vad_direct
+
 SR = 16000
 
 
@@ -175,6 +177,49 @@ class TestVad:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             VoicedInterval(10, 10)
+
+
+def _levels(db, hop=160):
+    """A square wave whose level, in dB re full scale, is set per hop-long block."""
+    amp = np.repeat(10.0 ** (np.asarray(db, dtype=np.float64) / 20.0), hop)
+    return amp * np.where(np.arange(amp.size) % 2, -1.0, 1.0)
+
+
+def _vad_cases():
+    rng = np.random.default_rng(17)
+    cases = {f"random-{k}": (_levels(rng.uniform(-70.0, 0.0, 200))[:-int(rng.integers(160))], {})
+             for k in range(3)}
+    cases.update({
+        "random-10ms-frames": (_levels(rng.uniform(-70.0, 0.0, 200)), {"frame_ms": 10.0}),
+        "all-voiced": (_levels(np.zeros(100)), {}),
+        "none-voiced": (_levels(rng.uniform(-70.0, 0.0, 100)), {"energy_floor_db": 1.0}),
+        "alternating-frames": (_levels(np.tile([0.0, -80.0], 50)), {"frame_ms": 10.0}),
+        "alternating-runs": (_levels(np.tile([0.0] * 4 + [-80.0] * 4, 12)), {}),
+        # one unvoiced 20-ms frame between runs: the next run starts where the last ends
+        "touching-runs": (_levels(np.tile([0.0, 0.0, -80.0, -80.0], 25)), {"frame_ms": 20.0}),
+        "shorter-than-a-frame": (_levels([-3.0]), {}),
+    })
+    return cases
+
+
+VAD_CASES = _vad_cases()
+
+
+class TestVadOracle:
+    """The array VAD finds the same intervals as the frame-by-frame loops."""
+
+    @pytest.mark.parametrize("hangover", [0, 1, 5])
+    @pytest.mark.parametrize("case", sorted(VAD_CASES))
+    def test_matches_frame_loops(self, case, hangover):
+        x, kwargs = VAD_CASES[case]
+        got = [(iv.start_sample, iv.end_sample) for iv in detect_voice_activity(
+            AudioSignal(x, SR, case), hangover_frames=hangover, **kwargs)]
+        assert got == vad_direct(x, SR, hangover_frames=hangover, **kwargs)
+        assert all(type(v) is int for pair in got for v in pair)
+        if case == "all-voiced":
+            assert len(got) == 1 and got[0][0] == 0
+        if case == "none-voiced":
+            assert got == []
 
 
 class TestSegment:

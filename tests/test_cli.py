@@ -97,6 +97,126 @@ class TestConfigFile:
         assert out_a.read_text() == out_b.read_text()
 
 
+def _with_config(tmp_path, doc, argv):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    return ["--config", str(config), *argv]
+
+
+def _synth(ws, tmp_path):
+    return ["synth", "--out-dir", str(tmp_path / "d"), "--n-per-class", "3",
+            "--duration-s", "0.8"]
+
+
+def _predict_v4(ws, tmp_path):
+    return ["predict", "--manifest", ws["manifest"], "--features", ws["features"],
+            "--model", ws["model"], "--stats", ws["stats"], "--version", "v4_hybrid",
+            "--endpoint-url", "http://127.0.0.1:1/v1", "--model-name", "m",
+            "--out", str(tmp_path / "p.jsonl")]
+
+
+def _refine_mine(ws, tmp_path):
+    preds, rows = _written_predictions(ws, tmp_path)
+    for label in ("angry", "panic"):  # plant one error per class for the miner
+        next(r for r in rows if r["label"] == label)["label"] = "calm"
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return ["refine", "--predictions", str(preds), "--manifest", ws["manifest"],
+            "--features", ws["features"], "--stats", ws["stats"],
+            "--proposals-out", str(tmp_path / "proposals.json"), "--min-support", "1"]
+
+
+class TestConfigValues:
+    """Config keys are flag names; each value is read as its flag reads its
+    text, and a bad key or value is one configuration-error line naming it."""
+
+    @pytest.mark.parametrize("doc, command", [
+        ({"overlap": "lots"}, _synth), ({"n_per_clas": 2}, _synth),
+        ({"seed": 2.5}, _synth), ({"accept_all": "yes"}, _refine_mine),
+        ({"tau": [0.7]}, _predict_v4),
+    ], ids=["overlap-word", "misspelled-key", "seed-fraction", "accept-all-word",
+            "tau-list"])
+    def test_one_configuration_error_line(self, workspace, tmp_path, capsys,
+                                          doc, command):
+        argv = _with_config(tmp_path, doc, command(workspace, tmp_path))
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert next(iter(doc)) in err
+
+    def test_retired_max_passes_is_ignored(self, workspace, tmp_path):
+        assert cli.main(_with_config(tmp_path, {"max_passes": 3}, [
+            "train", "--manifest", workspace["manifest"],
+            "--features", workspace["features"],
+            "--model-out", str(tmp_path / "model.json")])) == 0
+
+    def test_other_subcommands_keys_are_ignored(self, workspace, tmp_path):
+        preds, _ = _written_predictions(workspace, tmp_path)
+        client = {"endpoint_url": "http://127.0.0.1:1/v1", "model_name": "mock",
+                  "cache": str(tmp_path / "cache"), "max_in_flight": 2,
+                  "retry_backoff_s": 0.02, "tau": 0.7}
+        assert cli.main(_with_config(tmp_path, client, [
+            "evaluate", "--predictions", str(preds),
+            "--manifest", workspace["manifest"]])) == 0
+
+    def test_ignored_keys_stay_out_of_reports(self, workspace, tmp_path):
+        report = tmp_path / "report.json"
+        argv = _predict_v4(workspace, tmp_path) + ["--report", str(report)]
+        assert cli.main(_with_config(tmp_path, {"max_passes": 3, "svm_c": 2.0, "tau": 0},
+                                     argv)) == 0
+        config = json.loads(report.read_text())["config"]
+        assert config["tau"] == 0.0
+        assert "max_passes" not in config and "svm_c" not in config
+
+    def test_values_read_as_flag_text(self, tmp_path):
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        assert cli.main(["synth", "--out-dir", str(by_flags), "--n-per-class", "3",
+                         "--seed", "7", "--duration-s", "0.8"]) == 0
+        assert cli.main(_with_config(tmp_path, {"n_per_class": "3", "seed": 7,
+                                                "duration_s": "0.8"},
+                                     ["synth", "--out-dir", str(by_config)])) == 0
+        for name in sorted(os.listdir(by_flags)):
+            if name.endswith(".wav"):
+                assert (by_flags / name).read_bytes() == (by_config / name).read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_base_version_setting(self, workspace, tmp_path, source):
+        argv = _refine_mine(workspace, tmp_path)
+        if source == "flag":
+            argv += ["--base-version", "7"]
+        else:
+            argv = _with_config(tmp_path, {"base_version": 7}, argv)
+        assert cli.main(argv) == 0
+        proposals = json.loads((tmp_path / "proposals.json").read_text())["proposals"]
+        assert proposals and all(p["base_version"] == 7 for p in proposals)
+
+
+def _walkthrough_commands():
+    """(subcommand, flags) for each serhybrid command in the README walkthrough."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## CLI walkthrough", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] != ["serhybrid"]:
+            continue
+        if words[1] == "--config":
+            words = words[:1] + words[3:]
+        commands.append((words[1], [w for w in words[2:] if w.startswith("--")]))
+    return commands
+
+
+def test_walkthrough_flags_are_declared():
+    commands = _walkthrough_commands()
+    assert len(commands) >= 9 and {sub for sub, _ in commands} <= set(cli.COMMANDS)
+    for sub, flags in commands:
+        declared = {name for name, _ in cli.COMMANDS[sub][2]}
+        assert [f for f in flags if f[2:].replace("-", "_") not in declared] == [], sub
+
+
 class TestPredictEvaluate:
     def test_v4_tau_zero_runs_offline(self, workspace, tmp_path):
         # tau 0 answers everything from the classifier: the endpoint is
@@ -337,6 +457,26 @@ def _prediction_without_label(ws, tmp_path):
     return ["evaluate", "--predictions", str(preds), "--manifest", ws["manifest"]]
 
 
+def _written_predictions(ws, tmp_path):
+    """An offline v4 predictions file for the workspace, and its rows."""
+    preds = tmp_path / "preds.jsonl"
+    assert cli.main(["predict", "--manifest", ws["manifest"],
+                     "--features", ws["features"], "--model", ws["model"],
+                     "--stats", ws["stats"], "--version", "v4_hybrid",
+                     "--tau", "0", "--endpoint-url", "http://127.0.0.1:1/v1",
+                     "--model-name", "m", "--out", str(preds)]) == 0
+    return preds, [json.loads(line) for line in preds.read_text().splitlines()]
+
+
+def _evaluate_prediction_with(field, value):
+    def case(ws, tmp_path):
+        preds, rows = _written_predictions(ws, tmp_path)
+        rows[2][field] = value
+        preds.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return ["evaluate", "--predictions", str(preds), "--manifest", ws["manifest"]]
+    return case
+
+
 def _features_without_first_row(ws, tmp_path):
     lines = open(ws["features"]).read().splitlines()
     short = tmp_path / "features_short.csv"
@@ -385,8 +525,10 @@ class TestMalformedInputs:
         _predict_with_stats(_stats_without_mean),
         _transcripts_without_column,
         _prediction_without_label,
+        _evaluate_prediction_with("label", "happy"),
     ], ids=["features-cell-abc", "stats-not-json", "stats-without-mean",
-            "transcripts-without-column", "prediction-without-label"])
+            "transcripts-without-column", "prediction-without-label",
+            "prediction-label-happy"])
     def test_one_line_never_a_traceback(self, workspace, tmp_path, capsys,
                                         case):
         argv = case(workspace, tmp_path)
@@ -397,6 +539,17 @@ class TestMalformedInputs:
         assert err.count("\n") == 1
         assert err.startswith(("configuration error: ", "data error: "))
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [("label", "happy"), ("source", "oracle")])
+    def test_prediction_outside_vocabulary_is_data_error(self, workspace, tmp_path,
+                                                         capsys, field, value):
+        argv = _evaluate_prediction_with(field, value)(workspace, tmp_path)
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {argv[2]} line 3: ")
+        assert repr(value) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("case", [
         _train_on_short_features, _refine_on_short_features,
