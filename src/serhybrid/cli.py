@@ -11,6 +11,7 @@ configuration. Exit codes: 0 success, 1 configuration error, 2 data error.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -121,6 +122,11 @@ def _write_json(path, doc):
 
 def cmd_preprocess(cfg):
     _require(cfg, "in_dir", "out_dir")
+    # audio_io.segment rejects these too, but only once a file has been read
+    if "max_len_s" in cfg and not 0 < cfg["max_len_s"] < math.inf:
+        raise ConfigError(f"max_len_s must be > 0 and finite, got {cfg['max_len_s']}")
+    if "min_len_s" in cfg and not 0 <= cfg["min_len_s"] < math.inf:
+        raise ConfigError(f"min_len_s must be >= 0 and finite, got {cfg['min_len_s']}")
     in_dir, out_dir = cfg["in_dir"], cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     entries = []
@@ -370,7 +376,10 @@ def cmd_refine(cfg):
 
 def cmd_synth(cfg):
     _require(cfg, "out_dir")
-    recipe = corpus.SynthRecipe(**_given(cfg, "overlap", "seed", "duration_s", "n_per_class"))
+    try:
+        recipe = corpus.SynthRecipe(**_given(cfg, "overlap", "seed", "duration_s", "n_per_class"))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     entries = corpus.generate_synthetic_corpus(recipe, cfg["out_dir"])
     print(f"generated {len(entries)} samples -> {cfg['out_dir']}/manifest.csv")
     return 0

@@ -8,12 +8,14 @@ reasoning prompts.
 """
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DataError, EmptySeries, MissingStats, SchemaError,
                      SignalTooShort)
@@ -115,16 +117,15 @@ def read_features_csv(path):
 
 
 def frame_matrix(x, frame_len, hop_len):
-    """Overlapping frames of a 1-D array as an (n_frames, frame_len) matrix.
+    """Overlapping frames of a 1-D array as a read-only (n_frames, frame_len)
+    view of it.
 
     Frame count is 1 + floor((N - frame_len) / hop_len); an array shorter
     than one frame gives zero rows.
     """
     if len(x) < frame_len:
         return np.empty((0, frame_len))
-    n_frames = 1 + (len(x) - frame_len) // hop_len
-    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
-    return x[idx]
+    return sliding_window_view(x, frame_len)[::hop_len]
 
 
 def frame_signal(signal, frame_ms=25.0, hop_ms=10.0):
@@ -177,33 +178,42 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     # window plus one neighbour each side; nfft >= n + n_lags - 1 keeps
     # those lags free of circular wrap-around
     n_lags = min(n, lag_max + 2)
+    lo = lag_min - 1
     nfft = scipy.fft.next_fast_len(n + n_lags - 1, real=True)
     spec = np.fft.rfft(x, nfft, axis=1)
-    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, :n_lags]
+    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, lo:n_lags]
     # normalization: r[t] / sqrt(e0[t] * e1[t]) with e0, e1 the energies of
-    # the two overlapping windows of length n - t
+    # the two overlapping windows of length n - t; column i is lag lo + i
     csum = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(x * x, axis=1)), axis=1)
-    lags = np.arange(n_lags)
-    e0 = csum[:, n - lags] - csum[:, :1]
-    e1 = csum[:, n:] - csum[:, lags]
+    e0 = csum[:, n - lo:n - n_lags:-1]
+    e1 = csum[:, n:] - csum[:, lo:n_lags]
     denom = np.sqrt(e0 * e1)
+    # the FFT leaves every lag a rounding error of about eps * energy *
+    # log2(nfft); where the two windows hold almost none of the frame's
+    # energy (a one-sample overlap on a near-zero edge sample) that error
+    # would swamp r[t], so those few lags are summed directly
+    for row, col in zip(*np.nonzero(denom < 1e-6 * csum[:, n:])):
+        lag = lo + col
+        acf[row, col] = np.dot(x[row, :n - lag], x[row, lag:])
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = np.where(denom > 0, acf / denom, 0.0)
     # a periodic signal repeats at every multiple of its period, so the
     # global maximum may sit on a subharmonic; take the smallest lag that
     # is a local maximum within 10% of the peak, else the peak itself
-    window_lags = np.arange(lag_min, lag_max + 1)
-    window = norm[:, window_lags]
+    width = lag_max - lag_min + 1
+    window = norm[:, 1:width + 1]
     peak = window.max(axis=1, keepdims=True)
-    near = ((window >= 0.9 * peak)
-            & (window >= norm[:, window_lags - 1])
-            & (window >= norm[:, np.minimum(window_lags + 1, n_lags - 1)]))
+    near = (window >= 0.9 * peak) & (window >= norm[:, :width])
+    # lag_max + 1 is past the last lag when n_lags == n; the right
+    # neighbour of lag_max is then lag_max itself, which never fails
+    right = norm[:, 2:width + 2]
+    near[:, :right.shape[1]] &= window[:, :right.shape[1]] >= right
     best = lag_min + np.where(near.any(axis=1), near.argmax(axis=1), window.argmax(axis=1))
-    clarity = norm[rows, best]
+    clarity = norm[rows, best - lo]
     voiced = has_signal & (clarity >= clarity_threshold)
     # parabolic interpolation around the peak
-    a = norm[rows, best - 1]
-    c = norm[rows, np.minimum(best + 1, n_lags - 1)]
+    a = norm[rows, best - 1 - lo]
+    c = norm[rows, np.minimum(best + 1, n_lags - 1) - lo]
     curvature = a - 2.0 * clarity + c
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 0.5 * (a - c) / curvature
@@ -235,6 +245,15 @@ def mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax):
     return fb
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_mel_filterbank(*args):
+    """mel_filterbank built once per process for each argument set and
+    shared read-only between calls."""
+    fb = mel_filterbank(*args)
+    fb.flags.writeable = False
+    return fb
+
+
 def mfcc(frames, sample_rate, n_mels=26, n_coeffs=N_MFCC, fmin=0.0, fmax=8000.0):
     """MFCCs of windowed frames: orthonormal DCT-II of log mel energies.
 
@@ -245,7 +264,7 @@ def mfcc(frames, sample_rate, n_mels=26, n_coeffs=N_MFCC, fmin=0.0, fmax=8000.0)
     x = np.asarray(frames, dtype=np.float64)
     nfft = 1 << (x.shape[-1] - 1).bit_length()
     power = np.abs(np.fft.rfft(x, nfft, axis=-1)) ** 2
-    fb = mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax)
+    fb = _shared_mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax)
     # plain einsum never calls BLAS, whose thread pool would keep a second
     # core spinning for this small product
     log_e = np.log(np.maximum(np.einsum("...k,mk->...m", power, fb), 1e-10))

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import serhybrid
 from serhybrid.audio_io import (TARGET_PEAK, TARGET_RATE, AudioSignal,
-                                VoicedInterval, detect_voice_activity,
-                                load_audio, save_wav, segment, standardize)
+                                VoicedInterval, _resample_poly,
+                                detect_voice_activity, load_audio, save_wav,
+                                segment, standardize)
 from serhybrid.errors import EmptySignal, UnsupportedFormat
 
 from oracles import vad_direct
@@ -74,6 +75,20 @@ class TestLoadSave:
             load_audio(tmp_path / "absent.wav")
 
 
+class TestResampler:
+    """The numpy polyphase resampler against scipy's, the filter it copies."""
+
+    @pytest.mark.parametrize("up,down", [(160, 441), (1, 2), (2, 1), (160, 147), (3, 2)])
+    @pytest.mark.parametrize("n", [1, 7, 441, 10007, 882000])
+    def test_matches_scipy_resample_poly(self, up, down, n):
+        import scipy.signal
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+        ref = scipy.signal.resample_poly(x, up, down)
+        got = _resample_poly(x, up, down)
+        assert len(got) == len(ref) == -(-n * up // down)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 class TestStandardize:
     def test_peak_lands_exactly_on_target(self):
         out = standardize(AudioSignal(_tone(amp=0.3), SR, "x"))
@@ -92,24 +107,32 @@ class TestStandardize:
         assert out.num_samples == 16000
         assert np.array_equal(out.samples, standardize(out).samples)
 
-    def test_scipy_signal_loaded_only_to_resample(self):
-        # importing the CLI leaves scipy.signal (about 1 s to import) unloaded;
-        # the first resampling loads it
+    def test_scipy_signal_never_loaded(self):
+        # importing the CLI and resampling 44.1 kHz audio leave scipy.signal
+        # (about 1 s and 46 MB to import) unloaded
         code = """
 import sys
 import numpy as np
 import serhybrid.cli
 from serhybrid.audio_io import AudioSignal, standardize
-assert "scipy.signal" not in sys.modules, "scipy.signal loaded by the import"
 out = standardize(AudioSignal(np.sin(np.arange(44101) / 7.0), 44100, "x"))
 assert out.num_samples == -(-44101 * 160 // 441), out.num_samples
-assert "scipy.signal" in sys.modules
+assert "scipy.signal" not in sys.modules, "scipy.signal loaded"
 """
         src = os.path.dirname(os.path.dirname(serhybrid.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_downmix_bit_identical_to_channel_mean(self, channels):
+        # channel-major over interleaved storage, as load_audio returns it
+        rng = np.random.default_rng(channels)
+        x = rng.uniform(-1.0, 1.0, size=(4001, channels)).T
+        mixed = standardize(AudioSignal(x, SR, "x"))
+        meaned = standardize(AudioSignal(x.mean(axis=0), SR, "x"))
+        assert np.array_equal(mixed.samples, meaned.samples)
 
     def test_stereo_mixes_to_mono(self):
         left = _tone(amp=0.2)
@@ -251,3 +274,19 @@ class TestSegment:
         seg = segments[0]
         assert seg.offset_seconds == 0.0
         assert np.array_equal(seg.signal.samples, x)
+
+    @pytest.mark.parametrize("lengths", [
+        {"max_len_s": 0.0}, {"max_len_s": -1.0}, {"max_len_s": float("nan")},
+        {"max_len_s": float("inf")}, {"min_len_s": -0.5},
+    ], ids=["max-zero", "max-negative", "max-nan", "max-inf", "min-negative"])
+    def test_bad_lengths_rejected(self, lengths):
+        # a max_len_s <= 0 once split intervals until RecursionError
+        x = _tone(duration_s=0.5)
+        with pytest.raises(ValueError, match=next(iter(lengths))):
+            segment(AudioSignal(x, SR, "p"), [VoicedInterval(0, len(x))], **lengths)
+
+    def test_max_len_under_one_sample_keeps_single_samples(self):
+        x = _tone(duration_s=0.01)
+        segments = segment(AudioSignal(x, SR, "p"), [VoicedInterval(0, 8)],
+                           max_len_s=1e-6, min_len_s=0.0)
+        assert [s.signal.num_samples for s in segments] == [1] * 8

@@ -691,3 +691,39 @@ class TestPreprocess:
         assert [e["file"] for e in report["errors"]] == ["broken.wav"]
         assert (out_dir / "manifest.csv").exists()
         assert "1 files failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--max-len-s", "0"], "max_len_s"), (["--max-len-s", "-1"], "max_len_s"),
+        (["--max-len-s", "inf"], "max_len_s"), (["--min-len-s", "-0.5"], "min_len_s"),
+    ], ids=["max-zero", "max-negative", "max-inf", "min-negative"])
+    def test_bad_lengths_rejected_before_any_file_is_read(self, tmp_path, capsys,
+                                                          flags, name):
+        # a max_len_s <= 0 once split intervals until RecursionError
+        in_dir = tmp_path / "raw"
+        os.makedirs(in_dir)
+        save_wav(in_dir / "take1.wav", AudioSignal(np.full(16000, 0.5), 16000, "take1"))
+        out_dir = tmp_path / "segments"
+        capsys.readouterr()
+        code = cli.main(["preprocess", "--in-dir", str(in_dir),
+                         "--out-dir", str(out_dir), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert name in err
+        assert not out_dir.exists()
+
+
+class TestSynth:
+    @pytest.mark.parametrize("flags, name", [
+        (["--overlap", "2"], "overlap"), (["--duration-s", "0"], "duration_s"),
+        (["--duration-s", "-1"], "duration_s"), (["--seed", "-1"], "seed"),
+    ], ids=["overlap-two", "duration-zero", "duration-negative", "seed-negative"])
+    def test_out_of_range_is_one_configuration_error_line(self, tmp_path, capsys,
+                                                          flags, name):
+        capsys.readouterr()
+        code = cli.main(["synth", "--out-dir", str(tmp_path / "d"), "--n-per-class", "1",
+                         *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert name in err

@@ -133,6 +133,8 @@ class TestRecipes:
     @pytest.mark.parametrize("kwargs", [
         {"overlap": -0.1}, {"overlap": 1.5},
         {"variant_fraction": -0.2}, {"variant_fraction": 2.0},
+        {"duration_s": 0.0}, {"duration_s": -1.0}, {"duration_s": 1e-5},
+        {"duration_s": float("inf")}, {"seed": -1}, {"n_per_class": -1},
     ])
     def test_recipe_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -55,6 +55,18 @@ class TestFraming:
         assert np.array_equal(frame_signal(AudioSignal(x, SR, "x")), frames)
         assert frame_matrix(x[:399], 400, 160).shape == (0, 400)
 
+    @pytest.mark.parametrize("n,frame_len,hop_len", [
+        (1000, 400, 160), (400, 400, 160), (559, 400, 160), (50, 7, 3), (9, 1, 1),
+    ])
+    def test_frame_matrix_is_a_read_only_view(self, n, frame_len, hop_len):
+        x = np.random.default_rng(n).normal(size=n)
+        frames = frame_matrix(x, frame_len, hop_len)
+        n_frames = 1 + (n - frame_len) // hop_len
+        idx = np.arange(frame_len)[None, :] + hop_len * np.arange(n_frames)[:, None]
+        assert np.array_equal(frames, x[idx])
+        assert not frames.flags.writeable
+        assert np.shares_memory(frames, x)
+
     def test_rms_energy_oracle(self):
         assert rms_energy([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
         assert rms_energy(np.zeros(10)) == 0.0
@@ -175,11 +187,13 @@ class TestBatchedParity:
         assert np.isnan(pitch[0]) and np.isnan(pitch[1])
 
     @pytest.mark.parametrize("sample_rate,frame_ms", [
-        (16000, 10.0), (8000, 10.0), (8000, 25.0), (44100, 25.0),
+        (16000, 10.0), (16000, 12.5), (16000, 16.75), (8000, 10.0), (8000, 25.0),
+        (44100, 25.0),
     ])
     def test_lag_window_edges(self, sample_rate, frame_ms):
-        # at 10 ms the lag window reaches the last lag of the frame
-        # (lag_max + 2 >= frame length), so the ACF covers every lag
+        # at 10, 12.5 and 16.75 ms (160, 200 and 268 samples at 16 kHz) the
+        # lag window reaches the last lag of the frame (lag_max + 2 >= frame
+        # length), so the ACF covers every lag
         t = np.arange(int(0.3 * sample_rate)) / sample_rate
         rng = np.random.default_rng(7)
         x = np.concatenate([0.5 * np.sin(2 * np.pi * 130.0 * t),
@@ -190,6 +204,19 @@ class TestBatchedParity:
         ref = np.array([oracles.pitch_direct(f, sample_rate) for f in frames])
         assert np.array_equal(np.isnan(pitch), np.isnan(ref))
         assert not np.all(np.isnan(pitch))
+        np.testing.assert_allclose(pitch, ref, rtol=1e-9)
+
+    @pytest.mark.parametrize("frame_len", [200, 268])
+    def test_near_zero_edge_sample(self, frame_len):
+        # whole periods from phase 0 leave x[0] at rounding level after mean
+        # removal; at lag n - 1, inside the lag window when n_lags == n, the
+        # FFT's rounding error swamped that one-sample overlap and won the
+        # peak search
+        t = np.arange(frame_len) / SR
+        frames = np.stack([np.sin(2 * np.pi * k * SR / frame_len * t) for k in (2, 3, 4, 5)])
+        pitch = estimate_pitch(frames, SR)
+        ref = np.array([oracles.pitch_direct(f, SR) for f in frames])
+        assert not np.any(np.isnan(ref))
         np.testing.assert_allclose(pitch, ref, rtol=1e-9)
 
     def test_pinned_vectors(self, overlap_corpus):
