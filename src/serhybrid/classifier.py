@@ -23,8 +23,10 @@ MAX_ITER_FLOOR = 10_000_000
 
 
 def _as_matrix(vectors):
-    X = np.stack([v.values if isinstance(v, FeatureVector) else np.asarray(v, dtype=np.float64)
-                  for v in vectors])
+    """(n, n_dims) float matrix of FeatureVectors, raw rows or a matrix's
+    rows; no rows give a (0, n_dims) matrix."""
+    rows = [v.values if isinstance(v, FeatureVector) else v for v in vectors]
+    X = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(DIMENSIONS)))
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("feature matrix contains non-finite values")
     return X
@@ -265,11 +267,11 @@ def train(vectors, labels, C=1.0, tol=1e-3):
     """
     if not (0 < C < np.inf and tol > 0):
         raise ConfigError(f"SVM needs 0 < C < inf and tol > 0, got C={C!r}, tol={tol!r}")
-    X_raw = _as_matrix(vectors)
     labels = list(labels)
     present = set(labels)
     if present != set(CLASSES):
         raise DegenerateLabels(f"need all classes {CLASSES}, got {sorted(present)}")
+    X_raw = _as_matrix(vectors)
     scaler = CorpusStats.from_matrix(X_raw)
     X = scaler.transform(X_raw)
     max_iter = max(MAX_ITER_FLOOR, 100 * len(labels))
@@ -297,20 +299,27 @@ def train(vectors, labels, C=1.0, tol=1e-3):
                     platt_b=platt_b, scaler=scaler, meta=meta)
 
 
-def predict(model, vector):
-    """Margins, calibrated probabilities, and the argmax label.
+def predict(model, vectors):
+    """Margins, calibrated probabilities, and the argmax label of each row.
 
-    Ties break by the fixed class order (angry < calm < panic).
+    ``vectors`` is a list or matrix of feature vectors, giving a list with
+    one MlEvidence per row, or one FeatureVector or 1-D array, giving one
+    MlEvidence. Ties break by the fixed class order (angry < calm < panic).
     """
-    x = vector.values if isinstance(vector, FeatureVector) else np.asarray(vector, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("feature vector contains non-finite values")
-    xs = model.scaler.transform(x)
-    margins = model.weights @ xs + model.biases
+    single = isinstance(vectors, FeatureVector) or getattr(vectors, "ndim", None) == 1
+    X = _as_matrix([vectors] if single else vectors)
+    Xs = model.scaler.transform(X)
+    # a stacked matrix-vector product sums each row in the order the
+    # one-vector product does, so batched margins equal per-row ones bit
+    # for bit; X @ W.T reorders the sums and moves the last ulp
+    margins = np.matmul(model.weights, Xs[:, :, None])[..., 0] + model.biases
     z = model.platt_a * margins + model.platt_b
     sig = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-    total = sig.sum()
-    probs = sig / total if total > 0 else np.full(len(CLASSES), 1.0 / len(CLASSES))
-    best = int(np.argmax(probs))  # argmax takes the first maximum: fixed-order tie-break
-    return MlEvidence(label=CLASSES[best], confidence=float(probs[best]),
-                      per_class_probs=probs, margins=margins)
+    total = sig.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = np.where(total > 0, sig / total, 1.0 / len(CLASSES))
+    best = probs.argmax(axis=1)  # the first maximum: fixed-order tie-break
+    evidence = [MlEvidence(label=CLASSES[k], confidence=float(p[k]),
+                           per_class_probs=p, margins=m)
+                for k, p, m in zip(best.tolist(), probs, margins)]
+    return evidence[0] if single else evidence

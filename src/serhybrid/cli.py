@@ -99,8 +99,13 @@ def _client(cfg):
     return HttpLlmClient(_endpoint(cfg), cache_dir=cfg.get("cache"))
 
 
+def _in_split(entries, split):
+    """The entries of ``split``; all of them when it is unset or "all"."""
+    return [e for e in entries if split in (None, "all") or e.split == split]
+
+
 def _gold_by_id(entries, split=None):
-    selected = [e for e in entries if split in (None, "all") or e.split == split]
+    selected = _in_split(entries, split)
     missing = [e.sample_id for e in selected if e.gold is None]
     if missing:
         raise DataError(f"entries without gold labels: {missing[:5]}")
@@ -196,8 +201,7 @@ def cmd_train(cfg):
     labels = [gold[e.sample_id] for e in selected]
     model = classifier.train(vectors, labels, **_given(cfg, C="svm_c", tol="svm_tol"))
     model.save(cfg["model_out"])
-    correct = sum(classifier.predict(model, v).label == y
-                  for v, y in zip(vectors, labels))
+    correct = sum(ml.label == y for ml, y in zip(classifier.predict(model, vectors), labels))
     print(f"trained on {len(vectors)} samples; training accuracy "
           f"{correct / len(vectors):.4f}; model -> {cfg['model_out']}")
     return 0
@@ -230,9 +234,7 @@ def _load_transcripts(path):
 
 def cmd_predict(cfg):
     _require(cfg, "manifest", "out", "version")
-    entries = corpus.load_manifest(cfg["manifest"])
-    if cfg.get("split") and cfg["split"] != "all":
-        entries = [e for e in entries if e.split == cfg["split"]]
+    entries = _in_split(corpus.load_manifest(cfg["manifest"]), cfg.get("split"))
     client = _client(cfg)
     version_name = cfg["version"]
     if version_name == hybrid.TEXT_BASELINE:
@@ -388,9 +390,7 @@ def cmd_synth(cfg):
 def cmd_compare(cfg):
     _require(cfg, "manifest", "features", "model", "stats", "out_dir")
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    entries = corpus.load_manifest(cfg["manifest"])
-    if cfg.get("split") and cfg["split"] != "all":
-        entries = [e for e in entries if e.split == cfg["split"]]
+    entries = _in_split(corpus.load_manifest(cfg["manifest"]), cfg.get("split"))
     gold, _ = _gold_by_id(entries)
     feats = read_features_csv(cfg["features"])
     model = classifier.SvmModel.load(cfg["model"])

@@ -165,7 +165,9 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     n = x.shape[1]
     pitch = np.full(len(rows), UNVOICED)
     lag_min = max(1, int(sample_rate / fmax))
-    lag_max = min(n - 1, int(math.ceil(sample_rate / fmin)))
+    # the two windows of a lag overlap in n - lag samples; at least one fmax
+    # period of them keeps a lag near n from a normalized ACF of exactly +-1
+    lag_max = min(n - lag_min, int(math.ceil(sample_rate / fmin)))
     if lag_max <= lag_min:
         return UNVOICED if single else pitch
     # mean removal leaves a DC-only row a residual of rounding error, whose
@@ -339,9 +341,6 @@ class CorpusStats:
         """z-scores of a raw vector or of each row of a matrix."""
         return (X - self.mean) / self.std
 
-    def z_scores(self, vector):
-        return self.transform(vector.values)
-
     def to_json(self):
         return json.dumps({
             "schema": "serhybrid-stats-v1",
@@ -392,22 +391,29 @@ def level_for_z(z):
 class StructuredDescription:
     """Qualitative rendering of a feature vector against corpus statistics.
 
-    ``entries`` covers all 37 dimensions; ``text`` is the deterministic
+    ``z_scores`` covers all 37 dimensions; ``text`` is the deterministic
     block embedded in prompts (the five summary cues, with z-scores)."""
 
-    entries: tuple  # of (dimension, level, z)
+    z_scores: tuple  # of float, ordered per DIMENSIONS
     text: str
 
 
-def describe(vector, stats):
-    """z-score ``vector`` against ``stats`` and render the summary block."""
+def describe(vectors, stats):
+    """z-score each vector against ``stats`` and render its summary block.
+
+    One FeatureVector gives one StructuredDescription; a list of them gives
+    a list, from one standardization of their matrix.
+    """
     if stats.mean.shape != (len(DIMENSIONS),):
         raise MissingStats("corpus stats do not cover the feature schema")
-    z = stats.z_scores(vector)
-    entries = tuple((name, level_for_z(zi), float(zi)) for name, zi in zip(DIMENSIONS, z))
-    by_name = {name: (level, zi) for name, level, zi in entries}
-    lines = ["Acoustic profile of the utterance:"]
-    for display, dim in SUMMARY_DIMS:
-        level, zi = by_name[dim]
-        lines.append(f"- {display} [{dim}]: {level} (z={zi:+.2f})")
-    return StructuredDescription(entries=entries, text="\n".join(lines))
+    single = isinstance(vectors, FeatureVector)
+    rows = [v.values for v in ([vectors] if single else vectors)]
+    Z = stats.transform(np.array(rows).reshape(len(rows), len(DIMENSIONS)))
+    out = []
+    for z in Z.tolist():
+        lines = ["Acoustic profile of the utterance:"]
+        for display, dim in SUMMARY_DIMS:
+            zi = z[DIM_INDEX[dim]]
+            lines.append(f"- {display} [{dim}]: {level_for_z(zi)} (z={zi:+.2f})")
+        out.append(StructuredDescription(z_scores=tuple(z), text="\n".join(lines)))
+    return out[0] if single else out

@@ -2,8 +2,9 @@
 
 v4_hybrid answers confident samples directly from the classifier and
 delegates ambiguous ones to the LLM; v1-v3 and v5 send every sample to
-the LLM with their version's prompt. Per-sample LLM failures degrade to
-a fallback label (ML, then strongest matching rule, then calm) so a
+the LLM with their version's prompt. A run classifies its whole batch in
+one matrix pass and describes only the samples it routes. Per-sample LLM
+failures degrade to a fallback label (the classifier's, else calm) so a
 batch always completes.
 """
 
@@ -21,8 +22,7 @@ PREDICTIONS_SCHEMA = "serhybrid-pred-v1"
 
 DEFAULT_TAU = 0.7
 
-SOURCES = ("ml_direct", "llm_reasoned", "fallback_ml", "fallback_rule",
-           "fallback_default")
+SOURCES = ("ml_direct", "llm_reasoned", "fallback_ml", "fallback_default")
 
 
 @dataclass(frozen=True)
@@ -67,33 +67,18 @@ class Prediction:
                    latency_ms=doc.get("latency_ms", 0.0))
 
 
-def _rule_fallback_label(rules, desc):
-    """Strongest rule whose conditions hold on the description's z-scores;
-    None when nothing fires."""
-    z_by_dim = {name: z for name, _, z in desc.entries}
-    best = None
-    for rule in rules.rules:
-        if rule.matches(z_by_dim) and (best is None or rule.strength > best.strength):
-            best = rule
-    return best.implied_label if best else None
-
-
-def _fallback(sample_id, ml, rules, desc, version, reason_code, rationale=None):
-    """The ML label, else the strongest matching rule, else calm."""
-    if ml is not None:
-        label, source = ml.label, "fallback_ml"
-    else:
-        label = _rule_fallback_label(rules, desc) if rules is not None else None
-        source = "fallback_rule" if label is not None else "fallback_default"
-    return Prediction(sample_id=sample_id, label=label or "calm", source=source,
+def _fallback(sample_id, ml, version, reason_code, rationale=None):
+    """The classifier's label when the sample has one, else calm."""
+    return Prediction(sample_id=sample_id, label=ml.label if ml else "calm",
+                      source="fallback_ml" if ml else "fallback_default",
                       ml_evidence=ml, prompt_version=version,
                       rationale=rationale, reason_code=reason_code)
 
 
-def _resolve(client, routed, rules, version, predictions):
-    """Send the routed (index, sample_id, prompt, ml, desc) items in one
-    batch and set predictions[index] for each: the parsed answer, or the
-    fallback chain when the LLM fails or its answer names no label.
+def _resolve(client, routed, version, predictions):
+    """Send the routed (index, sample_id, prompt, ml) items in one batch
+    and set predictions[index] for each: the parsed answer, or the
+    fallback when the LLM fails or its answer names no label.
 
     Returns (cache_hits, failures).
     """
@@ -101,12 +86,12 @@ def _resolve(client, routed, rules, version, predictions):
     failures = []
     if not routed:
         return cache_hits, failures
-    results = client.complete_batch([(sid, prompt) for _, sid, prompt, _, _ in routed])
-    for (i, sid, _, ml, desc), result in zip(routed, results):
+    results = client.complete_batch([(sid, prompt) for _, sid, prompt, _ in routed])
+    for (i, sid, _, ml), result in zip(routed, results):
         if isinstance(result, LlmError):
             error = type(result).__name__
             failures.append({"sample_id": sid, "error": error})
-            predictions[i] = _fallback(sid, ml, rules, desc, version,
+            predictions[i] = _fallback(sid, ml, version,
                                        reason_code=f"llm_error:{error}")
             continue
         if result.cached:
@@ -114,7 +99,7 @@ def _resolve(client, routed, rules, version, predictions):
         label = parse_label(result.text)
         if label is None:
             failures.append({"sample_id": sid, "error": "ParseFailure"})
-            predictions[i] = _fallback(sid, ml, rules, desc, version,
+            predictions[i] = _fallback(sid, ml, version,
                                        reason_code="parse_failure",
                                        rationale=result.text)
         else:
@@ -124,6 +109,27 @@ def _resolve(client, routed, rules, version, predictions):
                                         rationale=result.text,
                                         latency_ms=result.latency_ms)
     return cache_hits, failures
+
+
+def _run_report(version, predictions, cache_hits, failures, **extra):
+    """The run report, its counts derived from the predictions: every
+    sample not answered directly by the classifier went to the LLM."""
+    source_counts = {}
+    for p in predictions:
+        source_counts[p.source] = source_counts.get(p.source, 0) + 1
+    n = len(predictions)
+    routed = n - source_counts.get("ml_direct", 0)
+    return {
+        "schema": "serhybrid-run-report-v1",
+        "version": version,
+        **extra,
+        "n": n,
+        "routed_to_llm": routed,
+        "routed_fraction": routed / n if n else 0.0,
+        "source_counts": source_counts,
+        "cache_hits": cache_hits,
+        "failures": failures,
+    }
 
 
 def require_all(entries, available, what):
@@ -150,43 +156,29 @@ def run_pipeline(entries, features_by_id, model, rules, stats, client, version,
     if version is PromptVersion.v5_auto:
         active_rules, generated_dropped = auto_generate_rules(client)
 
-    # Phase 1: classify everything, decide routing, build prompts.
+    # Phase 1: classify the batch, route it, describe and prompt the routed.
     v4 = version is PromptVersion.v4_hybrid
+    vectors = [features_by_id[e.sample_id] for e in entries]
+    evidence = predict(model, vectors)
     predictions = [None] * len(entries)
-    routed = []  # (index, sample_id, prompt, ml, desc)
-    for i, entry in enumerate(entries):
-        vec = features_by_id[entry.sample_id]
-        ml = predict(model, vec)
-        desc = describe(vec, stats)
+    routed = []
+    for i, (entry, ml) in enumerate(zip(entries, evidence)):
         if v4 and ml.confidence >= tau:
             predictions[i] = Prediction(sample_id=entry.sample_id, label=ml.label,
                                         source="ml_direct", ml_evidence=ml,
                                         prompt_version=version.value)
         else:
-            prompt = build_prompt(version, desc, active_rules,
-                                  ml=ml if v4 else None)
-            routed.append((i, entry.sample_id, prompt, ml, desc))
+            routed.append(i)
+    descriptions = describe([vectors[i] for i in routed], stats)
+    items = [(i, entries[i].sample_id,
+              build_prompt(version, desc, active_rules, ml=evidence[i] if v4 else None),
+              evidence[i])
+             for i, desc in zip(routed, descriptions)]
 
     # Phase 2: batched LLM calls, bounded concurrency, input-order results.
-    cache_hits, failures = _resolve(client, routed, active_rules, version.value,
-                                    predictions)
-
-    source_counts = {}
-    for p in predictions:
-        source_counts[p.source] = source_counts.get(p.source, 0) + 1
-    report = {
-        "schema": "serhybrid-run-report-v1",
-        "version": version.value,
-        "tau": tau,
-        "n": len(entries),
-        "routed_to_llm": len(routed),
-        "routed_fraction": len(routed) / len(entries) if entries else 0.0,
-        "source_counts": source_counts,
-        "cache_hits": cache_hits,
-        "failures": failures,
-        "auto_rules_dropped": generated_dropped,
-    }
-    return predictions, report
+    cache_hits, failures = _resolve(client, items, version.value, predictions)
+    return predictions, _run_report(version.value, predictions, cache_hits, failures,
+                                    tau=tau, auto_rules_dropped=generated_dropped)
 
 
 TEXT_BASELINE = "text_baseline"
@@ -199,19 +191,11 @@ def run_text_baseline(entries, transcripts_by_id, client):
     failures fall back to the default label.
     """
     require_all(entries, transcripts_by_id, "transcripts")
-    routed = [(i, e.sample_id, build_transcript_prompt(transcripts_by_id[e.sample_id]),
-               None, None) for i, e in enumerate(entries)]
+    routed = [(i, e.sample_id, build_transcript_prompt(transcripts_by_id[e.sample_id]), None)
+              for i, e in enumerate(entries)]
     predictions = [None] * len(entries)
-    cache_hits, failures = _resolve(client, routed, None, TEXT_BASELINE, predictions)
-    report = {
-        "schema": "serhybrid-run-report-v1",
-        "version": TEXT_BASELINE,
-        "n": len(entries),
-        "routed_to_llm": len(entries),
-        "cache_hits": cache_hits,
-        "failures": failures,
-    }
-    return predictions, report
+    cache_hits, failures = _resolve(client, routed, TEXT_BASELINE, predictions)
+    return predictions, _run_report(TEXT_BASELINE, predictions, cache_hits, failures)
 
 
 def write_predictions(path, predictions):

@@ -83,9 +83,6 @@ class Rule:
     strength: float
     origin: str  # human | refined | auto
 
-    def matches(self, z_by_dim):
-        return all(c.holds(z_by_dim[c.dimension]) for c in self.conditions)
-
 
 @dataclass(frozen=True)
 class ConfusionNote:

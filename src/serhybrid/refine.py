@@ -118,13 +118,13 @@ def mine_error_patterns(errors, correct, stats, min_support=5):
                 continue
             err_X = np.stack([s.vector.values for s in group])
             ok_X = np.stack([s.vector.values for s in correct_by_gold[gold]])
+            err_Z = stats.transform(err_X)
             deltas = []
             for i, dim in enumerate(DIMENSIONS):
                 d = _cohens_d(err_X[:, i], ok_X[:, i])
-                err_z = (err_X[:, i] - stats.mean[i]) / stats.std[i]
                 deltas.append(Delta(dimension=dim, effect_size=d,
                                     direction=int(np.sign(d)),
-                                    error_median_z=float(np.median(err_z))))
+                                    error_median_z=float(np.median(err_Z[:, i]))))
             deltas.sort(key=lambda dl: (-abs(dl.effect_size), dl.dimension))
             patterns.append(ErrorPattern(gold=gold, predicted=predicted,
                                          support=len(group),

@@ -15,7 +15,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from serhybrid.errors import LlmTimeout
-from serhybrid.reasoning import RULE_GENERATION_MARKER, LlmResult
+from serhybrid.reasoning import RULE_GENERATION_MARKER, Condition, LlmResult
 
 _RULE_LINE = re.compile(
     r"^- \[(?P<id>[^\]]+)\] implies (?P<label>\w+) "
@@ -44,16 +44,6 @@ def parse_prompt(prompt):
                           "conditions": conds})
     hint = _ML_HINT.search(prompt)
     return z_by_dim, rules, hint.group(1) if hint else None
-
-
-def _condition_holds(z, cmp_, threshold):
-    if cmp_ == "<":
-        return z < threshold
-    if cmp_ == "<=":
-        return z <= threshold
-    if cmp_ == ">":
-        return z > threshold
-    return z >= threshold
 
 
 # what the mock proposes when asked to invent rules (v5): one schema-valid
@@ -86,7 +76,7 @@ def rules_literal_answer(prompt):
     z_by_dim, rules, hint = parse_prompt(prompt)
     best = None
     for rule in rules:
-        if all(dim in z_by_dim and _condition_holds(z_by_dim[dim], cmp_, thr)
+        if all(dim in z_by_dim and Condition(dim, cmp_, thr).holds(z_by_dim[dim])
                for dim, cmp_, thr in rule["conditions"]):
             if best is None or rule["strength"] > best["strength"]:
                 best = rule
@@ -198,10 +188,11 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class MockLlmServer:
-    """Local HTTP chat-completions endpoint running the rules-literal mock."""
+    """Local HTTP chat-completions endpoint running the rules-literal mock,
+    on ``port`` or, by default, on a free one."""
 
-    def __init__(self):
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    def __init__(self, port=0):
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
         self.httpd.request_count = 0
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 

@@ -12,6 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from serhybrid.classifier import MlEvidence
+from serhybrid.errors import NonFiniteInput
+from serhybrid.features import FeatureVector
+from serhybrid.labels import CLASSES
+
 
 def fleiss_kappa_direct(table):
     """Fleiss' kappa from the textbook formula, item by item.
@@ -105,7 +110,8 @@ def pitch_direct(frame, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.
     if not any(x):
         return math.nan
     lag_min = max(1, int(sample_rate / fmax))
-    lag_max = min(n - 1, int(math.ceil(sample_rate / fmin)))
+    # keep at least one fmax period of overlap between the two windows
+    lag_max = min(n - lag_min, int(math.ceil(sample_rate / fmin)))
     if lag_max <= lag_min:
         return math.nan
     # energies of the leading and trailing n - lag samples
@@ -141,6 +147,26 @@ def pitch_direct(frame, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.
             if abs(delta) < 1.0:
                 lag = best + delta
     return sample_rate / lag
+
+
+def predict_direct(model, vector):
+    """The one-vector classifier prediction, as it was before predict took
+    a batch: margins, calibrated probabilities, and the argmax label.
+
+    Ties break by the fixed class order (angry < calm < panic).
+    """
+    x = vector.values if isinstance(vector, FeatureVector) else np.asarray(vector, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("feature vector contains non-finite values")
+    xs = model.scaler.transform(x)
+    margins = model.weights @ xs + model.biases
+    z = model.platt_a * margins + model.platt_b
+    sig = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+    total = sig.sum()
+    probs = sig / total if total > 0 else np.full(len(CLASSES), 1.0 / len(CLASSES))
+    best = int(np.argmax(probs))  # argmax takes the first maximum: fixed-order tie-break
+    return MlEvidence(label=CLASSES[best], confidence=float(probs[best]),
+                      per_class_probs=probs, margins=margins)
 
 
 def mfcc_direct(frames, sample_rate, n_mels=26, n_coeffs=13, fmin=0.0, fmax=8000.0):

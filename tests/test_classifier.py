@@ -4,7 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
 from serhybrid.classifier import (MlEvidence, SvmModel, _smo_binary, predict,
                                   train)
 from serhybrid.errors import (ConfigError, DataError, DegenerateLabels,
@@ -174,6 +178,56 @@ class TestPredict:
         model = train(vectors, labels)
         evidence = predict(model, vectors[0])
         assert evidence.margins.shape == (3,)
+
+
+_D = len(DIMENSIONS)
+_VALUES = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _models(draw):
+    """A random model; "tied" gives every head the same parameters, so all
+    classes tie, and "saturated" drives every sigmoid to 0."""
+    kind = draw(st.sampled_from(["random", "tied", "saturated"]))
+    weights = draw(arrays(np.float64, (3, _D), elements=_VALUES))
+    biases = draw(arrays(np.float64, 3, elements=_VALUES))
+    platt_a = draw(arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)))
+    platt_b = draw(arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)))
+    if kind == "tied":
+        for param in (weights, biases, platt_a, platt_b):
+            param[:] = param[0]
+    elif kind == "saturated":
+        platt_a[:] = 0.0
+        platt_b[:] = 1000.0
+    scaler = CorpusStats(mean=draw(arrays(np.float64, _D, elements=_VALUES)),
+                         std=draw(arrays(np.float64, _D, elements=st.floats(1e-3, 1e3))),
+                         zero_variance=())
+    return SvmModel(weights=weights, biases=biases, platt_a=platt_a,
+                    platt_b=platt_b, scaler=scaler, meta={})
+
+
+class TestBatchedPredict:
+    """predict over a matrix equals the one-vector path row by row, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_models(), arrays(np.float64, st.tuples(st.integers(1, 20), st.just(_D)),
+                             elements=_VALUES))
+    def test_matches_per_vector_oracle(self, model, X):
+        with np.errstate(over="ignore", invalid="ignore"):  # the branch np.where drops
+            batch = predict(model, X)
+            rows = [oracles.predict_direct(model, x) for x in X]
+        assert len(batch) == len(rows)
+        for got, want in zip(batch, rows):
+            assert np.array_equal(got.margins, want.margins)
+            assert np.array_equal(got.per_class_probs, want.per_class_probs)
+            assert got.confidence == want.confidence
+            assert got.label == want.label
+
+    def test_zero_rows(self):
+        vectors, labels = _blobs()
+        model = train(vectors, labels)
+        assert predict(model, []) == []
+        assert predict(model, np.empty((0, _D))) == []
 
 
 class TestSerialization:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import walkthrough
 from mockllm import MockLlmServer
 from serhybrid import cli, reasoning
 from serhybrid.audio_io import AudioSignal, save_wav
@@ -217,6 +218,31 @@ def test_walkthrough_flags_are_declared():
         assert [f for f in flags if f[2:].replace("-", "_") not in declared] == [], sub
 
 
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def test_walkthrough_warm_reruns_are_byte_identical(tmp_path):
+    out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+    with MockLlmServer() as server:
+        walkthrough.run(out, cache, server.base_url)
+        cold_requests = server.request_count
+        warm = []
+        for _ in range(2):
+            walkthrough.run(out, cache, server.base_url)
+            warm.append(_tree(out))
+        assert server.request_count == cold_requests > 0
+    assert "ablation/compare.json" in warm[0] and "report_text.json" in warm[0]
+    assert warm[0] == warm[1]
+
+
 class TestPredictEvaluate:
     def test_v4_tau_zero_runs_offline(self, workspace, tmp_path):
         # tau 0 answers everything from the classifier: the endpoint is
@@ -234,6 +260,22 @@ class TestPredictEvaluate:
         doc = json.loads(report.read_text())
         assert doc["routed_to_llm"] == 0
         assert sum(1 for _ in open(out)) == 9
+
+    def test_split_without_rows_writes_no_predictions(self, workspace, tmp_path, capsys):
+        # a synth corpus assigns no split, so set1 selects nothing
+        out = tmp_path / "preds.jsonl"
+        report = tmp_path / "report.json"
+        assert cli.main(["predict", "--manifest", workspace["manifest"],
+                         "--features", workspace["features"],
+                         "--model", workspace["model"],
+                         "--stats", workspace["stats"],
+                         "--version", "v2_rules", "--split", "set1",
+                         "--endpoint-url", "http://127.0.0.1:1/v1",
+                         "--model-name", "m",
+                         "--out", str(out), "--report", str(report)]) == 0
+        assert out.read_text() == ""
+        doc = json.loads(report.read_text())
+        assert (doc["n"], doc["routed_to_llm"], doc["source_counts"]) == (0, 0, {})
 
     def test_v2_against_mock_server(self, workspace, tmp_path):
         out = tmp_path / "preds.jsonl"
@@ -503,6 +545,12 @@ def _refine_on_short_features(ws, tmp_path):
             "--proposals-out", str(tmp_path / "proposals.json")]
 
 
+def _train_on_empty_split(ws, tmp_path):
+    # a synth corpus assigns no split, so set1 selects no rows to train on
+    return ["train", "--manifest", ws["manifest"], "--features", ws["features"],
+            "--split", "set1", "--model-out", str(tmp_path / "model.json")]
+
+
 def _rules_file_is_a_list(ws, tmp_path):
     proposals = tmp_path / "proposals.json"
     proposals.write_text(json.dumps(_valid_proposals()))
@@ -526,9 +574,10 @@ class TestMalformedInputs:
         _transcripts_without_column,
         _prediction_without_label,
         _evaluate_prediction_with("label", "happy"),
+        _train_on_empty_split,
     ], ids=["features-cell-abc", "stats-not-json", "stats-without-mean",
             "transcripts-without-column", "prediction-without-label",
-            "prediction-label-happy"])
+            "prediction-label-happy", "train-on-empty-split"])
     def test_one_line_never_a_traceback(self, workspace, tmp_path, capsys,
                                         case):
         argv = case(workspace, tmp_path)

@@ -192,8 +192,8 @@ class TestBatchedParity:
     ])
     def test_lag_window_edges(self, sample_rate, frame_ms):
         # at 10, 12.5 and 16.75 ms (160, 200 and 268 samples at 16 kHz) the
-        # lag window reaches the last lag of the frame (lag_max + 2 >= frame
-        # length), so the ACF covers every lag
+        # frame is shorter than ceil(sr / fmin) plus one fmax period, so the
+        # lag window ends at n - lag_min instead of at ceil(sr / fmin)
         t = np.arange(int(0.3 * sample_rate)) / sample_rate
         rng = np.random.default_rng(7)
         x = np.concatenate([0.5 * np.sin(2 * np.pi * 130.0 * t),
@@ -218,6 +218,19 @@ class TestBatchedParity:
         ref = np.array([oracles.pitch_direct(f, SR) for f in frames])
         assert not np.any(np.isnan(ref))
         np.testing.assert_allclose(pitch, ref, rtol=1e-9)
+
+    def test_short_frames_keep_an_fmax_period_of_overlap(self):
+        # a lag window reaching lag n - 1 left a one-sample overlap, whose
+        # normalized ACF of +1 won the search and read 16000/199 = 80.4 Hz
+        t = np.arange(200) / SR
+        rng = np.random.default_rng(3)
+        frames = np.stack([np.sin(2 * np.pi * f * t) + noise * rng.normal(size=t.size)
+                           for f in (120.0, 240.0, 390.0) for noise in (0.3, 3.0)])
+        pitch = estimate_pitch(frames, SR)
+        ref = np.array([oracles.pitch_direct(f, SR) for f in frames])
+        np.testing.assert_allclose(pitch, ref, rtol=1e-9)
+        assert not np.any(np.abs(pitch - SR / 199) < 5.0)
+        np.testing.assert_allclose(pitch[::2], [120.0, 240.0, 390.0], rtol=0.05)
 
     def test_pinned_vectors(self, overlap_corpus):
         with open(PINNED) as fh:
@@ -299,7 +312,7 @@ class TestCorpusStats:
         stats = CorpusStats.from_vectors(vectors)
         assert stats.mean[DIM_INDEX["pitch_mean"]] == 150.0
         assert stats.std[DIM_INDEX["pitch_mean"]] == 50.0
-        assert stats.z_scores(vec(pitch_mean=200.0))[DIM_INDEX["pitch_mean"]] == 1.0
+        assert stats.transform(vec(pitch_mean=200.0).values)[DIM_INDEX["pitch_mean"]] == 1.0
 
     def test_zero_variance_flagged_and_clamped(self):
         stats = CorpusStats.from_vectors([vec(pitch_mean=1.0),
@@ -307,7 +320,7 @@ class TestCorpusStats:
         assert "energy_mean" in stats.zero_variance
         assert "pitch_mean" not in stats.zero_variance
         assert np.all(stats.std >= 1e-8)
-        assert np.all(np.isfinite(stats.z_scores(vec())))
+        assert np.all(np.isfinite(stats.transform(vec().values)))
 
     def test_json_roundtrip_exact(self):
         rng = np.random.default_rng(10)
@@ -344,7 +357,7 @@ class TestDescribe:
         assert lines[0] == "Acoustic profile of the utterance:"
         assert len(lines) == 6
         assert "- pitch variability [pitch_std]: very high (z=+2.00)" in lines
-        assert len(desc.entries) == len(DIMENSIONS)
+        assert len(desc.z_scores) == len(DIMENSIONS)
 
     def test_deterministic(self):
         stats = CorpusStats(mean=np.zeros(len(DIMENSIONS)),

@@ -6,12 +6,10 @@ import pytest
 from mockllm import OracleClient, RulesLiteralClient, ScriptedClient, TimeoutClient
 from serhybrid.classifier import MlEvidence, predict
 from serhybrid.errors import ManifestError
-from serhybrid.features import DIMENSIONS, CorpusStats, describe
 from serhybrid.hybrid import (DEFAULT_TAU, Prediction, _fallback,
                               read_predictions, run_pipeline,
                               run_text_baseline, write_predictions)
-from serhybrid.reasoning import PromptVersion, RuleSet, default_ruleset
-from test_features import vec
+from serhybrid.reasoning import PromptVersion, default_ruleset
 
 
 def _evidence(confidence, label="angry"):
@@ -19,11 +17,6 @@ def _evidence(confidence, label="angry"):
     probs[0] = confidence
     return MlEvidence(label=label, confidence=confidence,
                       per_class_probs=probs, margins=np.zeros(3))
-
-
-def _unit_stats():
-    return CorpusStats(mean=np.zeros(len(DIMENSIONS)),
-                       std=np.ones(len(DIMENSIONS)), zero_variance=())
 
 
 def _one(bundle, model, client, version, tau=DEFAULT_TAU):
@@ -66,32 +59,13 @@ class TestRoute:
 
 class TestFallback:
     def test_ml_first(self):
-        pred = _fallback("s", _evidence(0.4, "panic"), default_ruleset(),
-                         describe(vec(), _unit_stats()),
-                         "v2_rules", reason_code="llm_error:X")
+        pred = _fallback("s", _evidence(0.4, "panic"), "v2_rules",
+                         reason_code="llm_error:X")
         assert (pred.source, pred.label) == ("fallback_ml", "panic")
         assert pred.prompt_version == "v2_rules"
 
-    def test_rule_when_no_ml(self):
-        desc = describe(vec(pitch_std=2.0, energy_std=2.0), _unit_stats())
-        pred = _fallback("s", None, default_ruleset(), desc,
-                         "v2_rules", reason_code="llm_error:X")
-        assert (pred.source, pred.label) == ("fallback_rule", "panic")
-
-    def test_strongest_matching_rule_wins(self):
-        weak = default_ruleset().rules[0]
-        strong = type(weak)(id="strong-calm", statement="s",
-                            conditions=(), implied_label="calm",
-                            strength=0.9, origin="human")
-        rules = RuleSet(version=1, rules=(weak, strong))
-        desc = describe(vec(pitch_std=2.0, energy_std=2.0), _unit_stats())
-        pred = _fallback("s", None, rules, desc, "v2_rules", reason_code="x")
-        assert pred.label == "calm"
-
     def test_default_when_nothing_fires(self):
-        desc = describe(vec(), _unit_stats())
-        pred = _fallback("s", None, default_ruleset(), desc,
-                         "v2_rules", reason_code="llm_error:X")
+        pred = _fallback("s", None, "v2_rules", reason_code="llm_error:X")
         assert (pred.source, pred.label) == ("fallback_default", "calm")
 
 
