@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DegenerateLabels, InvalidModel,
-                     NonFiniteInput, SolverDidNotConverge)
-from .features import DIMENSIONS, CorpusStats, FeatureVector
+                     NonFiniteInput, SolverDidNotConverge, parse_json, read_text)
+from .features import DIMENSIONS, CorpusStats, FeatureVector, finite_array
 from .labels import CLASSES
 
 MODEL_SCHEMA = "serhybrid-svm-v1"
@@ -193,10 +193,7 @@ class SvmModel:
 
     @classmethod
     def from_json(cls, text):
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError or undecodable bytes
-            raise InvalidModel(f"model is not valid JSON: {exc}")
+        doc = parse_json(text, "model", InvalidModel)
         if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
             schema = doc.get("schema") if isinstance(doc, dict) else None
             raise InvalidModel(f"unexpected model schema: {schema!r}")
@@ -206,25 +203,16 @@ class SvmModel:
         scaler, meta = doc["scaler"], doc["meta"]
         if not isinstance(scaler, dict) or not isinstance(meta, dict):
             raise InvalidModel("model scaler and meta must be JSON objects")
-        missing = [k for k in ("mean", "std", "zero_variance") if k not in scaler]
-        if missing:
-            raise InvalidModel(f"model scaler lacks {', '.join(missing)}")
         if doc["classes"] != list(CLASSES):
             raise InvalidModel(f"model classes {doc['classes']!r}, expected {list(CLASSES)}")
-        zero_variance = scaler["zero_variance"]
-        if not isinstance(zero_variance, list) or any(d not in DIMENSIONS for d in zero_variance):
-            raise InvalidModel("model scaler.zero_variance must list feature dimensions")
         heads, dims = (len(CLASSES),), (len(DIMENSIONS),)
-        std = _float_array(scaler["std"], dims, "scaler.std")
-        if np.any(std <= 0):
-            raise InvalidModel("model scaler.std must be positive")
         return cls(
-            weights=_float_array(doc["weights"], heads + dims, "weights"),
-            biases=_float_array(doc["biases"], heads, "biases"),
-            platt_a=_float_array(doc["platt_a"], heads, "platt_a"),
-            platt_b=_float_array(doc["platt_b"], heads, "platt_b"),
-            scaler=CorpusStats(mean=_float_array(scaler["mean"], dims, "scaler.mean"),
-                               std=std, zero_variance=tuple(zero_variance)),
+            weights=finite_array(doc["weights"], heads + dims, "model weights", InvalidModel),
+            biases=finite_array(doc["biases"], heads, "model biases", InvalidModel),
+            platt_a=finite_array(doc["platt_a"], heads, "model platt_a", InvalidModel),
+            platt_b=finite_array(doc["platt_b"], heads, "model platt_b", InvalidModel),
+            scaler=CorpusStats.checked(scaler.get("mean"), scaler.get("std"),
+                                       scaler.get("zero_variance"), "model scaler", InvalidModel),
             meta=meta,
         )
 
@@ -234,28 +222,10 @@ class SvmModel:
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(read_text(path, InvalidModel))
 
 
 _MODEL_KEYS = ("classes", "weights", "biases", "platt_a", "platt_b", "scaler", "meta")
-
-
-def _float_array(value, shape, name):
-    """A finite float array of exactly ``shape`` from a (nested) list of
-    numbers or numeric strings; InvalidModel otherwise."""
-    try:
-        rows = value if len(shape) == 2 else [value]
-        arr = np.array([[float(v) for v in row] for row in rows])
-    except (TypeError, ValueError):
-        raise InvalidModel(f"model {name} is not a list of numbers")
-    if len(shape) == 1:
-        arr = arr.reshape(-1)
-    if arr.shape != shape:
-        raise InvalidModel(f"model {name} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidModel(f"model {name} has non-finite values")
-    return arr
 
 
 def train(vectors, labels, C=1.0, tol=1e-3):
@@ -314,9 +284,10 @@ def predict(model, vectors):
     # for bit; X @ W.T reorders the sums and moves the last ulp
     margins = np.matmul(model.weights, Xs[:, :, None])[..., 0] + model.biases
     z = model.platt_a * margins + model.platt_b
-    sig = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-    total = sig.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # np.where computes both branches: exp may overflow in the one it drops
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sig = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        total = sig.sum(axis=1, keepdims=True)
         probs = np.where(total > 0, sig / total, 1.0 / len(CLASSES))
     best = probs.argmax(axis=1)  # the first maximum: fixed-order tie-break
     evidence = [MlEvidence(label=CLASSES[k], confidence=float(p[k]),

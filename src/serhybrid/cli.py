@@ -10,6 +10,7 @@ configuration. Exit codes: 0 success, 1 configuration error, 2 data error.
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import audio_io, classifier, corpus, evaluation, hybrid, refine, reasoning
-from .errors import ConfigError, DataError, PipelineError
+from .errors import ConfigError, DataError, PipelineError, parse_json, read_text
 from .features import (CorpusStats, aggregate, extract_series,
                        read_features_csv, write_features_csv)
 from .labels import CLASSES
@@ -29,9 +30,8 @@ def _load_config(path):
     if not path:
         return {}
     try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        config = parse_json(read_text(path, ConfigError), path, ConfigError)
+    except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigError(f"config {path}: expected a JSON object, got {type(config).__name__}")
@@ -101,6 +101,9 @@ def _client(cfg):
 
 def _in_split(entries, split):
     """The entries of ``split``; all of them when it is unset or "all"."""
+    if split not in (None, "all", *corpus.SPLITS):
+        raise ConfigError(f"unknown split {split!r}; known splits: "
+                          f"{', '.join(corpus.SPLITS)}, all")
     return [e for e in entries if split in (None, "all") or e.split == split]
 
 
@@ -208,28 +211,11 @@ def cmd_train(cfg):
 
 
 def _load_transcripts(path):
-    out = {}
-    if str(path).endswith(".jsonl"):
-        with open(path) as fh:
-            for n, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                    out[doc["sample_id"]] = doc["transcript"]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataError(f"{path} line {n}: needs sample_id and "
-                                    f"transcript ({type(exc).__name__}: {exc})")
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in ("sample_id", "transcript")
-                       if c not in (reader.fieldnames or ())]
-            if missing:
-                raise DataError(f"{path}: transcripts lack columns: {', '.join(missing)}")
-            for row in reader:
-                out[row["sample_id"]] = row["transcript"]
-    return out
+    reader = csv.DictReader(io.StringIO(read_text(path, DataError), newline=""))
+    missing = [c for c in ("sample_id", "transcript") if c not in (reader.fieldnames or ())]
+    if missing:
+        raise DataError(f"{path}: transcripts lack columns: {', '.join(missing)}")
+    return {row["sample_id"]: row["transcript"] for row in reader}
 
 
 def cmd_predict(cfg):
@@ -287,19 +273,18 @@ ANNOTATORS = ("annotator_a", "annotator_b", "annotator_c")
 def cmd_kappa(cfg):
     _require(cfg, "annotations")
     rows = []
-    with open(cfg["annotations"], newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ANNOTATORS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"annotation file lacks columns: {', '.join(missing)}")
-        for row in reader:
-            labels = tuple(row[c] for c in ANNOTATORS)
-            for column, label in zip(ANNOTATORS, labels):
-                if label not in CLASSES:
-                    raise DataError(
-                        f"annotation line {reader.line_num} ({row.get('sample_id')}): "
-                        f"{column} label {label!r} is not one of {', '.join(CLASSES)}")
-            rows.append(labels)
+    reader = csv.DictReader(io.StringIO(read_text(cfg["annotations"], DataError), newline=""))
+    missing = [c for c in ANNOTATORS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise DataError(f"annotation file lacks columns: {', '.join(missing)}")
+    for row in reader:
+        labels = tuple(row[c] for c in ANNOTATORS)
+        for column, label in zip(ANNOTATORS, labels):
+            if label not in CLASSES:
+                raise DataError(
+                    f"annotation line {reader.line_num} ({row.get('sample_id')!r}): "
+                    f"{column} label {label!r} is not one of {', '.join(CLASSES)}")
+        rows.append(labels)
     if not rows:
         raise DataError("annotation file has no rows")
     table = np.zeros((len(rows), len(CLASSES)), dtype=np.int64)
@@ -493,7 +478,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

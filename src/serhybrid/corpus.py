@@ -10,15 +10,15 @@ is evaluated against.
 """
 
 import csv
-import json
+import io
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .audio_io import AudioSignal, save_wav
-from .errors import DuplicateId, MissingGold, SchemaError
+from .errors import DuplicateId, MissingGold, SchemaError, read_text
 from .labels import CLASSES
 
 MANIFEST_FIELDS = ("sample_id", "audio_path", "gold", "annotator_a",
@@ -47,7 +47,17 @@ class ManifestEntry:
     duration_s: float = 0.0
 
 
-def _validate_entry(entry, where):
+def _entry_from_row(row, where):
+    """A ManifestEntry from one CSV row of known columns; an empty cell
+    takes the field's default."""
+    clean = {key: value for key, value in row.items() if value not in ("", None)}
+    try:
+        clean["duration_s"] = float(clean.get("duration_s", 0.0))
+    except ValueError:
+        raise SchemaError(f"{where}: duration_s must be a number, got {row['duration_s']!r}")
+    entry = ManifestEntry(**clean)
+    if "\0" in entry.audio_path:  # no file system opens such a path
+        raise SchemaError(f"{where}: audio_path {entry.audio_path!r} holds a NUL byte")
     for label in (entry.gold, entry.annotator_a, entry.annotator_b, entry.annotator_c):
         if label is not None and label not in CLASSES:
             raise SchemaError(f"{where}: unknown label {label!r}")
@@ -58,67 +68,38 @@ def _validate_entry(entry, where):
     return entry
 
 
-def _entry_from_dict(doc, where):
-    unknown = set(doc) - set(MANIFEST_FIELDS)
-    if unknown:
-        raise SchemaError(f"{where}: unknown columns {sorted(unknown)}")
-    if not doc.get("sample_id"):
-        raise SchemaError(f"{where}: missing sample_id")
-    clean = {}
-    for key in MANIFEST_FIELDS:
-        value = doc.get(key)
-        if value == "":
-            value = None
-        clean[key] = value
-    clean["split"] = clean["split"] or "unassigned"
-    clean["source_kind"] = clean["source_kind"] or "synthetic"
-    clean["audio_path"] = clean["audio_path"] or ""
-    clean["duration_s"] = float(clean["duration_s"] or 0.0)
-    return _validate_entry(ManifestEntry(**clean), where)
-
-
 def load_manifest(path):
-    """Parse a CSV or JSONL manifest; duplicate sample ids are rejected."""
-    path = str(path)
-    entries = []
-    if path.endswith(".jsonl"):
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc})")
-                entries.append(_entry_from_dict(doc, f"{path}:{lineno}"))
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "sample_id" not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing manifest header")
-            for lineno, row in enumerate(reader, 2):
-                entries.append(_entry_from_dict(row, f"{path}:{lineno}"))
-    seen = set()
-    for entry in entries:
-        if entry.sample_id in seen:
-            raise DuplicateId(f"{path}: duplicate sample_id {entry.sample_id!r}")
-        seen.add(entry.sample_id)
+    """Parse a CSV manifest whose header names a sample_id column and
+    otherwise only MANIFEST_FIELDS; duplicate sample ids are rejected."""
+    reader = csv.DictReader(io.StringIO(read_text(path, SchemaError), newline=""))
+    header = reader.fieldnames or ()
+    if "sample_id" not in header:
+        raise SchemaError(f"{path}: missing manifest header")
+    unknown = [c for c in header if c not in MANIFEST_FIELDS]
+    if unknown:
+        raise SchemaError(f"{path}: unknown columns {unknown}")
+    entries, seen = [], set()
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        if None in row:
+            raise SchemaError(f"{where}: {len(header) + len(row[None])} cells, "
+                              f"the header names {len(header)}")
+        if not row["sample_id"]:
+            raise SchemaError(f"{where}: missing sample_id")
+        if row["sample_id"] in seen:
+            raise DuplicateId(f"{where}: duplicate sample_id {row['sample_id']!r}")
+        seen.add(row["sample_id"])
+        entries.append(_entry_from_row(row, where))
     return entries
 
 
 def save_manifest(path, entries):
-    path = str(path)
-    if path.endswith(".jsonl"):
-        with open(path, "w") as fh:
-            for e in entries:
-                fh.write(json.dumps({k: getattr(e, k) for k in MANIFEST_FIELDS}) + "\n")
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-            writer.writeheader()
-            for e in entries:
-                row = {k: getattr(e, k) for k in MANIFEST_FIELDS}
-                writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
+        writer.writeheader()
+        for e in entries:
+            row = {k: getattr(e, k) for k in MANIFEST_FIELDS}
+            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
 
 
 def _largest_remainder(n, fractions):

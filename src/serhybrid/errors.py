@@ -1,10 +1,17 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and the one read step
+of every input file.
 
 Two broad families matter for the CLI exit codes: configuration problems
-(bad flags, missing files, schema violations in config-like inputs) exit
-with status 1, data problems (malformed audio, mismatched manifests)
-exit with status 2.
+(bad flags, an unreadable config file, schema violations in config-like
+inputs: config, rules, proposals, corpus stats, manifests) exit with
+status 1, data problems (malformed audio, models, predictions, features,
+transcripts or annotations, and any other path that cannot be opened)
+exit with status 2. Each reader passes ``read_text`` the error class of
+its file, so undecodable bytes end as a schema violation of that file
+does.
 """
+
+import json
 
 
 class PipelineError(Exception):
@@ -139,3 +146,26 @@ class ManifestError(DataError):
 
 class VersionConflict(ConfigError):
     """Rule proposal references a rule-set version that is no longer current."""
+
+
+# --- reading input files ---
+
+def read_text(path, error):
+    """The whole file at ``path`` decoded as UTF-8; a leading byte-order
+    mark, as spreadsheet exports write, is dropped. Bytes that are not
+    UTF-8 raise ``error`` naming the path; OSError passes through."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
+def parse_json(text, where, error):
+    """The JSON document in ``text``; invalid JSON raises ``error`` naming
+    ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON ({exc})")

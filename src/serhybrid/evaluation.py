@@ -5,7 +5,6 @@ denominator are 0 and flagged; kappa statistics return the UNDEFINED
 sentinel when expected agreement is 1 (a single category everywhere).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,6 +9,7 @@ reasoning prompts.
 
 import csv
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -18,11 +19,13 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DataError, EmptySeries, MissingStats, SchemaError,
-                     SignalTooShort)
+                     SignalTooShort, parse_json, read_text)
 
 UNVOICED = math.nan
 
 SCHEMA_TAG = "serhybrid-features-v1"
+
+STATS_SCHEMA = "serhybrid-stats-v1"
 
 N_MFCC = 13
 
@@ -100,19 +103,18 @@ def read_features_csv(path):
     """Read the CSV written by write_features_csv; returns {sample_id: FeatureVector}."""
     out = {}
     expected = ["schema", "sample_id", *DIMENSIONS]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != expected:
-            raise DataError(f"{path}: unexpected feature CSV header")
-        for row in reader:
-            if len(row) != len(expected):
-                raise DataError(f"{path} line {reader.line_num}: expected "
-                                f"{len(expected)} columns, got {len(row)}")
-            try:
-                values = np.array([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path} line {reader.line_num}: {exc}")
-            out[row[1]] = FeatureVector(values)
+    reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
+    if next(reader, None) != expected:
+        raise DataError(f"{path}: unexpected feature CSV header")
+    for row in reader:
+        if len(row) != len(expected):
+            raise DataError(f"{path} line {reader.line_num}: expected "
+                            f"{len(expected)} columns, got {len(row)}")
+        try:
+            values = np.array([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}")
+        out[row[1]] = FeatureVector(values)
     return out
 
 
@@ -343,35 +345,63 @@ class CorpusStats:
 
     def to_json(self):
         return json.dumps({
-            "schema": "serhybrid-stats-v1",
+            "schema": STATS_SCHEMA,
             "mean": {d: repr(float(v)) for d, v in zip(DIMENSIONS, self.mean)},
             "std": {d: repr(float(v)) for d, v in zip(DIMENSIONS, self.std)},
             "zero_variance": list(self.zero_variance),
         }, indent=2)
 
     @classmethod
+    def checked(cls, mean, std, zero_variance, where, error):
+        """CorpusStats from JSON values, as a stats file and a model's
+        scaler hold them: ``mean`` and ``std`` list one finite number (or
+        numeric string) per dimension, every std is > 0, and
+        ``zero_variance`` lists dimension names. ``error`` names ``where``
+        otherwise."""
+        mean = finite_array(mean, (len(DIMENSIONS),), f"{where} mean", error)
+        std = finite_array(std, (len(DIMENSIONS),), f"{where} std", error)
+        if np.any(std <= 0):
+            raise error(f"{where} std must be positive")
+        if not isinstance(zero_variance, list) or any(d not in DIMENSIONS for d in zero_variance):
+            raise error(f"{where} zero_variance must list feature dimensions")
+        return cls(mean=mean, std=std, zero_variance=tuple(zero_variance))
+
+    @classmethod
     def from_json(cls, text, where="corpus stats"):
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError or undecodable bytes
-            raise SchemaError(f"{where}: invalid JSON ({exc})")
-        if not (isinstance(doc, dict) and isinstance(doc.get("mean"), dict)
-                and isinstance(doc.get("std"), dict)):
+        doc = parse_json(text, where, SchemaError)
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != STATS_SCHEMA:
+            raise SchemaError(f"{where}: expected schema {STATS_SCHEMA!r}, got {schema!r}")
+        if not (isinstance(doc.get("mean"), dict) and isinstance(doc.get("std"), dict)):
             raise SchemaError(f"{where}: needs 'mean' and 'std' objects keyed by dimension")
         missing = [d for d in DIMENSIONS if d not in doc["mean"] or d not in doc["std"]]
         if missing:
             raise MissingStats(f"{where}: missing dimensions: {missing}")
-        try:
-            mean = np.array([float(doc["mean"][d]) for d in DIMENSIONS])
-            std = np.array([float(doc["std"][d]) for d in DIMENSIONS])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: mean and std must be numbers ({exc})")
-        return cls(mean=mean, std=std, zero_variance=tuple(doc.get("zero_variance", ())))
+        return cls.checked([doc["mean"][d] for d in DIMENSIONS],
+                           [doc["std"][d] for d in DIMENSIONS],
+                           doc.get("zero_variance"), where, SchemaError)
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            return cls.from_json(fh.read(), where=str(path))
+        return cls.from_json(read_text(path, SchemaError), where=str(path))
+
+
+def finite_array(values, shape, what, error):
+    """A finite float array of exactly ``shape`` from JSON values: a list,
+    or for a 2-D shape a list of lists, of numbers or numeric strings.
+    ``error`` names ``what`` otherwise."""
+    try:
+        rows = values if len(shape) == 2 else [values]
+        arr = np.array([[float(v) for v in row] for row in rows])
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be numbers")
+    if len(shape) == 1:
+        arr = arr.reshape(-1)
+    if arr.shape != shape:
+        raise error(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise error(f"{what} has non-finite values")
+    return arr
 
 
 def level_for_z(z):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .classifier import MlEvidence, predict
-from .errors import DataError, LlmError, ManifestError
+from .errors import DataError, LlmError, ManifestError, parse_json, read_text
 from .features import describe
 from .labels import CLASSES
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
@@ -51,8 +51,11 @@ class Prediction:
 
     @classmethod
     def from_dict(cls, doc):
-        """Raises KeyError for a missing field and ValueError for a label
-        outside CLASSES or a source outside SOURCES."""
+        """Raises KeyError for a missing field and ValueError for a sample
+        id that is not a string, a label outside CLASSES or a source
+        outside SOURCES."""
+        if not isinstance(doc["sample_id"], str):
+            raise ValueError(f"sample_id {doc['sample_id']!r} is not a string")
         if doc["label"] not in CLASSES:
             raise ValueError(f"label {doc['label']!r} is not one of {', '.join(CLASSES)}")
         if doc["source"] not in SOURCES:
@@ -207,14 +210,14 @@ def write_predictions(path, predictions):
 
 def read_predictions(path):
     out = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(Prediction.from_dict(json.loads(line)))
-            except KeyError as exc:
-                raise DataError(f"{path} line {n}: prediction lacks {exc}")
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise DataError(f"{path} line {n}: malformed prediction ({exc})")
+    for n, line in enumerate(read_text(path, DataError).splitlines(), 1):
+        if not line.strip():
+            continue
+        where = f"{path} line {n}"
+        try:
+            out.append(Prediction.from_dict(parse_json(line, where, DataError)))
+        except KeyError as exc:
+            raise DataError(f"{where}: prediction lacks {exc}")
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{where}: malformed prediction ({exc})")
     return out

@@ -26,8 +26,8 @@ from enum import Enum
 
 from .errors import (ConfigError, EmptyGeneration, EmptyRules, LlmError,
                      LlmRateLimited, LlmTimeout, LlmTransportError,
-                     MissingEvidence, SchemaError)
-from .features import DIM_INDEX, DIMENSIONS
+                     MissingEvidence, SchemaError, parse_json, read_text)
+from .features import DIMENSIONS
 from .labels import CLASSES
 
 RULES_SCHEMA = "serhybrid-rules-v1"
@@ -138,14 +138,14 @@ def parse_rule(doc, where):
         if not isinstance(c, dict):
             raise SchemaError(f"{where}: condition {i} must be a JSON object")
         dim = c.get("dimension")
-        if dim not in DIM_INDEX:
+        if dim not in DIMENSIONS:
             raise SchemaError(f"{where}: unknown dimension {dim!r} in condition {i}")
         cmp_ = c.get("comparator")
         if cmp_ not in COMPARATORS:
             raise SchemaError(f"{where}: bad comparator {cmp_!r} in condition {i}")
         try:
             thr = float(c["threshold_z"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise SchemaError(f"{where}: bad threshold in condition {i}")
         if not thr == thr or thr in (float("inf"), float("-inf")):
             raise SchemaError(f"{where}: non-finite threshold in condition {i}")
@@ -155,7 +155,7 @@ def parse_rule(doc, where):
         raise SchemaError(f"{where}: unknown implied label {label!r}")
     try:
         strength = float(doc["strength"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{where}: strength must be a number, got {doc['strength']!r}")
     if not 0.0 < strength <= 1.0:
         raise SchemaError(f"{where}: strength must be in (0, 1], got {strength}")
@@ -168,10 +168,7 @@ def parse_rule(doc, where):
 
 
 def parse_ruleset(text, where="ruleset"):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{where}: invalid JSON ({exc})")
+    doc = parse_json(text, where, SchemaError)
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != RULES_SCHEMA:
@@ -208,8 +205,7 @@ def parse_ruleset(text, where="ruleset"):
 
 def load_rules(path):
     """Load and validate a rule file."""
-    with open(path) as fh:
-        return parse_ruleset(fh.read(), where=str(path))
+    return parse_ruleset(read_text(path, SchemaError), where=str(path))
 
 
 def default_ruleset():

@@ -9,12 +9,12 @@ rule-set version.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdMismatch, SchemaError, VersionConflict
+from .errors import IdMismatch, SchemaError, VersionConflict, parse_json, read_text
 from .evaluation import confusion_counts
 from .features import DIMENSIONS
 from .labels import CLASSES
@@ -181,7 +181,7 @@ class RuleProposal:
             base_version = int(doc["base_version"])
         except KeyError as exc:
             raise SchemaError(f"{where}: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{where}: malformed proposal ({exc})")
         return cls(candidate=rule, pattern=pattern, status=status,
                    base_version=base_version)
@@ -226,11 +226,7 @@ def write_proposals(path, proposals):
 
 def read_proposals(path):
     """Load and validate a proposals file."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or undecodable bytes
-        raise SchemaError(f"{path}: invalid JSON ({exc})")
+    doc = parse_json(read_text(path, SchemaError), path, SchemaError)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != PROPOSALS_SCHEMA:
         raise SchemaError(f"{path}: expected schema {PROPOSALS_SCHEMA!r}, got {schema!r}")

@@ -9,18 +9,16 @@ corpora with scripted mocks (see mockllm). Each test prints a single
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import mockllm
 import oracles
-from conftest import extract_corpus, train_on
+from conftest import train_on
 from serhybrid import cli
 from serhybrid.audio_io import AudioSignal
-from serhybrid.classifier import predict, train
+from serhybrid.classifier import predict
 from serhybrid.corpus import ManifestEntry, stratified_split
 from serhybrid.evaluation import cohens_kappa, fleiss_kappa, metrics
-from serhybrid.features import (CorpusStats, frame_signal, estimate_pitch,
-                                mfcc, rms_energy)
+from serhybrid.features import frame_signal, estimate_pitch, mfcc, rms_energy
 from serhybrid.hybrid import run_pipeline, write_predictions, read_predictions
 from serhybrid.labels import CLASSES
 from serhybrid.reasoning import PromptVersion, default_ruleset

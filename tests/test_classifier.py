@@ -1,6 +1,8 @@
 """Standardizer, SVM training, calibration, and model serialization."""
 
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +175,16 @@ class TestPredict:
         assert evidence.label == CLASSES[0] == "angry"
         assert np.allclose(evidence.per_class_probs, 1.0 / 3.0)
 
+    @pytest.mark.parametrize("platt_b", [1000.0, -1000.0])
+    def test_saturated_sigmoids_warn_nothing(self, platt_b):
+        # np.where computes the branch it drops too, where exp overflows; a
+        # warning there would be one more stderr line of a CLI run
+        model = replace(self._flat_model(), platt_b=np.full(3, platt_b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evidence = predict(model, FeatureVector(np.zeros(len(DIMENSIONS))))
+        assert np.allclose(evidence.per_class_probs, 1.0 / 3.0)
+
     def test_margins_reported(self):
         vectors, labels = _blobs(seed=3)
         model = train(vectors, labels)
@@ -258,6 +270,8 @@ class TestSerialization:
         lambda doc: doc["scaler"]["mean"].__setitem__(0, "abc"),
         lambda doc: doc["scaler"]["std"].__setitem__(0, "0.0"),
         lambda doc: doc.__setitem__("classes", ["calm", "angry", "panic"]),
+        lambda doc: doc["weights"][0].__setitem__(0, 10 ** 400),
+        lambda doc: doc["scaler"].__setitem__("zero_variance", [["pitch_std"]]),
     ])
     def test_malformed_model_rejected(self, edit):
         vectors, labels = _blobs(seed=4)

@@ -1,10 +1,17 @@
 """End-to-end command-line workflows and exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import os
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkthrough
 from mockllm import MockLlmServer
@@ -411,6 +418,10 @@ def _no_pattern(doc):
     del doc["proposals"][0]["pattern"]
 
 
+def _support_infinite(doc):
+    doc["proposals"][0]["pattern"]["support"] = float("inf")
+
+
 class TestProposalValidation:
     """refine --apply validates proposals as strictly as load_rules."""
 
@@ -433,9 +444,9 @@ class TestProposalValidation:
 
     @pytest.mark.parametrize("corrupt", [
         _typo_dimension, _typo_status, _wrong_schema, _no_proposals_key,
-        _no_pattern,
+        _no_pattern, _support_infinite,
     ], ids=["dimension-typo", "status-typo", "wrong-schema",
-            "no-proposals-key", "no-pattern"])
+            "no-proposals-key", "no-pattern", "support-infinite"])
     def test_malformed_proposals_are_config_errors(self, tmp_path, capsys,
                                                    corrupt):
         doc = _valid_proposals()
@@ -566,6 +577,40 @@ def _config_file_is_a_list(ws, tmp_path):
     return ["--config", str(config), "synth", "--out-dir", str(tmp_path / "d")]
 
 
+def _features_from_manifest(text):
+    def case(ws, tmp_path):
+        bad = tmp_path / "manifest.csv"
+        bad.write_text(text)
+        return ["features", "--manifest", str(bad), "--out", str(tmp_path / "f.csv")]
+    return case
+
+
+def _stats_with(**fields):
+    def text(ws):
+        doc = json.loads(open(ws["stats"]).read())
+        doc.update(fields)
+        return json.dumps(doc)
+    return text
+
+
+def _stats_all_std_zero(ws):
+    doc = json.loads(open(ws["stats"]).read())
+    doc["std"] = {d: 0.0 for d in doc["std"]}
+    return json.dumps(doc)
+
+
+def _features_from_a_directory(ws, tmp_path):
+    return ["features", "--manifest", str(tmp_path), "--out", str(tmp_path / "f.csv")]
+
+
+def _features_into_a_directory(ws, tmp_path):
+    return ["features", "--manifest", ws["manifest"], "--out", str(tmp_path)]
+
+
+def _evaluate_a_directory(ws, tmp_path):
+    return ["evaluate", "--predictions", str(tmp_path), "--manifest", ws["manifest"]]
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", [
         _bad_feature_cell,
@@ -575,9 +620,27 @@ class TestMalformedInputs:
         _prediction_without_label,
         _evaluate_prediction_with("label", "happy"),
         _train_on_empty_split,
+        _evaluate_prediction_with("sample_id", ["calm_000"]),
+        _evaluate_prediction_with("ml_evidence", {"label": "calm", "confidence": 10 ** 400,
+                                                  "per_class_probs": [], "margins": []}),
+        _features_from_manifest("sample_id,mystery\na,1,2\n"),
+        _features_from_manifest("sample_id,gold\na,calm,angry\n"),
+        _features_from_manifest("sample_id,duration_s\na,abc\n"),
+        _features_from_manifest('sample_id,audio_path\na,"x\0\ny.wav"\n'),
+        _predict_with_stats(_stats_with(zero_variance=5)),
+        _predict_with_stats(_stats_all_std_zero),
+        _predict_with_stats(_stats_with(schema="x")),
+        _features_from_a_directory,
+        _features_into_a_directory,
+        _evaluate_a_directory,
     ], ids=["features-cell-abc", "stats-not-json", "stats-without-mean",
             "transcripts-without-column", "prediction-without-label",
-            "prediction-label-happy", "train-on-empty-split"])
+            "prediction-label-happy", "train-on-empty-split",
+            "prediction-sample-id-a-list", "prediction-confidence-overflows",
+            "manifest-unknown-column-long-row", "manifest-long-row",
+            "manifest-duration-abc", "manifest-audio-path-nul", "stats-zero-variance-5", "stats-std-zero",
+            "stats-schema-x", "manifest-is-a-directory", "features-out-is-a-directory",
+            "predictions-is-a-directory"])
     def test_one_line_never_a_traceback(self, workspace, tmp_path, capsys,
                                         case):
         argv = case(workspace, tmp_path)
@@ -649,6 +712,14 @@ def _note_labels_a_number(doc):
     doc["confusion_notes"][0]["labels"] = 3
 
 
+def _dimension_is_a_list(doc):
+    doc["rules"][0]["conditions"][0]["dimension"] = []
+
+
+def _strength_overflows(doc):
+    doc["rules"][0]["strength"] = 10 ** 400
+
+
 def _refine_apply_with_rules(ws, tmp_path, rules):
     proposals = tmp_path / "proposals.json"
     proposals.write_text(json.dumps(_valid_proposals()))
@@ -671,9 +742,10 @@ class TestMalformedRuleFiles:
                              ids=["refine-apply", "predict-rules"])
     @pytest.mark.parametrize("corrupt", [
         _note_without_text, _version_word, _note_is_a_string, _rules_is_a_number,
-        _note_labels_a_number,
+        _note_labels_a_number, _dimension_is_a_list, _strength_overflows,
     ], ids=["note-without-text", "version-word", "note-is-a-string",
-            "rules-is-a-number", "note-labels-a-number"])
+            "rules-is-a-number", "note-labels-a-number", "dimension-is-a-list",
+            "strength-overflows"])
     def test_one_configuration_error_line(self, workspace, tmp_path, capsys,
                                           corrupt, command):
         doc = json.loads(default_ruleset().to_json())
@@ -776,3 +848,217 @@ class TestSynth:
         assert code == 1
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert name in err
+
+
+def _predict_split(ws, tmp_path, split):
+    return ["predict", "--manifest", ws["manifest"], "--features", ws["features"],
+            "--model", ws["model"], "--stats", ws["stats"], "--version", "v4_hybrid",
+            "--tau", "0", "--split", split, "--endpoint-url", "http://127.0.0.1:1/v1",
+            "--model-name", "m", "--out", str(tmp_path / "p.jsonl")]
+
+
+def _compare_split(ws, tmp_path, split):
+    return ["compare", "--manifest", ws["manifest"], "--features", ws["features"],
+            "--model", ws["model"], "--stats", ws["stats"], "--split", split,
+            "--endpoint-url", "http://127.0.0.1:1/v1", "--model-name", "m",
+            "--out-dir", str(tmp_path / "ablation")]
+
+
+def _train_split(ws, tmp_path, split):
+    return ["train", "--manifest", ws["manifest"], "--features", ws["features"],
+            "--split", split, "--model-out", str(tmp_path / "model.json")]
+
+
+@pytest.mark.parametrize("split", ["tset", ""], ids=["tset", "empty"])
+@pytest.mark.parametrize("command", [_predict_split, _compare_split, _train_split],
+                         ids=["predict", "compare", "train"])
+def test_unknown_split_is_one_configuration_error_line(workspace, tmp_path, capsys,
+                                                       command, split):
+    capsys.readouterr()
+    code = cli.main(command(workspace, tmp_path, split))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"configuration error: unknown split {split!r}; ")
+    assert err.count("\n") == 1 and "set1, set2, set3, test, unassigned, all" in err
+    assert not (tmp_path / "p.jsonl").exists() and not (tmp_path / "model.json").exists()
+
+
+def test_manifest_with_byte_order_mark(workspace, tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"\xef\xbb\xbf" + open(workspace["manifest"], "rb").read())
+    out = tmp_path / "features.csv"
+    assert cli.main(["features", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert out.read_bytes() == open(workspace["features"], "rb").read()
+
+
+def _json_file(doc):
+    return json.dumps(doc, indent=2).encode()
+
+
+@pytest.fixture(scope="module")
+def inputs(workspace):
+    """A valid file of each of the ten kinds the CLI reads, and a command
+    that reads it. Each command's output goes to a directory (synth's to a
+    regular file), so a command that gets past its readers still ends in a
+    data error: every run exits 1 or 2."""
+    root = workspace["root"] / "inputs"
+    sink = str(root / "sink")
+    os.makedirs(sink)
+    sink_file = root / "sink.txt"
+    sink_file.write_text("")
+    rows = [line.split(",") for line in open(workspace["manifest"]).read().splitlines()[1:]]
+    files = {
+        "config": _json_file({"n_per_class": 3, "seed": 5, "duration_s": 0.8,
+                              "overlap": 0.25}),
+        "rules": default_ruleset().to_json().encode(),
+        "proposals": _json_file(_valid_proposals()),
+        "stats": open(workspace["stats"], "rb").read(),
+        "model": open(workspace["model"], "rb").read(),
+        "features": open(workspace["features"], "rb").read(),
+        "manifest": open(workspace["manifest"], "rb").read(),
+        "transcripts": ("sample_id,transcript\n"
+                        + "".join(f"{r[0]},i am so {r[2]}\n" for r in rows)).encode(),
+        "annotations": ("sample_id,annotator_a,annotator_b,annotator_c\n"
+                        + "".join(f"{r[0]},{r[2]},{r[2]},calm\n" for r in rows)).encode(),
+    }
+    paths = {kind: str(root / f"{kind}.valid") for kind in INPUT_KINDS}
+    for kind, data in files.items():
+        with open(paths[kind], "wb") as fh:
+            fh.write(data)
+    offline = ("--endpoint-url", "http://127.0.0.1:1/v1", "--model-name", "m",
+               "--max-retries", "0")
+
+    def predict(out=sink, **inputs):
+        p = {**paths, **inputs}
+        return ["predict", "--manifest", p["manifest"], "--features", p["features"],
+                "--model", p["model"], "--stats", p["stats"], "--version", "v4_hybrid",
+                "--tau", "0", *offline, "--out", out]
+
+    assert cli.main(predict(out=paths["predictions"])) == 0
+    files["predictions"] = open(paths["predictions"], "rb").read()
+    commands = {
+        "config": lambda f: ["--config", f, "synth", "--out-dir", str(sink_file)],
+        "rules": lambda f: ["refine", "--apply", paths["proposals"], "--rules", f,
+                            "--rules-out", sink],
+        "proposals": lambda f: ["refine", "--apply", f, "--rules", paths["rules"],
+                                "--rules-out", sink],
+        "stats": lambda f: predict(stats=f),
+        "model": lambda f: predict(model=f),
+        "features": lambda f: predict(features=f),
+        "manifest": lambda f: ["features", "--manifest", f, "--out", sink],
+        "predictions": lambda f: ["evaluate", "--predictions", f,
+                                  "--manifest", paths["manifest"], "--out", sink],
+        "transcripts": lambda f: ["predict", "--manifest", paths["manifest"],
+                                  "--version", "text_baseline", "--transcripts", f,
+                                  *offline, "--out", sink],
+        "annotations": lambda f: ["kappa", "--annotations", f, "--out", sink],
+    }
+    return _Inputs(root=root, files=files, commands=commands)
+
+
+class _Inputs(SimpleNamespace):
+    def __repr__(self):  # falsifying examples print this, not ten files
+        return "inputs"
+
+
+# exit code of a file of each kind that its reader rejects
+INPUT_KINDS = {"config": 1, "rules": 1, "proposals": 1, "stats": 1, "manifest": 1,
+               "model": 2, "predictions": 2, "features": 2, "transcripts": 2,
+               "annotations": 2}
+
+
+def _run_quietly(argv):
+    """cli.main's exit code and stderr, its stdout discarded. A warning
+    counts as the stderr line that a run outside pytest would print."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, "".join(f"{w.category.__name__}: {w.message}\n" for w in caught) + err.getvalue()
+
+
+def _assert_one_error_line(code, err):
+    assert code in (1, 2), err
+    assert err.startswith(("configuration error: ", "data error: ")), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_valid_inputs_end_at_the_output_sink(inputs, kind):
+    code, err = _run_quietly(inputs.commands[kind](str(inputs.root / f"{kind}.valid")))
+    _assert_one_error_line(code, err)
+    assert code == 2 and "sink" in err, err
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_undecodable_file_keeps_its_exit_code(inputs, kind):
+    # a UTF-16 byte-order mark is not UTF-8
+    path = inputs.root / f"{kind}.utf16"
+    path.write_bytes(b"\xff\xfe" + inputs.files[kind])
+    code, err = _run_quietly(inputs.commands[kind](str(path)))
+    _assert_one_error_line(code, err)
+    assert code == INPUT_KINDS[kind] and f"{path}: not UTF-8 text" in err, err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                               inner, max_size=3),
+    max_leaves=4)
+
+
+def _json_paths(doc, prefix=()):
+    """The key path of every value below ``doc``."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _swap_json(doc, data):
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_JSON_VALUES)
+    return doc
+
+
+def _swapped(kind, valid, data):
+    """``valid`` with one JSON value or CSV cell swapped for an arbitrary one."""
+    text = valid.decode()
+    if kind == "predictions":
+        lines = [json.loads(line) for line in text.splitlines()]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = _swap_json(lines[i], data)
+        return "".join(json.dumps(line) + "\n" for line in lines).encode()
+    if kind in ("manifest", "features", "transcripts", "annotations"):
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        r = data.draw(st.integers(0, len(rows) - 1))
+        rows[r][data.draw(st.integers(0, len(rows[r]) - 1))] = data.draw(st.text())
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue().encode()
+    return json.dumps(_swap_json(json.loads(text), data)).encode()
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_is_one_error_line(inputs, kind, data):
+    """The CLI fuzz gate: random bytes, a truncation, or one swapped value
+    in place of a valid file of each kind end in one error line, never a
+    traceback."""
+    valid = inputs.files[kind]
+    how = data.draw(st.sampled_from(["random bytes", "truncation", "swapped value"]))
+    if how == "random bytes":
+        mutant = data.draw(st.binary(max_size=200))
+    elif how == "truncation":
+        mutant = valid[:data.draw(st.integers(0, len(valid) - 1))]
+    else:
+        mutant = _swapped(kind, valid, data)
+    path = inputs.root / f"{kind}.fuzzed"
+    path.write_bytes(mutant)
+    _assert_one_error_line(*_run_quietly(inputs.commands[kind](str(path))))

@@ -19,15 +19,14 @@ def _entries(n=10, gold="calm"):
 
 
 class TestManifestIO:
-    @pytest.mark.parametrize("suffix", ["csv", "jsonl"])
-    def test_roundtrip(self, tmp_path, suffix):
+    def test_roundtrip(self, tmp_path):
         entries = [
             ManifestEntry(sample_id="a", gold="calm", annotator_a="calm",
                           annotator_b="angry", annotator_c="calm",
                           split="set1", source_kind="movie", duration_s=2.0),
             ManifestEntry(sample_id="b"),
         ]
-        path = tmp_path / f"manifest.{suffix}"
+        path = tmp_path / "manifest.csv"
         save_manifest(path, entries)
         assert load_manifest(path) == entries
 
@@ -38,21 +37,21 @@ class TestManifestIO:
             load_manifest(path)
 
     def test_unknown_label_rejected(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        path.write_text('{"sample_id": "a", "gold": "joyful"}\n')
-        with pytest.raises(SchemaError):
+        path = tmp_path / "manifest.csv"
+        path.write_text("sample_id,gold\na,joyful\n")
+        with pytest.raises(SchemaError, match="joyful"):
             load_manifest(path)
 
     def test_unknown_column_rejected(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        path.write_text('{"sample_id": "a", "mystery": 1}\n')
-        with pytest.raises(SchemaError):
+        path = tmp_path / "manifest.csv"
+        path.write_text("sample_id,mystery\na,1\n")
+        with pytest.raises(SchemaError, match="mystery"):
             load_manifest(path)
 
     def test_missing_sample_id_rejected(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        path.write_text('{"gold": "calm"}\n')
-        with pytest.raises(SchemaError):
+        path = tmp_path / "manifest.csv"
+        path.write_text("sample_id,gold\n,calm\n")
+        with pytest.raises(SchemaError, match="missing sample_id"):
             load_manifest(path)
 
     def test_missing_header_rejected(self, tmp_path):
@@ -61,10 +60,28 @@ class TestManifestIO:
         with pytest.raises(SchemaError):
             load_manifest(path)
 
-    def test_invalid_json_line(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        path.write_text("{broken\n")
-        with pytest.raises(SchemaError):
+    def test_overlong_row_names_its_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("sample_id,gold\na,calm\nb,calm,angry\n")
+        with pytest.raises(SchemaError, match=r"manifest.csv:3: 3 cells, the header names 2"):
+            load_manifest(path)
+
+    def test_non_numeric_duration_rejected(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("sample_id,duration_s\na,abc\n")
+        with pytest.raises(SchemaError, match="duration_s must be a number, got 'abc'"):
+            load_manifest(path)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        save_manifest(path, _entries(2))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_manifest(path) == _entries(2)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"\xff\xfesample_id\na\n")
+        with pytest.raises(SchemaError, match="not UTF-8"):
             load_manifest(path)
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from serhybrid.audio_io import AudioSignal, load_audio, standardize
-from serhybrid.errors import DataError, EmptySeries, MissingStats, SignalTooShort
+from serhybrid.errors import (DataError, EmptySeries, InvalidModel, MissingStats,
+                              SchemaError, SignalTooShort)
 from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
                                 CorpusStats, FeatureVector, FrameSeries,
                                 aggregate, describe, estimate_pitch,
@@ -338,6 +339,39 @@ class TestCorpusStats:
         del doc["mean"]["pitch_std"]
         with pytest.raises(MissingStats):
             CorpusStats.from_json(json.dumps(doc))
+
+    def test_one_vector_stats_load(self):
+        # every std is clamped to 1e-8 and every dimension flagged
+        stats = CorpusStats.from_vectors([vec(pitch_mean=1.0)])
+        loaded = CorpusStats.from_json(stats.to_json())
+        assert loaded.zero_variance == DIMENSIONS
+        assert np.array_equal(loaded.std, stats.std)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(schema="x"),
+        lambda doc: doc.pop("schema"),
+        lambda doc: doc.update(zero_variance=5),
+        lambda doc: doc.update(zero_variance=["pitch_sdt"]),
+        lambda doc: doc.pop("zero_variance"),
+        lambda doc: doc.update(std={d: 0.0 for d in DIMENSIONS}),
+        lambda doc: doc["std"].update(pitch_std="-1.0"),
+        lambda doc: doc["mean"].update(pitch_std="nan"),
+        lambda doc: doc["mean"].update(pitch_std=[1.0]),
+        lambda doc: doc["mean"].update(pitch_std=10 ** 400),
+    ], ids=["schema-x", "no-schema", "zero-variance-5", "zero-variance-typo",
+            "no-zero-variance", "std-all-zero", "std-negative", "mean-nan",
+            "mean-list", "mean-overflows"])
+    def test_malformed_stats_rejected(self, edit):
+        doc = json.loads(CorpusStats.from_vectors([vec(), vec(pitch_mean=1.0)]).to_json())
+        edit(doc)
+        with pytest.raises(SchemaError):
+            CorpusStats.from_json(json.dumps(doc), where="stats.json")
+
+    @pytest.mark.parametrize("error", [SchemaError, InvalidModel])
+    def test_checked_raises_the_callers_error(self, error):
+        n = len(DIMENSIONS)
+        with pytest.raises(error, match="^scaler std must be positive$"):
+            CorpusStats.checked([0.0] * n, [0.0] * n, [], "scaler", error)
 
 
 class TestDescribe:
