@@ -175,23 +175,27 @@ def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
     unchanged.
     """
     x = np.asarray(signal.samples, dtype=np.float64)
+    source_id, sample_rate = signal.source_id, signal.sample_rate
+    # when the caller passed its last reference, the multichannel array is
+    # freed as soon as it is mixed down, before the resampler allocates
+    del signal
     if x.size == 0:
         raise EmptySignal("cannot standardize an empty signal")
     if x.ndim == 2:
         # row adds run along the samples; x.mean(axis=0) reduces an inner
         # axis of length 2 per sample and is about 5x slower
         x = sum(x[1:], x[0]) / x.shape[0]
-    if signal.sample_rate != target_rate:
-        ratio = Fraction(target_rate, signal.sample_rate)
+    if sample_rate != target_rate:
+        ratio = Fraction(target_rate, sample_rate)
         x = _resample_poly(x, ratio.numerator, ratio.denominator)
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
-        return AudioSignal(x, target_rate, signal.source_id, degenerate=True)
+        return AudioSignal(x, target_rate, source_id, degenerate=True)
     if peak != target_peak:
         # divide-then-multiply so the peak sample lands exactly on
         # target_peak, which makes a second pass a no-op
         x = (x / peak) * target_peak
-    return AudioSignal(x, target_rate, signal.source_id, degenerate=False)
+    return AudioSignal(x, target_rate, source_id, degenerate=False)
 
 
 def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,

@@ -10,6 +10,7 @@ configuration. Exit codes: 0 success, 1 configuration error, 2 data error.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -18,8 +19,10 @@ import sys
 
 import numpy as np
 
-from . import audio_io, classifier, corpus, evaluation, hybrid, refine, reasoning
-from .errors import ConfigError, DataError, PipelineError, parse_json, read_text
+from . import (audio_io, classifier, corpus, evaluation, hybrid, parallel, refine,
+               reasoning)
+from .errors import (ConfigError, DataError, PipelineError, csv_errors, parse_json,
+                     read_text)
 from .features import (CorpusStats, aggregate, extract_series,
                        read_features_csv, write_features_csv)
 from .labels import CLASSES
@@ -45,6 +48,8 @@ def _read_setting(key, value, kind):
         if isinstance(value, bool):
             return value
     elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        if "\0" in str(value):  # no command line holds one, and no path may
+            raise ConfigError(f"config key {key!r}: {json.dumps(value)} holds a NUL byte")
         try:
             return kind(str(value))
         except ValueError:
@@ -128,6 +133,32 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _segment_file(cfg, in_dir, out_dir, name):
+    """One recording standardized, VAD-filtered and segmented, its segments
+    written as <name stem>_<k>.wav under ``out_dir``. Returns their manifest
+    entries, or the PipelineError that rejected the file."""
+    parent_id = os.path.splitext(name)[0]
+    try:
+        std = audio_io.standardize(audio_io.load_audio(os.path.join(in_dir, name)))
+        std = audio_io.AudioSignal(std.samples, std.sample_rate,
+                                   source_id=parent_id, degenerate=std.degenerate)
+        intervals = audio_io.detect_voice_activity(
+            std, **_given(cfg, "energy_floor_db", "hangover_frames"))
+        segments = audio_io.segment(std, intervals,
+                                    **_given(cfg, "max_len_s", "min_len_s"))
+    except PipelineError as exc:
+        return exc
+    entries = []
+    for idx, seg in enumerate(segments):
+        sample_id = f"{parent_id}_{idx}"
+        seg_path = os.path.join(out_dir, sample_id + ".wav")
+        audio_io.save_wav(seg_path, seg.signal)
+        entries.append(corpus.ManifestEntry(
+            sample_id=sample_id, audio_path=seg_path,
+            duration_s=seg.duration_seconds, **_given(cfg, "source_kind")))
+    return entries
+
+
 def cmd_preprocess(cfg):
     _require(cfg, "in_dir", "out_dir")
     # audio_io.segment rejects these too, but only once a file has been read
@@ -140,28 +171,13 @@ def cmd_preprocess(cfg):
     entries = []
     errors = []
     names = sorted(f for f in os.listdir(in_dir) if f.lower().endswith(".wav"))
-    for name in names:
-        path = os.path.join(in_dir, name)
-        parent_id = os.path.splitext(name)[0]
-        try:
-            raw = audio_io.load_audio(path)
-            std = audio_io.standardize(raw)
-            std = audio_io.AudioSignal(std.samples, std.sample_rate,
-                                       source_id=parent_id, degenerate=std.degenerate)
-            intervals = audio_io.detect_voice_activity(
-                std, **_given(cfg, "energy_floor_db", "hangover_frames"))
-            segments = audio_io.segment(std, intervals,
-                                        **_given(cfg, "max_len_s", "min_len_s"))
-        except PipelineError as exc:
-            errors.append({"file": name, "error": str(exc)})
-            continue
-        for idx, seg in enumerate(segments):
-            sample_id = f"{parent_id}_{idx}"
-            seg_path = os.path.join(out_dir, sample_id + ".wav")
-            audio_io.save_wav(seg_path, seg.signal)
-            entries.append(corpus.ManifestEntry(
-                sample_id=sample_id, audio_path=seg_path,
-                duration_s=seg.duration_seconds, **_given(cfg, "source_kind")))
+    results = parallel.ordered_map(
+        functools.partial(_segment_file, cfg, in_dir, out_dir), names)
+    for name, result in zip(names, results):
+        if isinstance(result, PipelineError):
+            errors.append({"file": name, "error": str(result)})
+        else:
+            entries.extend(result)
     manifest_path = os.path.join(out_dir, "manifest.csv")
     corpus.save_manifest(manifest_path, entries)
     _write_json(os.path.join(out_dir, "preprocess_report.json"),
@@ -172,19 +188,15 @@ def cmd_preprocess(cfg):
     return 0
 
 
-def _extract_manifest_features(entries):
-    rows = []
-    for entry in entries:
-        raw = audio_io.load_audio(entry.audio_path)
-        std = audio_io.standardize(raw)
-        rows.append((entry.sample_id, aggregate(extract_series(std))))
-    return rows
+def _clip_features(entry):
+    std = audio_io.standardize(audio_io.load_audio(entry.audio_path))
+    return entry.sample_id, aggregate(extract_series(std))
 
 
 def cmd_features(cfg):
     _require(cfg, "manifest", "out")
     entries = corpus.load_manifest(cfg["manifest"])
-    rows = _extract_manifest_features(entries)
+    rows = list(parallel.ordered_map(_clip_features, entries))
     write_features_csv(cfg["out"], rows)
     if cfg.get("stats_out"):
         stats = CorpusStats.from_vectors([v for _, v in rows])
@@ -212,10 +224,11 @@ def cmd_train(cfg):
 
 def _load_transcripts(path):
     reader = csv.DictReader(io.StringIO(read_text(path, DataError), newline=""))
-    missing = [c for c in ("sample_id", "transcript") if c not in (reader.fieldnames or ())]
-    if missing:
-        raise DataError(f"{path}: transcripts lack columns: {', '.join(missing)}")
-    return {row["sample_id"]: row["transcript"] for row in reader}
+    with csv_errors(path, reader, DataError):
+        missing = [c for c in ("sample_id", "transcript") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: transcripts lack columns: {', '.join(missing)}")
+        return {row["sample_id"]: row["transcript"] for row in reader}
 
 
 def cmd_predict(cfg):
@@ -274,17 +287,18 @@ def cmd_kappa(cfg):
     _require(cfg, "annotations")
     rows = []
     reader = csv.DictReader(io.StringIO(read_text(cfg["annotations"], DataError), newline=""))
-    missing = [c for c in ANNOTATORS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise DataError(f"annotation file lacks columns: {', '.join(missing)}")
-    for row in reader:
-        labels = tuple(row[c] for c in ANNOTATORS)
-        for column, label in zip(ANNOTATORS, labels):
-            if label not in CLASSES:
-                raise DataError(
-                    f"annotation line {reader.line_num} ({row.get('sample_id')!r}): "
-                    f"{column} label {label!r} is not one of {', '.join(CLASSES)}")
-        rows.append(labels)
+    with csv_errors(cfg["annotations"], reader, DataError):
+        missing = [c for c in ANNOTATORS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"annotation file lacks columns: {', '.join(missing)}")
+        for row in reader:
+            labels = tuple(row[c] for c in ANNOTATORS)
+            for column, label in zip(ANNOTATORS, labels):
+                if label not in CLASSES:
+                    raise DataError(
+                        f"annotation line {reader.line_num} ({row.get('sample_id')!r}): "
+                        f"{column} label {label!r} is not one of {', '.join(CLASSES)}")
+            rows.append(labels)
     if not rows:
         raise DataError("annotation file has no rows")
     table = np.zeros((len(rows), len(CLASSES)), dtype=np.int64)

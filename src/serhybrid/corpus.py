@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import AudioSignal, save_wav
-from .errors import DuplicateId, MissingGold, SchemaError, read_text
+from .errors import DuplicateId, MissingGold, SchemaError, csv_errors, read_text
 from .labels import CLASSES
 
 MANIFEST_FIELDS = ("sample_id", "audio_path", "gold", "annotator_a",
@@ -72,24 +72,25 @@ def load_manifest(path):
     """Parse a CSV manifest whose header names a sample_id column and
     otherwise only MANIFEST_FIELDS; duplicate sample ids are rejected."""
     reader = csv.DictReader(io.StringIO(read_text(path, SchemaError), newline=""))
-    header = reader.fieldnames or ()
-    if "sample_id" not in header:
-        raise SchemaError(f"{path}: missing manifest header")
-    unknown = [c for c in header if c not in MANIFEST_FIELDS]
-    if unknown:
-        raise SchemaError(f"{path}: unknown columns {unknown}")
-    entries, seen = [], set()
-    for row in reader:
-        where = f"{path}:{reader.line_num}"
-        if None in row:
-            raise SchemaError(f"{where}: {len(header) + len(row[None])} cells, "
-                              f"the header names {len(header)}")
-        if not row["sample_id"]:
-            raise SchemaError(f"{where}: missing sample_id")
-        if row["sample_id"] in seen:
-            raise DuplicateId(f"{where}: duplicate sample_id {row['sample_id']!r}")
-        seen.add(row["sample_id"])
-        entries.append(_entry_from_row(row, where))
+    with csv_errors(path, reader, SchemaError):
+        header = reader.fieldnames or ()
+        if "sample_id" not in header:
+            raise SchemaError(f"{path}: missing manifest header")
+        unknown = [c for c in header if c not in MANIFEST_FIELDS]
+        if unknown:
+            raise SchemaError(f"{path}: unknown columns {unknown}")
+        entries, seen = [], set()
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if None in row:
+                raise SchemaError(f"{where}: {len(header) + len(row[None])} cells, "
+                                  f"the header names {len(header)}")
+            if not row["sample_id"]:
+                raise SchemaError(f"{where}: missing sample_id")
+            if row["sample_id"] in seen:
+                raise DuplicateId(f"{where}: duplicate sample_id {row['sample_id']!r}")
+            seen.add(row["sample_id"])
+            entries.append(_entry_from_row(row, where))
     return entries
 
 

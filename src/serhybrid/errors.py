@@ -11,6 +11,8 @@ its file, so undecodable bytes end as a schema violation of that file
 does.
 """
 
+import contextlib
+import csv
 import json
 
 
@@ -169,3 +171,16 @@ def parse_json(text, where, error):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise error(f"{where}: invalid JSON ({exc})")
+
+
+@contextlib.contextmanager
+def csv_errors(path, reader, error):
+    """Turn a ``csv.Error`` raised in the block, such as a cell over the
+    csv module's field size limit, into ``error`` naming the line that
+    ``reader`` stopped at."""
+    try:
+        yield
+    except csv.Error as exc:
+        # a DictReader's own line_num stops at its last whole row
+        line = getattr(reader, "reader", reader).line_num
+        raise error(f"{path} line {line}: {exc}") from None

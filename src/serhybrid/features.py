@@ -19,7 +19,7 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DataError, EmptySeries, MissingStats, SchemaError,
-                     SignalTooShort, parse_json, read_text)
+                     SignalTooShort, csv_errors, parse_json, read_text)
 
 UNVOICED = math.nan
 
@@ -104,17 +104,20 @@ def read_features_csv(path):
     out = {}
     expected = ["schema", "sample_id", *DIMENSIONS]
     reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
-    if next(reader, None) != expected:
-        raise DataError(f"{path}: unexpected feature CSV header")
-    for row in reader:
-        if len(row) != len(expected):
-            raise DataError(f"{path} line {reader.line_num}: expected "
-                            f"{len(expected)} columns, got {len(row)}")
-        try:
-            values = np.array([float(v) for v in row[2:]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{path} line {reader.line_num}: {exc}")
-        out[row[1]] = FeatureVector(values)
+    with csv_errors(path, reader, DataError):
+        if next(reader, None) != expected:
+            raise DataError(f"{path}: unexpected feature CSV header")
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(expected):
+                raise DataError(f"{where}: expected {len(expected)} columns, got {len(row)}")
+            if row[0] != SCHEMA_TAG:
+                raise DataError(f"{where}: expected schema {SCHEMA_TAG!r}, got {row[0]!r}")
+            try:
+                values = np.array([float(v) for v in row[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}")
+            out[row[1]] = FeatureVector(values)
     return out
 
 

@@ -214,8 +214,12 @@ def read_predictions(path):
         if not line.strip():
             continue
         where = f"{path} line {n}"
+        doc = parse_json(line, where, DataError)
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != PREDICTIONS_SCHEMA:
+            raise DataError(f"{where}: expected schema {PREDICTIONS_SCHEMA!r}, got {schema!r}")
         try:
-            out.append(Prediction.from_dict(parse_json(line, where, DataError)))
+            out.append(Prediction.from_dict(doc))
         except KeyError as exc:
             raise DataError(f"{where}: prediction lacks {exc}")
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:

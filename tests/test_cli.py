@@ -140,9 +140,9 @@ class TestConfigValues:
     @pytest.mark.parametrize("doc, command", [
         ({"overlap": "lots"}, _synth), ({"n_per_clas": 2}, _synth),
         ({"seed": 2.5}, _synth), ({"accept_all": "yes"}, _refine_mine),
-        ({"tau": [0.7]}, _predict_v4),
+        ({"tau": [0.7]}, _predict_v4), ({"manifest": "a\0b"}, _predict_v4),
     ], ids=["overlap-word", "misspelled-key", "seed-fraction", "accept-all-word",
-            "tau-list"])
+            "tau-list", "path-with-nul"])
     def test_one_configuration_error_line(self, workspace, tmp_path, capsys,
                                           doc, command):
         argv = _with_config(tmp_path, doc, command(workspace, tmp_path))
@@ -953,7 +953,52 @@ def inputs(workspace):
                                   *offline, "--out", sink],
         "annotations": lambda f: ["kappa", "--annotations", f, "--out", sink],
     }
-    return _Inputs(root=root, files=files, commands=commands)
+    configs = _valid_configs(root, {**paths, "sink": sink, "sink_file": str(sink_file)})
+    return _Inputs(root=root, files=files, commands=commands, configs=configs)
+
+
+# a valid value of every setting, by name; where subcommands share a
+# name, the value is valid for each of them
+def _setting_values(p):
+    return {
+        "in_dir": str(p["root"]), "out_dir": p["sink_file"], "energy_floor_db": -40.0,
+        "hangover_frames": 5, "max_len_s": 10.0, "min_len_s": 0.5,
+        "source_kind": "synthetic", "manifest": p["manifest"], "out": p["sink"],
+        "stats_out": p["sink"], "features": p["features"], "model_out": p["sink"],
+        "split": "all", "svm_c": 1.0, "svm_tol": 0.001, "model": p["model"],
+        "stats": p["stats"], "rules": p["rules"], "version": "v4_hybrid", "tau": 0.0,
+        "transcripts": p["transcripts"], "endpoint_url": "http://127.0.0.1:1/v1",
+        "model_name": "m", "cache": p["sink"], "max_in_flight": 1, "timeout_s": 1.0,
+        "max_retries": 0, "retry_backoff_s": 0.01, "api_key_ref": "SERHYBRID_API_KEY",
+        "report": p["sink"], "predictions": p["predictions"],
+        "annotations": p["annotations"], "refined_rules": p["rules"],
+        "proposals_out": p["sink"], "min_support": 2, "base_version": 1,
+        "accept_all": True, "apply": p["proposals"], "rules_out": p["sink"],
+        "n_per_class": 3, "overlap": 0.25, "seed": 5, "duration_s": 0.8,
+    }
+
+
+# settings that are also given as flags, which win over the config: the
+# outputs, so a run that gets past its config still ends at the sink, and
+# the SVM tolerance, where a legal 1e-300 keeps the solver going for
+# minutes on this corpus
+_FLAG_SETTINGS = ("out", "out_dir", "stats_out", "model_out", "report", "proposals_out",
+                  "rules_out", "cache", "svm_tol")
+
+
+def _valid_configs(root, paths):
+    """For each subcommand of cli.COMMANDS, a config file that gives every
+    one of its settings, and a command line that reads it."""
+    values = _setting_values({**paths, "root": root})
+    configs = {}
+    for command, (_, _, settings) in cli.COMMANDS.items():
+        doc = {name: values[name] for name, _ in settings}
+        flags = [word for name in _FLAG_SETTINGS if name in doc
+                 for word in ("--" + name.replace("_", "-"), str(values[name]))]
+        configs[command] = (_json_file(doc),
+                            lambda f, command=command, flags=flags: ["--config", f, command,
+                                                                     *flags])
+    return configs
 
 
 class _Inputs(SimpleNamespace):
@@ -999,6 +1044,69 @@ def test_undecodable_file_keeps_its_exit_code(inputs, kind):
     code, err = _run_quietly(inputs.commands[kind](str(path)))
     _assert_one_error_line(code, err)
     assert code == INPUT_KINDS[kind] and f"{path}: not UTF-8 text" in err, err
+
+
+@pytest.mark.parametrize("kind", ["manifest", "features", "transcripts", "annotations"])
+def test_oversized_csv_cell_keeps_its_exit_code(inputs, kind):
+    # the csv module refuses a field over 131,072 characters
+    rows = list(csv.reader(io.StringIO(inputs.files[kind].decode(), newline="")))
+    rows[1][1] = "x" * 200_000
+    path = inputs.root / f"{kind}.oversized"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code, err = _run_quietly(inputs.commands[kind](str(path)))
+    _assert_one_error_line(code, err)
+    assert code == INPUT_KINDS[kind], err
+    assert f"{path} line 2: field larger than field limit (131072)" in err, err
+
+
+def _retagged_prediction(text, tag):
+    lines = [json.loads(line) for line in text.splitlines()]
+    if tag is None:
+        del lines[1]["schema"]
+    else:
+        lines[1]["schema"] = tag
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+def _retagged_features(text, tag):
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows[1][0] = tag or ""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("tag", ["x", None], ids=["tag-x", "no-tag"])
+@pytest.mark.parametrize("kind, retag, schema", [
+    ("predictions", _retagged_prediction, "serhybrid-pred-v1"),
+    ("features", _retagged_features, "serhybrid-features-v1"),
+])
+def test_wrong_schema_tag_is_one_data_error_line(inputs, kind, retag, schema, tag):
+    path = inputs.root / f"{kind}.retagged"
+    path.write_text(retag(inputs.files[kind].decode(), tag))
+    code, err = _run_quietly(inputs.commands[kind](str(path)))
+    got = repr(tag) if kind == "predictions" else repr(tag or "")
+    assert code == 2
+    assert err == f"data error: {path} line 2: expected schema {schema!r}, got {got}\n"
+
+
+def test_setting_values_cover_the_settings_table():
+    values = _setting_values({name: "x" for name in (
+        "root", "sink", "sink_file", *INPUT_KINDS)})
+    for _, _, settings in cli.COMMANDS.values():
+        for name, kind in settings:
+            assert isinstance(values[name], kind), name
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_valid_config_of_each_command_ends_at_the_output_sink(inputs, command):
+    valid, run = inputs.configs[command]
+    path = inputs.root / f"config-{command}.valid"
+    path.write_bytes(valid)
+    code, err = _run_quietly(run(str(path)))
+    _assert_one_error_line(code, err)
+    assert code == 2 and "sink" in err, err
 
 
 _JSON_VALUES = st.recursive(
@@ -1062,3 +1170,26 @@ def test_fuzzed_input_is_one_error_line(inputs, kind, data):
     path = inputs.root / f"{kind}.fuzzed"
     path.write_bytes(mutant)
     _assert_one_error_line(*_run_quietly(inputs.commands[kind](str(path))))
+
+
+_DECLARED = sorted({name for _, _, settings in cli.COMMANDS.values() for name, _ in settings})
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_is_one_error_line(inputs, command, data):
+    """The config fuzz gate: a config giving every setting of a subcommand
+    with one value swapped for an arbitrary JSON value, or one key renamed
+    to another subcommand's setting or to arbitrary text, ends in one error
+    line, never a traceback."""
+    valid, run = inputs.configs[command]
+    doc = json.loads(valid)
+    if data.draw(st.booleans()):
+        doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(_JSON_VALUES)
+    else:
+        key = data.draw(st.sampled_from(sorted(doc)))
+        doc[data.draw(st.sampled_from(_DECLARED) | st.text(max_size=8))] = doc.pop(key)
+    path = inputs.root / f"config-{command}.fuzzed"
+    path.write_text(json.dumps(doc))
+    _assert_one_error_line(*_run_quietly(run(str(path))))
