@@ -21,6 +21,11 @@ MODEL_SCHEMA = "serhybrid-svm-v1"
 # iteration cap per head: max(MAX_ITER_FLOOR, 100 n), as in LIBSVM
 MAX_ITER_FLOOR = 10_000_000
 
+# smallest KKT tolerance a head is solved to: float64 rounding of the
+# gradients keeps the violation from reaching much below it, and a smaller
+# one runs the solver to its iteration cap
+TOL_FLOOR = 1e-12
+
 
 def _as_matrix(vectors):
     """(n, n_dims) float matrix of FeatureVectors, raw rows or a matrix's
@@ -232,11 +237,12 @@ def train(vectors, labels, C=1.0, tol=1e-3):
     """Train the 3-class one-vs-rest model.
 
     Requires all three classes in ``labels``. Each head is solved until its
-    maximal KKT violation is <= ``tol``. Platt parameters are fit on the
-    training decision values (no inner CV).
+    maximal KKT violation is <= ``tol``, which must be at least TOL_FLOOR.
+    Platt parameters are fit on the training decision values (no inner CV).
     """
-    if not (0 < C < np.inf and tol > 0):
-        raise ConfigError(f"SVM needs 0 < C < inf and tol > 0, got C={C!r}, tol={tol!r}")
+    if not (0 < C < np.inf and tol >= TOL_FLOOR):
+        raise ConfigError(f"SVM needs 0 < C < inf and tol >= {TOL_FLOOR:g}, "
+                          f"got C={C!r}, tol={tol!r}")
     labels = list(labels)
     present = set(labels)
     if present != set(CLASSES):

@@ -117,7 +117,7 @@ def _gold_by_id(entries, split=None):
     missing = [e.sample_id for e in selected if e.gold is None]
     if missing:
         raise DataError(f"entries without gold labels: {missing[:5]}")
-    return {e.sample_id: e.gold for e in selected}, selected
+    return {e.sample_id: e.gold for e in selected}
 
 
 def _load_rules_arg(cfg, key="rules"):
@@ -166,6 +166,9 @@ def cmd_preprocess(cfg):
         raise ConfigError(f"max_len_s must be > 0 and finite, got {cfg['max_len_s']}")
     if "min_len_s" in cfg and not 0 <= cfg["min_len_s"] < math.inf:
         raise ConfigError(f"min_len_s must be >= 0 and finite, got {cfg['min_len_s']}")
+    if "source_kind" in cfg and cfg["source_kind"] not in corpus.SOURCE_KINDS:
+        raise ConfigError(f"unknown source kind {cfg['source_kind']!r}; known kinds: "
+                          f"{', '.join(corpus.SOURCE_KINDS)}")
     in_dir, out_dir = cfg["in_dir"], cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     entries = []
@@ -209,11 +212,11 @@ def cmd_features(cfg):
 def cmd_train(cfg):
     _require(cfg, "manifest", "features", "model_out")
     entries = corpus.load_manifest(cfg["manifest"])
-    gold, selected = _gold_by_id(entries, cfg.get("split"))
+    gold = _gold_by_id(entries, cfg.get("split"))
     feats = read_features_csv(cfg["features"])
-    hybrid.require_all(selected, feats, "feature vectors")
-    vectors = [feats[e.sample_id] for e in selected]
-    labels = [gold[e.sample_id] for e in selected]
+    hybrid.require_all(gold, feats, "feature vectors")
+    vectors = [feats[i] for i in gold]
+    labels = list(gold.values())
     model = classifier.train(vectors, labels, **_given(cfg, C="svm_c", tol="svm_tol"))
     model.save(cfg["model_out"])
     correct = sum(ml.label == y for ml, y in zip(classifier.predict(model, vectors), labels))
@@ -261,21 +264,25 @@ def cmd_predict(cfg):
     return 0
 
 
+def _labelled_run(cfg):
+    """The predictions file read against the manifest's gold labels: the
+    sample ids in prediction order, with the gold and predicted label of each."""
+    predictions = hybrid.read_predictions(cfg["predictions"])
+    gold = _gold_by_id(corpus.load_manifest(cfg["manifest"]))
+    ids = [p.sample_id for p in predictions]
+    hybrid.require_all(ids, gold, "gold labels")
+    return ids, [gold[i] for i in ids], [p.label for p in predictions]
+
+
 def cmd_evaluate(cfg):
     _require(cfg, "predictions", "manifest")
-    predictions = hybrid.read_predictions(cfg["predictions"])
-    entries = corpus.load_manifest(cfg["manifest"])
-    gold, _ = _gold_by_id(entries)
-    preds = {p.sample_id: p.label for p in predictions}
-    gold = {sid: gold[sid] for sid in preds if sid in gold}
-    report = evaluation.metrics(preds, gold)
-    cm = refine.ConfusionMatrix.from_predictions(
-        predictions, {p.sample_id: gold[p.sample_id] for p in predictions})
-    print(cm.render())
+    ids, gold, predicted = _labelled_run(cfg)
+    report = evaluation.metrics(zip(ids, predicted), zip(ids, gold))
+    print(report.render_confusion())
     print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}")
     if cfg.get("out"):
         _write_json(cfg["out"], {"metrics": report.to_dict(),
-                                 "confusion": cm.counts.tolist(),
+                                 "confusion": report.confusion.tolist(),
                                  "classes": list(CLASSES)})
     return 0
 
@@ -341,23 +348,12 @@ def cmd_refine(cfg):
               f"{rules.version} -> {new_rules.version} at {cfg['rules_out']}")
         return 0
     _require(cfg, "predictions", "manifest", "features", "stats", "proposals_out")
-    predictions = hybrid.read_predictions(cfg["predictions"])
-    entries = corpus.load_manifest(cfg["manifest"])
-    gold, _ = _gold_by_id(entries)
+    ids, gold, predicted = _labelled_run(cfg)
     feats = read_features_csv(cfg["features"])
     stats = CorpusStats.load(cfg["stats"])
-    hybrid.require_all(predictions, gold, "gold labels")
-    hybrid.require_all(predictions, feats, "feature vectors")
-    errors, correct = [], []
-    for p in predictions:
-        g = gold[p.sample_id]
-        v = feats[p.sample_id]
-        if p.label == g:
-            correct.append(refine.CorrectSample(p.sample_id, g, v))
-        else:
-            errors.append(refine.ErrorSample(p.sample_id, g, p.label, v))
-    patterns = refine.mine_error_patterns(errors, correct, stats,
-                                          **_given(cfg, "min_support"))
+    hybrid.require_all(ids, feats, "feature vectors")
+    patterns = refine.mine_error_patterns(gold, predicted, [feats[i].values for i in ids],
+                                          stats, **_given(cfg, "min_support"))
     base = _given(cfg, "base_version")
     if cfg.get("rules"):
         base["base_version"] = reasoning.load_rules(cfg["rules"]).version
@@ -390,7 +386,7 @@ def cmd_compare(cfg):
     _require(cfg, "manifest", "features", "model", "stats", "out_dir")
     os.makedirs(cfg["out_dir"], exist_ok=True)
     entries = _in_split(corpus.load_manifest(cfg["manifest"]), cfg.get("split"))
-    gold, _ = _gold_by_id(entries)
+    gold = _gold_by_id(entries)
     feats = read_features_csv(cfg["features"])
     model = classifier.SvmModel.load(cfg["model"])
     stats = CorpusStats.load(cfg["stats"])

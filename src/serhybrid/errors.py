@@ -89,10 +89,11 @@ class EmptyGeneration(DataError):
     """Automatic rule generation produced nothing parseable."""
 
 
-class LlmError(PipelineError):
+class LlmError(DataError):
     """Base for LLM transport failures. Carries the sample id, when known,
     so the caller can apply per-sample fallback, and whether another
-    attempt at the same request may succeed."""
+    attempt at the same request may succeed. One that reaches the CLI, as
+    a failed v5 rule generation does, is a data error."""
 
     def __init__(self, message, sample_id=None, retryable=False):
         super().__init__(message)

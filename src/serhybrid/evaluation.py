@@ -5,7 +5,7 @@ denominator are 0 and flagged; kappa statistics return the UNDEFINED
 sentinel when expected agreement is 1 (a single category everywhere).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,16 @@ class MetricsReport:
     macro_f1: float
     per_class: dict  # label -> ClassMetrics
     n: int
+    # 3x3 counts, rows gold, columns predicted; not part of to_dict
+    confusion: np.ndarray = field(compare=False, repr=False)
+
+    def render_confusion(self):
+        """The confusion counts as a text table, gold rows by predicted columns."""
+        width = max(7, max(len(c) for c in CLASSES) + 1)
+        lines = ["gold \\ pred".ljust(width) + "".join(c.rjust(width) for c in CLASSES)]
+        for label, row in zip(CLASSES, self.confusion.tolist()):
+            lines.append(label.ljust(width) + "".join(str(v).rjust(width) for v in row))
+        return "\n".join(lines)
 
     def to_dict(self):
         return {
@@ -108,7 +118,7 @@ def metrics(preds, gold):
     macro_f = sum(m.f1 for m in per_class.values()) / len(CLASSES)
     return MetricsReport(accuracy=float(np.trace(cm)) / n, macro_precision=macro_p,
                          macro_recall=macro_r, macro_f1=macro_f,
-                         per_class=per_class, n=n)
+                         per_class=per_class, n=n, confusion=cm)
 
 
 def _validate_table(table):

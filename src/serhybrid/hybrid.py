@@ -9,10 +9,11 @@ batch always completes.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .classifier import MlEvidence, predict
-from .errors import DataError, LlmError, ManifestError, parse_json, read_text
+from .errors import ConfigError, DataError, LlmError, ManifestError, parse_json, read_text
 from .features import describe
 from .labels import CLASSES
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
@@ -135,9 +136,9 @@ def _run_report(version, predictions, cache_hits, failures, **extra):
     }
 
 
-def require_all(entries, available, what):
-    """Raise ManifestError naming the entries whose sample id ``available`` lacks."""
-    missing = [e.sample_id for e in entries if e.sample_id not in available]
+def require_all(sample_ids, available, what):
+    """Raise ManifestError naming the sample ids that ``available`` lacks."""
+    missing = [i for i in sample_ids if i not in available]
     if missing:
         raise ManifestError(f"no {what} for samples: {missing[:5]}"
                             + ("..." if len(missing) > 5 else ""))
@@ -152,8 +153,11 @@ def run_pipeline(entries, features_by_id, model, rules, stats, client, version,
     Reason; all other versions always reason. Returns (predictions,
     report). The report counts routing, sources, cache hits, and
     per-sample failures; v5 first asks the LLM to generate its own rule set.
+    A tau that is not finite raises ConfigError.
     """
-    require_all(entries, features_by_id, "feature vectors")
+    if not math.isfinite(tau):
+        raise ConfigError(f"tau must be a finite number, got {tau}")
+    require_all([e.sample_id for e in entries], features_by_id, "feature vectors")
     active_rules = rules
     generated_dropped = []
     if version is PromptVersion.v5_auto:
@@ -193,7 +197,7 @@ def run_text_baseline(entries, transcripts_by_id, client):
     Every sample is sent to the LLM with its pre-computed transcript;
     failures fall back to the default label.
     """
-    require_all(entries, transcripts_by_id, "transcripts")
+    require_all([e.sample_id for e in entries], transcripts_by_id, "transcripts")
     routed = [(i, e.sample_id, build_transcript_prompt(transcripts_by_id[e.sample_id]), None)
               for i, e in enumerate(entries)]
     predictions = [None] * len(entries)

@@ -317,15 +317,14 @@ class LlmEndpointConfig:
     """Where and how to reach the chat-completions endpoint.
 
     The API key is read from the environment variable named by
-    ``api_key_ref`` when the client is created; temperature is pinned to 0
-    so evaluation runs are reproducible."""
+    ``api_key_ref`` when the client is created. Every request asks for
+    temperature 0 so evaluation runs are reproducible."""
 
     base_url: str
     model_name: str
     api_key_ref: str = "SERHYBRID_API_KEY"
     timeout_s: float = 30.0
     max_retries: int = 3
-    temperature: float = 0.0
     max_in_flight: int = 4
     retry_backoff_s: float = 0.5
 
@@ -481,7 +480,7 @@ class HttpLlmClient:
         return json.dumps({
             "model": self.cfg.model_name,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.cfg.temperature,
+            "temperature": 0.0,
         }).encode("utf-8")
 
     def _new_connection(self):
@@ -631,11 +630,14 @@ def build_rule_generation_prompt(dimension_names=DIMENSIONS):
 
 def auto_generate_rules(client, dimension_names=DIMENSIONS):
     """v5: let the LLM propose its own rules; schema-invalid proposals are
-    dropped, and an entirely unparseable response raises EmptyGeneration."""
+    dropped, and an entirely unparseable response raises EmptyGeneration.
+    A request that fails after its retries raises its LlmError, since a
+    v5 run has no rules without it."""
     prompt = build_rule_generation_prompt(dimension_names)
     result, = client.complete_batch([("__rule_generation__", prompt)])
     if isinstance(result, LlmError):
-        raise result
+        raise type(result)(f"rule generation failed: {result}", result.sample_id,
+                           result.retryable) from result
     match = re.search(r"\[.*\]", result.text, re.DOTALL)
     if not match:
         raise EmptyGeneration("rule generation returned no JSON array")

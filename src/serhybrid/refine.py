@@ -10,12 +10,10 @@ rule-set version.
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdMismatch, SchemaError, VersionConflict, parse_json, read_text
-from .evaluation import confusion_counts
+from .errors import LengthMismatch, SchemaError, VersionConflict, parse_json, read_text
 from .features import DIMENSIONS
 from .labels import CLASSES
 from .reasoning import Condition, Rule, RuleSet, parse_rule, rule_to_dict
@@ -23,44 +21,6 @@ from .reasoning import Condition, Rule, RuleSet, parse_rule, rule_to_dict
 PROPOSALS_SCHEMA = "serhybrid-proposals-v1"
 
 TOP_DELTAS = 5
-
-
-class ErrorSample(NamedTuple):
-    sample_id: str
-    gold: str
-    predicted: str
-    vector: object  # FeatureVector
-
-
-class CorrectSample(NamedTuple):
-    sample_id: str
-    gold: str
-    vector: object
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # 3x3, rows gold, columns predicted
-
-    @classmethod
-    def from_predictions(cls, predictions, gold_by_id):
-        pred_ids = {p.sample_id for p in predictions}
-        if pred_ids != set(gold_by_id):
-            raise IdMismatch("predictions and gold labels do not cover the same ids")
-        return cls(confusion_counts([p.label for p in predictions],
-                                    [gold_by_id[p.sample_id] for p in predictions]))
-
-    def total(self):
-        return int(self.counts.sum())
-
-    def render(self):
-        width = max(7, max(len(c) for c in CLASSES) + 1)
-        lines = ["gold \\ pred".ljust(width)
-                 + "".join(c.rjust(width) for c in CLASSES)]
-        for i, g in enumerate(CLASSES):
-            lines.append(g.ljust(width)
-                         + "".join(str(int(v)).rjust(width) for v in self.counts[i]))
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -80,55 +40,63 @@ class ErrorPattern:
 
 
 def _cohens_d(a, b):
-    """Standardized mean difference between two sample groups (pooled std)."""
+    """Standardized mean difference (pooled std) between two sample groups,
+    one value per row: ``a`` is (d, na) and ``b`` is (d, nb), one
+    dimension a row. Each row is reduced on its own, as a 1-D group would
+    be, so the values equal a per-dimension computation bit for bit."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na, nb = len(a), len(b)
-    var_a = a.var(ddof=1) if na > 1 else 0.0
-    var_b = b.var(ddof=1) if nb > 1 else 0.0
+    na, nb = a.shape[1], b.shape[1]
+    var_a = a.var(axis=1, ddof=1) if na > 1 else 0.0
+    var_b = b.var(axis=1, ddof=1) if nb > 1 else 0.0
     denom_df = na + nb - 2
-    pooled = np.sqrt(((na - 1) * var_a + (nb - 1) * var_b) / denom_df) if denom_df > 0 else 0.0
-    if pooled == 0.0:
-        return 0.0
-    return float((a.mean() - b.mean()) / pooled)
+    if denom_df <= 0:
+        return np.zeros(len(a))
+    pooled = np.sqrt(((na - 1) * var_a + (nb - 1) * var_b) / denom_df)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (a.mean(axis=1) - b.mean(axis=1)) / pooled
+    return np.where(pooled == 0.0, 0.0, d)
 
 
-def mine_error_patterns(errors, correct, stats, min_support=5):
+def mine_error_patterns(gold, predicted, X, stats, min_support=5):
     """Rank feature dimensions separating each error group from the
     correctly-classified samples of the same gold class.
 
-    ``errors``: ErrorSample list; ``correct``: CorrectSample list; ``stats``
-    supplies the z-scoring used to express thresholds in rule space.
-    Deterministic given inputs and min_support.
+    ``gold`` and ``predicted`` are aligned label sequences and ``X`` the
+    (n, n_dims) feature matrix of the same samples; ``stats`` supplies the
+    z-scoring used to express thresholds in rule space. A group needs at
+    least ``min_support`` samples, and at least one. Deterministic given
+    inputs and min_support.
     """
-    correct_by_gold = {}
-    for s in correct:
-        correct_by_gold.setdefault(s.gold, []).append(s)
-    groups = {}
-    for s in errors:
-        groups.setdefault((s.gold, s.predicted), []).append(s)
-
+    gold = np.asarray(gold, dtype=object)
+    predicted = np.asarray(predicted, dtype=object)
+    X = np.asarray(X, dtype=np.float64).reshape(-1, len(DIMENSIONS))
+    if not len(gold) == len(predicted) == len(X):
+        raise LengthMismatch(f"{len(gold)} gold labels, {len(predicted)} predictions "
+                             f"and {len(X)} feature rows")
     patterns = []
-    for gold in CLASSES:
-        for predicted in CLASSES:
-            if gold == predicted or (gold, predicted) not in groups:
+    for g in CLASSES:
+        is_gold = gold == g
+        ok = is_gold & (predicted == g)
+        if not ok.any():
+            continue
+        # dimension-major rows, each reduced as one contiguous 1-D group
+        ok_T = np.ascontiguousarray(X[ok].T)
+        for p in CLASSES:
+            err = is_gold & (predicted == p)
+            support = int(err.sum())
+            if p == g or support < max(min_support, 1):
                 continue
-            group = groups[(gold, predicted)]
-            if len(group) < min_support or not correct_by_gold.get(gold):
-                continue
-            err_X = np.stack([s.vector.values for s in group])
-            ok_X = np.stack([s.vector.values for s in correct_by_gold[gold]])
-            err_Z = stats.transform(err_X)
-            deltas = []
-            for i, dim in enumerate(DIMENSIONS):
-                d = _cohens_d(err_X[:, i], ok_X[:, i])
-                deltas.append(Delta(dimension=dim, effect_size=d,
-                                    direction=int(np.sign(d)),
-                                    error_median_z=float(np.median(err_Z[:, i]))))
-            deltas.sort(key=lambda dl: (-abs(dl.effect_size), dl.dimension))
-            patterns.append(ErrorPattern(gold=gold, predicted=predicted,
-                                         support=len(group),
-                                         top_deltas=tuple(deltas[:TOP_DELTAS])))
+            d = _cohens_d(np.ascontiguousarray(X[err].T), ok_T)
+            median_z = np.median(stats.transform(X[err]), axis=0)
+            top = sorted(range(len(DIMENSIONS)),
+                         key=lambda i: (-abs(d[i]), DIMENSIONS[i]))[:TOP_DELTAS]
+            deltas = tuple(Delta(dimension=DIMENSIONS[i], effect_size=float(d[i]),
+                                 direction=int(np.sign(d[i])),
+                                 error_median_z=float(median_z[i]))
+                           for i in top)
+            patterns.append(ErrorPattern(gold=g, predicted=p, support=support,
+                                         top_deltas=deltas))
     patterns.sort(key=lambda p: (-p.support, p.gold, p.predicted))
     return patterns
 

@@ -97,6 +97,22 @@ def cohens_d_direct(group_a, group_b):
     return (mean_a - mean_b) / pooled_sq ** 0.5
 
 
+def cohens_d_1d(group_a, group_b):
+    """Cohen's d of one dimension with numpy's 1-D reductions: the exact
+    value, to the last bit, that refine must give that dimension when it
+    reduces every dimension in one pass."""
+    a = np.asarray(group_a, dtype=np.float64)
+    b = np.asarray(group_b, dtype=np.float64)
+    na, nb = len(a), len(b)
+    var_a = a.var(ddof=1) if na > 1 else 0.0
+    var_b = b.var(ddof=1) if nb > 1 else 0.0
+    denom_df = na + nb - 2
+    pooled = np.sqrt(((na - 1) * var_a + (nb - 1) * var_b) / denom_df) if denom_df > 0 else 0.0
+    if pooled == 0.0:
+        return 0.0
+    return float((a.mean() - b.mean()) / pooled)
+
+
 def pitch_direct(frame, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.6):
     """Per-frame port of the normalized-autocorrelation pitch estimator.
 

@@ -22,8 +22,7 @@ from serhybrid.features import frame_signal, estimate_pitch, mfcc, rms_energy
 from serhybrid.hybrid import run_pipeline, write_predictions, read_predictions
 from serhybrid.labels import CLASSES
 from serhybrid.reasoning import PromptVersion, default_ruleset
-from serhybrid.refine import (CorrectSample, ErrorSample, RuleProposal,
-                              apply_refinement, mine_error_patterns,
+from serhybrid.refine import (RuleProposal, apply_refinement, mine_error_patterns,
                               propose_rules)
 
 SR = 16000
@@ -46,15 +45,10 @@ def _accuracy(predictions, gold):
 def _oracle_consistent_proposals(predictions, bundle, rules, pair=None):
     """Mine refinement proposals from predictions and keep only the ones
     whose direction matches the corpus recipes (the human-review stand-in)."""
-    errors, correct = [], []
-    for p in predictions:
-        g = bundle.gold[p.sample_id]
-        vec = bundle.features[p.sample_id]
-        if p.label == g:
-            correct.append(CorrectSample(p.sample_id, g, vec))
-        else:
-            errors.append(ErrorSample(p.sample_id, g, p.label, vec))
-    patterns = mine_error_patterns(errors, correct, bundle.stats, min_support=5)
+    patterns = mine_error_patterns([bundle.gold[p.sample_id] for p in predictions],
+                                   [p.label for p in predictions],
+                                   [bundle.features[p.sample_id].values for p in predictions],
+                                   bundle.stats, min_support=5)
     accepted = []
     for proposal in propose_rules(patterns, rules.version):
         if pair and (proposal.pattern.gold, proposal.pattern.predicted) != pair:

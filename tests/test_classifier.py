@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from serhybrid.classifier import (MlEvidence, SvmModel, _smo_binary, predict,
-                                  train)
+from serhybrid.classifier import (TOL_FLOOR, MlEvidence, SvmModel, _smo_binary,
+                                  predict, train)
 from serhybrid.errors import (ConfigError, DataError, DegenerateLabels,
                               InvalidModel, NonFiniteInput,
                               SolverDidNotConverge)
@@ -101,11 +101,19 @@ class TestTrain:
             train([v for v, _ in kept], [y for _, y in kept])
 
     @pytest.mark.parametrize("C,tol", [(0.0, 1e-3), (np.inf, 1e-3),
-                                       (1.0, 0.0), (1.0, float("nan"))])
+                                       (1.0, 0.0), (1.0, float("nan")),
+                                       (1.0, 1e-13), (1.0, 1e-300)])
     def test_out_of_range_solver_settings_rejected(self, C, tol):
+        # a tol below TOL_FLOOR once ran the solver to its 10-million-
+        # iteration cap
         vectors, labels = _blobs()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tol"):
             train(vectors, labels, C=C, tol=tol)
+
+    def test_tolerance_floor_is_reached(self):
+        vectors, labels = _blobs()
+        model = train(vectors, labels, tol=TOL_FLOOR)
+        assert all(v <= TOL_FLOOR for v in model.meta["kkt_violation"])
 
     def test_non_finite_vector_rejected_at_predict(self):
         vectors, labels = _blobs()

@@ -306,13 +306,18 @@ class TestPredictEvaluate:
                   "--endpoint-url", "http://127.0.0.1:1/v1",
                   "--model-name", "m", "--out", str(preds)])
         out = tmp_path / "eval.json"
+        capsys.readouterr()
         assert cli.main(["evaluate", "--predictions", str(preds),
                          "--manifest", workspace["manifest"],
                          "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert 0.0 <= doc["metrics"]["accuracy"] <= 1.0
         assert np.array(doc["confusion"]).shape == (3, 3)
-        assert "gold \\ pred" in capsys.readouterr().out
+        printed = capsys.readouterr().out.splitlines()
+        assert "gold \\ pred" in printed[0]
+        # the printed table and the written counts are the same matrix
+        assert [[int(v) for v in line.split()[1:]] for line in printed[1:4]] == doc["confusion"]
+        assert sum(map(sum, doc["confusion"])) == doc["metrics"]["n"] == 9
 
 
 class TestKappa:
@@ -833,6 +838,22 @@ class TestPreprocess:
         assert name in err
         assert not out_dir.exists()
 
+    def test_unknown_source_kind_rejected_before_any_file_is_written(self, tmp_path,
+                                                                      capsys):
+        # it once wrote a manifest that features then rejected
+        in_dir = tmp_path / "raw"
+        os.makedirs(in_dir)
+        save_wav(in_dir / "take1.wav", AudioSignal(np.full(16000, 0.5), 16000, "take1"))
+        out_dir = tmp_path / "segments"
+        capsys.readouterr()
+        code = cli.main(["preprocess", "--in-dir", str(in_dir), "--out-dir", str(out_dir),
+                         "--source-kind", "bogus"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("configuration error: unknown source kind 'bogus'; known kinds: "
+                       "movie, entertainment, interview, synthetic\n")
+        assert not out_dir.exists()
+
 
 class TestSynth:
     @pytest.mark.parametrize("flags, name", [
@@ -867,6 +888,40 @@ def _compare_split(ws, tmp_path, split):
 def _train_split(ws, tmp_path, split):
     return ["train", "--manifest", ws["manifest"], "--features", ws["features"],
             "--split", split, "--model-out", str(tmp_path / "model.json")]
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_non_finite_tau_is_one_configuration_error_line(workspace, tmp_path, capsys,
+                                                        command, tau):
+    # a NaN tau once routed every sample and wrote "tau": NaN, which is not JSON
+    argv = (_predict_split if command == "predict" else _compare_split)(
+        workspace, tmp_path, "all")
+    capsys.readouterr()
+    code = cli.main([*argv, f"--tau={tau}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"configuration error: tau must be a finite number, got {float(tau)}\n"
+    assert not (tmp_path / "p.jsonl").exists()
+    assert not (tmp_path / "ablation").exists() or not os.listdir(tmp_path / "ablation")
+
+
+@pytest.mark.parametrize("command", [_predict_split, _compare_split],
+                         ids=["predict", "compare"])
+def test_failed_rule_generation_is_one_data_error_line(workspace, tmp_path, capsys,
+                                                       command):
+    # v5 needs its generated rules; the request to a closed port fails, and
+    # that once ended in an LlmTransportError traceback
+    argv = command(workspace, tmp_path, "all")
+    if argv[0] == "predict":
+        argv += ["--version", "v5_auto"]
+    capsys.readouterr()
+    code = cli.main([*argv, "--max-retries", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert "rule generation" in err
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 @pytest.mark.parametrize("split", ["tset", ""], ids=["tset", "empty"])
@@ -979,11 +1034,9 @@ def _setting_values(p):
 
 
 # settings that are also given as flags, which win over the config: the
-# outputs, so a run that gets past its config still ends at the sink, and
-# the SVM tolerance, where a legal 1e-300 keeps the solver going for
-# minutes on this corpus
+# outputs, so a run that gets past its config still ends at the sink
 _FLAG_SETTINGS = ("out", "out_dir", "stats_out", "model_out", "report", "proposals_out",
-                  "rules_out", "cache", "svm_tol")
+                  "rules_out", "cache")
 
 
 def _valid_configs(root, paths):

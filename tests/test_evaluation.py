@@ -131,6 +131,30 @@ class TestMetrics:
         assert 0.0 <= report.accuracy <= 1.0
 
 
+
+class TestConfusionMatrix:
+    """The one confusion matrix of a run: the counts metrics builds, kept
+    on its report, and their text table."""
+
+    def test_counts_and_render(self):
+        report = metrics({"s0": "calm", "s1": "calm", "s2": "angry"},
+                         {"s0": "calm", "s1": "angry", "s2": "angry"})
+        cm = report.confusion
+        assert cm.sum() == 3
+        assert cm[1, 1] == 1          # calm predicted calm
+        assert cm[0, 1] == 1          # angry predicted calm
+        assert cm[0, 0] == 1          # angry predicted angry
+        rendered = report.render_confusion()
+        assert rendered == ("gold \\ pred  angry   calm  panic\n"
+                            "angry        1      1      0\n"
+                            "calm         0      1      0\n"
+                            "panic        0      0      0")
+        assert "confusion" not in report.to_dict()
+
+    def test_id_mismatch(self):
+        with pytest.raises(IdMismatch):
+            metrics({"s0": "calm"}, {"other": "calm"})
+
 class TestMajorityAndAnnotators:
     def test_majority(self):
         assert majority_label(["calm", "calm", "angry"]) == "calm"

@@ -4,65 +4,84 @@ import numpy as np
 import pytest
 
 import oracles
-from serhybrid.errors import IdMismatch, VersionConflict
-from serhybrid.features import DIM_INDEX, DIMENSIONS, CorpusStats, FeatureVector
-from serhybrid.hybrid import Prediction
+from serhybrid.errors import LengthMismatch, VersionConflict
+from serhybrid.features import DIM_INDEX, DIMENSIONS, CorpusStats
+from serhybrid.labels import CLASSES
 from serhybrid.reasoning import default_ruleset
-from serhybrid.refine import (ConfusionMatrix, CorrectSample, ErrorSample,
-                              RuleProposal, _cohens_d, apply_refinement,
+from serhybrid.refine import (RuleProposal, _cohens_d, apply_refinement,
                               mine_error_patterns, propose_rules,
                               read_proposals, write_proposals)
 
 
-def vec(**overrides):
-    values = np.zeros(len(DIMENSIONS))
-    for name, value in overrides.items():
-        values[DIM_INDEX[name]] = value
-    return FeatureVector(values)
+def _stats(X):
+    return CorpusStats.from_matrix(np.asarray(X))
 
 
-def _stats(vectors):
-    return CorpusStats.from_vectors(vectors)
+# random (d, n) group shapes: single samples and zero-variance rows included
+_GROUP_SIZES = (1, 2, 3, 7, 30, 300)
+
+
+def _random_groups(rng, n_dims=len(DIMENSIONS)):
+    for na in _GROUP_SIZES:
+        for nb in _GROUP_SIZES:
+            a = rng.normal(loc=rng.normal(), scale=rng.uniform(0.1, 50.0), size=(n_dims, na))
+            b = rng.normal(scale=rng.uniform(0.1, 50.0), size=(n_dims, nb))
+            a[:3] = 2.5  # constant rows
+            b[1:4] = -1.0
+            yield a, b
 
 
 class TestCohensD:
     def test_hand_value(self):
         # means 2 and 5, both variances 1 -> d = -3
-        a = [1.0, 2.0, 3.0]
-        b = [4.0, 5.0, 6.0]
-        assert abs(_cohens_d(a, b) - (-3.0)) < 1e-12
+        a = np.array([[1.0, 2.0, 3.0]])
+        b = np.array([[4.0, 5.0, 6.0]])
+        assert abs(_cohens_d(a, b)[0] - (-3.0)) < 1e-12
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            a = rng.normal(size=rng.integers(2, 30))
-            b = rng.normal(loc=1.0, size=rng.integers(2, 30))
-            assert abs(_cohens_d(a, b)
-                       - oracles.cohens_d_direct(a, b)) < 1e-10
+            a = rng.normal(size=(len(DIMENSIONS), rng.integers(2, 30)))
+            b = rng.normal(loc=1.0, size=(len(DIMENSIONS), rng.integers(2, 30)))
+            d = _cohens_d(a, b)
+            for row, (a_row, b_row) in enumerate(zip(a, b)):
+                assert abs(d[row] - oracles.cohens_d_direct(a_row, b_row)) < 1e-10
 
     def test_zero_pooled_variance(self):
-        assert _cohens_d([1.0, 1.0], [1.0, 1.0]) == 0.0
+        assert _cohens_d(np.ones((1, 2)), np.ones((1, 2))).tolist() == [0.0]
+        d = _cohens_d(np.array([[1.0, 1.0], [1.0, 3.0]]), np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert d[0] == 0.0 and d[1] != 0.0
+
+    def test_single_samples_give_zero(self):
+        assert _cohens_d(np.ones((3, 1)), np.zeros((3, 1))).tolist() == [0.0] * 3
+
+    def test_bit_equal_to_one_dimension_at_a_time(self):
+        """Each row reduces as the 1-D group of that dimension would, so
+        proposals written from the matrix form are byte-identical."""
+        rng = np.random.default_rng(5)
+        for a, b in _random_groups(rng):
+            d = _cohens_d(a, b)
+            expected = [oracles.cohens_d_1d(a_row, b_row) for a_row, b_row in zip(a, b)]
+            assert d.tolist() == expected
 
 
-def _planted_samples(rng, n_err=8, n_ok=12):
-    """panic->angry errors that differ from correct panic only in pitch_std."""
-    errors = [ErrorSample(f"e{i}", "panic", "angry",
-                          vec(pitch_std=5.0 + rng.normal(scale=0.1),
-                              energy_mean=1.0 + rng.normal(scale=0.5)))
-              for i in range(n_err)]
-    correct = [CorrectSample(f"c{i}", "panic",
-                             vec(pitch_std=30.0 + rng.normal(scale=0.1),
-                                 energy_mean=1.0 + rng.normal(scale=0.5)))
-               for i in range(n_ok)]
-    return errors, correct
+def _planted(rng, n_err=8, n_ok=12):
+    """panic->angry errors that differ from correct panic only in pitch_std:
+    (gold, predicted, X)."""
+    X = np.zeros((n_err + n_ok, len(DIMENSIONS)))
+    X[:, DIM_INDEX["pitch_std"]] = np.r_[5.0 + rng.normal(scale=0.1, size=n_err),
+                                         30.0 + rng.normal(scale=0.1, size=n_ok)]
+    X[:, DIM_INDEX["energy_mean"]] = 1.0 + rng.normal(scale=0.5, size=n_err + n_ok)
+    gold = ["panic"] * (n_err + n_ok)
+    predicted = ["angry"] * n_err + ["panic"] * n_ok
+    return gold, predicted, X
 
 
 class TestMining:
     def test_recovers_planted_dimension(self):
         rng = np.random.default_rng(17)
-        errors, correct = _planted_samples(rng)
-        stats = _stats([s.vector for s in errors + correct])
-        patterns = mine_error_patterns(errors, correct, stats)
+        gold, predicted, X = _planted(rng)
+        patterns = mine_error_patterns(gold, predicted, X, _stats(X))
         assert len(patterns) == 1
         pattern = patterns[0]
         assert (pattern.gold, pattern.predicted) == ("panic", "angry")
@@ -73,32 +92,79 @@ class TestMining:
 
     def test_min_support_filters(self):
         rng = np.random.default_rng(17)
-        errors, correct = _planted_samples(rng, n_err=4)
-        stats = _stats([s.vector for s in errors + correct])
-        assert mine_error_patterns(errors, correct, stats, min_support=5) == []
-        assert len(mine_error_patterns(errors, correct, stats, min_support=4)) == 1
+        gold, predicted, X = _planted(rng, n_err=4)
+        stats = _stats(X)
+        assert mine_error_patterns(gold, predicted, X, stats, min_support=5) == []
+        assert len(mine_error_patterns(gold, predicted, X, stats, min_support=4)) == 1
+
+    @pytest.mark.parametrize("min_support", [0, -3])
+    def test_no_pattern_without_support(self, min_support):
+        """A pair with no errors gives no pattern, whatever min_support is:
+        0 and below act as 1."""
+        rng = np.random.default_rng(19)
+        gold, predicted, X = _planted(rng, n_err=1)
+        gold += ["calm"] * 3
+        predicted += ["calm"] * 3
+        X = np.vstack([X, rng.normal(size=(3, len(DIMENSIONS)))])
+        stats = _stats(X)
+        patterns = mine_error_patterns(gold, predicted, X, stats, min_support=min_support)
+        assert [(p.gold, p.predicted, p.support) for p in patterns] == [("panic", "angry", 1)]
+        assert patterns == mine_error_patterns(gold, predicted, X, stats, min_support=1)
 
     def test_no_correct_gold_group_skipped(self):
         rng = np.random.default_rng(17)
-        errors, _ = _planted_samples(rng)
-        stats = _stats([s.vector for s in errors])
-        assert mine_error_patterns(errors, [], stats) == []
+        gold, predicted, X = _planted(rng, n_ok=0)
+        assert mine_error_patterns(gold, predicted, X, _stats(X)) == []
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
-        errors, correct = _planted_samples(rng)
-        stats = _stats([s.vector for s in errors + correct])
-        first = mine_error_patterns(errors, correct, stats)
-        second = mine_error_patterns(errors, correct, stats)
+        gold, predicted, X = _planted(rng)
+        stats = _stats(X)
+        first = mine_error_patterns(gold, predicted, X, stats)
+        second = mine_error_patterns(gold, predicted, X, stats)
         assert first == second
+
+    def test_no_samples_no_patterns(self):
+        rng = np.random.default_rng(23)
+        X = _planted(rng)[2]
+        assert mine_error_patterns([], [], [], _stats(X)) == []
+
+    def test_misaligned_inputs_rejected(self):
+        rng = np.random.default_rng(23)
+        gold, predicted, X = _planted(rng)
+        with pytest.raises(LengthMismatch):
+            mine_error_patterns(gold, predicted[1:], X, _stats(X))
+        with pytest.raises(LengthMismatch):
+            mine_error_patterns(gold, predicted, X[1:], _stats(X))
+
+    def test_deltas_equal_the_per_dimension_computation(self):
+        """Every reported delta is the 1-D Cohen's d and median z of its
+        dimension over the groups in sample order, bit for bit."""
+        rng = np.random.default_rng(41)
+        n = 400
+        gold = [CLASSES[i] for i in rng.integers(0, 3, size=n)]
+        predicted = [g if rng.random() < 0.6 else CLASSES[i]
+                     for g, i in zip(gold, rng.integers(0, 3, size=n))]
+        X = rng.normal(scale=rng.uniform(0.1, 100.0, size=len(DIMENSIONS)),
+                       size=(n, len(DIMENSIONS)))
+        stats = _stats(X)
+        patterns = mine_error_patterns(gold, predicted, X, stats, min_support=1)
+        assert len(patterns) == 6
+        for pattern in patterns:
+            err = [i for i in range(n)
+                   if (gold[i], predicted[i]) == (pattern.gold, pattern.predicted)]
+            ok = [i for i in range(n) if gold[i] == predicted[i] == pattern.gold]
+            assert pattern.support == len(err)
+            for delta in pattern.top_deltas:
+                k = DIM_INDEX[delta.dimension]
+                assert delta.effect_size == oracles.cohens_d_1d(X[err, k], X[ok, k])
+                assert delta.error_median_z == float(np.median(stats.transform(X[err])[:, k]))
 
 
 class TestProposals:
     def _pattern(self):
-        rng = np.random.default_rng(29)
-        errors, correct = _planted_samples(rng)
-        stats = _stats([s.vector for s in errors + correct])
-        return mine_error_patterns(errors, correct, stats)[0]
+        gold, predicted, X = _planted(np.random.default_rng(29))
+        return mine_error_patterns(gold, predicted, X, _stats(X))[0]
 
     def test_direction_and_strength(self):
         pattern = self._pattern()
@@ -144,10 +210,8 @@ class TestProposals:
 
 class TestApplyRefinement:
     def _accepted(self, base_version=1):
-        rng = np.random.default_rng(31)
-        errors, correct = _planted_samples(rng)
-        stats = _stats([s.vector for s in errors + correct])
-        pattern = mine_error_patterns(errors, correct, stats)[0]
+        gold, predicted, X = _planted(np.random.default_rng(31))
+        pattern = mine_error_patterns(gold, predicted, X, _stats(X))[0]
         proposal = propose_rules([pattern], base_version)[0]
         return RuleProposal(proposal.candidate, proposal.pattern, "accepted",
                             base_version)
@@ -180,27 +244,3 @@ class TestApplyRefinement:
         new_rules = apply_refinement(rules, [])
         assert new_rules.version == rules.version + 1
         assert new_rules.rules == rules.rules
-
-
-class TestConfusionMatrix:
-    def _predictions(self, labels):
-        return [Prediction(sample_id=f"s{i}", label=label, source="ml_direct",
-                           ml_evidence=None, prompt_version="v4_hybrid")
-                for i, label in enumerate(labels)]
-
-    def test_counts_and_render(self):
-        preds = self._predictions(["calm", "calm", "angry"])
-        gold = {"s0": "calm", "s1": "angry", "s2": "angry"}
-        cm = ConfusionMatrix.from_predictions(preds, gold)
-        assert cm.total() == 3
-        assert cm.counts[1, 1] == 1          # calm predicted calm
-        assert cm.counts[0, 1] == 1          # angry predicted calm
-        assert cm.counts[0, 0] == 1          # angry predicted angry
-        rendered = cm.render()
-        assert "gold \\ pred" in rendered
-        assert len(rendered.splitlines()) == 4
-
-    def test_id_mismatch(self):
-        preds = self._predictions(["calm"])
-        with pytest.raises(IdMismatch):
-            ConfusionMatrix.from_predictions(preds, {"other": "calm"})
