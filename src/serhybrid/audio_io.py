@@ -29,7 +29,6 @@ class AudioSignal:
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str = ""
     degenerate: bool = False  # all-zero input passed through normalization
 
     @property
@@ -43,28 +42,6 @@ class AudioSignal:
     @property
     def duration_seconds(self):
         return self.num_samples / self.sample_rate
-
-
-@dataclass(frozen=True)
-class VoicedInterval:
-    """Half-open sample range [start_sample, end_sample) marked as voiced."""
-
-    start_sample: int
-    end_sample: int
-
-    def __post_init__(self):
-        if not self.start_sample < self.end_sample:
-            raise ValueError("interval must satisfy start_sample < end_sample")
-
-
-@dataclass(frozen=True)
-class AudioSegment:
-    """A voiced utterance cut out of a parent signal."""
-
-    signal: AudioSignal
-    parent_id: str
-    offset_seconds: float
-    duration_seconds: float
 
 
 _INT_SCALES = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
@@ -92,7 +69,7 @@ def load_audio(path):
         samples = data.astype(np.float64)
     else:
         raise UnsupportedFormat(f"{path}: unsupported sample dtype {dtype}")
-    return AudioSignal(samples=samples, sample_rate=int(rate), source_id=str(path))
+    return AudioSignal(samples=samples, sample_rate=int(rate))
 
 
 def save_wav(path, signal):
@@ -175,7 +152,7 @@ def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
     unchanged.
     """
     x = np.asarray(signal.samples, dtype=np.float64)
-    source_id, sample_rate = signal.source_id, signal.sample_rate
+    sample_rate = signal.sample_rate
     # when the caller passed its last reference, the multichannel array is
     # freed as soon as it is mixed down, before the resampler allocates
     del signal
@@ -190,19 +167,20 @@ def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
         x = _resample_poly(x, ratio.numerator, ratio.denominator)
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
-        return AudioSignal(x, target_rate, source_id, degenerate=True)
+        return AudioSignal(x, target_rate, degenerate=True)
     if peak != target_peak:
         # divide-then-multiply so the peak sample lands exactly on
         # target_peak, which makes a second pass a no-op
         x = (x / peak) * target_peak
-    return AudioSignal(x, target_rate, source_id, degenerate=False)
+    return AudioSignal(x, target_rate, degenerate=False)
 
 
 def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
                           energy_floor_db=-40.0, hangover_frames=5):
     """Find voiced intervals: frames whose RMS exceeds a floor relative to
     the signal peak, smoothed by keeping ``hangover_frames`` frames voiced
-    after each active frame. Returns sorted, non-overlapping intervals."""
+    after each active frame. Returns sorted, non-overlapping half-open
+    (start, end) sample ranges, start < end."""
     x = np.asarray(signal.samples, dtype=np.float64)
     if x.size == 0:
         raise EmptySignal("cannot run VAD on an empty signal")
@@ -215,7 +193,7 @@ def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
     rms = rms_energy(frame_matrix(x, frame_len, hop_len))
     if rms.size == 0:
         # shorter than one frame: judge the whole signal at once
-        return [VoicedInterval(0, len(x))] if np.sqrt(np.mean(x * x)) > thr else []
+        return [(0, len(x))] if np.sqrt(np.mean(x * x)) > thr else []
     voiced = rms > thr
     if hangover_frames > 0:
         # a frame is voiced when it or one of the hangover_frames before it is
@@ -231,7 +209,7 @@ def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
     # joins the one before it when it starts at or before that run's end
     joins = np.flatnonzero(starts[1:] <= ends[:-1])
     starts, ends = np.delete(starts, joins + 1), np.delete(ends, joins)
-    return [VoicedInterval(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def _split_point(x, sample_rate, lo, hi, frame_ms=25.0, hop_ms=10.0,
@@ -252,7 +230,7 @@ def _split_point(x, sample_rate, lo, hi, frame_ms=25.0, hop_ms=10.0,
 
 
 def segment(signal, intervals, max_len_s=10.0, min_len_s=0.5):
-    """Cut voiced intervals into utterance segments.
+    """Cut (start, end) voiced intervals into utterance signals.
 
     Intervals longer than ``max_len_s`` are split recursively at the
     lowest-energy frame near their midpoint; pieces shorter than
@@ -281,18 +259,7 @@ def segment(signal, intervals, max_len_s=10.0, min_len_s=0.5):
         else:
             pieces.append((lo, hi))
 
-    for iv in intervals:
-        cut(iv.start_sample, iv.end_sample)
-
-    segments = []
-    for idx, (lo, hi) in enumerate(p for p in pieces if p[1] - p[0] >= min_len):
-        sub = AudioSignal(x[lo:hi].copy(), sr,
-                          source_id=f"{signal.source_id}_{idx}",
-                          degenerate=signal.degenerate)
-        segments.append(AudioSegment(
-            signal=sub,
-            parent_id=signal.source_id,
-            offset_seconds=lo / sr,
-            duration_seconds=(hi - lo) / sr,
-        ))
-    return segments
+    for start, end in intervals:
+        cut(start, end)
+    return [AudioSignal(x[lo:hi].copy(), sr, degenerate=signal.degenerate)
+            for lo, hi in pieces if hi - lo >= min_len]

@@ -140,8 +140,6 @@ def _segment_file(cfg, in_dir, out_dir, name):
     parent_id = os.path.splitext(name)[0]
     try:
         std = audio_io.standardize(audio_io.load_audio(os.path.join(in_dir, name)))
-        std = audio_io.AudioSignal(std.samples, std.sample_rate,
-                                   source_id=parent_id, degenerate=std.degenerate)
         intervals = audio_io.detect_voice_activity(
             std, **_given(cfg, "energy_floor_db", "hangover_frames"))
         segments = audio_io.segment(std, intervals,
@@ -152,7 +150,7 @@ def _segment_file(cfg, in_dir, out_dir, name):
     for idx, seg in enumerate(segments):
         sample_id = f"{parent_id}_{idx}"
         seg_path = os.path.join(out_dir, sample_id + ".wav")
-        audio_io.save_wav(seg_path, seg.signal)
+        audio_io.save_wav(seg_path, seg)
         entries.append(corpus.ManifestEntry(
             sample_id=sample_id, audio_path=seg_path,
             duration_s=seg.duration_seconds, **_given(cfg, "source_kind")))

@@ -269,7 +269,7 @@ def generate_synthetic_corpus(recipe, out_dir):
             x = _synthesize(active, rng, recipe.duration_s, recipe.sample_rate)
             sample_id = f"{label}_{i:03d}"
             path = os.path.join(out_dir, sample_id + ".wav")
-            save_wav(path, AudioSignal(x, recipe.sample_rate, source_id=sample_id))
+            save_wav(path, AudioSignal(x, recipe.sample_rate))
             entries.append(ManifestEntry(
                 sample_id=sample_id, audio_path=path, gold=label,
                 source_kind="synthetic", duration_s=recipe.duration_s))

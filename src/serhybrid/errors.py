@@ -134,7 +134,7 @@ class EmptyInput(DataError):
 # --- corpus / manifests ---
 
 class DuplicateId(DataError):
-    """Manifest contains a repeated sample id."""
+    """A manifest or predictions file repeats a sample id."""
 
 
 class MissingGold(DataError):

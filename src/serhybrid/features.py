@@ -2,9 +2,9 @@
 
 The aggregated vector has 37 dimensions, frozen in DIMENSIONS:
 6 pitch statistics (over voiced frames), 5 energy statistics, and
-mean + std of 13 MFCCs. A vector can be turned into a qualitative
-structured description (z-scored against corpus statistics) for the
-reasoning prompts.
+mean + std of 13 MFCCs. A vector can be rendered as a qualitative
+acoustic profile (z-scored against corpus statistics) for the reasoning
+prompts.
 """
 
 import csv
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (DataError, EmptySeries, MissingStats, SchemaError,
+from .errors import (DataError, EmptyInput, EmptySeries, MissingStats, SchemaError,
                      SignalTooShort, csv_errors, parse_json, read_text)
 
 UNVOICED = math.nan
@@ -56,8 +56,6 @@ class FrameSeries:
     pitch_hz: np.ndarray
     energy_rms: np.ndarray
     mfcc: np.ndarray  # (n_frames, N_MFCC)
-    frame_ms: float
-    hop_ms: float
 
     def __post_init__(self):
         n = len(self.pitch_hz)
@@ -74,20 +72,6 @@ class FeatureVector:
     def __post_init__(self):
         if self.values.shape != (len(DIMENSIONS),):
             raise ValueError(f"expected {len(DIMENSIONS)} dimensions, got {self.values.shape}")
-
-    def __getitem__(self, name):
-        return float(self.values[DIM_INDEX[name]])
-
-    def as_dict(self):
-        return {name: float(v) for name, v in zip(DIMENSIONS, self.values)}
-
-    def to_json(self):
-        return json.dumps({"schema": SCHEMA_TAG, "features": self.as_dict()})
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(np.array([doc["features"][name] for name in DIMENSIONS], dtype=np.float64))
 
 
 def write_features_csv(path, rows):
@@ -147,25 +131,22 @@ def frame_signal(signal, frame_ms=25.0, hop_ms=10.0):
 
 
 def rms_energy(frames):
-    """Root-mean-square of an unwindowed frame, or of each row of an
-    (n_frames, frame_len) matrix; a frame gives a float."""
+    """Root-mean-square of each row of an (n_frames, frame_len) matrix of
+    unwindowed frames."""
     x = np.asarray(frames, dtype=np.float64)
-    rms = np.sqrt(np.mean(x * x, axis=-1))
-    return float(rms) if x.ndim == 1 else rms
+    return np.sqrt(np.mean(x * x, axis=1))
 
 
 def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.6):
     """Fundamental frequency via normalized autocorrelation.
 
-    ``frames`` is one frame or an (n_frames, frame_len) matrix; a frame
-    gives a float, a matrix an array with one pitch per row. In each row
-    the lag of the highest normalized-autocorrelation peak in
-    [1/fmax, 1/fmin] is refined with parabolic interpolation. Rows whose
-    peak clarity falls below ``clarity_threshold`` are UNVOICED.
+    ``frames`` is an (n_frames, frame_len) matrix; the result has one
+    pitch per row. In each row the lag of the highest
+    normalized-autocorrelation peak in [1/fmax, 1/fmin] is refined with
+    parabolic interpolation. Rows whose peak clarity falls below
+    ``clarity_threshold`` are UNVOICED.
     """
     x = np.asarray(frames, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
     rows = np.arange(x.shape[0])
     n = x.shape[1]
     pitch = np.full(len(rows), UNVOICED)
@@ -174,7 +155,7 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     # period of them keeps a lag near n from a normalized ACF of exactly +-1
     lag_max = min(n - lag_min, int(math.ceil(sample_rate / fmin)))
     if lag_max <= lag_min:
-        return UNVOICED if single else pitch
+        return pitch
     # mean removal leaves a DC-only row a residual of rounding error, whose
     # normalized ACF is 1 at every lag; a row counts as signal only when its
     # residual exceeds that error bound
@@ -227,7 +208,7 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     refine = (best < n_lags - 1) & (curvature != 0.0) & (np.abs(delta) < 1.0)
     lag = np.where(refine, best + delta, best)
     pitch[voiced] = sample_rate / lag[voiced]
-    return float(pitch[0]) if single else pitch
+    return pitch
 
 
 def mel_scale(f_hz):
@@ -289,8 +270,7 @@ def extract_series(signal, frame_ms=25.0, hop_ms=10.0, fmin=60.0, fmax=400.0,
     pitch = estimate_pitch(frames, signal.sample_rate, fmin, fmax, clarity_threshold)
     energy = rms_energy(frames)
     mfccs = mfcc(frames * np.hanning(frames.shape[1]), signal.sample_rate, n_mels, n_coeffs)
-    return FrameSeries(pitch_hz=pitch, energy_rms=energy, mfcc=mfccs,
-                       frame_ms=frame_ms, hop_ms=hop_ms)
+    return FrameSeries(pitch_hz=pitch, energy_rms=energy, mfcc=mfccs)
 
 
 def aggregate(series):
@@ -331,11 +311,15 @@ class CorpusStats:
 
     @classmethod
     def from_vectors(cls, vectors):
-        return cls.from_matrix(np.stack([v.values for v in vectors]))
+        rows = [v.values for v in vectors]
+        return cls.from_matrix(np.array(rows).reshape(len(rows), len(DIMENSIONS)))
 
     @classmethod
     def from_matrix(cls, X):
-        """Column statistics of an (n_samples, n_dims) matrix."""
+        """Column statistics of an (n_samples, n_dims) matrix; zero rows
+        raise EmptyInput."""
+        if len(X) == 0:
+            raise EmptyInput("corpus stats need at least one feature row")
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         flagged = tuple(DIMENSIONS[i] for i in np.flatnonzero(std == 0.0))
@@ -420,27 +404,14 @@ def level_for_z(z):
     return "very high"
 
 
-@dataclass(frozen=True)
-class StructuredDescription:
-    """Qualitative rendering of a feature vector against corpus statistics.
-
-    ``z_scores`` covers all 37 dimensions; ``text`` is the deterministic
-    block embedded in prompts (the five summary cues, with z-scores)."""
-
-    z_scores: tuple  # of float, ordered per DIMENSIONS
-    text: str
-
-
 def describe(vectors, stats):
-    """z-score each vector against ``stats`` and render its summary block.
-
-    One FeatureVector gives one StructuredDescription; a list of them gives
-    a list, from one standardization of their matrix.
-    """
+    """The acoustic profile of each FeatureVector in the list ``vectors``:
+    the deterministic block embedded in prompts, which gives the five
+    summary cues with their level and z-score against ``stats``. The rows
+    are z-scored in one standardization of their matrix."""
     if stats.mean.shape != (len(DIMENSIONS),):
         raise MissingStats("corpus stats do not cover the feature schema")
-    single = isinstance(vectors, FeatureVector)
-    rows = [v.values for v in ([vectors] if single else vectors)]
+    rows = [v.values for v in vectors]
     Z = stats.transform(np.array(rows).reshape(len(rows), len(DIMENSIONS)))
     out = []
     for z in Z.tolist():
@@ -448,5 +419,5 @@ def describe(vectors, stats):
         for display, dim in SUMMARY_DIMS:
             zi = z[DIM_INDEX[dim]]
             lines.append(f"- {display} [{dim}]: {level_for_z(zi)} (z={zi:+.2f})")
-        out.append(StructuredDescription(z_scores=tuple(z), text="\n".join(lines)))
-    return out[0] if single else out
+        out.append("\n".join(lines))
+    return out

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .classifier import MlEvidence, predict
-from .errors import ConfigError, DataError, LlmError, ManifestError, parse_json, read_text
+from .errors import (ConfigError, DataError, DuplicateId, LlmError, ManifestError, parse_json,
+                     read_text)
 from .features import describe
 from .labels import CLASSES
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
@@ -176,11 +177,11 @@ def run_pipeline(entries, features_by_id, model, rules, stats, client, version,
                                         prompt_version=version.value)
         else:
             routed.append(i)
-    descriptions = describe([vectors[i] for i in routed], stats)
+    profiles = describe([vectors[i] for i in routed], stats)
     items = [(i, entries[i].sample_id,
-              build_prompt(version, desc, active_rules, ml=evidence[i] if v4 else None),
+              build_prompt(version, profile, active_rules, ml=evidence[i] if v4 else None),
               evidence[i])
-             for i, desc in zip(routed, descriptions)]
+             for i, profile in zip(routed, profiles)]
 
     # Phase 2: batched LLM calls, bounded concurrency, input-order results.
     cache_hits, failures = _resolve(client, items, version.value, predictions)
@@ -213,7 +214,10 @@ def write_predictions(path, predictions):
 
 
 def read_predictions(path):
+    """The Prediction of each non-blank line; a repeated sample id raises
+    DuplicateId naming its line."""
     out = []
+    seen = set()
     for n, line in enumerate(read_text(path, DataError).splitlines(), 1):
         if not line.strip():
             continue
@@ -223,9 +227,13 @@ def read_predictions(path):
         if schema != PREDICTIONS_SCHEMA:
             raise DataError(f"{where}: expected schema {PREDICTIONS_SCHEMA!r}, got {schema!r}")
         try:
-            out.append(Prediction.from_dict(doc))
+            prediction = Prediction.from_dict(doc)
         except KeyError as exc:
             raise DataError(f"{where}: prediction lacks {exc}")
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{where}: malformed prediction ({exc})")
+        if prediction.sample_id in seen:
+            raise DuplicateId(f"{where}: duplicate sample_id {prediction.sample_id!r}")
+        seen.add(prediction.sample_id)
+        out.append(prediction)
     return out

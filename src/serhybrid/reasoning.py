@@ -253,8 +253,9 @@ def _render_rules_block(rules):
     return "\n".join(lines)
 
 
-def build_prompt(version, desc, rules, ml=None):
-    """Deterministic prompt text for one sample.
+def build_prompt(version, profile, rules, ml=None):
+    """Deterministic prompt text for one sample, around its acoustic
+    ``profile`` text from ``features.describe``.
 
     v1 carries no rules; v2/v3/v5 require a non-empty rule set; v4 adds
     the ML evidence as an auxiliary signal and requires it.
@@ -268,7 +269,7 @@ def build_prompt(version, desc, rules, ml=None):
         "You are an expert in speech emotion analysis. Based on the acoustic "
         "profile below, decide whether the speaker sounds calm, angry, or "
         "panicked.",
-        desc.text,
+        profile,
     ]
     if version is not PromptVersion.v1_basic and rules.rules:
         parts.append(_render_rules_block(rules))

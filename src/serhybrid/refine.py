@@ -207,18 +207,21 @@ def read_proposals(path):
 def apply_refinement(rules, accepted):
     """Append accepted candidate rules and bump the version.
 
-    Every accepted proposal must reference the current version; the caller
-    persists the new rule set to a fresh file so history is preserved.
+    Every accepted proposal must reference the current version, and its
+    candidate id must be new to the rule set and to the proposals accepted
+    before it; the caller persists the new rule set to a fresh file so
+    history is preserved.
     """
+    ids = {r.id for r in rules.rules}
     for proposal in accepted:
+        rule_id = proposal.candidate.id
         if proposal.base_version != rules.version:
             raise VersionConflict(
-                f"proposal {proposal.candidate.id!r} targets version "
+                f"proposal {rule_id!r} targets version "
                 f"{proposal.base_version}, current is {rules.version}")
-    new_rules = rules.rules + tuple(p.candidate for p in accepted)
-    existing = [r.id for r in rules.rules]
-    for p in accepted:
-        if p.candidate.id in existing:
-            raise VersionConflict(f"rule id {p.candidate.id!r} already present")
-    return RuleSet(version=rules.version + 1, rules=new_rules,
+        if rule_id in ids:
+            raise VersionConflict(f"rule id {rule_id!r} already present")
+        ids.add(rule_id)
+    return RuleSet(version=rules.version + 1,
+                   rules=rules.rules + tuple(p.candidate for p in accepted),
                    confusion_notes=rules.confusion_notes)

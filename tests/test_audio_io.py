@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 import serhybrid
 from serhybrid.audio_io import (TARGET_PEAK, TARGET_RATE, AudioSignal,
-                                VoicedInterval, _resample_poly,
-                                detect_voice_activity, load_audio, save_wav,
-                                segment, standardize)
+                                _resample_poly, detect_voice_activity,
+                                load_audio, save_wav, segment, standardize)
 from serhybrid.errors import EmptySignal, UnsupportedFormat
 
 from oracles import vad_direct
@@ -31,7 +30,7 @@ class TestLoadSave:
     def test_pcm16_roundtrip(self, tmp_path):
         x = _tone()
         path = tmp_path / "tone.wav"
-        save_wav(path, AudioSignal(x, SR, "tone"))
+        save_wav(path, AudioSignal(x, SR))
         loaded = load_audio(path)
         assert loaded.sample_rate == SR
         assert loaded.channels == 1
@@ -91,18 +90,18 @@ class TestResampler:
 
 class TestStandardize:
     def test_peak_lands_exactly_on_target(self):
-        out = standardize(AudioSignal(_tone(amp=0.3), SR, "x"))
+        out = standardize(AudioSignal(_tone(amp=0.3), SR))
         assert float(np.max(np.abs(out.samples))) == TARGET_PEAK
         assert not out.degenerate
 
     def test_idempotent_bit_for_bit(self):
-        once = standardize(AudioSignal(_tone(amp=0.3), SR, "x"))
+        once = standardize(AudioSignal(_tone(amp=0.3), SR))
         twice = standardize(once)
         assert np.array_equal(once.samples, twice.samples)
 
     def test_resamples_to_target_rate(self):
         x = np.sin(2 * np.pi * 100 * np.arange(8000) / 8000)
-        out = standardize(AudioSignal(x, 8000, "x"))
+        out = standardize(AudioSignal(x, 8000))
         assert out.sample_rate == TARGET_RATE
         assert out.num_samples == 16000
         assert np.array_equal(out.samples, standardize(out).samples)
@@ -115,7 +114,7 @@ import sys
 import numpy as np
 import serhybrid.cli
 from serhybrid.audio_io import AudioSignal, standardize
-out = standardize(AudioSignal(np.sin(np.arange(44101) / 7.0), 44100, "x"))
+out = standardize(AudioSignal(np.sin(np.arange(44101) / 7.0), 44100))
 assert out.num_samples == -(-44101 * 160 // 441), out.num_samples
 assert "scipy.signal" not in sys.modules, "scipy.signal loaded"
 """
@@ -130,14 +129,14 @@ assert "scipy.signal" not in sys.modules, "scipy.signal loaded"
         # channel-major over interleaved storage, as load_audio returns it
         rng = np.random.default_rng(channels)
         x = rng.uniform(-1.0, 1.0, size=(4001, channels)).T
-        mixed = standardize(AudioSignal(x, SR, "x"))
-        meaned = standardize(AudioSignal(x.mean(axis=0), SR, "x"))
+        mixed = standardize(AudioSignal(x, SR))
+        meaned = standardize(AudioSignal(x.mean(axis=0), SR))
         assert np.array_equal(mixed.samples, meaned.samples)
 
     def test_stereo_mixes_to_mono(self):
         left = _tone(amp=0.2)
         right = _tone(amp=0.6)
-        out = standardize(AudioSignal(np.stack([left, right]), SR, "x"))
+        out = standardize(AudioSignal(np.stack([left, right]), SR))
         assert out.channels == 1
         # mixdown is the channel mean, then rescaled; shape is the average
         mix = (left + right) / 2.0
@@ -145,47 +144,47 @@ assert "scipy.signal" not in sys.modules, "scipy.signal loaded"
         assert np.max(np.abs(out.samples - expected)) < 1e-12
 
     def test_all_zero_flagged_degenerate(self):
-        out = standardize(AudioSignal(np.zeros(256), SR, "x"))
+        out = standardize(AudioSignal(np.zeros(256), SR))
         assert out.degenerate
         assert np.array_equal(out.samples, np.zeros(256))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySignal):
-            standardize(AudioSignal(np.empty(0), SR, "x"))
+            standardize(AudioSignal(np.empty(0), SR))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0,
                               allow_nan=False), min_size=1, max_size=200))
     def test_idempotence_property(self, values):
-        signal = AudioSignal(np.array(values, dtype=np.float64), SR, "h")
+        signal = AudioSignal(np.array(values, dtype=np.float64), SR)
         once = standardize(signal)
         assert np.array_equal(once.samples, standardize(once).samples)
 
 
 class TestVad:
     def test_all_zero_signal_has_no_voice(self):
-        assert detect_voice_activity(AudioSignal(np.zeros(SR), SR, "z")) == []
+        assert detect_voice_activity(AudioSignal(np.zeros(SR), SR)) == []
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySignal):
-            detect_voice_activity(AudioSignal(np.empty(0), SR, "z"))
+            detect_voice_activity(AudioSignal(np.empty(0), SR))
 
     def test_tone_burst_located(self):
         x = np.zeros(2 * SR)
         x[SR // 2:SR // 2 + SR] = _tone()
-        intervals = detect_voice_activity(AudioSignal(x, SR, "b"))
+        intervals = detect_voice_activity(AudioSignal(x, SR))
         assert len(intervals) == 1
-        iv = intervals[0]
-        assert iv.start_sample <= SR // 2
-        assert iv.end_sample >= SR // 2 + SR - 400
+        start, end = intervals[0]
+        assert start <= SR // 2
+        assert end >= SR // 2 + SR - 400
 
     def test_hangover_extends_intervals(self):
         x = np.zeros(2 * SR)
         x[SR // 2:SR // 2 + SR] = _tone()
-        sig = AudioSignal(x, SR, "b")
+        sig = AudioSignal(x, SR)
         with_h = detect_voice_activity(sig, hangover_frames=5)
         without = detect_voice_activity(sig, hangover_frames=0)
-        assert with_h[0].end_sample > without[0].end_sample
+        assert with_h[0][1] > without[0][1]
 
     def test_intervals_sorted_and_disjoint(self):
         rng = np.random.default_rng(9)
@@ -193,13 +192,9 @@ class TestVad:
         for start in (0, SR, 2 * SR + SR // 2):
             n = SR // 3
             x[start:start + n] = 0.7 * rng.normal(size=n)
-        intervals = detect_voice_activity(AudioSignal(x, SR, "m"))
-        for a, b in zip(intervals, intervals[1:]):
-            assert a.end_sample < b.start_sample
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            VoicedInterval(10, 10)
+        intervals = detect_voice_activity(AudioSignal(x, SR))
+        for (start, end), (next_start, _) in zip(intervals, intervals[1:]):
+            assert start < end < next_start
 
 
 def _levels(db, hop=160):
@@ -235,8 +230,7 @@ class TestVadOracle:
     @pytest.mark.parametrize("case", sorted(VAD_CASES))
     def test_matches_frame_loops(self, case, hangover):
         x, kwargs = VAD_CASES[case]
-        got = [(iv.start_sample, iv.end_sample) for iv in detect_voice_activity(
-            AudioSignal(x, SR, case), hangover_frames=hangover, **kwargs)]
+        got = detect_voice_activity(AudioSignal(x, SR), hangover_frames=hangover, **kwargs)
         assert got == vad_direct(x, SR, hangover_frames=hangover, **kwargs)
         assert all(type(v) is int for pair in got for v in pair)
         if case == "all-voiced":
@@ -248,32 +242,30 @@ class TestVadOracle:
 class TestSegment:
     def test_long_interval_split_under_max(self):
         x = _tone(duration_s=5.0)
-        sig = AudioSignal(x, SR, "long")
+        sig = AudioSignal(x, SR)
         intervals = detect_voice_activity(sig)
         segments = segment(sig, intervals, max_len_s=2.0, min_len_s=0.5)
         assert len(segments) >= 3
         assert all(s.duration_seconds <= 2.0 for s in segments)
         assert all(s.duration_seconds >= 0.5 for s in segments)
-        assert all(s.parent_id == "long" for s in segments)
         # pieces tile the voiced span contiguously
-        covered = sum(s.duration_seconds for s in segments)
-        span = (intervals[0].end_sample - intervals[0].start_sample) / SR
-        assert abs(covered - span) < 1e-9
+        start, end = intervals[0]
+        assert np.array_equal(np.concatenate([s.samples for s in segments]), x[start:end])
 
     def test_short_pieces_dropped(self):
         x = _tone(duration_s=0.3)
-        sig = AudioSignal(x, SR, "tiny")
-        segments = segment(sig, [VoicedInterval(0, len(x))], min_len_s=0.5)
+        sig = AudioSignal(x, SR)
+        segments = segment(sig, [(0, len(x))], min_len_s=0.5)
         assert segments == []
 
     def test_offsets_match_parent(self):
         x = _tone(duration_s=1.0)
-        sig = AudioSignal(x, SR, "p")
-        segments = segment(sig, [VoicedInterval(0, len(x))])
+        sig = AudioSignal(x, SR)
+        segments = segment(sig, [(0, len(x))])
         assert len(segments) == 1
         seg = segments[0]
-        assert seg.offset_seconds == 0.0
-        assert np.array_equal(seg.signal.samples, x)
+        assert seg.sample_rate == SR and not seg.degenerate
+        assert np.array_equal(seg.samples, x)
 
     @pytest.mark.parametrize("lengths", [
         {"max_len_s": 0.0}, {"max_len_s": -1.0}, {"max_len_s": float("nan")},
@@ -283,10 +275,9 @@ class TestSegment:
         # a max_len_s <= 0 once split intervals until RecursionError
         x = _tone(duration_s=0.5)
         with pytest.raises(ValueError, match=next(iter(lengths))):
-            segment(AudioSignal(x, SR, "p"), [VoicedInterval(0, len(x))], **lengths)
+            segment(AudioSignal(x, SR), [(0, len(x))], **lengths)
 
     def test_max_len_under_one_sample_keeps_single_samples(self):
         x = _tone(duration_s=0.01)
-        segments = segment(AudioSignal(x, SR, "p"), [VoicedInterval(0, 8)],
-                           max_len_s=1e-6, min_len_s=0.0)
-        assert [s.signal.num_samples for s in segments] == [1] * 8
+        segments = segment(AudioSignal(x, SR), [(0, 8)], max_len_s=1e-6, min_len_s=0.0)
+        assert [s.num_samples for s in segments] == [1] * 8

@@ -440,6 +440,18 @@ class TestProposalValidation:
                          "--rules", str(rules_in), "--rules-out", str(rules_out)])
         return code, rules_out
 
+    def test_candidate_accepted_twice_is_config_error(self, tmp_path, capsys):
+        # the rule file once written here repeated a rule id, so compare
+        # --refined-rules rejected it later
+        doc = _valid_proposals()
+        doc["proposals"].append(doc["proposals"][0])
+        code, rules_out = self._apply(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("configuration error: rule id "
+                       "'refined-panic-vs-angry-pitch_std' already present\n")
+        assert not rules_out.exists()
+
     def test_valid_proposal_applies(self, tmp_path):
         code, rules_out = self._apply(tmp_path, _valid_proposals())
         assert code == 0
@@ -668,6 +680,35 @@ class TestMalformedInputs:
         assert err.startswith(f"data error: {argv[2]} line 3: ")
         assert repr(value) in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "refine"])
+    def test_repeated_prediction_id_is_data_error(self, workspace, tmp_path, capsys,
+                                                  command):
+        # evaluate kept the last line of each id and refine counted every line
+        preds, rows = _written_predictions(workspace, tmp_path)
+        preds.write_text("".join(json.dumps(r) + "\n" for r in [*rows[:3], rows[0]]))
+        argv = [command, "--predictions", str(preds), "--manifest", workspace["manifest"]]
+        if command == "refine":
+            argv += ["--features", workspace["features"], "--stats", workspace["stats"],
+                     "--proposals-out", str(tmp_path / "proposals.json"), "--min-support", "1"]
+        capsys.readouterr()
+        code = cli.main(argv)
+        assert capsys.readouterr().err == (f"data error: {preds} line 4: duplicate sample_id "
+                                           f"{rows[0]['sample_id']!r}\n")
+        assert code == 2
+        assert not (tmp_path / "proposals.json").exists()
+
+    def test_stats_of_no_rows_is_data_error(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(open(workspace["manifest"]).read().splitlines()[0] + "\n")
+        stats = tmp_path / "stats.json"
+        capsys.readouterr()
+        code = cli.main(["features", "--manifest", str(manifest), "--out",
+                         str(tmp_path / "f.csv"), "--stats-out", str(stats)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "data error: corpus stats need at least one feature row\n"
+        assert not stats.exists()
+
     @pytest.mark.parametrize("case", [
         _train_on_short_features, _refine_on_short_features,
     ], ids=["train", "refine"])
@@ -806,7 +847,7 @@ class TestPreprocess:
         t = np.arange(2 * sr) / sr
         x = np.zeros(3 * sr)
         x[sr // 2:sr // 2 + 2 * sr] = 0.7 * np.sin(2 * np.pi * 150 * t)
-        save_wav(in_dir / "take1.wav", AudioSignal(x, sr, "take1"))
+        save_wav(in_dir / "take1.wav", AudioSignal(x, sr))
         (in_dir / "broken.wav").write_bytes(b"not audio")
         out_dir = tmp_path / "segments"
         assert cli.main(["preprocess", "--in-dir", str(in_dir),
@@ -827,7 +868,7 @@ class TestPreprocess:
         # a max_len_s <= 0 once split intervals until RecursionError
         in_dir = tmp_path / "raw"
         os.makedirs(in_dir)
-        save_wav(in_dir / "take1.wav", AudioSignal(np.full(16000, 0.5), 16000, "take1"))
+        save_wav(in_dir / "take1.wav", AudioSignal(np.full(16000, 0.5), 16000))
         out_dir = tmp_path / "segments"
         capsys.readouterr()
         code = cli.main(["preprocess", "--in-dir", str(in_dir),
@@ -843,7 +884,7 @@ class TestPreprocess:
         # it once wrote a manifest that features then rejected
         in_dir = tmp_path / "raw"
         os.makedirs(in_dir)
-        save_wav(in_dir / "take1.wav", AudioSignal(np.full(16000, 0.5), 16000, "take1"))
+        save_wav(in_dir / "take1.wav", AudioSignal(np.full(16000, 0.5), 16000))
         out_dir = tmp_path / "segments"
         capsys.readouterr()
         code = cli.main(["preprocess", "--in-dir", str(in_dir), "--out-dir", str(out_dir),

@@ -30,7 +30,7 @@ from test_features import vec
 def _desc(**overrides):
     stats = CorpusStats(mean=np.zeros(len(DIMENSIONS)),
                         std=np.ones(len(DIMENSIONS)), zero_variance=())
-    return describe(vec(**overrides), stats)
+    return describe([vec(**overrides)], stats)[0]
 
 
 def _ml(label="angry", confidence=0.55):

@@ -239,6 +239,13 @@ class TestApplyRefinement:
         with pytest.raises(VersionConflict):
             apply_refinement(bumped, [clash])
 
+    def test_candidate_accepted_twice_rejected(self):
+        # the rule file it would write repeats a rule id, which load_rules rejects
+        rules = default_ruleset()
+        accepted = self._accepted(rules.version)
+        with pytest.raises(VersionConflict, match=repr(accepted.candidate.id)):
+            apply_refinement(rules, [accepted, accepted])
+
     def test_empty_acceptance_still_bumps(self):
         rules = default_ruleset()
         new_rules = apply_refinement(rules, [])
