@@ -139,7 +139,7 @@ def _resample_poly(x, up, down):
     return y
 
 
-def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
+def standardize(signal):
     """Return a mono, resampled, peak-normalized copy of ``signal``.
 
     Channels are mixed down by summing the channel rows and dividing by
@@ -162,17 +162,17 @@ def standardize(signal, target_rate=TARGET_RATE, target_peak=TARGET_PEAK):
         # row adds run along the samples; x.mean(axis=0) reduces an inner
         # axis of length 2 per sample and is about 5x slower
         x = sum(x[1:], x[0]) / x.shape[0]
-    if sample_rate != target_rate:
-        ratio = Fraction(target_rate, sample_rate)
+    if sample_rate != TARGET_RATE:
+        ratio = Fraction(TARGET_RATE, sample_rate)
         x = _resample_poly(x, ratio.numerator, ratio.denominator)
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
-        return AudioSignal(x, target_rate, degenerate=True)
-    if peak != target_peak:
+        return AudioSignal(x, TARGET_RATE, degenerate=True)
+    if peak != TARGET_PEAK:
         # divide-then-multiply so the peak sample lands exactly on
-        # target_peak, which makes a second pass a no-op
-        x = (x / peak) * target_peak
-    return AudioSignal(x, target_rate, degenerate=False)
+        # TARGET_PEAK, which makes a second pass a no-op
+        x = (x / peak) * TARGET_PEAK
+    return AudioSignal(x, TARGET_RATE, degenerate=False)
 
 
 def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DegenerateLabels, InvalidModel,
-                     NonFiniteInput, SolverDidNotConverge, parse_json, read_text)
+                     NonFiniteInput, SolverDidNotConverge, parse_json, read_text,
+                     write_text)
 from .features import DIMENSIONS, CorpusStats, FeatureVector, finite_array
 from .labels import CLASSES
 
@@ -92,9 +93,10 @@ def _smo_binary(X, y, C, tol, max_iter):
     return alphas, b, iteration, violation
 
 
-def _fit_platt(decision, target, max_iter=100, min_step=1e-10, sigma=1e-12):
+def _fit_platt(decision, target):
     """Platt's sigmoid fit (Lin/Weng/Keerthi variant): returns (A, B) such
     that P(positive | f) = 1 / (1 + exp(A*f + B))."""
+    max_iter, min_step, sigma = 100, 1e-10, 1e-12  # LIBSVM's sigmoid_train values
     f = np.asarray(decision, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     prior1 = float(t.sum())
@@ -222,8 +224,7 @@ class SvmModel:
         )
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        write_text(path, self.to_json())
 
     @classmethod
     def load(cls, path):

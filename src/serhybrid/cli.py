@@ -22,7 +22,7 @@ import numpy as np
 from . import (audio_io, classifier, corpus, evaluation, hybrid, parallel, refine,
                reasoning)
 from .errors import (ConfigError, DataError, PipelineError, csv_errors, parse_json,
-                     read_text)
+                     read_text, write_text)
 from .features import (CorpusStats, aggregate, extract_series,
                        read_features_csv, write_features_csv)
 from .labels import CLASSES
@@ -128,15 +128,17 @@ def _load_rules_arg(cfg, key="rules"):
 
 
 def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _segment_file(cfg, in_dir, out_dir, name):
     """One recording standardized, VAD-filtered and segmented, its segments
     written as <name stem>_<k>.wav under ``out_dir``. Returns their manifest
     entries, or the PipelineError that rejected the file."""
+    try:
+        name.encode("utf-8")  # its segments' sample ids go into a UTF-8 manifest
+    except UnicodeEncodeError:
+        return DataError(f"file name {name!r} cannot be encoded as UTF-8")
     parent_id = os.path.splitext(name)[0]
     try:
         std = audio_io.standardize(audio_io.load_audio(os.path.join(in_dir, name)))
@@ -198,11 +200,10 @@ def cmd_features(cfg):
     _require(cfg, "manifest", "out")
     entries = corpus.load_manifest(cfg["manifest"])
     rows = list(parallel.ordered_map(_clip_features, entries))
+    stats = CorpusStats.from_vectors([v for _, v in rows]) if cfg.get("stats_out") else None
     write_features_csv(cfg["out"], rows)
-    if cfg.get("stats_out"):
-        stats = CorpusStats.from_vectors([v for _, v in rows])
-        with open(cfg["stats_out"], "w") as fh:
-            fh.write(stats.to_json())
+    if stats is not None:
+        write_text(cfg["stats_out"], stats.to_json())
     print(f"extracted features for {len(rows)} samples -> {cfg['out']}")
     return 0
 
@@ -216,8 +217,8 @@ def cmd_train(cfg):
     vectors = [feats[i] for i in gold]
     labels = list(gold.values())
     model = classifier.train(vectors, labels, **_given(cfg, C="svm_c", tol="svm_tol"))
-    model.save(cfg["model_out"])
     correct = sum(ml.label == y for ml, y in zip(classifier.predict(model, vectors), labels))
+    model.save(cfg["model_out"])
     print(f"trained on {len(vectors)} samples; training accuracy "
           f"{correct / len(vectors):.4f}; model -> {cfg['model_out']}")
     return 0
@@ -382,7 +383,6 @@ def cmd_synth(cfg):
 
 def cmd_compare(cfg):
     _require(cfg, "manifest", "features", "model", "stats", "out_dir")
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     entries = _in_split(corpus.load_manifest(cfg["manifest"]), cfg.get("split"))
     gold = _gold_by_id(entries)
     feats = read_features_csv(cfg["features"])
@@ -392,6 +392,8 @@ def cmd_compare(cfg):
     refined_rules = (reasoning.load_rules(cfg["refined_rules"])
                      if cfg.get("refined_rules") else seed_rules)
     client = _client(cfg)
+    # made before the first request, so an unusable --out-dir fails fast
+    os.makedirs(cfg["out_dir"], exist_ok=True)
     rules_for = {
         PromptVersion.v1_basic: seed_rules,
         PromptVersion.v2_rules: seed_rules,
@@ -399,24 +401,25 @@ def cmd_compare(cfg):
         PromptVersion.v4_hybrid: refined_rules,
         PromptVersion.v5_auto: seed_rules,  # replaced by auto-generated rules
     }
-    runs = []
+    runs, outputs = [], []
     for version in PromptVersion:
         predictions, report = hybrid.run_pipeline(
             entries, feats, model, rules_for[version], stats, client, version,
             **_given(cfg, "tau"))
-        hybrid.write_predictions(
-            os.path.join(cfg["out_dir"], f"predictions_{version.value}.jsonl"),
-            predictions)
         rep = evaluation.metrics({p.sample_id: p.label for p in predictions}, gold)
         report["metrics"] = rep.to_dict()
-        _write_json(os.path.join(cfg["out_dir"], f"report_{version.value}.json"),
-                    report)
         runs.append((version.value, rep))
+        outputs.append((version.value, predictions, report))
     text, doc = evaluation.compare_report(runs)
     doc["config"] = cfg
-    with open(os.path.join(cfg["out_dir"], "compare.txt"), "w") as fh:
-        fh.write(text + "\n")
-    _write_json(os.path.join(cfg["out_dir"], "compare.json"), doc)
+    # all five versions run before the first file is written, so a failed one leaves none
+    out_dir = cfg["out_dir"]
+    for name, predictions, report in outputs:
+        hybrid.write_predictions(os.path.join(out_dir, f"predictions_{name}.jsonl"),
+                                 predictions)
+        _write_json(os.path.join(out_dir, f"report_{name}.json"), report)
+    write_text(os.path.join(out_dir, "compare.txt"), text + "\n")
+    _write_json(os.path.join(out_dir, "compare.json"), doc)
     print(text)
     return 0
 

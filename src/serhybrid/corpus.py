@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import AudioSignal, save_wav
-from .errors import DuplicateId, MissingGold, SchemaError, csv_errors, read_text
+from .errors import DuplicateId, MissingGold, SchemaError, csv_errors, read_text, write_text
 from .labels import CLASSES
 
 MANIFEST_FIELDS = ("sample_id", "audio_path", "gold", "annotator_a",
@@ -95,12 +95,13 @@ def load_manifest(path):
 
 
 def save_manifest(path, entries):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-        writer.writeheader()
-        for e in entries:
-            row = {k: getattr(e, k) for k in MANIFEST_FIELDS}
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=MANIFEST_FIELDS)
+    writer.writeheader()
+    for e in entries:
+        row = {k: getattr(e, k) for k in MANIFEST_FIELDS}
+        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    write_text(path, out.getvalue())
 
 
 def _largest_remainder(n, fractions):

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the pipeline, and the one read step
-of every input file.
+"""Exception hierarchy shared across the pipeline, the one read step of
+every input file and the one write step of every output file.
 
 Two broad families matter for the CLI exit codes: configuration problems
 (bad flags, an unreadable config file, schema violations in config-like
@@ -8,7 +8,8 @@ status 1, data problems (malformed audio, models, predictions, features,
 transcripts or annotations, and any other path that cannot be opened)
 exit with status 2. Each reader passes ``read_text`` the error class of
 its file, so undecodable bytes end as a schema violation of that file
-does.
+does. Both steps use UTF-8 whatever the locale, so every file the
+pipeline writes, it can read back.
 """
 
 import contextlib
@@ -151,7 +152,7 @@ class VersionConflict(ConfigError):
     """Rule proposal references a rule-set version that is no longer current."""
 
 
-# --- reading input files ---
+# --- reading input files, writing output files ---
 
 def read_text(path, error):
     """The whole file at ``path`` decoded as UTF-8; a leading byte-order
@@ -163,6 +164,20 @@ def read_text(path, error):
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
+def write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8, line endings as given. The whole
+    text is encoded before the file is opened, so text that UTF-8 cannot
+    hold, such as a lone surrogate, raises DataError naming the path and
+    creates no file; OSError passes through."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{path}: cannot write as UTF-8 text "
+                        f"({exc.reason} at character {exc.start})")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def parse_json(text, where, error):

@@ -19,7 +19,7 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DataError, EmptyInput, EmptySeries, MissingStats, SchemaError,
-                     SignalTooShort, csv_errors, parse_json, read_text)
+                     SignalTooShort, csv_errors, parse_json, read_text, write_text)
 
 UNVOICED = math.nan
 
@@ -76,11 +76,12 @@ class FeatureVector:
 
 def write_features_csv(path, rows):
     """Write (sample_id, FeatureVector) pairs as CSV with a schema column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schema", "sample_id", *DIMENSIONS])
-        for sample_id, vec in rows:
-            writer.writerow([SCHEMA_TAG, sample_id, *[repr(float(v)) for v in vec.values]])
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["schema", "sample_id", *DIMENSIONS])
+    for sample_id, vec in rows:
+        writer.writerow([SCHEMA_TAG, sample_id, *[repr(float(v)) for v in vec.values]])
+    write_text(path, out.getvalue())
 
 
 def read_features_csv(path):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .classifier import MlEvidence, predict
 from .errors import (ConfigError, DataError, DuplicateId, LlmError, ManifestError, parse_json,
-                     read_text)
+                     read_text, write_text)
 from .features import describe
 from .labels import CLASSES
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
@@ -208,9 +208,7 @@ def run_text_baseline(entries, transcripts_by_id, client):
 
 def write_predictions(path, predictions):
     """JSONL, one Prediction per line, in input order."""
-    with open(path, "w") as fh:
-        for p in predictions:
-            fh.write(json.dumps(p.to_dict()) + "\n")
+    write_text(path, "".join(json.dumps(p.to_dict()) + "\n" for p in predictions))
 
 
 def read_predictions(path):

@@ -26,7 +26,7 @@ from enum import Enum
 
 from .errors import (ConfigError, EmptyGeneration, EmptyRules, LlmError,
                      LlmRateLimited, LlmTimeout, LlmTransportError,
-                     MissingEvidence, SchemaError, parse_json, read_text)
+                     MissingEvidence, SchemaError, parse_json, read_text, write_text)
 from .features import DIMENSIONS
 from .labels import CLASSES
 
@@ -106,8 +106,7 @@ class RuleSet:
         }, indent=2)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        write_text(path, self.to_json())
 
 
 def rule_to_dict(rule):
@@ -383,6 +382,11 @@ def query_llm(conn, target, body, headers, sample_id=None):
     if not isinstance(text, str):
         raise LlmTransportError(f"malformed response body: content is {text!r}",
                                 sample_id)
+    try:
+        text.encode("utf-8")  # a JSON escape can hold half a surrogate pair
+    except UnicodeEncodeError as exc:
+        raise LlmTransportError(f"malformed response body: content is not UTF-8 "
+                                f"text ({exc.reason} at character {exc.start})", sample_id)
     return text
 
 
@@ -609,9 +613,9 @@ def _for_item(outcome, sample_id):
     return outcome
 
 
-def build_rule_generation_prompt(dimension_names=DIMENSIONS):
+def build_rule_generation_prompt():
     """Ask the LLM to invent rules in the rule-file schema (v5 ablation)."""
-    dims = ", ".join(dimension_names)
+    dims = ", ".join(DIMENSIONS)
     example = json.dumps([{
         "id": "example-rule",
         "statement": "why the rule holds",
@@ -629,12 +633,12 @@ def build_rule_generation_prompt(dimension_names=DIMENSIONS):
             f"shape:\n{example}")
 
 
-def auto_generate_rules(client, dimension_names=DIMENSIONS):
+def auto_generate_rules(client):
     """v5: let the LLM propose its own rules; schema-invalid proposals are
     dropped, and an entirely unparseable response raises EmptyGeneration.
     A request that fails after its retries raises its LlmError, since a
     v5 run has no rules without it."""
-    prompt = build_rule_generation_prompt(dimension_names)
+    prompt = build_rule_generation_prompt()
     result, = client.complete_batch([("__rule_generation__", prompt)])
     if isinstance(result, LlmError):
         raise type(result)(f"rule generation failed: {result}", result.sample_id,

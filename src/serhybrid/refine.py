@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, SchemaError, VersionConflict, parse_json, read_text
+from .errors import (LengthMismatch, SchemaError, VersionConflict, parse_json, read_text,
+                     write_text)
 from .features import DIMENSIONS
 from .labels import CLASSES
 from .reasoning import Condition, Rule, RuleSet, parse_rule, rule_to_dict
@@ -187,9 +188,8 @@ def propose_rules(patterns, base_version=1):
 
 
 def write_proposals(path, proposals):
-    with open(path, "w") as fh:
-        json.dump({"schema": PROPOSALS_SCHEMA,
-                   "proposals": [p.to_dict() for p in proposals]}, fh, indent=2)
+    write_text(path, json.dumps({"schema": PROPOSALS_SCHEMA,
+                                 "proposals": [p.to_dict() for p in proposals]}, indent=2))
 
 
 def read_proposals(path):

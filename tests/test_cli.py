@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -707,7 +709,8 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "data error: corpus stats need at least one feature row\n"
-        assert not stats.exists()
+        # the features CSV once was written before the stats were computed
+        assert not stats.exists() and not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("case", [
         _train_on_short_features, _refine_on_short_features,
@@ -895,6 +898,29 @@ class TestPreprocess:
                        "movie, entertainment, interview, synthetic\n")
         assert not out_dir.exists()
 
+    def test_file_name_not_utf8_is_one_failed_file(self, tmp_path, capsys):
+        # its sample ids once reached the UTF-8 manifest writer, which ended
+        # the run in a traceback after the segments were written
+        in_dir = tmp_path / "raw"
+        os.makedirs(in_dir)
+        sr = 16000
+        x = np.zeros(3 * sr)
+        x[sr // 2:sr // 2 + 2 * sr] = 0.7 * np.sin(2 * np.pi * 150 * np.arange(2 * sr) / sr)
+        save_wav(in_dir / "ok.wav", AudioSignal(x, sr))
+        with open(os.path.join(os.fsencode(in_dir), b"caf\xe9.wav"), "wb") as fh:
+            fh.write((in_dir / "ok.wav").read_bytes())
+        out_dir = tmp_path / "segments"
+        capsys.readouterr()
+        assert cli.main(["preprocess", "--in-dir", str(in_dir),
+                         "--out-dir", str(out_dir)]) == 0
+        assert "1 files failed" in capsys.readouterr().out
+        manifest = (out_dir / "manifest.csv").read_text(encoding="utf-8")
+        assert [row["sample_id"] for row in csv.DictReader(io.StringIO(manifest))] == ["ok_0"]
+        report = json.loads((out_dir / "preprocess_report.json").read_text())
+        assert [e["file"] for e in report["errors"]] == [os.fsdecode(b"caf\xe9.wav")]
+        assert sorted(os.listdir(out_dir)) == ["manifest.csv", "ok_0.wav",
+                                               "preprocess_report.json"]
+
 
 class TestSynth:
     @pytest.mark.parametrize("flags, name", [
@@ -963,6 +989,8 @@ def test_failed_rule_generation_is_one_data_error_line(workspace, tmp_path, caps
     assert err.startswith("data error: ") and err.count("\n") == 1, err
     assert "rule generation" in err
     assert not (tmp_path / "p.jsonl").exists()
+    # compare once wrote v1-v4's predictions and reports before v5 failed
+    assert not (tmp_path / "ablation").exists() or not os.listdir(tmp_path / "ablation")
 
 
 @pytest.mark.parametrize("split", ["tset", ""], ids=["tset", "empty"])
@@ -985,6 +1013,32 @@ def test_manifest_with_byte_order_mark(workspace, tmp_path):
     out = tmp_path / "features.csv"
     assert cli.main(["features", "--manifest", str(manifest), "--out", str(out)]) == 0
     assert out.read_bytes() == open(workspace["features"], "rb").read()
+
+
+def test_outputs_are_utf8_whatever_the_locale(workspace, tmp_path):
+    # under an ASCII locale the features CSV was once written in the
+    # locale's encoding, and a Vietnamese sample id ended in a traceback
+    words = {"calm": "bình_tĩnh", "angry": "giận_dữ", "panic": "hoảng_loạn"}
+    with open(workspace["manifest"], encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["sample_id"] = f"{words[row['gold']]}_{row['sample_id']}"
+    manifest, features = tmp_path / "manifest.csv", tmp_path / "features.csv"
+    with open(manifest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    proc = subprocess.run([sys.executable, "-m", "serhybrid.cli", "features", "--manifest",
+                           str(manifest), "--out", str(features)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ids = [row[1] for row in csv.reader(io.StringIO(features.read_bytes().decode("utf-8")))]
+    assert ids[1:] == [row["sample_id"] for row in rows]
+    assert cli.main(["train", "--manifest", str(manifest), "--features", str(features),
+                     "--model-out", str(tmp_path / "model.json")]) == 0
 
 
 def _json_file(doc):

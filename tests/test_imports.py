@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and only
+the one write step opens a file for writing.
 
 No linter runs with the suite, so this walks each module's syntax tree
 with the standard library's ``ast``: an ``import a.b`` needs a reference
@@ -55,3 +56,61 @@ def test_no_unused_imports(module):
 ])
 def test_scan_finds_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` is an ``open(path, mode)``, ``io.open`` or
+    ``os.fdopen`` whose mode, its second argument, is not a read-only
+    literal."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name not in ("open", "fdopen"):
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def file_writers(source):
+    """The qualified name of the function, or ``<module>``, around each call
+    in ``source`` that opens a file for writing."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_write_step_opens_files_for_writing():
+    # every output goes through errors.write_text (UTF-8, encoded before
+    # the file is opened); the LLM cache publishes each answer through its
+    # own temp file, since concurrent misses on one prompt both write it.
+    # WAVs are written by scipy.io.wavfile, which this scan does not see.
+    writers = {(p.name, where) for p in PACKAGE.glob("*.py")
+               for where in file_writers(p.read_text(encoding="utf-8"))}
+    assert writers == {("errors.py", "write_text"), ("reasoning.py", "HttpLlmClient.complete")}
+
+
+@pytest.mark.parametrize("source, writers", [
+    ("open(p)\n", []),
+    ("open(p, 'rb')\n", []),
+    ("open(p, mode='r', encoding='utf-8')\n", []),
+    ("open(p, 'w')\n", ["<module>"]),
+    ("def f(p):\n    with open(p, mode='ab') as fh:\n        fh.write(b'')\n", ["f"]),
+    ("class C:\n    def m(self, fd):\n        return os.fdopen(fd, 'w')\n", ["C.m"]),
+    ("def f(p, mode):\n    return io.open(p, mode)\n", ["f"]),
+    ("def f(p):\n    return open(p, 'r+b')\n", ["f"]),
+])
+def test_scan_finds_file_writers(source, writers):
+    assert file_writers(source) == writers

@@ -268,6 +268,19 @@ class TestQueryLlm:
         assert isinstance(result, LlmTransportError)
         assert conn.calls == 1
 
+    def test_unencodable_answer_falls_back_uncached(self, tmp_path):
+        # half of an emoji's surrogate pair once crashed the cache write
+        cache = tmp_path / "cache"
+        client = HttpLlmClient(_cfg(), cache_dir=str(cache))
+        conn = _FakeConnection([_FakeResponse(
+            200, payload=b'{"choices":[{"message":{"content":"LABEL: calm \\ud83d"}}]}')])
+        client._new_connection = lambda: conn
+        [result] = client.complete_batch([("s1", "p")])
+        assert type(result) is LlmTransportError and not result.retryable
+        assert result.sample_id == "s1"
+        assert conn.calls == 1
+        assert list(cache.iterdir()) == []
+
     def test_latency_is_round_trips_without_backoff(self):
         client, conn = _scripted_client([_FakeResponse(503), _FakeResponse(200)],
                                         retry_backoff_s=0.3)
