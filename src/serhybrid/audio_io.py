@@ -15,7 +15,7 @@ import numpy as np
 import scipy.io.wavfile
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptySignal, UnsupportedFormat
+from .errors import DataError
 from .features import frame_matrix, rms_energy
 
 TARGET_RATE = 16000
@@ -55,10 +55,10 @@ def load_audio(path):
     except FileNotFoundError:
         raise
     except Exception as exc:
-        raise UnsupportedFormat(f"{path}: not a readable PCM WAV file ({exc})")
+        raise DataError(f"{path}: not a readable PCM WAV file ({exc})")
     if data.ndim == 2:
         if data.shape[1] > 2:
-            raise UnsupportedFormat(f"{path}: {data.shape[1]} channels (max 2)")
+            raise DataError(f"{path}: {data.shape[1]} channels (max 2)")
         data = data.T  # (channels, n)
     dtype = data.dtype
     if dtype == np.uint8:
@@ -68,7 +68,7 @@ def load_audio(path):
     elif dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:
-        raise UnsupportedFormat(f"{path}: unsupported sample dtype {dtype}")
+        raise DataError(f"{path}: unsupported sample dtype {dtype}")
     return AudioSignal(samples=samples, sample_rate=int(rate))
 
 
@@ -157,7 +157,7 @@ def standardize(signal):
     # freed as soon as it is mixed down, before the resampler allocates
     del signal
     if x.size == 0:
-        raise EmptySignal("cannot standardize an empty signal")
+        raise DataError("cannot standardize an empty signal")
     if x.ndim == 2:
         # row adds run along the samples; x.mean(axis=0) reduces an inner
         # axis of length 2 per sample and is about 5x slower
@@ -183,7 +183,7 @@ def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
     (start, end) sample ranges, start < end."""
     x = np.asarray(signal.samples, dtype=np.float64)
     if x.size == 0:
-        raise EmptySignal("cannot run VAD on an empty signal")
+        raise DataError("cannot run VAD on an empty signal")
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
         return []

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateLabels, InvalidModel,
-                     NonFiniteInput, SolverDidNotConverge, parse_json, read_text,
-                     write_text)
+from .errors import ConfigError, DataError, parse_json, read_text, write_text
 from .features import DIMENSIONS, CorpusStats, FeatureVector, finite_array
 from .labels import CLASSES
 
@@ -34,7 +32,7 @@ def _as_matrix(vectors):
     rows = [v.values if isinstance(v, FeatureVector) else v for v in vectors]
     X = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(DIMENSIONS)))
     if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("feature matrix contains non-finite values")
+        raise DataError("feature matrix contains non-finite values")
     return X
 
 
@@ -84,9 +82,8 @@ def _smo_binary(X, y, C, tol, max_iter):
             low[t] = alphas[t] > 0 if pos[t] else alphas[t] < C
         score -= step * (k_i - X @ X[j])
     else:
-        raise SolverDidNotConverge(
-            f"SVM solver stopped at its {max_iter}-iteration cap with KKT "
-            f"violation {violation:.3g} > tol {tol:g}")
+        raise DataError(f"SVM solver stopped at its {max_iter}-iteration cap with KKT "
+                        f"violation {violation:.3g} > tol {tol:g}")
     # at the optimum score = b on the free vectors and m <= b <= M otherwise
     free = up & low
     b = float(score[free].mean()) if free.any() else 0.5 * float(m + low_min)
@@ -200,26 +197,26 @@ class SvmModel:
 
     @classmethod
     def from_json(cls, text):
-        doc = parse_json(text, "model", InvalidModel)
+        doc = parse_json(text, "model", DataError)
         if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
             schema = doc.get("schema") if isinstance(doc, dict) else None
-            raise InvalidModel(f"unexpected model schema: {schema!r}")
+            raise DataError(f"unexpected model schema: {schema!r}")
         missing = [k for k in _MODEL_KEYS if k not in doc]
         if missing:
-            raise InvalidModel(f"model lacks {', '.join(missing)}")
+            raise DataError(f"model lacks {', '.join(missing)}")
         scaler, meta = doc["scaler"], doc["meta"]
         if not isinstance(scaler, dict) or not isinstance(meta, dict):
-            raise InvalidModel("model scaler and meta must be JSON objects")
+            raise DataError("model scaler and meta must be JSON objects")
         if doc["classes"] != list(CLASSES):
-            raise InvalidModel(f"model classes {doc['classes']!r}, expected {list(CLASSES)}")
+            raise DataError(f"model classes {doc['classes']!r}, expected {list(CLASSES)}")
         heads, dims = (len(CLASSES),), (len(DIMENSIONS),)
         return cls(
-            weights=finite_array(doc["weights"], heads + dims, "model weights", InvalidModel),
-            biases=finite_array(doc["biases"], heads, "model biases", InvalidModel),
-            platt_a=finite_array(doc["platt_a"], heads, "model platt_a", InvalidModel),
-            platt_b=finite_array(doc["platt_b"], heads, "model platt_b", InvalidModel),
+            weights=finite_array(doc["weights"], heads + dims, "model weights", DataError),
+            biases=finite_array(doc["biases"], heads, "model biases", DataError),
+            platt_a=finite_array(doc["platt_a"], heads, "model platt_a", DataError),
+            platt_b=finite_array(doc["platt_b"], heads, "model platt_b", DataError),
             scaler=CorpusStats.checked(scaler.get("mean"), scaler.get("std"),
-                                       scaler.get("zero_variance"), "model scaler", InvalidModel),
+                                       scaler.get("zero_variance"), "model scaler", DataError),
             meta=meta,
         )
 
@@ -228,7 +225,7 @@ class SvmModel:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(read_text(path, InvalidModel))
+        return cls.from_json(read_text(path, DataError))
 
 
 _MODEL_KEYS = ("classes", "weights", "biases", "platt_a", "platt_b", "scaler", "meta")
@@ -247,7 +244,7 @@ def train(vectors, labels, C=1.0, tol=1e-3):
     labels = list(labels)
     present = set(labels)
     if present != set(CLASSES):
-        raise DegenerateLabels(f"need all classes {CLASSES}, got {sorted(present)}")
+        raise DataError(f"need all classes {CLASSES}, got {sorted(present)}")
     X_raw = _as_matrix(vectors)
     scaler = CorpusStats.from_matrix(X_raw)
     X = scaler.transform(X_raw)

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import (audio_io, classifier, corpus, evaluation, hybrid, parallel, refine,
                reasoning)
-from .errors import (ConfigError, DataError, PipelineError, csv_errors, parse_json,
-                     read_text, write_text)
+from .errors import ConfigError, DataError, csv_errors, parse_json, read_text, write_text
 from .features import (CorpusStats, aggregate, extract_series,
                        read_features_csv, write_features_csv)
 from .labels import CLASSES
@@ -34,7 +33,7 @@ def _load_config(path):
         return {}
     try:
         config = parse_json(read_text(path, ConfigError), path, ConfigError)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # the latter: a path the OS cannot encode
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigError(f"config {path}: expected a JSON object, got {type(config).__name__}")
@@ -134,7 +133,7 @@ def _write_json(path, doc):
 def _segment_file(cfg, in_dir, out_dir, name):
     """One recording standardized, VAD-filtered and segmented, its segments
     written as <name stem>_<k>.wav under ``out_dir``. Returns their manifest
-    entries, or the PipelineError that rejected the file."""
+    entries, or the DataError that rejected the file."""
     try:
         name.encode("utf-8")  # its segments' sample ids go into a UTF-8 manifest
     except UnicodeEncodeError:
@@ -146,7 +145,7 @@ def _segment_file(cfg, in_dir, out_dir, name):
             std, **_given(cfg, "energy_floor_db", "hangover_frames"))
         segments = audio_io.segment(std, intervals,
                                     **_given(cfg, "max_len_s", "min_len_s"))
-    except PipelineError as exc:
+    except DataError as exc:
         return exc
     entries = []
     for idx, seg in enumerate(segments):
@@ -177,7 +176,7 @@ def cmd_preprocess(cfg):
     results = parallel.ordered_map(
         functools.partial(_segment_file, cfg, in_dir, out_dir), names)
     for name, result in zip(names, results):
-        if isinstance(result, PipelineError):
+        if isinstance(result, DataError):
             errors.append({"file": name, "error": str(result)})
         else:
             entries.extend(result)
@@ -489,7 +488,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeEncodeError) as exc:
+        # a path the OS cannot encode fails as one it cannot open
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio_io import AudioSignal, save_wav
-from .errors import DuplicateId, MissingGold, SchemaError, csv_errors, read_text, write_text
+from .errors import ConfigError, DataError, csv_errors, read_text, write_text
 from .labels import CLASSES
 
 MANIFEST_FIELDS = ("sample_id", "audio_path", "gold", "annotator_a",
@@ -54,41 +54,41 @@ def _entry_from_row(row, where):
     try:
         clean["duration_s"] = float(clean.get("duration_s", 0.0))
     except ValueError:
-        raise SchemaError(f"{where}: duration_s must be a number, got {row['duration_s']!r}")
+        raise ConfigError(f"{where}: duration_s must be a number, got {row['duration_s']!r}")
     entry = ManifestEntry(**clean)
     if "\0" in entry.audio_path:  # no file system opens such a path
-        raise SchemaError(f"{where}: audio_path {entry.audio_path!r} holds a NUL byte")
+        raise ConfigError(f"{where}: audio_path {entry.audio_path!r} holds a NUL byte")
     for label in (entry.gold, entry.annotator_a, entry.annotator_b, entry.annotator_c):
         if label is not None and label not in CLASSES:
-            raise SchemaError(f"{where}: unknown label {label!r}")
+            raise ConfigError(f"{where}: unknown label {label!r}")
     if entry.split not in SPLITS:
-        raise SchemaError(f"{where}: unknown split {entry.split!r}")
+        raise ConfigError(f"{where}: unknown split {entry.split!r}")
     if entry.source_kind not in SOURCE_KINDS:
-        raise SchemaError(f"{where}: unknown source kind {entry.source_kind!r}")
+        raise ConfigError(f"{where}: unknown source kind {entry.source_kind!r}")
     return entry
 
 
 def load_manifest(path):
     """Parse a CSV manifest whose header names a sample_id column and
     otherwise only MANIFEST_FIELDS; duplicate sample ids are rejected."""
-    reader = csv.DictReader(io.StringIO(read_text(path, SchemaError), newline=""))
-    with csv_errors(path, reader, SchemaError):
+    reader = csv.DictReader(io.StringIO(read_text(path, ConfigError), newline=""))
+    with csv_errors(path, reader, ConfigError):
         header = reader.fieldnames or ()
         if "sample_id" not in header:
-            raise SchemaError(f"{path}: missing manifest header")
+            raise ConfigError(f"{path}: missing manifest header")
         unknown = [c for c in header if c not in MANIFEST_FIELDS]
         if unknown:
-            raise SchemaError(f"{path}: unknown columns {unknown}")
+            raise ConfigError(f"{path}: unknown columns {unknown}")
         entries, seen = [], set()
         for row in reader:
             where = f"{path}:{reader.line_num}"
             if None in row:
-                raise SchemaError(f"{where}: {len(header) + len(row[None])} cells, "
+                raise ConfigError(f"{where}: {len(header) + len(row[None])} cells, "
                                   f"the header names {len(header)}")
             if not row["sample_id"]:
-                raise SchemaError(f"{where}: missing sample_id")
+                raise ConfigError(f"{where}: missing sample_id")
             if row["sample_id"] in seen:
-                raise DuplicateId(f"{where}: duplicate sample_id {row['sample_id']!r}")
+                raise DataError(f"{where}: duplicate sample_id {row['sample_id']!r}")
             seen.add(row["sample_id"])
             entries.append(_entry_from_row(row, where))
     return entries
@@ -122,7 +122,7 @@ def stratified_split(entries, fractions=DEFAULT_FRACTIONS, seed=0):
     """
     if any(e.gold is None for e in entries):
         missing = [e.sample_id for e in entries if e.gold is None][:3]
-        raise MissingGold(f"entries without gold labels (e.g. {missing})")
+        raise DataError(f"entries without gold labels (e.g. {missing})")
     names = SPLITS[:len(fractions)]
     assignment = {}
     for ci, cls_label in enumerate(CLASSES):

@@ -1,15 +1,15 @@
-"""Exception hierarchy shared across the pipeline, the one read step of
-every input file and the one write step of every output file.
+"""The two error families, the LLM errors whose names runs report, the one
+read step of every input file and the one write step of every output file.
 
-Two broad families matter for the CLI exit codes: configuration problems
-(bad flags, an unreadable config file, schema violations in config-like
-inputs: config, rules, proposals, corpus stats, manifests) exit with
-status 1, data problems (malformed audio, models, predictions, features,
-transcripts or annotations, and any other path that cannot be opened)
-exit with status 2. Each reader passes ``read_text`` the error class of
-its file, so undecodable bytes end as a schema violation of that file
-does. Both steps use UTF-8 whatever the locale, so every file the
-pipeline writes, it can read back.
+The family a raise site picks is the CLI's exit code: configuration
+problems (bad flags, an unreadable config file, schema violations in
+config-like inputs: config, rules, proposals, corpus stats, manifests)
+raise ConfigError and exit with status 1, data problems (malformed audio,
+models, predictions, features, transcripts or annotations, and any other
+path that cannot be opened) raise DataError and exit with status 2. Each
+reader passes ``read_text`` the family of its file, so undecodable bytes
+end as a schema violation of that file does. Both steps use UTF-8
+whatever the locale, so every file the pipeline writes, it can read back.
 """
 
 import contextlib
@@ -17,84 +17,22 @@ import csv
 import json
 
 
-class PipelineError(Exception):
-    """Base class for all errors raised by this package."""
+class ConfigError(Exception):
+    """Bad configuration: flags, config, rule, proposals, corpus-stats and
+    manifest files. The CLI exits with status 1."""
 
 
-class ConfigError(PipelineError):
-    """Bad configuration: missing/invalid flags, schemas, rule files."""
-
-
-class DataError(PipelineError):
-    """Bad data: malformed audio, inconsistent manifests, degenerate inputs."""
-
-
-# --- audio ---
-
-class UnsupportedFormat(DataError):
-    """WAV file is not PCM, is truncated, or has more than 2 channels."""
-
-
-class EmptySignal(DataError):
-    """Operation requires a non-empty signal."""
-
-
-class SignalTooShort(DataError):
-    """Signal shorter than a single analysis frame."""
-
-
-# --- features ---
-
-class EmptySeries(DataError):
-    """Aggregation requires at least one frame."""
-
-
-class MissingStats(ConfigError):
-    """Corpus statistics do not cover every feature dimension."""
-
-
-# --- classifier ---
-
-class DegenerateLabels(DataError):
-    """Training requires all three emotion classes to be present."""
-
-
-class NonFiniteInput(DataError):
-    """Feature matrix or vector contains NaN or infinity."""
-
-
-class SolverDidNotConverge(DataError):
-    """The SVM solver reached its iteration cap above its KKT tolerance."""
-
-
-class InvalidModel(DataError):
-    """Model file is not valid JSON or violates the model schema."""
-
-
-# --- reasoning / LLM ---
-
-class SchemaError(ConfigError):
-    """A rule, proposals, corpus-stats or manifest file violates its
-    documented schema."""
-
-
-class EmptyRules(ConfigError):
-    """Prompt version requires a non-empty rule set."""
-
-
-class MissingEvidence(ConfigError):
-    """Hybrid prompt version requires ML evidence."""
-
-
-class EmptyGeneration(DataError):
-    """Automatic rule generation produced nothing parseable."""
+class DataError(Exception):
+    """Bad data: audio, models, predictions, features, transcripts,
+    annotations and degenerate inputs. The CLI exits with status 2."""
 
 
 class LlmError(DataError):
     """Base for LLM transport failures. Carries the sample id, when known,
     so the caller can apply per-sample fallback, and whether another
     attempt at the same request may succeed. One that reaches the CLI, as
-    a failed v5 rule generation does, is a data error."""
+    a failed v5 rule generation does, is a data error. The subclass name
+    is what a run reports for the failure."""
 
     def __init__(self, message, sample_id=None, retryable=False):
         super().__init__(message)
@@ -112,44 +50,6 @@ class LlmTransportError(LlmError):
 
 class LlmRateLimited(LlmError):
     pass
-
-
-# --- evaluation ---
-
-class InvalidTable(DataError):
-    """Annotation table violates its row-sum or non-negativity invariants."""
-
-
-class LengthMismatch(DataError):
-    """Paired label sequences have different lengths."""
-
-
-class IdMismatch(DataError):
-    """Predictions and gold labels do not align by sample id."""
-
-
-class EmptyInput(DataError):
-    """Metric requires at least one sample."""
-
-
-# --- corpus / manifests ---
-
-class DuplicateId(DataError):
-    """A manifest or predictions file repeats a sample id."""
-
-
-class MissingGold(DataError):
-    """Operation requires gold labels on every manifest entry."""
-
-
-class ManifestError(DataError):
-    """Manifest rows are missing required files or columns."""
-
-
-# --- refinement ---
-
-class VersionConflict(ConfigError):
-    """Rule proposal references a rule-set version that is no longer current."""
 
 
 # --- reading input files, writing output files ---

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, IdMismatch, InvalidTable, LengthMismatch
+from .errors import DataError
 from .labels import CLASS_INDEX, CLASSES
 
 
@@ -94,11 +94,11 @@ def metrics(preds, gold):
     preds = dict(preds)
     gold = dict(gold)
     if not preds or not gold:
-        raise EmptyInput("metrics need at least one sample")
+        raise DataError("metrics need at least one sample")
     if set(preds) != set(gold):
         only_p = sorted(set(preds) - set(gold))[:3]
         only_g = sorted(set(gold) - set(preds))[:3]
-        raise IdMismatch(f"prediction/gold ids differ (e.g. {only_p} vs {only_g})")
+        raise DataError(f"prediction/gold ids differ (e.g. {only_p} vs {only_g})")
     ids = sorted(preds)
     cm = confusion_counts([preds[i] for i in ids], [gold[i] for i in ids])
     n = int(cm.sum())
@@ -124,16 +124,16 @@ def metrics(preds, gold):
 def _validate_table(table):
     t = np.asarray(table)
     if t.ndim != 2 or t.shape[0] < 2:
-        raise InvalidTable("annotation table must be 2-D with >= 2 items")
+        raise DataError("annotation table must be 2-D with >= 2 items")
     if not np.issubdtype(t.dtype, np.integer):
         if not np.all(t == np.floor(t)):
-            raise InvalidTable("annotation counts must be integers")
+            raise DataError("annotation counts must be integers")
         t = t.astype(np.int64)
     if np.any(t < 0):
-        raise InvalidTable("annotation counts must be non-negative")
+        raise DataError("annotation counts must be non-negative")
     row_sums = t.sum(axis=1)
     if len(set(row_sums.tolist())) != 1 or row_sums[0] < 2:
-        raise InvalidTable("every item must have the same number of raters (>= 2)")
+        raise DataError("every item must have the same number of raters (>= 2)")
     return t
 
 
@@ -163,9 +163,9 @@ def cohens_kappa(a, b):
     a = list(a)
     b = list(b)
     if len(a) != len(b):
-        raise LengthMismatch(f"label sequences differ in length: {len(a)} vs {len(b)}")
+        raise DataError(f"label sequences differ in length: {len(a)} vs {len(b)}")
     if len(a) < 2:
-        raise LengthMismatch("need at least 2 items")
+        raise DataError("need at least 2 items")
     cats = sorted(set(a) | set(b))
     idx = {c: i for i, c in enumerate(cats)}
     m = np.zeros((len(cats), len(cats)), dtype=np.float64)
@@ -196,9 +196,9 @@ def annotator_accuracy(annotator, reference):
     annotator = list(annotator)
     reference = list(reference)
     if len(annotator) != len(reference):
-        raise LengthMismatch("annotator and reference differ in length")
+        raise DataError("annotator and reference differ in length")
     if not reference:
-        raise EmptyInput("no reference items")
+        raise DataError("no reference items")
     overall = sum(a == r for a, r in zip(annotator, reference)) / len(reference)
     per_class = {}
     for label in CLASSES:
@@ -216,7 +216,7 @@ def compare_report(runs):
     F1 to 3. Returns (text_table, json_doc); rows follow the fixed version
     order, with unknown versions appended in input order."""
     if not runs:
-        raise EmptyInput("compare_report needs at least one run")
+        raise DataError("compare_report needs at least one run")
     order = {v: i for i, v in enumerate(VERSION_ORDER)}
     rows = sorted(runs, key=lambda r: (order.get(r[0], len(order)),))
     header = f"{'Version':<12} {'Acc (%)':>8} {'Prec':>6} {'Rec':>6} {'F1':>7}"

@@ -18,8 +18,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (DataError, EmptyInput, EmptySeries, MissingStats, SchemaError,
-                     SignalTooShort, csv_errors, parse_json, read_text, write_text)
+from .errors import ConfigError, DataError, csv_errors, parse_json, read_text, write_text
 
 UNVOICED = math.nan
 
@@ -85,7 +84,8 @@ def write_features_csv(path, rows):
 
 
 def read_features_csv(path):
-    """Read the CSV written by write_features_csv; returns {sample_id: FeatureVector}."""
+    """Read the CSV written by write_features_csv; returns {sample_id: FeatureVector}.
+    A non-finite value or a repeated sample id raises DataError naming its line."""
     out = {}
     expected = ["schema", "sample_id", *DIMENSIONS]
     reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
@@ -102,6 +102,10 @@ def read_features_csv(path):
                 values = np.array([float(v) for v in row[2:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}")
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{where}: non-finite feature value")
+            if row[1] in out:
+                raise DataError(f"{where}: duplicate sample_id {row[1]!r}")
             out[row[1]] = FeatureVector(values)
     return out
 
@@ -121,13 +125,13 @@ def frame_matrix(x, frame_len, hop_len):
 def frame_signal(signal, frame_ms=25.0, hop_ms=10.0):
     """Slice a standardized signal into overlapping frames (unwindowed).
 
-    Raises SignalTooShort when the signal does not cover one frame.
+    Raises DataError when the signal does not cover one frame.
     """
     x = np.asarray(signal.samples, dtype=np.float64)
     frame_len = int(round(frame_ms * signal.sample_rate / 1000.0))
     hop_len = int(round(hop_ms * signal.sample_rate / 1000.0))
     if len(x) < frame_len:
-        raise SignalTooShort(f"signal has {len(x)} samples, frame needs {frame_len}")
+        raise DataError(f"signal has {len(x)} samples, frame needs {frame_len}")
     return frame_matrix(x, frame_len, hop_len)
 
 
@@ -282,7 +286,7 @@ def aggregate(series):
     """
     n = len(series.pitch_hz)
     if n == 0:
-        raise EmptySeries("cannot aggregate an empty frame series")
+        raise DataError("cannot aggregate an empty frame series")
     voiced = series.pitch_hz[~np.isnan(series.pitch_hz)]
     if voiced.size:
         p = [voiced.mean(), voiced.std(), voiced.min(), voiced.max(),
@@ -318,9 +322,9 @@ class CorpusStats:
     @classmethod
     def from_matrix(cls, X):
         """Column statistics of an (n_samples, n_dims) matrix; zero rows
-        raise EmptyInput."""
+        raise DataError."""
         if len(X) == 0:
-            raise EmptyInput("corpus stats need at least one feature row")
+            raise DataError("corpus stats need at least one feature row")
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         flagged = tuple(DIMENSIONS[i] for i in np.flatnonzero(std == 0.0))
@@ -356,22 +360,22 @@ class CorpusStats:
 
     @classmethod
     def from_json(cls, text, where="corpus stats"):
-        doc = parse_json(text, where, SchemaError)
+        doc = parse_json(text, where, ConfigError)
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != STATS_SCHEMA:
-            raise SchemaError(f"{where}: expected schema {STATS_SCHEMA!r}, got {schema!r}")
+            raise ConfigError(f"{where}: expected schema {STATS_SCHEMA!r}, got {schema!r}")
         if not (isinstance(doc.get("mean"), dict) and isinstance(doc.get("std"), dict)):
-            raise SchemaError(f"{where}: needs 'mean' and 'std' objects keyed by dimension")
+            raise ConfigError(f"{where}: needs 'mean' and 'std' objects keyed by dimension")
         missing = [d for d in DIMENSIONS if d not in doc["mean"] or d not in doc["std"]]
         if missing:
-            raise MissingStats(f"{where}: missing dimensions: {missing}")
+            raise ConfigError(f"{where}: missing dimensions: {missing}")
         return cls.checked([doc["mean"][d] for d in DIMENSIONS],
                            [doc["std"][d] for d in DIMENSIONS],
-                           doc.get("zero_variance"), where, SchemaError)
+                           doc.get("zero_variance"), where, ConfigError)
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(read_text(path, SchemaError), where=str(path))
+        return cls.from_json(read_text(path, ConfigError), where=str(path))
 
 
 def finite_array(values, shape, what, error):
@@ -411,7 +415,7 @@ def describe(vectors, stats):
     summary cues with their level and z-score against ``stats``. The rows
     are z-scored in one standardization of their matrix."""
     if stats.mean.shape != (len(DIMENSIONS),):
-        raise MissingStats("corpus stats do not cover the feature schema")
+        raise ConfigError("corpus stats do not cover the feature schema")
     rows = [v.values for v in vectors]
     Z = stats.transform(np.array(rows).reshape(len(rows), len(DIMENSIONS)))
     out = []

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .classifier import MlEvidence, predict
-from .errors import (ConfigError, DataError, DuplicateId, LlmError, ManifestError, parse_json,
-                     read_text, write_text)
+from .errors import ConfigError, DataError, LlmError, parse_json, read_text, write_text
 from .features import describe
 from .labels import CLASSES
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
@@ -138,11 +137,11 @@ def _run_report(version, predictions, cache_hits, failures, **extra):
 
 
 def require_all(sample_ids, available, what):
-    """Raise ManifestError naming the sample ids that ``available`` lacks."""
+    """Raise DataError naming the sample ids that ``available`` lacks."""
     missing = [i for i in sample_ids if i not in available]
     if missing:
-        raise ManifestError(f"no {what} for samples: {missing[:5]}"
-                            + ("..." if len(missing) > 5 else ""))
+        raise DataError(f"no {what} for samples: {missing[:5]}"
+                        + ("..." if len(missing) > 5 else ""))
 
 
 def run_pipeline(entries, features_by_id, model, rules, stats, client, version,
@@ -213,7 +212,7 @@ def write_predictions(path, predictions):
 
 def read_predictions(path):
     """The Prediction of each non-blank line; a repeated sample id raises
-    DuplicateId naming its line."""
+    DataError naming its line."""
     out = []
     seen = set()
     for n, line in enumerate(read_text(path, DataError).splitlines(), 1):
@@ -231,7 +230,7 @@ def read_predictions(path):
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{where}: malformed prediction ({exc})")
         if prediction.sample_id in seen:
-            raise DuplicateId(f"{where}: duplicate sample_id {prediction.sample_id!r}")
+            raise DataError(f"{where}: duplicate sample_id {prediction.sample_id!r}")
         seen.add(prediction.sample_id)
         out.append(prediction)
     return out

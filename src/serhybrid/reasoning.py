@@ -24,9 +24,8 @@ import urllib.request
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import (ConfigError, EmptyGeneration, EmptyRules, LlmError,
-                     LlmRateLimited, LlmTimeout, LlmTransportError,
-                     MissingEvidence, SchemaError, parse_json, read_text, write_text)
+from .errors import (ConfigError, DataError, LlmError, LlmRateLimited, LlmTimeout,
+                     LlmTransportError, parse_json, read_text, write_text)
 from .features import DIMENSIONS
 from .labels import CLASSES
 
@@ -124,87 +123,87 @@ def rule_to_dict(rule):
 
 
 def parse_rule(doc, where):
-    """Validate one rule object of a rule file; SchemaError names ``where``."""
+    """Validate one rule object of a rule file; ConfigError names ``where``."""
     if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: rule must be a JSON object")
+        raise ConfigError(f"{where}: rule must be a JSON object")
     for key in ("id", "statement", "conditions", "implied_label", "strength", "origin"):
         if key not in doc:
-            raise SchemaError(f"{where}: rule missing field {key!r}")
+            raise ConfigError(f"{where}: rule missing field {key!r}")
     if not isinstance(doc["conditions"], list):
-        raise SchemaError(f"{where}: conditions must be a list")
+        raise ConfigError(f"{where}: conditions must be a list")
     conditions = []
     for i, c in enumerate(doc["conditions"]):
         if not isinstance(c, dict):
-            raise SchemaError(f"{where}: condition {i} must be a JSON object")
+            raise ConfigError(f"{where}: condition {i} must be a JSON object")
         dim = c.get("dimension")
         if dim not in DIMENSIONS:
-            raise SchemaError(f"{where}: unknown dimension {dim!r} in condition {i}")
+            raise ConfigError(f"{where}: unknown dimension {dim!r} in condition {i}")
         cmp_ = c.get("comparator")
         if cmp_ not in COMPARATORS:
-            raise SchemaError(f"{where}: bad comparator {cmp_!r} in condition {i}")
+            raise ConfigError(f"{where}: bad comparator {cmp_!r} in condition {i}")
         try:
             thr = float(c["threshold_z"])
         except (KeyError, TypeError, ValueError, OverflowError):
-            raise SchemaError(f"{where}: bad threshold in condition {i}")
+            raise ConfigError(f"{where}: bad threshold in condition {i}")
         if not thr == thr or thr in (float("inf"), float("-inf")):
-            raise SchemaError(f"{where}: non-finite threshold in condition {i}")
+            raise ConfigError(f"{where}: non-finite threshold in condition {i}")
         conditions.append(Condition(dim, cmp_, thr))
     label = doc["implied_label"]
     if label not in CLASSES:
-        raise SchemaError(f"{where}: unknown implied label {label!r}")
+        raise ConfigError(f"{where}: unknown implied label {label!r}")
     try:
         strength = float(doc["strength"])
     except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{where}: strength must be a number, got {doc['strength']!r}")
+        raise ConfigError(f"{where}: strength must be a number, got {doc['strength']!r}")
     if not 0.0 < strength <= 1.0:
-        raise SchemaError(f"{where}: strength must be in (0, 1], got {strength}")
+        raise ConfigError(f"{where}: strength must be in (0, 1], got {strength}")
     origin = doc["origin"]
     if origin not in ("human", "refined", "auto"):
-        raise SchemaError(f"{where}: unknown origin {origin!r}")
+        raise ConfigError(f"{where}: unknown origin {origin!r}")
     return Rule(id=str(doc["id"]), statement=str(doc["statement"]),
                 conditions=tuple(conditions), implied_label=label,
                 strength=strength, origin=origin)
 
 
 def parse_ruleset(text, where="ruleset"):
-    doc = parse_json(text, where, SchemaError)
+    doc = parse_json(text, where, ConfigError)
     if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+        raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != RULES_SCHEMA:
-        raise SchemaError(f"{where}: expected schema {RULES_SCHEMA!r}, got {doc.get('schema')!r}")
+        raise ConfigError(f"{where}: expected schema {RULES_SCHEMA!r}, got {doc.get('schema')!r}")
     version = doc.get("version", 1)
     if not isinstance(version, int) or isinstance(version, bool):
-        raise SchemaError(f"{where}: version must be an integer, got {version!r}")
+        raise ConfigError(f"{where}: version must be an integer, got {version!r}")
     for key in ("rules", "confusion_notes"):
         if not isinstance(doc.get(key, []), list):
-            raise SchemaError(f"{where}: {key} must be a list")
+            raise ConfigError(f"{where}: {key} must be a list")
     rules = []
     seen = set()
     for i, rdoc in enumerate(doc.get("rules", [])):
         rule = parse_rule(rdoc, f"{where}: rules[{i}]")
         if rule.id in seen:
-            raise SchemaError(f"{where}: duplicate rule id {rule.id!r}")
+            raise ConfigError(f"{where}: duplicate rule id {rule.id!r}")
         seen.add(rule.id)
         rules.append(rule)
     notes = []
     for i, ndoc in enumerate(doc.get("confusion_notes", [])):
         if not isinstance(ndoc, dict) or "text" not in ndoc:
-            raise SchemaError(f"{where}: confusion_notes[{i}] must be an object "
+            raise ConfigError(f"{where}: confusion_notes[{i}] must be an object "
                               "with labels and text")
         pair = ndoc.get("labels")
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{where}: confusion_notes[{i}]: labels must be a "
+            raise ConfigError(f"{where}: confusion_notes[{i}]: labels must be a "
                               "list of two labels")
         for lbl in pair:
             if lbl not in CLASSES:
-                raise SchemaError(f"{where}: confusion note names unknown label {lbl!r}")
+                raise ConfigError(f"{where}: confusion note names unknown label {lbl!r}")
         notes.append(ConfusionNote(labels=tuple(pair), text=str(ndoc["text"])))
     return RuleSet(version=version, rules=tuple(rules), confusion_notes=tuple(notes))
 
 
 def load_rules(path):
     """Load and validate a rule file."""
-    return parse_ruleset(read_text(path, SchemaError), where=str(path))
+    return parse_ruleset(read_text(path, ConfigError), where=str(path))
 
 
 def default_ruleset():
@@ -260,10 +259,10 @@ def build_prompt(version, profile, rules, ml=None):
     the ML evidence as an auxiliary signal and requires it.
     """
     if version is PromptVersion.v4_hybrid and ml is None:
-        raise MissingEvidence("v4_hybrid prompts require ML evidence")
+        raise ConfigError("v4_hybrid prompts require ML evidence")
     if version in (PromptVersion.v2_rules, PromptVersion.v3_refined,
                    PromptVersion.v5_auto) and not rules.rules:
-        raise EmptyRules(f"{version.value} requires a non-empty rule set")
+        raise ConfigError(f"{version.value} requires a non-empty rule set")
     parts = [
         "You are an expert in speech emotion analysis. Based on the acoustic "
         "profile below, decide whether the speaker sounds calm, angry, or "
@@ -525,9 +524,11 @@ class HttpLlmClient:
         request when the caller has built it already. Raises LlmError."""
         if self.cache_dir:
             path = self._cache_path(prompt)
-            if os.path.exists(path):
+            try:
                 with open(path, encoding="utf-8") as fh:
                     return LlmResult(text=fh.read(), cached=True, latency_ms=0.0)
+            except (FileNotFoundError, UnicodeDecodeError):
+                pass  # not cached, or not text this client wrote: ask again
         if body is None:
             body = self._body(prompt)
         t0 = time.monotonic()
@@ -635,7 +636,7 @@ def build_rule_generation_prompt():
 
 def auto_generate_rules(client):
     """v5: let the LLM propose its own rules; schema-invalid proposals are
-    dropped, and an entirely unparseable response raises EmptyGeneration.
+    dropped, and an entirely unparseable response raises DataError.
     A request that fails after its retries raises its LlmError, since a
     v5 run has no rules without it."""
     prompt = build_rule_generation_prompt()
@@ -645,11 +646,11 @@ def auto_generate_rules(client):
                            result.retryable) from result
     match = re.search(r"\[.*\]", result.text, re.DOTALL)
     if not match:
-        raise EmptyGeneration("rule generation returned no JSON array")
+        raise DataError("rule generation returned no JSON array")
     try:
         docs = json.loads(match.group(0))
     except json.JSONDecodeError:
-        raise EmptyGeneration("rule generation returned invalid JSON")
+        raise DataError("rule generation returned invalid JSON")
     rules = []
     seen = set()
     dropped = []
@@ -659,7 +660,7 @@ def auto_generate_rules(client):
             doc.setdefault("origin", "auto")
             doc["origin"] = "auto"
             rule = parse_rule(doc, f"generated[{i}]")
-        except (SchemaError, TypeError) as exc:
+        except (ConfigError, TypeError) as exc:
             dropped.append(str(exc))
             continue
         if rule.id in seen:
@@ -668,5 +669,5 @@ def auto_generate_rules(client):
         seen.add(rule.id)
         rules.append(rule)
     if not rules:
-        raise EmptyGeneration("no generated rule survived schema validation")
+        raise DataError("no generated rule survived schema validation")
     return RuleSet(version=1, rules=tuple(rules)), dropped

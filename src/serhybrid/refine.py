@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (LengthMismatch, SchemaError, VersionConflict, parse_json, read_text,
-                     write_text)
+from .errors import ConfigError, DataError, parse_json, read_text, write_text
 from .features import DIMENSIONS
 from .labels import CLASSES
 from .reasoning import Condition, Rule, RuleSet, parse_rule, rule_to_dict
@@ -73,8 +72,8 @@ def mine_error_patterns(gold, predicted, X, stats, min_support=5):
     predicted = np.asarray(predicted, dtype=object)
     X = np.asarray(X, dtype=np.float64).reshape(-1, len(DIMENSIONS))
     if not len(gold) == len(predicted) == len(X):
-        raise LengthMismatch(f"{len(gold)} gold labels, {len(predicted)} predictions "
-                             f"and {len(X)} feature rows")
+        raise DataError(f"{len(gold)} gold labels, {len(predicted)} predictions "
+                        f"and {len(X)} feature rows")
     patterns = []
     for g in CLASSES:
         is_gold = gold == g
@@ -132,11 +131,11 @@ class RuleProposal:
     @classmethod
     def from_dict(cls, doc, where):
         """Validate one proposal; its candidate must be a valid rule-file
-        rule. Raises SchemaError naming ``where``."""
+        rule. Raises ConfigError naming ``where``."""
         try:
             status = doc["status"]
             if status not in PROPOSAL_STATUSES:
-                raise SchemaError(f"{where}: status must be one of "
+                raise ConfigError(f"{where}: status must be one of "
                                   f"{', '.join(PROPOSAL_STATUSES)}, got {status!r}")
             rule = parse_rule(doc["candidate"], f"{where}: candidate")
             p = doc["pattern"]
@@ -149,9 +148,9 @@ class RuleProposal:
                                                     for d in p["top_deltas"]))
             base_version = int(doc["base_version"])
         except KeyError as exc:
-            raise SchemaError(f"{where}: missing field {exc}")
+            raise ConfigError(f"{where}: missing field {exc}")
         except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{where}: malformed proposal ({exc})")
+            raise ConfigError(f"{where}: malformed proposal ({exc})")
         return cls(candidate=rule, pattern=pattern, status=status,
                    base_version=base_version)
 
@@ -194,12 +193,12 @@ def write_proposals(path, proposals):
 
 def read_proposals(path):
     """Load and validate a proposals file."""
-    doc = parse_json(read_text(path, SchemaError), path, SchemaError)
+    doc = parse_json(read_text(path, ConfigError), path, ConfigError)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != PROPOSALS_SCHEMA:
-        raise SchemaError(f"{path}: expected schema {PROPOSALS_SCHEMA!r}, got {schema!r}")
+        raise ConfigError(f"{path}: expected schema {PROPOSALS_SCHEMA!r}, got {schema!r}")
     if not isinstance(doc.get("proposals"), list):
-        raise SchemaError(f"{path}: 'proposals' must be a list")
+        raise ConfigError(f"{path}: 'proposals' must be a list")
     return [RuleProposal.from_dict(p, f"{path}: proposals[{i}]")
             for i, p in enumerate(doc["proposals"])]
 
@@ -216,11 +215,10 @@ def apply_refinement(rules, accepted):
     for proposal in accepted:
         rule_id = proposal.candidate.id
         if proposal.base_version != rules.version:
-            raise VersionConflict(
-                f"proposal {rule_id!r} targets version "
-                f"{proposal.base_version}, current is {rules.version}")
+            raise ConfigError(f"proposal {rule_id!r} targets version "
+                              f"{proposal.base_version}, current is {rules.version}")
         if rule_id in ids:
-            raise VersionConflict(f"rule id {rule_id!r} already present")
+            raise ConfigError(f"rule id {rule_id!r} already present")
         ids.add(rule_id)
     return RuleSet(version=rules.version + 1,
                    rules=rules.rules + tuple(p.candidate for p in accepted),

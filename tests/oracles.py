@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from serhybrid.classifier import MlEvidence
-from serhybrid.errors import NonFiniteInput
+from serhybrid.errors import DataError
 from serhybrid.features import FeatureVector
 from serhybrid.labels import CLASSES
 
@@ -173,7 +173,7 @@ def predict_direct(model, vector):
     """
     x = vector.values if isinstance(vector, FeatureVector) else np.asarray(vector, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("feature vector contains non-finite values")
+        raise DataError("feature vector contains non-finite values")
     xs = model.scaler.transform(x)
     margins = model.weights @ xs + model.biases
     z = model.platt_a * margins + model.platt_b

@@ -14,7 +14,7 @@ import serhybrid
 from serhybrid.audio_io import (TARGET_PEAK, TARGET_RATE, AudioSignal,
                                 _resample_poly, detect_voice_activity,
                                 load_audio, save_wav, segment, standardize)
-from serhybrid.errors import EmptySignal, UnsupportedFormat
+from serhybrid.errors import DataError
 
 from oracles import vad_direct
 
@@ -60,13 +60,13 @@ class TestLoadSave:
     def test_three_channels_rejected(self, tmp_path):
         path = tmp_path / "tri.wav"
         scipy.io.wavfile.write(path, SR, np.zeros((100, 3), dtype=np.int16))
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(DataError, match=r"3 channels \(max 2\)"):
             load_audio(path)
 
     def test_non_wav_rejected(self, tmp_path):
         path = tmp_path / "not.wav"
         path.write_bytes(b"this is not a wav file at all")
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(DataError, match="not a readable PCM WAV file"):
             load_audio(path)
 
     def test_missing_file(self, tmp_path):
@@ -149,7 +149,7 @@ assert "scipy.signal" not in sys.modules, "scipy.signal loaded"
         assert np.array_equal(out.samples, np.zeros(256))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySignal):
+        with pytest.raises(DataError, match="cannot standardize an empty signal"):
             standardize(AudioSignal(np.empty(0), SR))
 
     @settings(max_examples=50, deadline=None)
@@ -166,7 +166,7 @@ class TestVad:
         assert detect_voice_activity(AudioSignal(np.zeros(SR), SR)) == []
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySignal):
+        with pytest.raises(DataError, match="cannot run VAD on an empty signal"):
             detect_voice_activity(AudioSignal(np.empty(0), SR))
 
     def test_tone_burst_located(self):

@@ -91,6 +91,21 @@ class TestExitCodes:
         assert cli.main(["--config", str(bad), "synth", "--out-dir",
                          str(tmp_path / "d")]) == 1
 
+    def test_path_the_os_cannot_encode_is_data_error(self, tmp_path):
+        # a lone surrogate once ended in a UnicodeEncodeError traceback
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"manifest": "\ud800", "out": str(tmp_path / "x.csv")}))
+        code, err = _run_quietly(["--config", str(config), "features"])
+        _assert_one_error_line(code, err)
+        assert code == 2 and "can't encode character '\\ud800'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_path_the_os_cannot_encode_is_config_error(self, tmp_path):
+        code, err = _run_quietly(["--config", "\ud800", "synth", "--out-dir",
+                                  str(tmp_path / "d")])
+        _assert_one_error_line(code, err)
+        assert code == 1 and err.startswith("configuration error: cannot read config ")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, workspace, tmp_path):
@@ -205,7 +220,7 @@ class TestConfigValues:
 def _walkthrough_commands():
     """(subcommand, flags) for each serhybrid command in the README walkthrough."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+    with open(readme, encoding="utf-8") as fh:
         text = fh.read()
     block = text.split("## CLI walkthrough", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = []
@@ -556,13 +571,16 @@ def _features_without_first_row(ws, tmp_path):
     return str(short)
 
 
-def _train_on_short_features(ws, tmp_path):
-    return ["train", "--manifest", ws["manifest"],
-            "--features", _features_without_first_row(ws, tmp_path),
+def _train_on(ws, tmp_path, features):
+    return ["train", "--manifest", ws["manifest"], "--features", features,
             "--model-out", str(tmp_path / "model.json")]
 
 
-def _refine_on_short_features(ws, tmp_path):
+def _train_on_short_features(ws, tmp_path):
+    return _train_on(ws, tmp_path, _features_without_first_row(ws, tmp_path))
+
+
+def _refine_on(ws, tmp_path, features):
     preds = tmp_path / "preds.jsonl"
     assert cli.main(["predict", "--manifest", ws["manifest"],
                      "--features", ws["features"], "--model", ws["model"],
@@ -570,9 +588,23 @@ def _refine_on_short_features(ws, tmp_path):
                      "--tau", "0", "--endpoint-url", "http://127.0.0.1:1/v1",
                      "--model-name", "m", "--out", str(preds)]) == 0
     return ["refine", "--predictions", str(preds), "--manifest", ws["manifest"],
-            "--features", _features_without_first_row(ws, tmp_path),
-            "--stats", ws["stats"],
+            "--features", features, "--stats", ws["stats"],
             "--proposals-out", str(tmp_path / "proposals.json")]
+
+
+def _refine_on_short_features(ws, tmp_path):
+    return _refine_on(ws, tmp_path, _features_without_first_row(ws, tmp_path))
+
+
+def _nan_first_row(lines):
+    cells = lines[1].split(",")
+    lines[1] = ",".join(cells[:2] + ["nan"] * (len(cells) - 2))
+    return "line 2: non-finite feature value"
+
+
+def _first_row_repeated(lines):
+    lines.append(lines[1])
+    return f"line {len(lines)}: duplicate sample_id {lines[1].split(',')[1]!r}"
 
 
 def _train_on_empty_split(ws, tmp_path):
@@ -725,6 +757,22 @@ class TestMalformedInputs:
         assert err.startswith("data error: no feature vectors for samples: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [_train_on, _refine_on], ids=["train", "refine"])
+    @pytest.mark.parametrize("edit", [_nan_first_row, _first_row_repeated],
+                             ids=["nan-row", "repeated-id"])
+    def test_features_csv_rows_are_checked(self, workspace, tmp_path, capsys, command, edit):
+        # refine once ended a NaN row in a ValueError traceback, and a
+        # repeated id silently kept its last row
+        lines = open(workspace["features"]).read().splitlines()
+        where = edit(lines)
+        features = tmp_path / "features_edited.csv"
+        features.write_text("\n".join(lines) + "\n")
+        argv = command(workspace, tmp_path, str(features))
+        capsys.readouterr()
+        code = cli.main(argv)
+        assert capsys.readouterr().err == f"data error: {features} {where}\n"
+        assert code == 2
 
     @pytest.mark.parametrize("case", [
         _rules_file_is_a_list, _config_file_is_a_list,

@@ -9,7 +9,7 @@ from serhybrid.corpus import (DEFAULT_CLASS_RECIPES, DEFAULT_FRACTIONS,
                               ClassRecipe, ManifestEntry, SynthRecipe,
                               _largest_remainder, generate_synthetic_corpus,
                               load_manifest, save_manifest, stratified_split)
-from serhybrid.errors import DuplicateId, MissingGold, SchemaError
+from serhybrid.errors import ConfigError, DataError
 from serhybrid.labels import CLASSES
 
 
@@ -33,43 +33,43 @@ class TestManifestIO:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         save_manifest(path, [ManifestEntry("x"), ManifestEntry("x")])
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DataError, match="manifest.csv:3: duplicate sample_id 'x'"):
             load_manifest(path)
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("sample_id,gold\na,joyful\n")
-        with pytest.raises(SchemaError, match="joyful"):
+        with pytest.raises(ConfigError, match="joyful"):
             load_manifest(path)
 
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("sample_id,mystery\na,1\n")
-        with pytest.raises(SchemaError, match="mystery"):
+        with pytest.raises(ConfigError, match="mystery"):
             load_manifest(path)
 
     def test_missing_sample_id_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("sample_id,gold\n,calm\n")
-        with pytest.raises(SchemaError, match="missing sample_id"):
+        with pytest.raises(ConfigError, match="missing sample_id"):
             load_manifest(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("not,a,manifest\n1,2,3\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="missing manifest header"):
             load_manifest(path)
 
     def test_overlong_row_names_its_line(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("sample_id,gold\na,calm\nb,calm,angry\n")
-        with pytest.raises(SchemaError, match=r"manifest.csv:3: 3 cells, the header names 2"):
+        with pytest.raises(ConfigError, match=r"manifest.csv:3: 3 cells, the header names 2"):
             load_manifest(path)
 
     def test_non_numeric_duration_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("sample_id,duration_s\na,abc\n")
-        with pytest.raises(SchemaError, match="duration_s must be a number, got 'abc'"):
+        with pytest.raises(ConfigError, match="duration_s must be a number, got 'abc'"):
             load_manifest(path)
 
     def test_byte_order_mark_dropped(self, tmp_path):
@@ -81,7 +81,7 @@ class TestManifestIO:
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_bytes(b"\xff\xfesample_id\na\n")
-        with pytest.raises(SchemaError, match="not UTF-8"):
+        with pytest.raises(ConfigError, match="not UTF-8"):
             load_manifest(path)
 
 
@@ -128,7 +128,7 @@ class TestStratifiedSplit:
         assert a != c
 
     def test_missing_gold_rejected(self):
-        with pytest.raises(MissingGold):
+        with pytest.raises(DataError, match=r"entries without gold labels \(e.g. \['a'\]\)"):
             stratified_split([ManifestEntry("a")])
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from serhybrid.errors import EmptyInput, IdMismatch, InvalidTable, LengthMismatch
+from serhybrid.errors import DataError
 from serhybrid.evaluation import (NO_MAJORITY, UNDEFINED, annotator_accuracy,
                                   cohens_kappa, compare_report,
                                   confusion_counts, fleiss_kappa,
@@ -39,15 +39,15 @@ class TestFleissKappa:
             assert abs(fleiss_kappa(table)
                        - oracles.fleiss_kappa_direct(table.tolist())) < 1e-10
 
-    @pytest.mark.parametrize("table", [
-        [[1, 2]],                      # one item
-        [[2, 0], [1, 0]],              # ragged rater counts
-        [[1, 0], [0, 1]],              # single rater
-        [[-1, 3], [2, 0]],             # negative count
-        [[1.5, 0.5], [1.0, 1.0]],      # fractional counts
-    ])
-    def test_invalid_tables_rejected(self, table):
-        with pytest.raises(InvalidTable):
+    @pytest.mark.parametrize("table, message", [
+        ([[1, 2]], "2-D with >= 2 items"),                   # one item
+        ([[2, 0], [1, 0]], "same number of raters"),         # ragged rater counts
+        ([[1, 0], [0, 1]], "same number of raters"),         # single rater
+        ([[-1, 3], [2, 0]], "must be non-negative"),         # negative count
+        ([[1.5, 0.5], [1.0, 1.0]], "must be integers"),      # fractional counts
+    ], ids=[f"table{i}" for i in range(5)])
+    def test_invalid_tables_rejected(self, table, message):
+        with pytest.raises(DataError, match=message):
             fleiss_kappa(table)
 
     def test_integral_floats_accepted(self):
@@ -77,9 +77,9 @@ class TestCohensKappa:
         assert cohens_kappa(["calm"] * 5, ["calm"] * 5) is UNDEFINED
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="label sequences differ in length: 1 vs 2"):
             cohens_kappa(["calm"], ["calm", "angry"])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="need at least 2 items"):
             cohens_kappa(["calm"], ["calm"])
 
 
@@ -105,11 +105,12 @@ class TestMetrics:
         assert report.per_class["panic"].recall == 0.0
 
     def test_id_mismatch(self):
-        with pytest.raises(IdMismatch):
+        with pytest.raises(DataError,
+                           match=r"prediction/gold ids differ \(e.g. \['a'\] vs \['b'\]\)"):
             metrics({"a": "calm"}, {"b": "calm"})
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="metrics need at least one sample"):
             metrics({}, {})
 
     def test_confusion_counts_layout(self):
@@ -152,7 +153,7 @@ class TestConfusionMatrix:
         assert "confusion" not in report.to_dict()
 
     def test_id_mismatch(self):
-        with pytest.raises(IdMismatch):
+        with pytest.raises(DataError, match="prediction/gold ids differ"):
             metrics({"s0": "calm"}, {"other": "calm"})
 
 class TestMajorityAndAnnotators:
@@ -179,9 +180,9 @@ class TestMajorityAndAnnotators:
         assert per_class["panic"] is None
 
     def test_annotator_accuracy_errors(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="annotator and reference differ in length"):
             annotator_accuracy(["calm"], [])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="no reference items"):
             annotator_accuracy([], [])
 
 
@@ -207,5 +208,5 @@ class TestCompareReport:
         assert [r["version"] for r in doc["rows"]] == ["v2_rules", "text_baseline"]
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="compare_report needs at least one run"):
             compare_report([])

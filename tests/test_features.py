@@ -9,8 +9,7 @@ import pytest
 
 import oracles
 from serhybrid.audio_io import AudioSignal, load_audio, standardize
-from serhybrid.errors import (DataError, EmptyInput, EmptySeries, InvalidModel,
-                              MissingStats, SchemaError, SignalTooShort)
+from serhybrid.errors import ConfigError, DataError
 from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
                                 CorpusStats, FeatureVector, FrameSeries,
                                 aggregate, describe, estimate_pitch,
@@ -44,7 +43,7 @@ class TestFraming:
             assert frames.shape == (1 + (n - 400) // 160, 400)
 
     def test_too_short_rejected(self):
-        with pytest.raises(SignalTooShort):
+        with pytest.raises(DataError, match="signal has 399 samples, frame needs 400"):
             frame_signal(AudioSignal(np.zeros(399), SR))
 
     def test_frame_matrix_rows_and_short_input(self):
@@ -272,7 +271,7 @@ class TestAggregate:
             assert out[dim] == 0.0
 
     def test_empty_series_rejected(self):
-        with pytest.raises(EmptySeries):
+        with pytest.raises(DataError, match="cannot aggregate an empty frame series"):
             aggregate(self._series([], []))
 
 
@@ -297,6 +296,24 @@ class TestFeatureVector:
         with pytest.raises(DataError, match="header"):
             read_features_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_value_rejected(self, tmp_path, value):
+        # a NaN row once reached refine, which ended in a traceback
+        path = tmp_path / "features.csv"
+        write_features_csv(path, [("a", vec()), ("b", vec())])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"features.csv line 3: non-finite feature value"):
+            read_features_csv(path)
+
+    def test_csv_repeated_sample_id_rejected(self, tmp_path):
+        # the later row once replaced the earlier one without a word
+        path = tmp_path / "features.csv"
+        write_features_csv(path, [("a", vec()), ("b", vec()), ("a", vec(pitch_mean=1.0))])
+        with pytest.raises(DataError, match=r"features.csv line 4: duplicate sample_id 'a'"):
+            read_features_csv(path)
+
 
 class TestCorpusStats:
     def test_mean_std_and_zscore(self):
@@ -309,9 +326,9 @@ class TestCorpusStats:
     def test_zero_rows_rejected(self):
         # stacking no rows once ended in a ValueError, and a matrix of zero
         # rows gave NaN statistics
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="corpus stats need at least one feature row"):
             CorpusStats.from_vectors([])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="corpus stats need at least one feature row"):
             CorpusStats.from_matrix(np.empty((0, len(DIMENSIONS))))
 
     def test_zero_variance_flagged_and_clamped(self):
@@ -336,7 +353,7 @@ class TestCorpusStats:
         stats = CorpusStats.from_vectors([vec(), vec(pitch_mean=1.0)])
         doc = json.loads(stats.to_json())
         del doc["mean"]["pitch_std"]
-        with pytest.raises(MissingStats):
+        with pytest.raises(ConfigError, match=r"missing dimensions: \['pitch_std'\]"):
             CorpusStats.from_json(json.dumps(doc))
 
     def test_one_vector_stats_load(self):
@@ -346,27 +363,28 @@ class TestCorpusStats:
         assert loaded.zero_variance == DIMENSIONS
         assert np.array_equal(loaded.std, stats.std)
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc.update(schema="x"),
-        lambda doc: doc.pop("schema"),
-        lambda doc: doc.update(zero_variance=5),
-        lambda doc: doc.update(zero_variance=["pitch_sdt"]),
-        lambda doc: doc.pop("zero_variance"),
-        lambda doc: doc.update(std={d: 0.0 for d in DIMENSIONS}),
-        lambda doc: doc["std"].update(pitch_std="-1.0"),
-        lambda doc: doc["mean"].update(pitch_std="nan"),
-        lambda doc: doc["mean"].update(pitch_std=[1.0]),
-        lambda doc: doc["mean"].update(pitch_std=10 ** 400),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(schema="x"), "expected schema 'serhybrid-stats-v1', got 'x'"),
+        (lambda doc: doc.pop("schema"), "expected schema 'serhybrid-stats-v1', got None"),
+        (lambda doc: doc.update(zero_variance=5), "zero_variance must list feature dimensions"),
+        (lambda doc: doc.update(zero_variance=["pitch_sdt"]),
+         "zero_variance must list feature dimensions"),
+        (lambda doc: doc.pop("zero_variance"), "zero_variance must list feature dimensions"),
+        (lambda doc: doc.update(std={d: 0.0 for d in DIMENSIONS}), "std must be positive"),
+        (lambda doc: doc["std"].update(pitch_std="-1.0"), "std must be positive"),
+        (lambda doc: doc["mean"].update(pitch_std="nan"), "mean has non-finite values"),
+        (lambda doc: doc["mean"].update(pitch_std=[1.0]), "mean must be numbers"),
+        (lambda doc: doc["mean"].update(pitch_std=10 ** 400), "mean must be numbers"),
     ], ids=["schema-x", "no-schema", "zero-variance-5", "zero-variance-typo",
             "no-zero-variance", "std-all-zero", "std-negative", "mean-nan",
             "mean-list", "mean-overflows"])
-    def test_malformed_stats_rejected(self, edit):
+    def test_malformed_stats_rejected(self, edit, message):
         doc = json.loads(CorpusStats.from_vectors([vec(), vec(pitch_mean=1.0)]).to_json())
         edit(doc)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match=f"^stats.json:? {message}$"):
             CorpusStats.from_json(json.dumps(doc), where="stats.json")
 
-    @pytest.mark.parametrize("error", [SchemaError, InvalidModel])
+    @pytest.mark.parametrize("error", [ConfigError, DataError])
     def test_checked_raises_the_callers_error(self, error):
         n = len(DIMENSIONS)
         with pytest.raises(error, match="^scaler std must be positive$"):
@@ -402,5 +420,5 @@ class TestDescribe:
 
     def test_stats_shape_checked(self):
         bad = CorpusStats(mean=np.zeros(3), std=np.ones(3), zero_variance=())
-        with pytest.raises(MissingStats):
+        with pytest.raises(ConfigError, match="corpus stats do not cover the feature schema"):
             describe([vec()], bad)

@@ -5,7 +5,7 @@ import pytest
 
 from mockllm import OracleClient, RulesLiteralClient, ScriptedClient, TimeoutClient
 from serhybrid.classifier import MlEvidence, predict
-from serhybrid.errors import ManifestError
+from serhybrid.errors import DataError
 from serhybrid.hybrid import (DEFAULT_TAU, Prediction, _fallback,
                               read_predictions, run_pipeline,
                               run_text_baseline, write_predictions)
@@ -111,7 +111,7 @@ class TestRunPipeline:
                             bundle.stats, client, version, tau=tau), entries
 
     def test_missing_features_rejected(self, separable_corpus, separable_model):
-        with pytest.raises(ManifestError):
+        with pytest.raises(DataError, match="no feature vectors for samples"):
             run_pipeline(separable_corpus.entries, {}, separable_model,
                          default_ruleset(), separable_corpus.stats,
                          RulesLiteralClient(), PromptVersion.v1_basic)
@@ -172,7 +172,7 @@ class TestTextBaseline:
         assert report["routed_to_llm"] == len(entries)
 
     def test_missing_transcripts_rejected(self, separable_corpus):
-        with pytest.raises(ManifestError):
+        with pytest.raises(DataError, match="no transcripts for samples"):
             run_text_baseline(separable_corpus.entries[:3], {},
                               RulesLiteralClient())
 

@@ -13,9 +13,8 @@ import pytest
 from mockllm import (CANNED_AUTO_RULES, MockLlmServer, ScriptedClient,
                      rules_literal_answer)
 from serhybrid import reasoning
-from serhybrid.errors import (ConfigError, EmptyGeneration, EmptyRules,
-                              LlmRateLimited, LlmTimeout, LlmTransportError,
-                              MissingEvidence, SchemaError)
+from serhybrid.errors import (ConfigError, DataError, LlmRateLimited, LlmTimeout,
+                              LlmTransportError)
 from serhybrid.classifier import MlEvidence
 from serhybrid.features import DIMENSIONS, CorpusStats, describe
 from serhybrid.reasoning import (ANSWER_INSTRUCTION, Condition,
@@ -75,30 +74,37 @@ class TestRuleSets:
         doc["rules"][0].update(rule_overrides)
         return doc
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.update(schema="wrong"),
-        lambda d: d["rules"][0]["conditions"][0].update(dimension="nope"),
-        lambda d: d["rules"][0]["conditions"][0].update(comparator="!="),
-        lambda d: d["rules"][0]["conditions"][0].update(threshold_z="NaN"),
-        lambda d: d["rules"][0].update(implied_label="joyful"),
-        lambda d: d["rules"][0].update(strength=0.0),
-        lambda d: d["rules"][0].update(strength=1.5),
-        lambda d: d["rules"][0].update(origin="alien"),
-        lambda d: d["rules"][0].pop("statement"),
-        lambda d: d["rules"][1].update(id=d["rules"][0]["id"]),
-        lambda d: d["confusion_notes"][0].update(labels=["calm", "joyful"]),
-        lambda d: d["rules"][0].update(strength="high"),
-        lambda d: d["rules"][0].update(conditions="pitch_std > 1"),
-        lambda d: d["rules"][0]["conditions"].append("pitch_std > 1"),
-    ])
-    def test_schema_violations_rejected(self, mutate):
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(schema="wrong"),
+         "expected schema 'serhybrid-rules-v1', got 'wrong'"),
+        (lambda d: d["rules"][0]["conditions"][0].update(dimension="nope"),
+         "unknown dimension 'nope' in condition 0"),
+        (lambda d: d["rules"][0]["conditions"][0].update(comparator="!="),
+         "bad comparator '!=' in condition 0"),
+        (lambda d: d["rules"][0]["conditions"][0].update(threshold_z="NaN"),
+         "non-finite threshold in condition 0"),
+        (lambda d: d["rules"][0].update(implied_label="joyful"), "unknown implied label 'joyful'"),
+        (lambda d: d["rules"][0].update(strength=0.0), r"strength must be in \(0, 1\], got 0.0"),
+        (lambda d: d["rules"][0].update(strength=1.5), r"strength must be in \(0, 1\], got 1.5"),
+        (lambda d: d["rules"][0].update(origin="alien"), "unknown origin 'alien'"),
+        (lambda d: d["rules"][0].pop("statement"), "rule missing field 'statement'"),
+        (lambda d: d["rules"][1].update(id=d["rules"][0]["id"]),
+         "duplicate rule id 'panic-variability'"),
+        (lambda d: d["confusion_notes"][0].update(labels=["calm", "joyful"]),
+         "confusion note names unknown label 'joyful'"),
+        (lambda d: d["rules"][0].update(strength="high"), "strength must be a number, got 'high'"),
+        (lambda d: d["rules"][0].update(conditions="pitch_std > 1"), "conditions must be a list"),
+        (lambda d: d["rules"][0]["conditions"].append("pitch_std > 1"),
+         "condition 2 must be a JSON object"),
+    ], ids=[f"<lambda>{i}" for i in range(14)])
+    def test_schema_violations_rejected(self, mutate, message):
         doc = self._doc()
         mutate(doc)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match=message):
             parse_ruleset(json.dumps(doc))
 
     def test_invalid_json_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="ruleset: invalid JSON"):
             parse_ruleset("{not json")
 
 
@@ -119,14 +125,14 @@ class TestPrompts:
         prompt = build_prompt(PromptVersion.v4_hybrid, _desc(),
                               default_ruleset(), ml=_ml())
         assert "predicted label 'angry' with confidence 0.55" in prompt
-        with pytest.raises(MissingEvidence):
+        with pytest.raises(ConfigError, match="v4_hybrid prompts require ML evidence"):
             build_prompt(PromptVersion.v4_hybrid, _desc(), default_ruleset())
 
     @pytest.mark.parametrize("version", [PromptVersion.v2_rules,
                                          PromptVersion.v3_refined,
                                          PromptVersion.v5_auto])
     def test_rule_versions_require_rules(self, version):
-        with pytest.raises(EmptyRules):
+        with pytest.raises(ConfigError, match=f"{version.value} requires a non-empty rule set"):
             build_prompt(version, _desc(), RuleSet(version=1, rules=()))
 
     def test_deterministic(self):
@@ -462,6 +468,21 @@ class TestHttpClient:
             assert second.text == first.text
             assert server.request_count == 1
 
+    def test_cache_file_that_is_not_utf8_is_a_miss(self, tmp_path):
+        # such a file once ended the whole batch in UnicodeDecodeError
+        cache = tmp_path / "cache"
+        prompt = build_transcript_prompt("so calm today")
+        with MockLlmServer() as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url), cache_dir=str(cache))
+            [first] = client.complete_batch([("s1", prompt)])
+            [path] = cache.iterdir()
+            path.write_bytes(b"LABEL: calm \xff")
+            [second] = client.complete_batch([("s1", prompt)])
+            assert server.request_count == 2
+        assert not second.cached
+        assert second.text == first.text
+        assert path.read_text(encoding="utf-8") == first.text
+
     def test_concurrent_misses_on_one_prompt_both_complete(self, tmp_path,
                                                            monkeypatch):
         # both writers reach the cache rename together: a temp file shared
@@ -536,11 +557,11 @@ class TestAutoGeneration:
         assert "sparkle_factor" in dropped[0]
 
     def test_no_json_array_raises(self):
-        with pytest.raises(EmptyGeneration):
+        with pytest.raises(DataError, match="rule generation returned no JSON array"):
             auto_generate_rules(ScriptedClient(["I refuse to answer."]))
 
     def test_invalid_json_raises(self):
-        with pytest.raises(EmptyGeneration):
+        with pytest.raises(DataError, match="rule generation returned invalid JSON"):
             auto_generate_rules(ScriptedClient(["[{not valid json]"]))
 
     def test_malformed_rule_objects_dropped(self):
@@ -561,5 +582,5 @@ class TestAutoGeneration:
                                              "comparator": ">",
                                              "threshold_z": 1.0}],
                              "implied_label": "panic", "strength": 0.5}])
-        with pytest.raises(EmptyGeneration):
+        with pytest.raises(DataError, match="no generated rule survived schema validation"):
             auto_generate_rules(ScriptedClient([bogus]))
