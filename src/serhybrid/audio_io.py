@@ -15,8 +15,8 @@ import numpy as np
 import scipy.io.wavfile
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
-from .features import frame_matrix, rms_energy
+from .errors import ConfigError, DataError
+from .features import frame_lengths, frame_matrix, rms_energy
 
 TARGET_RATE = 16000
 TARGET_PEAK = 0.95
@@ -29,11 +29,6 @@ class AudioSignal:
 
     samples: np.ndarray
     sample_rate: int
-    degenerate: bool = False  # all-zero input passed through normalization
-
-    @property
-    def channels(self):
-        return 1 if self.samples.ndim == 1 else self.samples.shape[0]
 
     @property
     def num_samples(self):
@@ -147,9 +142,8 @@ def standardize(signal):
     their mean. Resampling is a numpy polyphase windowed-sinc resampler with
     the filter, gain, alignment and length of ``scipy.signal.resample_poly``
     at its defaults. An all-zero signal cannot be peak-normalized; it is
-    passed through with the ``degenerate`` flag set. Idempotent
-    bit-for-bit: a signal that is already standardized is returned
-    unchanged.
+    passed through as it is. Idempotent bit-for-bit: a signal that is
+    already standardized is returned unchanged.
     """
     x = np.asarray(signal.samples, dtype=np.float64)
     sample_rate = signal.sample_rate
@@ -166,29 +160,25 @@ def standardize(signal):
         ratio = Fraction(TARGET_RATE, sample_rate)
         x = _resample_poly(x, ratio.numerator, ratio.denominator)
     peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        return AudioSignal(x, TARGET_RATE, degenerate=True)
-    if peak != TARGET_PEAK:
+    if peak not in (0.0, TARGET_PEAK):
         # divide-then-multiply so the peak sample lands exactly on
         # TARGET_PEAK, which makes a second pass a no-op
         x = (x / peak) * TARGET_PEAK
-    return AudioSignal(x, TARGET_RATE, degenerate=False)
+    return AudioSignal(x, TARGET_RATE)
 
 
-def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
-                          energy_floor_db=-40.0, hangover_frames=5):
-    """Find voiced intervals: frames whose RMS exceeds a floor relative to
-    the signal peak, smoothed by keeping ``hangover_frames`` frames voiced
-    after each active frame. Returns sorted, non-overlapping half-open
-    (start, end) sample ranges, start < end."""
+def detect_voice_activity(signal, energy_floor_db=-40.0, hangover_frames=5):
+    """Find voiced intervals: analysis frames whose RMS exceeds a floor
+    relative to the signal peak, smoothed by keeping ``hangover_frames``
+    frames voiced after each active frame. Returns sorted, non-overlapping
+    half-open (start, end) sample ranges, start < end."""
     x = np.asarray(signal.samples, dtype=np.float64)
     if x.size == 0:
         raise DataError("cannot run VAD on an empty signal")
     peak = float(np.max(np.abs(x)))
     if peak == 0.0:
         return []
-    frame_len = int(round(frame_ms * signal.sample_rate / 1000.0))
-    hop_len = int(round(hop_ms * signal.sample_rate / 1000.0))
+    frame_len, hop_len = frame_lengths(signal.sample_rate)
     thr = peak * 10.0 ** (energy_floor_db / 20.0)
     rms = rms_energy(frame_matrix(x, frame_len, hop_len))
     if rms.size == 0:
@@ -212,14 +202,13 @@ def detect_voice_activity(signal, frame_ms=25.0, hop_ms=10.0,
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _split_point(x, sample_rate, lo, hi, frame_ms=25.0, hop_ms=10.0,
-                 search_window_s=0.5):
-    """Lowest-energy frame start within +-search_window_s of the midpoint
-    of x[lo:hi]. Returns an absolute sample index strictly inside (lo, hi)."""
+def _split_point(x, sample_rate, lo, hi):
+    """Lowest-energy analysis frame start within half a second of the
+    midpoint of x[lo:hi]. Returns an absolute sample index strictly inside
+    (lo, hi)."""
     mid = (lo + hi) // 2
-    win = int(search_window_s * sample_rate)
-    frame_len = int(round(frame_ms * sample_rate / 1000.0))
-    hop_len = int(round(hop_ms * sample_rate / 1000.0))
+    win = int(0.5 * sample_rate)
+    frame_len, hop_len = frame_lengths(sample_rate)
     search_lo = max(lo + 1, mid - win)
     search_hi = min(hi - 1, mid + win)
     seg = x[search_lo:search_hi]
@@ -234,13 +223,13 @@ def segment(signal, intervals, max_len_s=10.0, min_len_s=0.5):
 
     Intervals longer than ``max_len_s`` are split recursively at the
     lowest-energy frame near their midpoint; pieces shorter than
-    ``min_len_s`` are dropped. Raises ValueError unless ``max_len_s`` > 0
+    ``min_len_s`` are dropped. Raises ConfigError unless ``max_len_s`` > 0
     and ``min_len_s`` >= 0, both finite.
     """
     if not 0 < max_len_s < math.inf:
-        raise ValueError(f"max_len_s must be > 0 and finite, got {max_len_s}")
+        raise ConfigError(f"max_len_s must be > 0 and finite, got {max_len_s}")
     if not 0 <= min_len_s < math.inf:
-        raise ValueError(f"min_len_s must be >= 0 and finite, got {min_len_s}")
+        raise ConfigError(f"min_len_s must be >= 0 and finite, got {min_len_s}")
     x = np.asarray(signal.samples, dtype=np.float64)
     sr = signal.sample_rate
     # a piece of one sample cannot be split, so at least one sample is kept
@@ -261,5 +250,4 @@ def segment(signal, intervals, max_len_s=10.0, min_len_s=0.5):
 
     for start, end in intervals:
         cut(start, end)
-    return [AudioSignal(x[lo:hi].copy(), sr, degenerate=signal.degenerate)
-            for lo, hi in pieces if hi - lo >= min_len]
+    return [AudioSignal(x[lo:hi].copy(), sr) for lo, hi in pieces if hi - lo >= min_len]

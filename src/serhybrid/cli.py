@@ -91,12 +91,9 @@ def _require(cfg, *keys):
 
 def _endpoint(cfg):
     _require(cfg, "endpoint_url", "model_name")
-    try:
-        return LlmEndpointConfig(base_url=cfg["endpoint_url"], model_name=cfg["model_name"],
-                                 **_given(cfg, "api_key_ref", "timeout_s", "max_retries",
-                                          "max_in_flight", "retry_backoff_s"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return LlmEndpointConfig(base_url=cfg["endpoint_url"], model_name=cfg["model_name"],
+                             **_given(cfg, "api_key_ref", "timeout_s", "max_retries",
+                                      "max_in_flight", "retry_backoff_s"))
 
 
 def _client(cfg):
@@ -119,8 +116,8 @@ def _gold_by_id(entries, split=None):
     return {e.sample_id: e.gold for e in selected}
 
 
-def _load_rules_arg(cfg, key="rules"):
-    path = cfg.get(key)
+def _load_rules_arg(cfg):
+    path = cfg.get("rules")
     if path:
         return reasoning.load_rules(path)
     return reasoning.default_ruleset()
@@ -371,10 +368,7 @@ def cmd_refine(cfg):
 
 def cmd_synth(cfg):
     _require(cfg, "out_dir")
-    try:
-        recipe = corpus.SynthRecipe(**_given(cfg, "overlap", "seed", "duration_s", "n_per_class"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    recipe = corpus.SynthRecipe(**_given(cfg, "overlap", "seed", "duration_s", "n_per_class"))
     entries = corpus.generate_synthetic_corpus(recipe, cfg["out_dir"])
     print(f"generated {len(entries)} samples -> {cfg['out_dir']}/manifest.csv")
     return 0
@@ -387,7 +381,7 @@ def cmd_compare(cfg):
     feats = read_features_csv(cfg["features"])
     model = classifier.SvmModel.load(cfg["model"])
     stats = CorpusStats.load(cfg["stats"])
-    seed_rules = _load_rules_arg(cfg, "rules")
+    seed_rules = _load_rules_arg(cfg)
     refined_rules = (reasoning.load_rules(cfg["refined_rules"])
                      if cfg.get("refined_rules") else seed_rules)
     client = _client(cfg)

@@ -187,16 +187,16 @@ class SynthRecipe:
         if self.variants is None:
             object.__setattr__(self, "variants", {})
         if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must be in [0, 1]")
+            raise ConfigError("overlap must be in [0, 1]")
         if not (math.isfinite(self.duration_s) and self.duration_s * self.sample_rate >= 1):
-            raise ValueError(f"duration_s must be finite and cover at least one sample "
-                             f"at {self.sample_rate} Hz")
+            raise ConfigError(f"duration_s must be finite and cover at least one sample "
+                              f"at {self.sample_rate} Hz")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         if self.n_per_class < 0:
-            raise ValueError("n_per_class must be >= 0")
+            raise ConfigError("n_per_class must be >= 0")
         if not 0.0 <= self.variant_fraction <= 1.0:
-            raise ValueError("variant_fraction must be in [0, 1]")
+            raise ConfigError("variant_fraction must be in [0, 1]")
 
 
 DEFAULT_CLASS_RECIPES = {

@@ -208,21 +208,16 @@ def annotator_accuracy(annotator, reference):
     return overall, per_class
 
 
-VERSION_ORDER = ("v1_basic", "v2_rules", "v3_refined", "v4_hybrid", "v5_auto")
-
-
 def compare_report(runs):
     """Version-comparison table: Acc to 2 decimals (percent), Prec/Rec to 2,
-    F1 to 3. Returns (text_table, json_doc); rows follow the fixed version
-    order, with unknown versions appended in input order."""
+    F1 to 3. ``runs`` is a list of (version name, metrics report); returns
+    (text_table, json_doc), with one row per run in input order."""
     if not runs:
         raise DataError("compare_report needs at least one run")
-    order = {v: i for i, v in enumerate(VERSION_ORDER)}
-    rows = sorted(runs, key=lambda r: (order.get(r[0], len(order)),))
     header = f"{'Version':<12} {'Acc (%)':>8} {'Prec':>6} {'Rec':>6} {'F1':>7}"
     lines = [header, "-" * len(header)]
     doc_rows = []
-    for version, rep in rows:
+    for version, rep in runs:
         lines.append(f"{version:<12} {rep.accuracy * 100:>8.2f} "
                      f"{rep.macro_precision:>6.2f} {rep.macro_recall:>6.2f} "
                      f"{rep.macro_f1:>7.3f}")

@@ -2,9 +2,11 @@
 
 The aggregated vector has 37 dimensions, frozen in DIMENSIONS:
 6 pitch statistics (over voiced frames), 5 energy statistics, and
-mean + std of 13 MFCCs. A vector can be rendered as a qualitative
-acoustic profile (z-scored against corpus statistics) for the reasoning
-prompts.
+mean + std of 13 MFCCs. Every vector is measured on one analysis frame,
+fixed in the constants below, to which the classifier, the corpus
+statistics and the prompts' z-scores are fitted. A vector can be rendered
+as a qualitative acoustic profile (z-scored against corpus statistics) for
+the reasoning prompts.
 """
 
 import csv
@@ -26,6 +28,18 @@ SCHEMA_TAG = "serhybrid-features-v1"
 
 STATS_SCHEMA = "serhybrid-stats-v1"
 
+# the analysis frame: 25-ms frames every 10 ms
+FRAME_MS = 25.0
+HOP_MS = 10.0
+# pitch is searched over 60-400 Hz; a frame whose normalized-autocorrelation
+# peak falls below VOICING_CLARITY is unvoiced
+PITCH_FMIN = 60.0
+PITCH_FMAX = 400.0
+VOICING_CLARITY = 0.6
+# MFCCs: 26 mel bands over 0-8 kHz, the first 13 cepstral coefficients kept
+N_MELS = 26
+MEL_FMIN = 0.0
+MEL_FMAX = 8000.0
 N_MFCC = 13
 
 DIMENSIONS = (
@@ -122,14 +136,19 @@ def frame_matrix(x, frame_len, hop_len):
     return sliding_window_view(x, frame_len)[::hop_len]
 
 
-def frame_signal(signal, frame_ms=25.0, hop_ms=10.0):
-    """Slice a standardized signal into overlapping frames (unwindowed).
+def frame_lengths(sample_rate):
+    """(frame_len, hop_len): the analysis frame and hop in samples."""
+    return tuple(int(round(ms * sample_rate / 1000.0)) for ms in (FRAME_MS, HOP_MS))
+
+
+def frame_signal(signal):
+    """Slice a standardized signal into overlapping analysis frames
+    (unwindowed).
 
     Raises DataError when the signal does not cover one frame.
     """
     x = np.asarray(signal.samples, dtype=np.float64)
-    frame_len = int(round(frame_ms * signal.sample_rate / 1000.0))
-    hop_len = int(round(hop_ms * signal.sample_rate / 1000.0))
+    frame_len, hop_len = frame_lengths(signal.sample_rate)
     if len(x) < frame_len:
         raise DataError(f"signal has {len(x)} samples, frame needs {frame_len}")
     return frame_matrix(x, frame_len, hop_len)
@@ -142,23 +161,23 @@ def rms_energy(frames):
     return np.sqrt(np.mean(x * x, axis=1))
 
 
-def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold=0.6):
+def estimate_pitch(frames, sample_rate):
     """Fundamental frequency via normalized autocorrelation.
 
     ``frames`` is an (n_frames, frame_len) matrix; the result has one
     pitch per row. In each row the lag of the highest
-    normalized-autocorrelation peak in [1/fmax, 1/fmin] is refined with
-    parabolic interpolation. Rows whose peak clarity falls below
-    ``clarity_threshold`` are UNVOICED.
+    normalized-autocorrelation peak in [1/PITCH_FMAX, 1/PITCH_FMIN] is
+    refined with parabolic interpolation. Rows whose peak clarity falls
+    below VOICING_CLARITY are UNVOICED.
     """
     x = np.asarray(frames, dtype=np.float64)
     rows = np.arange(x.shape[0])
     n = x.shape[1]
     pitch = np.full(len(rows), UNVOICED)
-    lag_min = max(1, int(sample_rate / fmax))
+    lag_min = max(1, int(sample_rate / PITCH_FMAX))
     # the two windows of a lag overlap in n - lag samples; at least one fmax
     # period of them keeps a lag near n from a normalized ACF of exactly +-1
-    lag_max = min(n - lag_min, int(math.ceil(sample_rate / fmin)))
+    lag_max = min(n - lag_min, int(math.ceil(sample_rate / PITCH_FMIN)))
     if lag_max <= lag_min:
         return pitch
     # mean removal leaves a DC-only row a residual of rounding error, whose
@@ -203,7 +222,7 @@ def estimate_pitch(frames, sample_rate, fmin=60.0, fmax=400.0, clarity_threshold
     near[:, :right.shape[1]] &= window[:, :right.shape[1]] >= right
     best = lag_min + np.where(near.any(axis=1), near.argmax(axis=1), window.argmax(axis=1))
     clarity = norm[rows, best - lo]
-    voiced = has_signal & (clarity >= clarity_threshold)
+    voiced = has_signal & (clarity >= VOICING_CLARITY)
     # parabolic interpolation around the peak
     a = norm[rows, best - 1 - lo]
     c = norm[rows, np.minimum(best + 1, n_lags - 1) - lo]
@@ -239,42 +258,42 @@ def mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax):
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_mel_filterbank(*args):
-    """mel_filterbank built once per process for each argument set and
-    shared read-only between calls."""
-    fb = mel_filterbank(*args)
+def _shared_mel_filterbank(nfft, sample_rate):
+    """The MFCC filterbank (N_MELS bands over MEL_FMIN..MEL_FMAX), built
+    once per process for each FFT size and rate and shared read-only
+    between calls."""
+    fb = mel_filterbank(N_MELS, nfft, sample_rate, MEL_FMIN, MEL_FMAX)
     fb.flags.writeable = False
     return fb
 
 
-def mfcc(frames, sample_rate, n_mels=26, n_coeffs=N_MFCC, fmin=0.0, fmax=8000.0):
+def mfcc(frames, sample_rate):
     """MFCCs of windowed frames: orthonormal DCT-II of log mel energies.
 
     ``frames`` is one frame or an (n_frames, frame_len) matrix; the result
-    has ``n_coeffs`` coefficients per frame. FFT size is the next power of
+    has N_MFCC coefficients per frame. FFT size is the next power of
     two >= frame length; log floor is 1e-10. Coefficient 0 is retained.
     """
     x = np.asarray(frames, dtype=np.float64)
     nfft = 1 << (x.shape[-1] - 1).bit_length()
     power = np.abs(np.fft.rfft(x, nfft, axis=-1)) ** 2
-    fb = _shared_mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax)
+    fb = _shared_mel_filterbank(nfft, sample_rate)
     # plain einsum never calls BLAS, whose thread pool would keep a second
     # core spinning for this small product
     log_e = np.log(np.maximum(np.einsum("...k,mk->...m", power, fb), 1e-10))
     coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1)
-    return coeffs[..., :n_coeffs]
+    return coeffs[..., :N_MFCC]
 
 
-def extract_series(signal, frame_ms=25.0, hop_ms=10.0, fmin=60.0, fmax=400.0,
-                   clarity_threshold=0.6, n_mels=26, n_coeffs=N_MFCC):
+def extract_series(signal):
     """Run the three frame-level extractors over a standardized signal.
 
     Pitch and energy see raw frames; the MFCC path applies a Hann window.
     """
-    frames = frame_signal(signal, frame_ms, hop_ms)
-    pitch = estimate_pitch(frames, signal.sample_rate, fmin, fmax, clarity_threshold)
+    frames = frame_signal(signal)
+    pitch = estimate_pitch(frames, signal.sample_rate)
     energy = rms_energy(frames)
-    mfccs = mfcc(frames * np.hanning(frames.shape[1]), signal.sample_rate, n_mels, n_coeffs)
+    mfccs = mfcc(frames * np.hanning(frames.shape[1]), signal.sample_rate)
     return FrameSeries(pitch_hz=pitch, energy_rms=energy, mfcc=mfccs)
 
 

@@ -329,13 +329,13 @@ class LlmEndpointConfig:
 
     def __post_init__(self):
         if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+            raise ConfigError("max_in_flight must be >= 1")
         if not 0.0 < self.timeout_s < math.inf:
-            raise ValueError("timeout_s must be a positive finite number")
+            raise ConfigError("timeout_s must be a positive finite number")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ConfigError("max_retries must be >= 0")
         if not 0.0 <= self.retry_backoff_s < math.inf:
-            raise ValueError("retry_backoff_s must be a non-negative finite number")
+            raise ConfigError("retry_backoff_s must be a non-negative finite number")
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,6 @@ class _Job:
 
     sample_id: str
     prompt: str
-    body: bytes
     indices: list = field(default_factory=list)
     not_before: float = 0.0  # time.monotonic() before which no attempt starts
     failed_at: float = 0.0
@@ -518,10 +517,9 @@ class HttpLlmClient:
         for conn in connections:
             conn.close()
 
-    def complete(self, prompt, sample_id=None, body=None):
+    def complete(self, prompt, sample_id=None):
         """One attempt at ``prompt``: the cached answer if there is one, else
-        one request, whose answer is then cached. ``body`` is the encoded
-        request when the caller has built it already. Raises LlmError."""
+        one request, whose answer is then cached. Raises LlmError."""
         if self.cache_dir:
             path = self._cache_path(prompt)
             try:
@@ -529,8 +527,7 @@ class HttpLlmClient:
                     return LlmResult(text=fh.read(), cached=True, latency_ms=0.0)
             except (FileNotFoundError, UnicodeDecodeError):
                 pass  # not cached, or not text this client wrote: ask again
-        if body is None:
-            body = self._body(prompt)
+        body = self._body(prompt)
         t0 = time.monotonic()
         text = query_llm(self._connection(), self._target, body, self._headers, sample_id)
         latency = (time.monotonic() - t0) * 1000.0
@@ -551,7 +548,7 @@ class HttpLlmClient:
             time.sleep(delay)
         t0 = time.monotonic()
         try:
-            result = self.complete(job.prompt, job.sample_id, body=job.body)
+            result = self.complete(job.prompt, job.sample_id)
         except LlmError as exc:
             job.failed_at = time.monotonic()
             job.latency_ms += (job.failed_at - t0) * 1000.0
@@ -578,7 +575,7 @@ class HttpLlmClient:
         for idx, (sample_id, prompt) in enumerate(items):
             job = jobs.get(prompt)
             if job is None:
-                job = jobs[prompt] = _Job(sample_id, prompt, self._body(prompt))
+                job = jobs[prompt] = _Job(sample_id, prompt)
             job.indices.append(idx)
         results = [None] * len(items)
         pending = list(jobs.values())

@@ -154,7 +154,7 @@ class TestRecipes:
         {"duration_s": float("inf")}, {"seed": -1}, {"n_per_class": -1},
     ])
     def test_recipe_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
             SynthRecipe(**kwargs)
 
 

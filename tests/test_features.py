@@ -13,9 +13,9 @@ from serhybrid.errors import ConfigError, DataError
 from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
                                 CorpusStats, FeatureVector, FrameSeries,
                                 aggregate, describe, estimate_pitch,
-                                extract_series, frame_matrix, frame_signal,
-                                level_for_z, mel_filterbank, mel_scale,
-                                mel_to_hz, mfcc, read_features_csv,
+                                extract_series, frame_lengths, frame_matrix,
+                                frame_signal, level_for_z, mel_filterbank,
+                                mel_scale, mel_to_hz, mfcc, read_features_csv,
                                 rms_energy, write_features_csv)
 
 SR = 16000
@@ -41,6 +41,16 @@ class TestFraming:
         for n in (400, 401, 559, 560, 16000):
             frames = frame_signal(AudioSignal(np.zeros(n), SR))
             assert frames.shape == (1 + (n - 400) // 160, 400)
+
+    @pytest.mark.parametrize("sample_rate,frame_len,hop_len", [
+        (16000, 400, 160), (8000, 200, 80), (44100, 1102, 441), (11025, 276, 110),
+    ])
+    def test_frame_lengths(self, sample_rate, frame_len, hop_len):
+        # 25 ms and 10 ms rounded to the nearest sample, ties to even:
+        # 1102.5 -> 1102, 275.625 -> 276
+        assert frame_lengths(sample_rate) == (frame_len, hop_len)
+        frames = frame_signal(AudioSignal(np.zeros(3 * frame_len), sample_rate))
+        assert frames.shape == (1 + 2 * frame_len // hop_len, frame_len)
 
     def test_too_short_rejected(self):
         with pytest.raises(DataError, match="signal has 399 samples, frame needs 400"):
@@ -199,7 +209,8 @@ class TestBatchedParity:
         x = np.concatenate([0.5 * np.sin(2 * np.pi * 130.0 * t),
                             0.3 * rng.normal(size=t.size),
                             0.4 * np.sin(2 * np.pi * (110.0 + 200.0 * t) * t)])
-        frames = frame_signal(AudioSignal(x, sample_rate), frame_ms=frame_ms)
+        # frames every 10 ms
+        frames = frame_matrix(x, int(round(frame_ms * sample_rate / 1000.0)), sample_rate // 100)
         pitch = estimate_pitch(frames, sample_rate)
         ref = np.array([oracles.pitch_direct(f, sample_rate) for f in frames])
         assert np.array_equal(np.isnan(pitch), np.isnan(ref))

@@ -302,7 +302,7 @@ class TestQueryLlm:
         assert [r.sample_id for r in results] == ["s1", "s2"]
 
     def test_max_in_flight_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="max_in_flight must be >= 1"):
             _cfg(max_in_flight=0)
 
     @pytest.mark.parametrize("settings", [
@@ -311,7 +311,7 @@ class TestQueryLlm:
         {"retry_backoff_s": -0.5}, {"retry_backoff_s": float("nan")},
     ])
     def test_client_settings_validated(self, settings):
-        with pytest.raises(ValueError, match=next(iter(settings))):
+        with pytest.raises(ConfigError, match=next(iter(settings))):
             _cfg(**settings)
 
     @pytest.mark.parametrize("url", ["ftp://example.invalid/v1", "example.invalid/v1",
