@@ -25,6 +25,10 @@ MAX_ITER_FLOOR = 10_000_000
 # one runs the solver to its iteration cap
 TOL_FLOOR = 1e-12
 
+# bound on the kernel rows a training run keeps: a row and its curvature
+# for every sample fit at the paper's 2,763 clips (2 * 2,763**2 * 8 B)
+ROW_CACHE_BYTES = 128 * 2**20
+
 
 def _as_matrix(vectors):
     """(n, n_dims) float matrix of FeatureVectors, raw rows or a matrix's
@@ -36,37 +40,58 @@ def _as_matrix(vectors):
     return X
 
 
-def _smo_binary(X, y, C, tol, max_iter):
+class _KernelRows:
+    """Kernel rows of a training matrix X: ``rows[t]`` is ``X @ X[t]`` and
+    the pair curvature ``max(K_tt + K_ss - 2 K_ts, 1e-12)`` over s, both
+    read-only. Rows are kept as computed while they fit in ROW_CACHE_BYTES
+    and computed on each use after that; kept or not, the floats are equal."""
+
+    def __init__(self, X):
+        self.X = X
+        self.diag = np.einsum("ij,ij->i", X, X)
+        self._rows = {}
+
+    def __getitem__(self, t):
+        if t in self._rows:
+            return self._rows[t]
+        k_t = self.X @ self.X[t]
+        curv = np.maximum(self.diag[t] + self.diag - 2.0 * k_t, 1e-12)
+        k_t.flags.writeable = curv.flags.writeable = False
+        if (len(self._rows) + 1) * (k_t.nbytes + curv.nbytes) <= ROW_CACHE_BYTES:
+            self._rows[t] = k_t, curv
+        return k_t, curv
+
+
+def _smo_binary(rows, y, C, tol, max_iter):
     """SMO with second-order working-set selection (Fan, Chen & Lin, JMLR
     2005; the LIBSVM rule) on the linear-kernel dual
 
         min 1/2 a'Qa - sum(a),  0 <= a <= C,  y'a = 0,  Q_st = y_s y_t x_s.x_t
 
-    y in {-1, +1}. Kernel rows are computed on demand, so memory is O(n d).
-    Stops when the maximal KKT violation m(a) - M(a) is <= tol. The bias is
-    the mean score of the free vectors or, with none, (m + M) / 2, as in
+    y in {-1, +1}. Kernel rows come from ``rows``, a _KernelRows over the
+    training matrix; they do not depend on y, so heads may share it. Stops
+    when the maximal KKT violation m(a) - M(a) is <= tol. The bias is the
+    mean score of the free vectors or, with none, (m + M) / 2, as in
     LIBSVM. Returns (alphas, b, iterations, violation).
     """
     n = len(y)
     alphas = np.zeros(n)
     score = y.copy()  # -y * gradient, the gradient being Q a - 1
-    diag = np.einsum("ij,ij->i", X, X)
     pos = y > 0
     up = pos.copy()    # alpha may move towards y: a < C if y = +1, a > 0 if y = -1
     low = ~pos         # alpha may move against y
     for iteration in range(max_iter):
-        i = int(np.argmax(np.where(up, score, -np.inf)))
+        i = int(np.where(up, score, -np.inf).argmax())
         m = score[i]
         low_min = np.where(low, score, np.inf).min()
         violation = float(m - low_min)
         if violation <= tol:
             break
-        k_i = X @ X[i]
-        cand = np.flatnonzero(low & (score < m))
+        k_i, curv_i = rows[i]
+        cand = (low & (score < m)).nonzero()[0]
         gain = m - score[cand]
-        curv = np.maximum(diag[i] + diag[cand] - 2.0 * k_i[cand], 1e-12)
-        j = int(cand[np.argmax(gain * gain / curv)])
-        step = (m - score[j]) / max(diag[i] + diag[j] - 2.0 * k_i[j], 1e-12)
+        j = int(cand[(gain * gain / curv_i[cand]).argmax()])
+        step = (m - score[j]) / curv_i[j]
         room_i = C - alphas[i] if pos[i] else alphas[i]
         room_j = alphas[j] if pos[j] else C - alphas[j]
         step = min(step, room_i, room_j)
@@ -80,7 +105,7 @@ def _smo_binary(X, y, C, tol, max_iter):
         for t in (i, j):
             up[t] = alphas[t] < C if pos[t] else alphas[t] > 0
             low[t] = alphas[t] > 0 if pos[t] else alphas[t] < C
-        score -= step * (k_i - X @ X[j])
+        score -= step * (k_i - rows[j][0])
     else:
         raise DataError(f"SVM solver stopped at its {max_iter}-iteration cap with KKT "
                         f"violation {violation:.3g} > tol {tol:g}")
@@ -254,9 +279,10 @@ def train(vectors, labels, C=1.0, tol=1e-3):
     platt_a = np.zeros(len(CLASSES))
     platt_b = np.zeros(len(CLASSES))
     support, iterations, violations = [], [], []
+    rows = _KernelRows(X)
     for k, cls_label in enumerate(CLASSES):
         y = np.where(np.array(labels) == cls_label, 1.0, -1.0)
-        alphas, b, n_iter, violation = _smo_binary(X, y, C, tol, max_iter)
+        alphas, b, n_iter, violation = _smo_binary(rows, y, C, tol, max_iter)
         w = (alphas * y) @ X
         decision = X @ w + b
         a_k, b_k = _fit_platt(decision, (y > 0).astype(float))

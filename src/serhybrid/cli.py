@@ -100,20 +100,25 @@ def _client(cfg):
     return HttpLlmClient(_endpoint(cfg), cache_dir=cfg.get("cache"))
 
 
-def _in_split(entries, split):
-    """The entries of ``split``; all of them when it is unset or "all"."""
+def _in_split(cfg):
+    """The manifest's entries in ``--split``: all of them when it is unset
+    or "all", and a data error when a named split selects none."""
+    split = cfg.get("split")
     if split not in (None, "all", *corpus.SPLITS):
         raise ConfigError(f"unknown split {split!r}; known splits: "
                           f"{', '.join(corpus.SPLITS)}, all")
-    return [e for e in entries if split in (None, "all") or e.split == split]
+    entries = [e for e in corpus.load_manifest(cfg["manifest"])
+               if split in (None, "all") or e.split == split]
+    if not entries and split not in (None, "all"):
+        raise DataError(f"split {split!r} selects no entries of {cfg['manifest']}")
+    return entries
 
 
-def _gold_by_id(entries, split=None):
-    selected = _in_split(entries, split)
-    missing = [e.sample_id for e in selected if e.gold is None]
+def _gold_by_id(entries):
+    missing = [e.sample_id for e in entries if e.gold is None]
     if missing:
         raise DataError(f"entries without gold labels: {missing[:5]}")
-    return {e.sample_id: e.gold for e in selected}
+    return {e.sample_id: e.gold for e in entries}
 
 
 def _load_rules_arg(cfg):
@@ -206,8 +211,7 @@ def cmd_features(cfg):
 
 def cmd_train(cfg):
     _require(cfg, "manifest", "features", "model_out")
-    entries = corpus.load_manifest(cfg["manifest"])
-    gold = _gold_by_id(entries, cfg.get("split"))
+    gold = _gold_by_id(_in_split(cfg))
     feats = read_features_csv(cfg["features"])
     hybrid.require_all(gold, feats, "feature vectors")
     vectors = [feats[i] for i in gold]
@@ -231,7 +235,7 @@ def _load_transcripts(path):
 
 def cmd_predict(cfg):
     _require(cfg, "manifest", "out", "version")
-    entries = _in_split(corpus.load_manifest(cfg["manifest"]), cfg.get("split"))
+    entries = _in_split(cfg)
     client = _client(cfg)
     version_name = cfg["version"]
     if version_name == hybrid.TEXT_BASELINE:
@@ -376,7 +380,7 @@ def cmd_synth(cfg):
 
 def cmd_compare(cfg):
     _require(cfg, "manifest", "features", "model", "stats", "out_dir")
-    entries = _in_split(corpus.load_manifest(cfg["manifest"]), cfg.get("split"))
+    entries = _in_split(cfg)
     gold = _gold_by_id(entries)
     feats = read_features_csv(cfg["features"])
     model = classifier.SvmModel.load(cfg["model"])

@@ -29,8 +29,6 @@ class _Sentinel:
 
 # kappa values that are undefined (expected agreement 1)
 UNDEFINED = _Sentinel("UNDEFINED")
-# a three-way annotator split
-NO_MAJORITY = _Sentinel("NO_MAJORITY")
 
 
 @dataclass(frozen=True)
@@ -177,35 +175,6 @@ def cohens_kappa(a, b):
     if p_e == 1.0:
         return UNDEFINED
     return (p_o - p_e) / (1.0 - p_e)
-
-
-def majority_label(labels):
-    """Label held by >= 2 of exactly 3 annotators; NO_MAJORITY on a 3-way split."""
-    labels = list(labels)
-    if len(labels) != 3:
-        raise ValueError(f"expected exactly 3 annotator labels, got {len(labels)}")
-    for label in labels:
-        if labels.count(label) >= 2:
-            return label
-    return NO_MAJORITY
-
-
-def annotator_accuracy(annotator, reference):
-    """Overall and per-class accuracy of one annotator against the majority
-    reference. Items without a majority must already be excluded."""
-    annotator = list(annotator)
-    reference = list(reference)
-    if len(annotator) != len(reference):
-        raise DataError("annotator and reference differ in length")
-    if not reference:
-        raise DataError("no reference items")
-    overall = sum(a == r for a, r in zip(annotator, reference)) / len(reference)
-    per_class = {}
-    for label in CLASSES:
-        items = [(a, r) for a, r in zip(annotator, reference) if r == label]
-        per_class[label] = (sum(a == r for a, r in items) / len(items)
-                            if items else None)
-    return overall, per_class
 
 
 def compare_report(runs):

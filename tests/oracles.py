@@ -3,7 +3,9 @@
 Everything here is deliberately written in plain Python (loops, Counter,
 Fraction) rather than vectorized numpy, so a shared bug with the package
 implementations is unlikely. The DSP references keep numpy only for one
-dot product or one FFT per frame.
+dot product or one FFT per frame. ``smo_direct`` is the exception: it is
+the solver's earlier numpy form, kept so the cached solver can be held to
+it bit for bit.
 """
 
 import math
@@ -183,6 +185,51 @@ def predict_direct(model, vector):
     best = int(np.argmax(probs))  # argmax takes the first maximum: fixed-order tie-break
     return MlEvidence(label=CLASSES[best], confidence=float(probs[best]),
                       per_class_probs=probs, margins=margins)
+
+
+def smo_direct(X, y, C, tol, max_iter):
+    """The SMO solver as it was before kernel rows were cached: two
+    matrix-vector products and the candidates' curvature recomputed every
+    iteration. Same working-set rule, stopping rule and bias; returns
+    (alphas, b, iterations, violation)."""
+    n = len(y)
+    alphas = np.zeros(n)
+    score = y.copy()
+    diag = np.einsum("ij,ij->i", X, X)
+    pos = y > 0
+    up = pos.copy()
+    low = ~pos
+    for iteration in range(max_iter):
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        m = score[i]
+        low_min = np.where(low, score, np.inf).min()
+        violation = float(m - low_min)
+        if violation <= tol:
+            break
+        k_i = X @ X[i]
+        cand = np.flatnonzero(low & (score < m))
+        gain = m - score[cand]
+        curv = np.maximum(diag[i] + diag[cand] - 2.0 * k_i[cand], 1e-12)
+        j = int(cand[np.argmax(gain * gain / curv)])
+        step = (m - score[j]) / max(diag[i] + diag[j] - 2.0 * k_i[j], 1e-12)
+        room_i = C - alphas[i] if pos[i] else alphas[i]
+        room_j = alphas[j] if pos[j] else C - alphas[j]
+        step = min(step, room_i, room_j)
+        alphas[i] += y[i] * step
+        alphas[j] -= y[j] * step
+        if step == room_i:
+            alphas[i] = C if pos[i] else 0.0
+        if step == room_j:
+            alphas[j] = 0.0 if pos[j] else C
+        for t in (i, j):
+            up[t] = alphas[t] < C if pos[t] else alphas[t] > 0
+            low[t] = alphas[t] > 0 if pos[t] else alphas[t] < C
+        score -= step * (k_i - X @ X[j])
+    else:
+        raise DataError(f"SVM solver stopped at its {max_iter}-iteration cap")
+    free = up & low
+    b = float(score[free].mean()) if free.any() else 0.5 * float(m + low_min)
+    return alphas, b, iteration, violation
 
 
 def mfcc_direct(frames, sample_rate, n_mels=26, n_coeffs=13, fmin=0.0, fmax=8000.0):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from serhybrid.classifier import (TOL_FLOOR, MlEvidence, SvmModel, _smo_binary,
-                                  predict, train)
+from serhybrid import classifier
+from serhybrid.classifier import (TOL_FLOOR, MlEvidence, SvmModel, _KernelRows,
+                                  _smo_binary, predict, train)
 from serhybrid.errors import ConfigError, DataError
 from serhybrid.features import DIM_INDEX, DIMENSIONS, CorpusStats, FeatureVector
 from serhybrid.labels import CLASSES
@@ -140,7 +141,7 @@ class TestSolver:
         C = model.meta["C"]
         for k, label in enumerate(CLASSES):
             y = np.where(labels == label, 1.0, -1.0)
-            alphas, _, _, _ = _smo_binary(X, y, C, model.meta["tol"], 10_000_000)
+            alphas, _, _, _ = _smo_binary(_KernelRows(X), y, C, model.meta["tol"], 10_000_000)
             w = (alphas * y) @ X
             assert np.array_equal(w, model.weights[k])
             hinge = np.maximum(0.0, 1.0 - y * (X @ w + model.biases[k])).sum()
@@ -152,7 +153,7 @@ class TestSolver:
         # both alphas end at C = 0.1, so w = 0.2 and any b in [-1.2, 0.4]
         # gives the same hinge sum; the solver takes the midpoint
         X = np.array([[3.0], [1.0]])
-        alphas, b, _, _ = _smo_binary(X, np.array([1.0, -1.0]), 0.1, 1e-3, 100)
+        alphas, b, _, _ = _smo_binary(_KernelRows(X), np.array([1.0, -1.0]), 0.1, 1e-3, 100)
         assert alphas.tolist() == [0.1, 0.1]
         assert b == pytest.approx(-0.4)
 
@@ -161,8 +162,48 @@ class TestSolver:
         X = CorpusStats.from_vectors(vectors).transform(np.stack([v.values for v in vectors]))
         y = np.where(np.array(labels) == "calm", 1.0, -1.0)
         with pytest.raises(DataError, match="SVM solver stopped at its 3-iteration cap") as info:
-            _smo_binary(X, y, 1.0, 1e-3, 3)
+            _smo_binary(_KernelRows(X), y, 1.0, 1e-3, 3)
         assert "\n" not in str(info.value)
+
+
+def _scaled_blobs(spread):
+    vectors, labels = _blobs(seed=1, n_per_class=30, spread=spread)
+    X = CorpusStats.from_vectors(vectors).transform(np.stack([v.values for v in vectors]))
+    return X, np.array(labels)
+
+
+class TestCachedSolverParity:
+    """The cached solver repeats the uncached one bit for bit."""
+
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("spread", [0.3, 2.0, 6.0])
+    def test_matches_uncached_solver(self, spread, C):
+        X, labels = _scaled_blobs(spread)
+        rows = _KernelRows(X)  # shared by the heads, as train shares it
+        for label in CLASSES:
+            y = np.where(labels == label, 1.0, -1.0)
+            alphas, b, n_iter, violation = _smo_binary(rows, y, C, 1e-3, 10_000_000)
+            want = oracles.smo_direct(X, y, C, 1e-3, 10_000_000)
+            assert np.array_equal(alphas, want[0])
+            assert (b, n_iter, violation) == want[1:]
+
+    def test_rows_beyond_the_bound_are_computed_on_use(self, monkeypatch):
+        X, labels = _scaled_blobs(6.0)
+        # room for two rows and their curvatures
+        monkeypatch.setattr(classifier, "ROW_CACHE_BYTES", 2 * 2 * X.shape[0] * 8)
+        rows = _KernelRows(X)
+        y = np.where(labels == "calm", 1.0, -1.0)
+        alphas, b, n_iter, violation = _smo_binary(rows, y, 1.0, 1e-3, 10_000_000)
+        want = oracles.smo_direct(X, y, 1.0, 1e-3, 10_000_000)
+        assert np.array_equal(alphas, want[0])
+        assert (b, n_iter, violation) == want[1:]
+        assert len(rows._rows) == 2 < n_iter
+
+    def test_rows_are_read_only(self):
+        X, _ = _scaled_blobs(2.0)
+        k_t, curv = _KernelRows(X)[0]
+        assert np.array_equal(k_t, X @ X[0])
+        assert not k_t.flags.writeable and not curv.flags.writeable
 
 
 class TestPredict:

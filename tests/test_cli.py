@@ -285,22 +285,6 @@ class TestPredictEvaluate:
         assert doc["routed_to_llm"] == 0
         assert sum(1 for _ in open(out)) == 9
 
-    def test_split_without_rows_writes_no_predictions(self, workspace, tmp_path, capsys):
-        # a synth corpus assigns no split, so set1 selects nothing
-        out = tmp_path / "preds.jsonl"
-        report = tmp_path / "report.json"
-        assert cli.main(["predict", "--manifest", workspace["manifest"],
-                         "--features", workspace["features"],
-                         "--model", workspace["model"],
-                         "--stats", workspace["stats"],
-                         "--version", "v2_rules", "--split", "set1",
-                         "--endpoint-url", "http://127.0.0.1:1/v1",
-                         "--model-name", "m",
-                         "--out", str(out), "--report", str(report)]) == 0
-        assert out.read_text() == ""
-        doc = json.loads(report.read_text())
-        assert (doc["n"], doc["routed_to_llm"], doc["source_counts"]) == (0, 0, {})
-
     def test_v2_against_mock_server(self, workspace, tmp_path):
         out = tmp_path / "preds.jsonl"
         with MockLlmServer() as server:
@@ -1053,6 +1037,21 @@ def test_unknown_split_is_one_configuration_error_line(workspace, tmp_path, caps
     assert err.startswith(f"configuration error: unknown split {split!r}; ")
     assert err.count("\n") == 1 and "set1, set2, set3, test, unassigned, all" in err
     assert not (tmp_path / "p.jsonl").exists() and not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", [_predict_split, _compare_split, _train_split],
+                         ids=["predict", "compare", "train"])
+def test_empty_split_is_one_data_error_line(workspace, tmp_path, capsys, command):
+    # a synth corpus assigns no split, so set1 selects nothing; predict once
+    # wrote 0 predictions and exited 0, and train and compare failed on
+    # the empty selection without naming the split
+    capsys.readouterr()
+    code = cli.main(command(workspace, tmp_path, "set1"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"data error: split 'set1' selects no entries of {workspace['manifest']}\n"
+    assert not (tmp_path / "p.jsonl").exists() and not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "ablation").exists()
 
 
 def test_manifest_with_byte_order_mark(workspace, tmp_path):

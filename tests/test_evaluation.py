@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from serhybrid.errors import DataError
-from serhybrid.evaluation import (NO_MAJORITY, UNDEFINED, annotator_accuracy,
-                                  cohens_kappa, compare_report,
-                                  confusion_counts, fleiss_kappa,
-                                  majority_label, metrics)
+from serhybrid.evaluation import (UNDEFINED, cohens_kappa, compare_report,
+                                  confusion_counts, fleiss_kappa, metrics)
 from serhybrid.labels import CLASSES
 
 
@@ -155,35 +153,6 @@ class TestConfusionMatrix:
     def test_id_mismatch(self):
         with pytest.raises(DataError, match="prediction/gold ids differ"):
             metrics({"s0": "calm"}, {"other": "calm"})
-
-class TestMajorityAndAnnotators:
-    def test_majority(self):
-        assert majority_label(["calm", "calm", "angry"]) == "calm"
-        assert majority_label(["panic", "panic", "panic"]) == "panic"
-        assert majority_label(["calm", "angry", "panic"]) is NO_MAJORITY
-
-    def test_majority_requires_three(self):
-        with pytest.raises(ValueError):
-            majority_label(["calm", "angry"])
-
-    def test_annotator_accuracy(self):
-        annotator = ["calm", "angry", "angry", "panic"]
-        reference = ["calm", "angry", "calm", "panic"]
-        overall, per_class = annotator_accuracy(annotator, reference)
-        assert overall == 0.75
-        assert per_class["calm"] == 0.5
-        assert per_class["angry"] == 1.0
-        assert per_class["panic"] == 1.0
-
-    def test_annotator_accuracy_absent_class_is_none(self):
-        _, per_class = annotator_accuracy(["calm"] * 2, ["calm"] * 2)
-        assert per_class["panic"] is None
-
-    def test_annotator_accuracy_errors(self):
-        with pytest.raises(DataError, match="annotator and reference differ in length"):
-            annotator_accuracy(["calm"], [])
-        with pytest.raises(DataError, match="no reference items"):
-            annotator_accuracy([], [])
 
 
 class TestCompareReport:
