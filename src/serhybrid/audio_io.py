@@ -7,7 +7,6 @@ utterance-sized segments at low-energy frames.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,11 +14,21 @@ import numpy as np
 import scipy.io.wavfile
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .features import frame_lengths, frame_matrix, rms_energy
 
 TARGET_RATE = 16000
 TARGET_PEAK = 0.95
+
+# the VAD: a frame is voiced when its RMS is within 40 dB of the signal's
+# peak, and the 5 frames (50 ms) after a voiced frame stay voiced, so the
+# short dips between syllables do not split an utterance
+VAD_FLOOR_DB = -40.0
+VAD_HANGOVER_FRAMES = 5
+# segments: a voiced stretch over 10 s is split into utterance-sized pieces,
+# and a piece under 0.5 s (about 50 frames) is dropped as too short to describe
+MAX_SEGMENT_S = 10.0
+MIN_SEGMENT_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -167,11 +176,11 @@ def standardize(signal):
     return AudioSignal(x, TARGET_RATE)
 
 
-def detect_voice_activity(signal, energy_floor_db=-40.0, hangover_frames=5):
-    """Find voiced intervals: analysis frames whose RMS exceeds a floor
-    relative to the signal peak, smoothed by keeping ``hangover_frames``
-    frames voiced after each active frame. Returns sorted, non-overlapping
-    half-open (start, end) sample ranges, start < end."""
+def detect_voice_activity(signal):
+    """Find voiced intervals: analysis frames whose RMS exceeds
+    ``VAD_FLOOR_DB`` relative to the signal peak, smoothed by keeping
+    ``VAD_HANGOVER_FRAMES`` frames voiced after each active frame. Returns
+    sorted, non-overlapping half-open (start, end) sample ranges, start < end."""
     x = np.asarray(signal.samples, dtype=np.float64)
     if x.size == 0:
         raise DataError("cannot run VAD on an empty signal")
@@ -179,17 +188,15 @@ def detect_voice_activity(signal, energy_floor_db=-40.0, hangover_frames=5):
     if peak == 0.0:
         return []
     frame_len, hop_len = frame_lengths(signal.sample_rate)
-    thr = peak * 10.0 ** (energy_floor_db / 20.0)
+    thr = peak * 10.0 ** (VAD_FLOOR_DB / 20.0)
     rms = rms_energy(frame_matrix(x, frame_len, hop_len))
     if rms.size == 0:
         # shorter than one frame: judge the whole signal at once
         return [(0, len(x))] if np.sqrt(np.mean(x * x)) > thr else []
-    voiced = rms > thr
-    if hangover_frames > 0:
-        # a frame is voiced when it or one of the hangover_frames before it is
-        counts = np.concatenate(([0], np.cumsum(voiced)))
-        idx = np.arange(len(voiced))
-        voiced = counts[idx + 1] > counts[np.maximum(idx - hangover_frames, 0)]
+    # a frame is voiced when it or one of the VAD_HANGOVER_FRAMES before it is
+    counts = np.concatenate(([0], np.cumsum(rms > thr)))
+    idx = np.arange(len(rms))
+    voiced = counts[idx + 1] > counts[np.maximum(idx - VAD_HANGOVER_FRAMES, 0)]
     edges = np.diff(np.concatenate(([0], voiced.astype(np.int8), [0])))
     first = np.flatnonzero(edges == 1)
     last = np.flatnonzero(edges == -1) - 1
@@ -218,23 +225,17 @@ def _split_point(x, sample_rate, lo, hi):
     return search_lo + int(np.argmin(rms)) * hop_len
 
 
-def segment(signal, intervals, max_len_s=10.0, min_len_s=0.5):
+def segment(signal, intervals):
     """Cut (start, end) voiced intervals into utterance signals.
 
-    Intervals longer than ``max_len_s`` are split recursively at the
+    Intervals longer than ``MAX_SEGMENT_S`` are split recursively at the
     lowest-energy frame near their midpoint; pieces shorter than
-    ``min_len_s`` are dropped. Raises ConfigError unless ``max_len_s`` > 0
-    and ``min_len_s`` >= 0, both finite.
+    ``MIN_SEGMENT_S`` are dropped.
     """
-    if not 0 < max_len_s < math.inf:
-        raise ConfigError(f"max_len_s must be > 0 and finite, got {max_len_s}")
-    if not 0 <= min_len_s < math.inf:
-        raise ConfigError(f"min_len_s must be >= 0 and finite, got {min_len_s}")
     x = np.asarray(signal.samples, dtype=np.float64)
     sr = signal.sample_rate
-    # a piece of one sample cannot be split, so at least one sample is kept
-    max_len = max(1, int(max_len_s * sr))
-    min_len = int(min_len_s * sr)
+    max_len = int(MAX_SEGMENT_S * sr)
+    min_len = int(MIN_SEGMENT_S * sr)
 
     pieces = []
 

@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 
@@ -132,21 +131,24 @@ def _write_json(path, doc):
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _segment_file(cfg, in_dir, out_dir, name):
+def _segment_file(cfg, in_dir, out_dir, first_with_stem, name):
     """One recording standardized, VAD-filtered and segmented, its segments
     written as <name stem>_<k>.wav under ``out_dir``. Returns their manifest
-    entries, or the DataError that rejected the file."""
+    entries, or the DataError that rejected the file. ``first_with_stem``
+    maps each stem to the first file name that has it; a later file with
+    that stem is rejected."""
     try:
         name.encode("utf-8")  # its segments' sample ids go into a UTF-8 manifest
     except UnicodeEncodeError:
         return DataError(f"file name {name!r} cannot be encoded as UTF-8")
     parent_id = os.path.splitext(name)[0]
+    if first_with_stem[parent_id] != name:
+        # its segment WAVs and sample ids would be those of the first file
+        return DataError(f"{name} has the stem {parent_id!r} of "
+                         f"{first_with_stem[parent_id]}, whose sample ids it would repeat")
     try:
         std = audio_io.standardize(audio_io.load_audio(os.path.join(in_dir, name)))
-        intervals = audio_io.detect_voice_activity(
-            std, **_given(cfg, "energy_floor_db", "hangover_frames"))
-        segments = audio_io.segment(std, intervals,
-                                    **_given(cfg, "max_len_s", "min_len_s"))
+        segments = audio_io.segment(std, audio_io.detect_voice_activity(std))
     except DataError as exc:
         return exc
     entries = []
@@ -162,11 +164,6 @@ def _segment_file(cfg, in_dir, out_dir, name):
 
 def cmd_preprocess(cfg):
     _require(cfg, "in_dir", "out_dir")
-    # audio_io.segment rejects these too, but only once a file has been read
-    if "max_len_s" in cfg and not 0 < cfg["max_len_s"] < math.inf:
-        raise ConfigError(f"max_len_s must be > 0 and finite, got {cfg['max_len_s']}")
-    if "min_len_s" in cfg and not 0 <= cfg["min_len_s"] < math.inf:
-        raise ConfigError(f"min_len_s must be >= 0 and finite, got {cfg['min_len_s']}")
     if "source_kind" in cfg and cfg["source_kind"] not in corpus.SOURCE_KINDS:
         raise ConfigError(f"unknown source kind {cfg['source_kind']!r}; known kinds: "
                           f"{', '.join(corpus.SOURCE_KINDS)}")
@@ -175,8 +172,11 @@ def cmd_preprocess(cfg):
     entries = []
     errors = []
     names = sorted(f for f in os.listdir(in_dir) if f.lower().endswith(".wav"))
+    first_with_stem = {}
+    for name in names:
+        first_with_stem.setdefault(os.path.splitext(name)[0], name)
     results = parallel.ordered_map(
-        functools.partial(_segment_file, cfg, in_dir, out_dir), names)
+        functools.partial(_segment_file, cfg, in_dir, out_dir, first_with_stem), names)
     for name, result in zip(names, results):
         if isinstance(result, DataError):
             errors.append({"file": name, "error": str(result)})
@@ -315,11 +315,11 @@ def cmd_kappa(cfg):
     pairs = {"A-B": (0, 1), "A-C": (0, 2), "B-C": (1, 2)}
     cohens = {name: evaluation.cohens_kappa([r[i] for r in rows], [r[j] for r in rows])
               for name, (i, j) in pairs.items()}
-    numeric = [v for v in cohens.values() if v is not evaluation.UNDEFINED]
-    avg = sum(numeric) / len(numeric) if numeric else evaluation.UNDEFINED
+    numeric = [v for v in cohens.values() if v is not None]
+    avg = sum(numeric) / len(numeric) if numeric else None
 
     def fmt(v):
-        return f"{v:.4f}" if v is not evaluation.UNDEFINED else "UNDEFINED"
+        return f"{v:.4f}" if v is not None else "UNDEFINED"
 
     print(f"Fleiss kappa: {fmt(fleiss)}")
     print(f"Avg pairwise Cohen kappa: {fmt(avg)}")
@@ -327,10 +327,7 @@ def cmd_kappa(cfg):
         print(f"Cohen kappa {name}: {fmt(v)}")
     if cfg.get("out"):
         _write_json(cfg["out"], {
-            "fleiss_kappa": None if fleiss is evaluation.UNDEFINED else fleiss,
-            "avg_pairwise": None if avg is evaluation.UNDEFINED else avg,
-            "pairwise": {k: (None if v is evaluation.UNDEFINED else v)
-                         for k, v in cohens.items()},
+            "fleiss_kappa": fleiss, "avg_pairwise": avg, "pairwise": cohens,
             "n_items": len(rows)})
     return 0
 
@@ -353,10 +350,7 @@ def cmd_refine(cfg):
     hybrid.require_all(ids, feats, "feature vectors")
     patterns = refine.mine_error_patterns(gold, predicted, [feats[i].values for i in ids],
                                           stats, **_given(cfg, "min_support"))
-    base = _given(cfg, "base_version")
-    if cfg.get("rules"):
-        base["base_version"] = reasoning.load_rules(cfg["rules"]).version
-    proposals = refine.propose_rules(patterns, **base)
+    proposals = refine.propose_rules(patterns, _load_rules_arg(cfg).version)
     if cfg.get("accept_all"):
         proposals = [refine.RuleProposal(p.candidate, p.pattern, "accepted",
                                          p.base_version) for p in proposals]
@@ -430,9 +424,7 @@ _CLIENT = (("endpoint_url", str), ("model_name", str), ("cache", str),
 # a bool one is a flag that takes no value
 COMMANDS = {
     "preprocess": (cmd_preprocess, "standardize, VAD-filter and segment raw WAVs", (
-        ("in_dir", str), ("out_dir", str), ("energy_floor_db", float),
-        ("hangover_frames", int), ("max_len_s", float), ("min_len_s", float),
-        ("source_kind", str))),
+        ("in_dir", str), ("out_dir", str), ("source_kind", str))),
     "features": (cmd_features, "extract feature vectors for a manifest", (
         ("manifest", str), ("out", str), ("stats_out", str))),
     "train": (cmd_train, "train the SVM classifier", (
@@ -449,8 +441,7 @@ COMMANDS = {
     "refine": (cmd_refine, "mine error patterns and manage rule proposals", (
         ("predictions", str), ("manifest", str), ("features", str), ("stats", str),
         ("rules", str), ("proposals_out", str), ("min_support", int),
-        ("base_version", int), ("accept_all", bool), ("apply", str),
-        ("rules_out", str))),
+        ("accept_all", bool), ("apply", str), ("rules_out", str))),
     "synth": (cmd_synth, "generate the synthetic tone corpus", (
         ("out_dir", str), ("n_per_class", int), ("overlap", float), ("seed", int),
         ("duration_s", float))),

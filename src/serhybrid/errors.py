@@ -28,15 +28,13 @@ class DataError(Exception):
 
 
 class LlmError(DataError):
-    """Base for LLM transport failures. Carries the sample id, when known,
-    so the caller can apply per-sample fallback, and whether another
-    attempt at the same request may succeed. One that reaches the CLI, as
-    a failed v5 rule generation does, is a data error. The subclass name
-    is what a run reports for the failure."""
+    """Base for LLM transport failures. Carries whether another attempt at
+    the same request may succeed. One that reaches the CLI, as a failed v5
+    rule generation does, is a data error. The subclass name is what a run
+    reports for the failure."""
 
-    def __init__(self, message, sample_id=None, retryable=False):
+    def __init__(self, message, retryable=False):
         super().__init__(message)
-        self.sample_id = sample_id
         self.retryable = retryable
 
 

@@ -1,8 +1,8 @@
 """Classification metrics and inter-annotator agreement statistics.
 
 Zero-division conventions are explicit: precision/recall with an empty
-denominator are 0 and flagged; kappa statistics return the UNDEFINED
-sentinel when expected agreement is 1 (a single category everywhere).
+denominator are 0 and flagged; kappa statistics return None, as undefined,
+when expected agreement is 1 (a single category everywhere).
 """
 
 from dataclasses import dataclass, field
@@ -11,24 +11,6 @@ import numpy as np
 
 from .errors import DataError
 from .labels import CLASS_INDEX, CLASSES
-
-
-class _Sentinel:
-    """A named marker compared by identity; copies and pickles resolve to
-    the module-level instance."""
-
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-    def __reduce__(self):
-        return self._name
-
-
-# kappa values that are undefined (expected agreement 1)
-UNDEFINED = _Sentinel("UNDEFINED")
 
 
 @dataclass(frozen=True)
@@ -138,8 +120,8 @@ def _validate_table(table):
 def fleiss_kappa(table):
     """Fleiss' kappa over an N x categories matrix of per-item rating counts.
 
-    Returns UNDEFINED when expected agreement is 1 (every rating in a
-    single category).
+    Returns None (undefined) when expected agreement is 1 (every rating in
+    a single category).
     """
     t = _validate_table(table).astype(np.float64)
     n_items, _ = t.shape
@@ -149,14 +131,14 @@ def fleiss_kappa(table):
     p_j = t.sum(axis=0) / (n_items * n_raters)
     p_e = float(np.sum(p_j * p_j))
     if p_e == 1.0:
-        return UNDEFINED
+        return None
     return (p_bar - p_e) / (1.0 - p_e)
 
 
 def cohens_kappa(a, b):
     """Cohen's kappa between two aligned label sequences.
 
-    Returns UNDEFINED when expected agreement is 1.
+    Returns None (undefined) when expected agreement is 1.
     """
     a = list(a)
     b = list(b)
@@ -173,7 +155,7 @@ def cohens_kappa(a, b):
     p_o = float(np.trace(m)) / n
     p_e = float(np.sum(m.sum(axis=1) * m.sum(axis=0))) / (n * n)
     if p_e == 1.0:
-        return UNDEFINED
+        return None
     return (p_o - p_e) / (1.0 - p_e)
 
 

@@ -8,7 +8,6 @@ warm-cache evaluation run is byte-reproducible.
 
 import base64
 import concurrent.futures
-import copy
 import hashlib
 import http.client
 import json
@@ -345,7 +344,7 @@ class LlmResult:
     latency_ms: float  # the attempts' network round trips only; 0.0 on cache hit
 
 
-def query_llm(conn, target, body, headers, sample_id=None):
+def query_llm(conn, target, body, headers):
     """Send one chat-completions request over ``conn``; return the answer text.
 
     One attempt, no retry. The LlmError raised says through ``retryable``
@@ -360,32 +359,28 @@ def query_llm(conn, target, body, headers, sample_id=None):
         payload = resp.read()
     except TimeoutError as exc:
         conn.close()
-        raise LlmTimeout(f"timeout after {conn.timeout}s: {exc}", sample_id,
-                         retryable=True)
+        raise LlmTimeout(f"timeout after {conn.timeout}s: {exc}", retryable=True)
     except (OSError, http.client.HTTPException) as exc:
         conn.close()
-        raise LlmTransportError(f"{type(exc).__name__}: {exc}", sample_id,
-                                retryable=True)
+        raise LlmTransportError(f"{type(exc).__name__}: {exc}", retryable=True)
     if resp.status == 429:
-        raise LlmRateLimited("rate limited", sample_id, retryable=True)
+        raise LlmRateLimited("rate limited", retryable=True)
     if resp.status >= 500:
-        raise LlmTransportError(f"server error {resp.status}", sample_id, retryable=True)
+        raise LlmTransportError(f"server error {resp.status}", retryable=True)
     if resp.status != 200:
         raise LlmTransportError(
-            f"unexpected status {resp.status}: {payload.decode('utf-8', 'replace')}",
-            sample_id)
+            f"unexpected status {resp.status}: {payload.decode('utf-8', 'replace')}")
     try:
         text = json.loads(payload)["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise LlmTransportError(f"malformed response body: {exc!r}", sample_id)
+        raise LlmTransportError(f"malformed response body: {exc!r}")
     if not isinstance(text, str):
-        raise LlmTransportError(f"malformed response body: content is {text!r}",
-                                sample_id)
+        raise LlmTransportError(f"malformed response body: content is {text!r}")
     try:
         text.encode("utf-8")  # a JSON escape can hold half a surrogate pair
     except UnicodeEncodeError as exc:
         raise LlmTransportError(f"malformed response body: content is not UTF-8 "
-                                f"text ({exc.reason} at character {exc.start})", sample_id)
+                                f"text ({exc.reason} at character {exc.start})")
     return text
 
 
@@ -403,7 +398,6 @@ class _Job:
     """One distinct prompt of a batch, the input positions that hold it,
     and the state of its attempts."""
 
-    sample_id: str
     prompt: str
     indices: list = field(default_factory=list)
     not_before: float = 0.0  # time.monotonic() before which no attempt starts
@@ -517,7 +511,7 @@ class HttpLlmClient:
         for conn in connections:
             conn.close()
 
-    def complete(self, prompt, sample_id=None):
+    def complete(self, prompt):
         """One attempt at ``prompt``: the cached answer if there is one, else
         one request, whose answer is then cached. Raises LlmError."""
         if self.cache_dir:
@@ -529,7 +523,7 @@ class HttpLlmClient:
                 pass  # not cached, or not text this client wrote: ask again
         body = self._body(prompt)
         t0 = time.monotonic()
-        text = query_llm(self._connection(), self._target, body, self._headers, sample_id)
+        text = query_llm(self._connection(), self._target, body, self._headers)
         latency = (time.monotonic() - t0) * 1000.0
         if self.cache_dir:
             # a temp file per writer: concurrent misses on one prompt each
@@ -548,7 +542,7 @@ class HttpLlmClient:
             time.sleep(delay)
         t0 = time.monotonic()
         try:
-            result = self.complete(job.prompt, job.sample_id)
+            result = self.complete(job.prompt)
         except LlmError as exc:
             job.failed_at = time.monotonic()
             job.latency_ms += (job.failed_at - t0) * 1000.0
@@ -572,10 +566,10 @@ class HttpLlmClient:
         sleeps while another prompt is ready to send.
         """
         jobs = {}
-        for idx, (sample_id, prompt) in enumerate(items):
+        for idx, (_, prompt) in enumerate(items):
             job = jobs.get(prompt)
             if job is None:
-                job = jobs[prompt] = _Job(sample_id, prompt)
+                job = jobs[prompt] = _Job(prompt)
             job.indices.append(idx)
         results = [None] * len(items)
         pending = list(jobs.values())
@@ -596,19 +590,10 @@ class HttpLlmClient:
                             pending.append(job)
                             continue
                         for idx in job.indices:
-                            results[idx] = _for_item(outcome, items[idx][0])
+                            results[idx] = outcome
         finally:
             self.close()
         return results
-
-
-def _for_item(outcome, sample_id):
-    """A job's outcome as the result of one of its items: an error names
-    that item's sample id."""
-    if isinstance(outcome, LlmError) and outcome.sample_id != sample_id:
-        outcome = copy.copy(outcome)
-        outcome.sample_id = sample_id
-    return outcome
 
 
 def build_rule_generation_prompt():
@@ -639,7 +624,7 @@ def auto_generate_rules(client):
     prompt = build_rule_generation_prompt()
     result, = client.complete_batch([("__rule_generation__", prompt)])
     if isinstance(result, LlmError):
-        raise type(result)(f"rule generation failed: {result}", result.sample_id,
+        raise type(result)(f"rule generation failed: {result}",
                            result.retryable) from result
     match = re.search(r"\[.*\]", result.text, re.DOTALL)
     if not match:

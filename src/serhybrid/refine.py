@@ -155,8 +155,9 @@ class RuleProposal:
                    base_version=base_version)
 
 
-def propose_rules(patterns, base_version=1):
-    """One candidate rule per pattern, from the top-delta dimension.
+def propose_rules(patterns, base_version):
+    """One candidate rule per pattern, from the top-delta dimension, each
+    proposed against the rule set of version ``base_version``.
 
     The threshold is the error group's median z-score on that dimension.
     The comparator points from the error group toward the correctly

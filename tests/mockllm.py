@@ -128,7 +128,7 @@ class TimeoutClient:
 
     def complete(self, prompt, sample_id=None):
         self.calls += 1
-        raise LlmTimeout("mock endpoint timed out", sample_id)
+        raise LlmTimeout("mock endpoint timed out")
 
     def complete_batch(self, items):
         results = []

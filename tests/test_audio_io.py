@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serhybrid
+from serhybrid import audio_io
 from serhybrid.audio_io import (TARGET_PEAK, TARGET_RATE, AudioSignal,
                                 _resample_poly, detect_voice_activity,
                                 load_audio, save_wav, segment, standardize)
-from serhybrid.errors import ConfigError, DataError
+from serhybrid.errors import DataError
 
 from oracles import vad_direct
 
@@ -177,12 +178,13 @@ class TestVad:
         assert start <= SR // 2
         assert end >= SR // 2 + SR - 400
 
-    def test_hangover_extends_intervals(self):
+    def test_hangover_extends_intervals(self, monkeypatch):
         x = np.zeros(2 * SR)
         x[SR // 2:SR // 2 + SR] = _tone()
         sig = AudioSignal(x, SR)
-        with_h = detect_voice_activity(sig, hangover_frames=5)
-        without = detect_voice_activity(sig, hangover_frames=0)
+        with_h = detect_voice_activity(sig)
+        monkeypatch.setattr(audio_io, "VAD_HANGOVER_FRAMES", 0)
+        without = detect_voice_activity(sig)
         assert with_h[0][1] > without[0][1]
 
     def test_intervals_sorted_and_disjoint(self):
@@ -226,13 +228,17 @@ VAD_CASES = _vad_cases()
 
 
 class TestVadOracle:
-    """The array VAD finds the same intervals as the frame-by-frame loops."""
+    """The array VAD finds the same intervals as the frame-by-frame loops,
+    at the module's VAD constants and at others patched in."""
 
     @pytest.mark.parametrize("hangover", [0, 1, 5])
     @pytest.mark.parametrize("case", sorted(VAD_CASES))
-    def test_matches_frame_loops(self, case, hangover):
+    def test_matches_frame_loops(self, monkeypatch, case, hangover):
         x, kwargs = VAD_CASES[case]
-        got = detect_voice_activity(AudioSignal(x, SR), hangover_frames=hangover, **kwargs)
+        monkeypatch.setattr(audio_io, "VAD_HANGOVER_FRAMES", hangover)
+        if "energy_floor_db" in kwargs:
+            monkeypatch.setattr(audio_io, "VAD_FLOOR_DB", kwargs["energy_floor_db"])
+        got = detect_voice_activity(AudioSignal(x, SR))
         assert got == vad_direct(x, SR, hangover_frames=hangover, **kwargs)
         assert all(type(v) is int for pair in got for v in pair)
         if case == "all-voiced":
@@ -244,11 +250,12 @@ class TestVadOracle:
 
 
 class TestSegment:
-    def test_long_interval_split_under_max(self):
+    def test_long_interval_split_under_max(self, monkeypatch):
+        monkeypatch.setattr(audio_io, "MAX_SEGMENT_S", 2.0)
         x = _tone(duration_s=5.0)
         sig = AudioSignal(x, SR)
         intervals = detect_voice_activity(sig)
-        segments = segment(sig, intervals, max_len_s=2.0, min_len_s=0.5)
+        segments = segment(sig, intervals)
         assert len(segments) >= 3
         assert all(s.duration_seconds <= 2.0 for s in segments)
         assert all(s.duration_seconds >= 0.5 for s in segments)
@@ -259,7 +266,7 @@ class TestSegment:
     def test_short_pieces_dropped(self):
         x = _tone(duration_s=0.3)
         sig = AudioSignal(x, SR)
-        segments = segment(sig, [(0, len(x))], min_len_s=0.5)
+        segments = segment(sig, [(0, len(x))])
         assert segments == []
 
     def test_offsets_match_parent(self):
@@ -270,18 +277,3 @@ class TestSegment:
         seg = segments[0]
         assert seg.sample_rate == SR
         assert np.array_equal(seg.samples, x)
-
-    @pytest.mark.parametrize("lengths", [
-        {"max_len_s": 0.0}, {"max_len_s": -1.0}, {"max_len_s": float("nan")},
-        {"max_len_s": float("inf")}, {"min_len_s": -0.5},
-    ], ids=["max-zero", "max-negative", "max-nan", "max-inf", "min-negative"])
-    def test_bad_lengths_rejected(self, lengths):
-        # a max_len_s <= 0 once split intervals until RecursionError
-        x = _tone(duration_s=0.5)
-        with pytest.raises(ConfigError, match=next(iter(lengths))):
-            segment(AudioSignal(x, SR), [(0, len(x))], **lengths)
-
-    def test_max_len_under_one_sample_keeps_single_samples(self):
-        x = _tone(duration_s=0.01)
-        segments = segment(AudioSignal(x, SR), [(0, 8)], max_len_s=1e-6, min_len_s=0.0)
-        assert [s.num_samples for s in segments] == [1] * 8

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -205,16 +206,34 @@ class TestConfigValues:
             if name.endswith(".wav"):
                 assert (by_flags / name).read_bytes() == (by_config / name).read_bytes()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_base_version_setting(self, workspace, tmp_path, source):
+    @pytest.mark.parametrize("rules_version, expected", [(7, 7), (None, 1)],
+                             ids=["rules-file", "default-rules"])
+    def test_proposals_take_the_rules_version(self, workspace, tmp_path,
+                                              rules_version, expected):
         argv = _refine_mine(workspace, tmp_path)
-        if source == "flag":
-            argv += ["--base-version", "7"]
-        else:
-            argv = _with_config(tmp_path, {"base_version": 7}, argv)
+        if rules_version is not None:
+            rules = tmp_path / "rules.json"
+            dataclasses.replace(default_ruleset(), version=rules_version).save(rules)
+            argv += ["--rules", str(rules)]
         assert cli.main(argv) == 0
         proposals = json.loads((tmp_path / "proposals.json").read_text())["proposals"]
-        assert proposals and all(p["base_version"] == 7 for p in proposals)
+        assert proposals and all(p["base_version"] == expected for p in proposals)
+
+    # each removed setting with its former default, which it once accepted
+    @pytest.mark.parametrize("key, value", [
+        ("energy_floor_db", -40.0), ("hangover_frames", 5), ("max_len_s", 10.0),
+        ("min_len_s", 0.5), ("base_version", 1),
+    ], ids=["energy_floor_db", "hangover_frames", "max_len_s", "min_len_s", "base_version"])
+    def test_removed_settings_are_unknown_config_keys(self, tmp_path, capsys, key, value):
+        out_dir = tmp_path / "out"
+        argv = (["refine", "--apply", str(tmp_path / "proposals.json")]
+                if key == "base_version"
+                else ["preprocess", "--in-dir", str(tmp_path), "--out-dir", str(out_dir)])
+        capsys.readouterr()
+        code = cli.main(_with_config(tmp_path, {key: value}, argv))
+        assert code == 1
+        assert capsys.readouterr().err == f"configuration error: unknown config key {key!r}\n"
+        assert not out_dir.exists()
 
 
 def _walkthrough_commands():
@@ -894,26 +913,6 @@ class TestPreprocess:
         assert (out_dir / "manifest.csv").exists()
         assert "1 files failed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flags, name", [
-        (["--max-len-s", "0"], "max_len_s"), (["--max-len-s", "-1"], "max_len_s"),
-        (["--max-len-s", "inf"], "max_len_s"), (["--min-len-s", "-0.5"], "min_len_s"),
-    ], ids=["max-zero", "max-negative", "max-inf", "min-negative"])
-    def test_bad_lengths_rejected_before_any_file_is_read(self, tmp_path, capsys,
-                                                          flags, name):
-        # a max_len_s <= 0 once split intervals until RecursionError
-        in_dir = tmp_path / "raw"
-        os.makedirs(in_dir)
-        save_wav(in_dir / "take1.wav", AudioSignal(np.full(16000, 0.5), 16000))
-        out_dir = tmp_path / "segments"
-        capsys.readouterr()
-        code = cli.main(["preprocess", "--in-dir", str(in_dir),
-                         "--out-dir", str(out_dir), *flags])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("configuration error: ") and err.count("\n") == 1
-        assert name in err
-        assert not out_dir.exists()
-
     def test_unknown_source_kind_rejected_before_any_file_is_written(self, tmp_path,
                                                                       capsys):
         # it once wrote a manifest that features then rejected
@@ -952,6 +951,39 @@ class TestPreprocess:
         assert [e["file"] for e in report["errors"]] == [os.fsdecode(b"caf\xe9.wav")]
         assert sorted(os.listdir(out_dir)) == ["manifest.csv", "ok_0.wav",
                                                "preprocess_report.json"]
+
+    def test_files_sharing_a_stem_keep_the_first(self, tmp_path, capsys):
+        # x.WAV and x.wav once both wrote x_0.wav, and the manifest listed x_0
+        # twice, which features then rejected
+        sr = 16000
+        t = np.arange(2 * sr) / sr
+        recordings = {}
+        for name, freq in (("x.WAV", 150.0), ("x.wav", 220.0)):
+            x = np.zeros(3 * sr)
+            x[sr // 2:sr // 2 + 2 * sr] = 0.7 * np.sin(2 * np.pi * freq * t)
+            recordings[name] = AudioSignal(x, sr)
+        in_dir, alone_dir = tmp_path / "raw", tmp_path / "raw-alone"
+        os.makedirs(in_dir)
+        os.makedirs(alone_dir)
+        for name, signal in recordings.items():
+            save_wav(in_dir / name, signal)
+        save_wav(alone_dir / "x.WAV", recordings["x.WAV"])
+        out_dir, alone_out = tmp_path / "segments", tmp_path / "segments-alone"
+        capsys.readouterr()
+        assert cli.main(["preprocess", "--in-dir", str(in_dir),
+                         "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out.endswith("(1 files failed)\n")
+        manifest = (out_dir / "manifest.csv").read_text(encoding="utf-8")
+        assert [row["sample_id"] for row in csv.DictReader(io.StringIO(manifest))] == ["x_0"]
+        report = json.loads((out_dir / "preprocess_report.json").read_text())
+        assert report["errors"] == [{
+            "file": "x.wav",
+            "error": "x.wav has the stem 'x' of x.WAV, whose sample ids it would repeat"}]
+        assert cli.main(["preprocess", "--in-dir", str(alone_dir),
+                         "--out-dir", str(alone_out)]) == 0
+        assert (out_dir / "x_0.wav").read_bytes() == (alone_out / "x_0.wav").read_bytes()
+        assert cli.main(["features", "--manifest", str(out_dir / "manifest.csv"),
+                         "--out", str(tmp_path / "features.csv")]) == 0
 
 
 class TestSynth:
@@ -1158,10 +1190,9 @@ def inputs(workspace):
 # name, the value is valid for each of them
 def _setting_values(p):
     return {
-        "in_dir": str(p["root"]), "out_dir": p["sink_file"], "energy_floor_db": -40.0,
-        "hangover_frames": 5, "max_len_s": 10.0, "min_len_s": 0.5,
-        "source_kind": "synthetic", "manifest": p["manifest"], "out": p["sink"],
-        "stats_out": p["sink"], "features": p["features"], "model_out": p["sink"],
+        "in_dir": str(p["root"]), "out_dir": p["sink_file"], "source_kind": "synthetic",
+        "manifest": p["manifest"], "out": p["sink"], "stats_out": p["sink"],
+        "features": p["features"], "model_out": p["sink"],
         "split": "all", "svm_c": 1.0, "svm_tol": 0.001, "model": p["model"],
         "stats": p["stats"], "rules": p["rules"], "version": "v4_hybrid", "tau": 0.0,
         "transcripts": p["transcripts"], "endpoint_url": "http://127.0.0.1:1/v1",
@@ -1169,7 +1200,7 @@ def _setting_values(p):
         "max_retries": 0, "retry_backoff_s": 0.01, "api_key_ref": "SERHYBRID_API_KEY",
         "report": p["sink"], "predictions": p["predictions"],
         "annotations": p["annotations"], "refined_rules": p["rules"],
-        "proposals_out": p["sink"], "min_support": 2, "base_version": 1,
+        "proposals_out": p["sink"], "min_support": 2,
         "accept_all": True, "apply": p["proposals"], "rules_out": p["sink"],
         "n_per_class": 3, "overlap": 0.25, "seed": 5, "duration_s": 0.8,
     }

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from serhybrid.errors import DataError
-from serhybrid.evaluation import (UNDEFINED, cohens_kappa, compare_report,
+from serhybrid.evaluation import (cohens_kappa, compare_report,
                                   confusion_counts, fleiss_kappa, metrics)
 from serhybrid.labels import CLASSES
 
@@ -24,7 +24,7 @@ class TestFleissKappa:
         assert fleiss_kappa([[2, 0], [0, 2], [2, 0]]) == 1.0
 
     def test_single_category_is_undefined(self):
-        assert fleiss_kappa([[3, 0, 0], [3, 0, 0]]) is UNDEFINED
+        assert fleiss_kappa([[3, 0, 0], [3, 0, 0]]) is None
 
     def test_matches_oracle_on_random_tables(self):
         rng = np.random.default_rng(7)
@@ -67,12 +67,12 @@ class TestCohensKappa:
             reference = oracles.cohens_kappa_direct(a, b)
             ours = cohens_kappa(a, b)
             if reference is None:
-                assert ours is UNDEFINED
+                assert ours is None
             else:
                 assert abs(ours - reference) < 1e-10
 
     def test_identical_constant_sequences_undefined(self):
-        assert cohens_kappa(["calm"] * 5, ["calm"] * 5) is UNDEFINED
+        assert cohens_kappa(["calm"] * 5, ["calm"] * 5) is None
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="label sequences differ in length: 1 vs 2"):
