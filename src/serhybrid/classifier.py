@@ -73,44 +73,63 @@ def _smo_binary(rows, y, C, tol, max_iter):
     when the maximal KKT violation m(a) - M(a) is <= tol. The bias is the
     mean score of the free vectors or, with none, (m + M) / 2, as in
     LIBSVM. Returns (alphas, b, iterations, violation).
+
+    An iteration allocates no array: the index sets are penalty vectors
+    added to the score in one scratch buffer, and j is the first maximum of
+    max(m - score, 0)^2 / curv_i over the low set, where the clamp zeroes
+    every non-candidate and the best candidate's gain is at least the
+    violation (> tol), so the same j wins as over the candidates alone.
     """
     n = len(y)
-    alphas = np.zeros(n)
+    C = float(C)
+    alphas = [0.0] * n  # Python floats: cheaper scalar arithmetic than numpy scalars
+    signs = y.tolist()
+    pos = [s > 0 for s in signs]
     score = y.copy()  # -y * gradient, the gradient being Q a - 1
-    pos = y > 0
-    up = pos.copy()    # alpha may move towards y: a < C if y = +1, a > 0 if y = -1
-    low = ~pos         # alpha may move against y
+    # up: alpha may move towards y (a < C if y = +1, a > 0 if y = -1);
+    # low: alpha may move against y. 0 in the set, -inf / +inf out of it
+    pen_up = np.where(y > 0, 0.0, -np.inf)
+    pen_low = np.where(y > 0, np.inf, 0.0)
+    buf = np.empty(n)
     for iteration in range(max_iter):
-        i = int(np.where(up, score, -np.inf).argmax())
+        i = int(np.add(score, pen_up, out=buf).argmax())
         m = score[i]
-        low_min = np.where(low, score, np.inf).min()
+        np.add(score, pen_low, out=buf)
+        low_min = buf[buf.argmin()]
         violation = float(m - low_min)
         if violation <= tol:
             break
         k_i, curv_i = rows[i]
-        cand = (low & (score < m)).nonzero()[0]
-        gain = m - score[cand]
-        j = int(cand[(gain * gain / curv_i[cand]).argmax()])
-        step = (m - score[j]) / curv_i[j]
-        room_i = C - alphas[i] if pos[i] else alphas[i]
-        room_j = alphas[j] if pos[j] else C - alphas[j]
+        np.subtract(m, buf, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.square(buf, out=buf)
+        j = int(np.divide(buf, curv_i, out=buf).argmax())
+        step = float((m - score[j]) / curv_i[j])
+        a_i, a_j = alphas[i], alphas[j]
+        room_i = C - a_i if pos[i] else a_i
+        room_j = a_j if pos[j] else C - a_j
         step = min(step, room_i, room_j)
-        alphas[i] += y[i] * step
-        alphas[j] -= y[j] * step
+        a_i += signs[i] * step
+        a_j -= signs[j] * step
         # land exactly on a bound the step was clipped to
         if step == room_i:
-            alphas[i] = C if pos[i] else 0.0
+            a_i = C if pos[i] else 0.0
         if step == room_j:
-            alphas[j] = 0.0 if pos[j] else C
-        for t in (i, j):
-            up[t] = alphas[t] < C if pos[t] else alphas[t] > 0
-            low[t] = alphas[t] > 0 if pos[t] else alphas[t] < C
-        score -= step * (k_i - rows[j][0])
+            a_j = 0.0 if pos[j] else C
+        alphas[i], alphas[j] = a_i, a_j
+        for t, a_t in ((i, a_i), (j, a_j)):
+            up = a_t < C if pos[t] else a_t > 0.0
+            low = a_t > 0.0 if pos[t] else a_t < C
+            pen_up[t] = 0.0 if up else -np.inf
+            pen_low[t] = 0.0 if low else np.inf
+        np.subtract(k_i, rows[j][0], out=buf)
+        score -= np.multiply(buf, step, out=buf)
     else:
         raise DataError(f"SVM solver stopped at its {max_iter}-iteration cap with KKT "
                         f"violation {violation:.3g} > tol {tol:g}")
+    alphas = np.array(alphas)
     # at the optimum score = b on the free vectors and m <= b <= M otherwise
-    free = up & low
+    free = (alphas > 0.0) & (alphas < C)
     b = float(score[free].mean()) if free.any() else 0.5 * float(m + low_min)
     return alphas, b, iteration, violation
 
@@ -260,11 +279,14 @@ def train(vectors, labels, C=1.0, tol=1e-3):
     """Train the 3-class one-vs-rest model.
 
     Requires all three classes in ``labels``. Each head is solved until its
-    maximal KKT violation is <= ``tol``, which must be at least TOL_FLOOR.
-    Platt parameters are fit on the training decision values (no inner CV).
+    maximal KKT violation is <= ``tol``, which must be finite and at least
+    TOL_FLOOR. Platt parameters are fit on the training decision values (no
+    inner CV).
     """
-    if not (0 < C < np.inf and tol >= TOL_FLOOR):
-        raise ConfigError(f"SVM needs 0 < C < inf and tol >= {TOL_FLOOR:g}, "
+    # an infinite tol stops every head before its first step and writes
+    # tol: Infinity, which is not JSON, into the model
+    if not (0 < C < np.inf and TOL_FLOOR <= tol < np.inf):
+        raise ConfigError(f"SVM needs 0 < C < inf and {TOL_FLOOR:g} <= tol < inf, "
                           f"got C={C!r}, tol={tol!r}")
     labels = list(labels)
     present = set(labels)

@@ -6,7 +6,9 @@ trains ``classifier.train`` at its defaults on
 ``test_classifier._blobs(seed=0, n_per_class=N_PER_CLASS, spread=6.0)``
 and prints one JSON line: ``n``, ``train_s`` (wall time of the call),
 ``peak_rss_mb`` (the process's peak resident set), the per-head
-``iterations`` and ``model_sha256``, the SHA-256 of ``model.to_json()``.
+``iterations``, ``us_per_iteration`` (``train_s`` in microseconds over the
+heads' total iterations) and ``model_sha256``, the SHA-256 of
+``model.to_json()``.
 At 921 per class, n = 2,763, the size of the paper's corpus. The script
 calls nothing but ``train``, so two source trees compare by their hashes.
 """
@@ -40,6 +42,7 @@ def main(argv):
         "train_s": round(train_s, 3),
         "peak_rss_mb": round(peak_rss_mb, 1),
         "iterations": model.meta["iterations"],
+        "us_per_iteration": round(train_s * 1e6 / sum(model.meta["iterations"]), 2),
         "model_sha256": hashlib.sha256(model.to_json().encode("utf-8")).hexdigest(),
     }))
     return 0

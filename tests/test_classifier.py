@@ -101,10 +101,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("C,tol", [(0.0, 1e-3), (np.inf, 1e-3),
                                        (1.0, 0.0), (1.0, float("nan")),
-                                       (1.0, 1e-13), (1.0, 1e-300)])
+                                       (1.0, 1e-13), (1.0, 1e-300), (1.0, np.inf)])
     def test_out_of_range_solver_settings_rejected(self, C, tol):
         # a tol below TOL_FLOOR once ran the solver to its 10-million-
-        # iteration cap
+        # iteration cap; an infinite one stopped it before its first step
         vectors, labels = _blobs()
         with pytest.raises(ConfigError, match="tol"):
             train(vectors, labels, C=C, tol=tol)
@@ -204,6 +204,72 @@ class TestCachedSolverParity:
         k_t, curv = _KernelRows(X)[0]
         assert np.array_equal(k_t, X @ X[0])
         assert not k_t.flags.writeable and not curv.flags.writeable
+
+    def test_duplicated_rows_with_opposite_labels(self):
+        # two equal rows have curvature 0, clamped to 1e-12, so a step
+        # between them is clipped to the room left in their alphas
+        X, labels = _scaled_blobs(2.0)
+        X = np.vstack([X, X[:5]])
+        labels = np.concatenate([labels, ["calm"] * 5])  # X[:5] are angry
+        clamped = 0
+        for label in CLASSES:
+            y = np.where(labels == label, 1.0, -1.0)
+            rows = _PairLog(X)
+            _solve_both(rows, X, y, 1.0)
+            clamped += sum(rows[i][1][j] == 1e-12 for i, j in rows.pairs())
+        assert clamped > 0
+
+    def test_every_alpha_at_a_bound(self):
+        # angry against calm, 30 a side: at C = 1e-3 every margin is below
+        # 1, so every alpha ends at C and the bias is the midpoint (m + M) / 2
+        X, labels = _scaled_blobs(6.0)
+        keep = labels != "panic"
+        y = np.where(labels[keep] == "angry", 1.0, -1.0)
+        alphas, _, _, _ = _solve_both(_KernelRows(X[keep]), X[keep], y, 1e-3)
+        assert np.all(alphas == 1e-3)
+
+    def test_head_with_one_positive_sample(self):
+        X, _ = _scaled_blobs(2.0)
+        y = np.full(len(X), -1.0)
+        y[7] = 1.0
+        alphas, _, _, _ = _solve_both(_KernelRows(X), X, y, 1.0)
+        assert alphas[7] > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_small_problems(self, data):
+        n = data.draw(st.integers(6, 24))
+        X = data.draw(arrays(np.float64, (n, data.draw(st.integers(2, 5))),
+                             elements=st.floats(-10.0, 10.0)))
+        y = data.draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0]))
+                      .filter(lambda y: 1.0 in y and -1.0 in y))
+        _solve_both(_KernelRows(X), X, y, data.draw(st.sampled_from([0.01, 1.0, 100.0])))
+
+
+class _PairLog(_KernelRows):
+    """Kernel rows that log the indices the solver reads: row i, then row j,
+    once per iteration."""
+
+    def __init__(self, X):
+        super().__init__(X)
+        self.log = []
+
+    def __getitem__(self, t):
+        self.log.append(t)
+        return super().__getitem__(t)
+
+    def pairs(self):
+        return list(zip(self.log[0::2], self.log[1::2]))
+
+
+def _solve_both(rows, X, y, C):
+    """The solver over ``rows`` and the uncached oracle on one head: equal
+    bit for bit. Returns the solver's (alphas, b, iterations, violation)."""
+    got = _smo_binary(rows, y, C, 1e-3, 10_000_000)
+    want = oracles.smo_direct(X, y, C, 1e-3, 10_000_000)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    return got
 
 
 class TestPredict:

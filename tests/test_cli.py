@@ -1037,6 +1037,18 @@ def test_non_finite_tau_is_one_configuration_error_line(workspace, tmp_path, cap
     assert not (tmp_path / "ablation").exists() or not os.listdir(tmp_path / "ablation")
 
 
+def test_infinite_svm_tol_is_one_configuration_error_line(workspace, tmp_path, capsys):
+    # an infinite tol once stopped every head before its first step: exit 0,
+    # an all-zero model, and "tol": Infinity, which is not JSON
+    capsys.readouterr()
+    code = cli.main([*_train_split(workspace, tmp_path, "all"), "--svm-tol", "inf"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert "tol=inf" in err
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("command", [_predict_split, _compare_split],
                          ids=["predict", "compare"])
 def test_failed_rule_generation_is_one_data_error_line(workspace, tmp_path, capsys,
