@@ -241,10 +241,7 @@ class SvmModel:
 
     @classmethod
     def from_json(cls, text):
-        doc = parse_json(text, "model", DataError)
-        if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
-            schema = doc.get("schema") if isinstance(doc, dict) else None
-            raise DataError(f"unexpected model schema: {schema!r}")
+        doc = parse_json(text, "model", DataError, MODEL_SCHEMA)
         missing = [k for k in _MODEL_KEYS if k not in doc]
         if missing:
             raise DataError(f"model lacks {', '.join(missing)}")

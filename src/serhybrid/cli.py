@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,12 +32,9 @@ def _load_config(path):
     if not path:
         return {}
     try:
-        config = parse_json(read_text(path, ConfigError), path, ConfigError)
+        return parse_json(read_text(path, ConfigError), path, ConfigError, None)
     except (OSError, UnicodeEncodeError) as exc:  # the latter: a path the OS cannot encode
         raise ConfigError(f"cannot read config {path}: {exc}")
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path}: expected a JSON object, got {type(config).__name__}")
-    return config
 
 
 def _read_setting(key, value, kind):
@@ -230,7 +228,15 @@ def _load_transcripts(path):
         missing = [c for c in ("sample_id", "transcript") if c not in (reader.fieldnames or ())]
         if missing:
             raise DataError(f"{path}: transcripts lack columns: {', '.join(missing)}")
-        return {row["sample_id"]: row["transcript"] for row in reader}
+        transcripts = {}
+        for row in reader:
+            where, sample_id = f"{path} line {reader.line_num}", row["sample_id"]
+            if row["transcript"] is None:
+                raise DataError(f"{where}: no transcript for sample_id {sample_id!r}")
+            if sample_id in transcripts:
+                raise DataError(f"{where}: duplicate sample_id {sample_id!r}")
+            transcripts[sample_id] = row["transcript"]
+        return transcripts
 
 
 def cmd_predict(cfg):
@@ -352,8 +358,7 @@ def cmd_refine(cfg):
                                           stats, **_given(cfg, "min_support"))
     proposals = refine.propose_rules(patterns, _load_rules_arg(cfg).version)
     if cfg.get("accept_all"):
-        proposals = [refine.RuleProposal(p.candidate, p.pattern, "accepted",
-                                         p.base_version) for p in proposals]
+        proposals = [replace(p, status="accepted") for p in proposals]
     refine.write_proposals(cfg["proposals_out"], proposals)
     for pattern in patterns:
         top = pattern.top_deltas[0]

@@ -13,17 +13,13 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .audio_io import AudioSignal, save_wav
 from .errors import ConfigError, DataError, csv_errors, read_text, write_text
 from .labels import CLASSES
-
-MANIFEST_FIELDS = ("sample_id", "audio_path", "gold", "annotator_a",
-                   "annotator_b", "annotator_c", "split", "source_kind",
-                   "duration_s")
 
 SPLITS = ("set1", "set2", "set3", "test", "unassigned")
 
@@ -36,6 +32,7 @@ DEFAULT_FRACTIONS = (0.2555, 0.2500, 0.2518, 0.2427)
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    # field order is the column order of a manifest
     sample_id: str
     audio_path: str = ""
     gold: str = None
@@ -45,6 +42,9 @@ class ManifestEntry:
     split: str = "unassigned"
     source_kind: str = "synthetic"
     duration_s: float = 0.0
+
+
+MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestEntry))
 
 
 def _entry_from_row(row, where):
@@ -99,8 +99,7 @@ def save_manifest(path, entries):
     writer = csv.DictWriter(out, fieldnames=MANIFEST_FIELDS)
     writer.writeheader()
     for e in entries:
-        row = {k: getattr(e, k) for k in MANIFEST_FIELDS}
-        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        writer.writerow({k: ("" if v is None else v) for k, v in vars(e).items()})
     write_text(path, out.getvalue())
 
 
@@ -160,12 +159,10 @@ class ClassRecipe:
     pitch_waveform: str = "sine"
 
     def blend(self, other, weight):
-        mixed = {name: (1 - weight) * getattr(self, name) + weight * getattr(other, name)
-                 for name in ("base_pitch_hz", "pitch_jitter", "energy_level",
-                              "energy_jitter", "modulation_rate_hz", "pitch_var",
-                              "jitter_var", "energy_var", "ejitter_var",
-                              "rate_var", "harmonics")}
-        return ClassRecipe(pitch_waveform=self.pitch_waveform, **mixed)
+        """Every numeric parameter mixed toward ``other``; the waveform is ours."""
+        return replace(self, **{f.name: (1 - weight) * getattr(self, f.name)
+                                + weight * getattr(other, f.name)
+                                for f in fields(self) if f.name != "pitch_waveform"})
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The two error families, the LLM errors whose names runs report, the one
-read step of every input file and the one write step of every output file.
+read step of every input file, the one check of every JSON input and the
+one write step of every output file.
 
 The family a raise site picks is the CLI's exit code: configuration
 problems (bad flags, an unreadable config file, schema violations in
@@ -78,13 +79,20 @@ def write_text(path, text):
         fh.write(data)
 
 
-def parse_json(text, where, error):
-    """The JSON document in ``text``; invalid JSON raises ``error`` naming
-    ``where``."""
+def parse_json(text, where, error, schema):
+    """The JSON object in ``text``, the one check of every JSON input.
+    Invalid JSON, a value that is not an object, and a ``schema`` member
+    other than ``schema`` (not checked when it is None) raise ``error``
+    naming ``where``."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise error(f"{where}: invalid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    if schema is not None and doc.get("schema") != schema:
+        raise error(f"{where}: expected schema {schema!r}, got {doc.get('schema')!r}")
+    return doc
 
 
 @contextlib.contextmanager

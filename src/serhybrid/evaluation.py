@@ -5,7 +5,7 @@ denominator are 0 and flagged; kappa statistics return None, as undefined,
 when expected agreement is 1 (a single category everywhere).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,19 +42,10 @@ class MetricsReport:
         return "\n".join(lines)
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "n": self.n,
-            "per_class": {
-                label: {"precision": m.precision, "recall": m.recall,
-                        "f1": m.f1, "support": m.support,
-                        "zero_division_flag": m.zero_division_flag}
-                for label, m in self.per_class.items()
-            },
-        }
+        """Every member but the confusion counts; every writer sorts its keys."""
+        doc = asdict(self)
+        del doc["confusion"]
+        return doc
 
 
 def confusion_counts(pred_labels, gold_labels):

@@ -379,10 +379,7 @@ class CorpusStats:
 
     @classmethod
     def from_json(cls, text, where="corpus stats"):
-        doc = parse_json(text, where, ConfigError)
-        schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema != STATS_SCHEMA:
-            raise ConfigError(f"{where}: expected schema {STATS_SCHEMA!r}, got {schema!r}")
+        doc = parse_json(text, where, ConfigError, STATS_SCHEMA)
         if not (isinstance(doc.get("mean"), dict) and isinstance(doc.get("std"), dict)):
             raise ConfigError(f"{where}: needs 'mean' and 'std' objects keyed by dimension")
         missing = [d for d in DIMENSIONS if d not in doc["mean"] or d not in doc["std"]]

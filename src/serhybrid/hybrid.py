@@ -28,6 +28,7 @@ SOURCES = ("ml_direct", "llm_reasoned", "fallback_ml", "fallback_default")
 
 @dataclass(frozen=True)
 class Prediction:
+    # field order is the member order of a predictions line, after its schema tag
     sample_id: str
     label: str
     source: str
@@ -38,17 +39,8 @@ class Prediction:
     latency_ms: float = 0.0
 
     def to_dict(self):
-        return {
-            "schema": PREDICTIONS_SCHEMA,
-            "sample_id": self.sample_id,
-            "label": self.label,
-            "source": self.source,
-            "ml_evidence": self.ml_evidence.to_dict() if self.ml_evidence else None,
-            "prompt_version": self.prompt_version,
-            "rationale": self.rationale,
-            "reason_code": self.reason_code,
-            "latency_ms": self.latency_ms,
-        }
+        return {"schema": PREDICTIONS_SCHEMA, **vars(self),
+                "ml_evidence": self.ml_evidence.to_dict() if self.ml_evidence else None}
 
     @classmethod
     def from_dict(cls, doc):
@@ -219,10 +211,7 @@ def read_predictions(path):
         if not line.strip():
             continue
         where = f"{path} line {n}"
-        doc = parse_json(line, where, DataError)
-        schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema != PREDICTIONS_SCHEMA:
-            raise DataError(f"{where}: expected schema {PREDICTIONS_SCHEMA!r}, got {schema!r}")
+        doc = parse_json(line, where, DataError, PREDICTIONS_SCHEMA)
         try:
             prediction = Prediction.from_dict(doc)
         except KeyError as exc:

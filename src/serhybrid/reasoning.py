@@ -20,7 +20,7 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 from .errors import (ConfigError, DataError, LlmError, LlmRateLimited, LlmTimeout,
@@ -52,6 +52,7 @@ class PromptVersion(Enum):
 class Condition:
     """One machine-checkable predicate on a corpus z-score."""
 
+    # field order is the member order of a condition in a rule file
     dimension: str
     comparator: str
     threshold_z: float
@@ -74,6 +75,7 @@ class Rule:
     """A reasoning heuristic: natural-language statement plus a conjunction
     of feature conditions implying an emotion label."""
 
+    # field order is the member order of a rule in a rule file
     id: str
     statement: str
     conditions: tuple  # of Condition, all must hold
@@ -84,41 +86,23 @@ class Rule:
 
 @dataclass(frozen=True)
 class ConfusionNote:
+    # field order is the member order of a confusion note in a rule file
     labels: tuple  # pair of labels
     text: str
 
 
 @dataclass(frozen=True)
 class RuleSet:
+    # field order is the member order of a rule file, after its schema tag
     version: int
     rules: tuple
     confusion_notes: tuple = ()
 
     def to_json(self):
-        return json.dumps({
-            "schema": RULES_SCHEMA,
-            "version": self.version,
-            "rules": [rule_to_dict(r) for r in self.rules],
-            "confusion_notes": [{"labels": list(n.labels), "text": n.text}
-                                for n in self.confusion_notes],
-        }, indent=2)
+        return json.dumps({"schema": RULES_SCHEMA, **asdict(self)}, indent=2)
 
     def save(self, path):
         write_text(path, self.to_json())
-
-
-def rule_to_dict(rule):
-    """The rule-file form of one Rule; parse_rule reads it back."""
-    return {
-        "id": rule.id,
-        "statement": rule.statement,
-        "conditions": [{"dimension": c.dimension,
-                        "comparator": c.comparator,
-                        "threshold_z": c.threshold_z} for c in rule.conditions],
-        "implied_label": rule.implied_label,
-        "strength": rule.strength,
-        "origin": rule.origin,
-    }
 
 
 def parse_rule(doc, where):
@@ -165,11 +149,7 @@ def parse_rule(doc, where):
 
 
 def parse_ruleset(text, where="ruleset"):
-    doc = parse_json(text, where, ConfigError)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != RULES_SCHEMA:
-        raise ConfigError(f"{where}: expected schema {RULES_SCHEMA!r}, got {doc.get('schema')!r}")
+    doc = parse_json(text, where, ConfigError, RULES_SCHEMA)
     version = doc.get("version", 1)
     if not isinstance(version, int) or isinstance(version, bool):
         raise ConfigError(f"{where}: version must be an integer, got {version!r}")
@@ -638,11 +618,9 @@ def auto_generate_rules(client):
     dropped = []
     for i, doc in enumerate(docs):
         try:
-            doc = dict(doc)
-            doc.setdefault("origin", "auto")
-            doc["origin"] = "auto"
-            rule = parse_rule(doc, f"generated[{i}]")
-        except (ConfigError, TypeError) as exc:
+            rule = parse_rule({**doc, "origin": "auto"} if isinstance(doc, dict) else doc,
+                              f"generated[{i}]")
+        except ConfigError as exc:
             dropped.append(str(exc))
             continue
         if rule.id in seen:

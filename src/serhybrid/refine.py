@@ -9,14 +9,14 @@ rule-set version.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, parse_json, read_text, write_text
 from .features import DIMENSIONS
 from .labels import CLASSES
-from .reasoning import Condition, Rule, RuleSet, parse_rule, rule_to_dict
+from .reasoning import Condition, Rule, RuleSet, parse_rule
 
 PROPOSALS_SCHEMA = "serhybrid-proposals-v1"
 
@@ -25,6 +25,7 @@ TOP_DELTAS = 5
 
 @dataclass(frozen=True)
 class Delta:
+    # field order is the member order of a top delta in a proposals file
     dimension: str
     effect_size: float   # Cohen's d: error group minus correct gold group
     direction: int       # sign of effect_size
@@ -33,6 +34,7 @@ class Delta:
 
 @dataclass(frozen=True)
 class ErrorPattern:
+    # field order is the member order of a pattern in a proposals file
     gold: str
     predicted: str
     support: int
@@ -112,21 +114,8 @@ class RuleProposal:
     base_version: int
 
     def to_dict(self):
-        return {
-            "status": self.status,
-            "base_version": self.base_version,
-            "candidate": rule_to_dict(self.candidate),
-            "pattern": {
-                "gold": self.pattern.gold,
-                "predicted": self.pattern.predicted,
-                "support": self.pattern.support,
-                "top_deltas": [{"dimension": d.dimension,
-                                "effect_size": d.effect_size,
-                                "direction": d.direction,
-                                "error_median_z": d.error_median_z}
-                               for d in self.pattern.top_deltas],
-            },
-        }
+        return {"status": self.status, "base_version": self.base_version,
+                "candidate": asdict(self.candidate), "pattern": asdict(self.pattern)}
 
     @classmethod
     def from_dict(cls, doc, where):
@@ -194,10 +183,7 @@ def write_proposals(path, proposals):
 
 def read_proposals(path):
     """Load and validate a proposals file."""
-    doc = parse_json(read_text(path, ConfigError), path, ConfigError)
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != PROPOSALS_SCHEMA:
-        raise ConfigError(f"{path}: expected schema {PROPOSALS_SCHEMA!r}, got {schema!r}")
+    doc = parse_json(read_text(path, ConfigError), path, ConfigError, PROPOSALS_SCHEMA)
     if not isinstance(doc.get("proposals"), list):
         raise ConfigError(f"{path}: 'proposals' must be a list")
     return [RuleProposal.from_dict(p, f"{path}: proposals[{i}]")

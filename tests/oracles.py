@@ -5,9 +5,12 @@ Fraction) rather than vectorized numpy, so a shared bug with the package
 implementations is unlikely. The DSP references keep numpy only for one
 dot product or one FFT per frame. ``smo_direct`` is the exception: it is
 the solver's earlier numpy form, kept so the cached solver can be held to
-it bit for bit.
+it bit for bit. The ``*_direct`` file forms at the end spell out each
+written file's members one by one, as the writers once did, so the
+writers derived from their dataclasses can be held to them byte for byte.
 """
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +21,7 @@ from serhybrid.classifier import MlEvidence
 from serhybrid.errors import DataError
 from serhybrid.features import FeatureVector
 from serhybrid.labels import CLASSES
+from serhybrid.reasoning import RULES_SCHEMA
 
 
 def fleiss_kappa_direct(table):
@@ -323,3 +327,91 @@ def vad_direct(x, sample_rate, frame_ms=25.0, hop_ms=10.0, energy_floor_db=-40.0
         else:
             merged.append((start, end))
     return merged
+
+
+# --- file forms, member by member ---
+
+def rule_to_dict_direct(rule):
+    """The rule-file form of one Rule."""
+    return {
+        "id": rule.id,
+        "statement": rule.statement,
+        "conditions": [{"dimension": c.dimension,
+                        "comparator": c.comparator,
+                        "threshold_z": c.threshold_z} for c in rule.conditions],
+        "implied_label": rule.implied_label,
+        "strength": rule.strength,
+        "origin": rule.origin,
+    }
+
+
+def ruleset_to_json_direct(rules):
+    """The text of a rule file."""
+    return json.dumps({
+        "schema": RULES_SCHEMA,
+        "version": rules.version,
+        "rules": [rule_to_dict_direct(r) for r in rules.rules],
+        "confusion_notes": [{"labels": list(n.labels), "text": n.text}
+                            for n in rules.confusion_notes],
+    }, indent=2)
+
+
+def proposal_to_dict_direct(proposal):
+    """One entry of a proposals file."""
+    return {
+        "status": proposal.status,
+        "base_version": proposal.base_version,
+        "candidate": rule_to_dict_direct(proposal.candidate),
+        "pattern": {
+            "gold": proposal.pattern.gold,
+            "predicted": proposal.pattern.predicted,
+            "support": proposal.pattern.support,
+            "top_deltas": [{"dimension": d.dimension,
+                            "effect_size": d.effect_size,
+                            "direction": d.direction,
+                            "error_median_z": d.error_median_z}
+                           for d in proposal.pattern.top_deltas],
+        },
+    }
+
+
+def prediction_to_dict_direct(prediction, schema):
+    """One line of a predictions file, before its JSON encoding."""
+    return {
+        "schema": schema,
+        "sample_id": prediction.sample_id,
+        "label": prediction.label,
+        "source": prediction.source,
+        "ml_evidence": prediction.ml_evidence.to_dict() if prediction.ml_evidence else None,
+        "prompt_version": prediction.prompt_version,
+        "rationale": prediction.rationale,
+        "reason_code": prediction.reason_code,
+        "latency_ms": prediction.latency_ms,
+    }
+
+
+def metrics_to_dict_direct(report):
+    """The metrics member of evaluation, run and compare reports."""
+    return {
+        "accuracy": report.accuracy,
+        "macro_precision": report.macro_precision,
+        "macro_recall": report.macro_recall,
+        "macro_f1": report.macro_f1,
+        "n": report.n,
+        "per_class": {
+            label: {"precision": m.precision, "recall": m.recall,
+                    "f1": m.f1, "support": m.support,
+                    "zero_division_flag": m.zero_division_flag}
+            for label, m in report.per_class.items()
+        },
+    }
+
+
+def blend_direct(recipe, other, weight):
+    """ClassRecipe.blend with its mixed parameters named one by one."""
+    mixed = {name: (1 - weight) * getattr(recipe, name) + weight * getattr(other, name)
+             for name in ("base_pitch_hz", "pitch_jitter", "energy_level",
+                          "energy_jitter", "modulation_rate_hz", "pitch_var",
+                          "jitter_var", "energy_var", "ejitter_var",
+                          "rate_var", "harmonics")}
+    return type(recipe)(pitch_waveform=recipe.pitch_waveform, **mixed)

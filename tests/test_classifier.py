@@ -370,7 +370,8 @@ class TestSerialization:
         assert loaded.meta == model.meta
 
     def test_unknown_schema_rejected(self):
-        with pytest.raises(DataError, match="unexpected model schema: 'something-else'"):
+        with pytest.raises(DataError, match="^model: expected schema 'serhybrid-svm-v1', "
+                                            "got 'something-else'$"):
             SvmModel.from_json('{"schema": "something-else"}')
 
     @pytest.mark.parametrize("edit, message", [

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -302,7 +303,7 @@ class TestPredictEvaluate:
                          "--out", str(out), "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["routed_to_llm"] == 0
-        assert sum(1 for _ in open(out)) == 9
+        assert len(out.read_text().splitlines()) == 9
 
     def test_v2_against_mock_server(self, workspace, tmp_path):
         out = tmp_path / "preds.jsonl"
@@ -497,7 +498,7 @@ class TestProposalValidation:
 
 
 def _bad_feature_cell(ws, tmp_path):
-    lines = open(ws["features"]).read().splitlines()
+    lines = Path(ws["features"]).read_text().splitlines()
     cells = lines[1].split(",")
     cells[5] = "abc"
     lines[1] = ",".join(cells)
@@ -520,7 +521,7 @@ def _predict_with_stats(text):
 
 
 def _stats_without_mean(ws):
-    doc = json.loads(open(ws["stats"]).read())
+    doc = json.loads(Path(ws["stats"]).read_text())
     del doc["mean"]
     return json.dumps(doc)
 
@@ -568,7 +569,7 @@ def _evaluate_prediction_with(field, value):
 
 
 def _features_without_first_row(ws, tmp_path):
-    lines = open(ws["features"]).read().splitlines()
+    lines = Path(ws["features"]).read_text().splitlines()
     short = tmp_path / "features_short.csv"
     short.write_text("\n".join([lines[0], *lines[2:]]) + "\n")
     return str(short)
@@ -641,14 +642,14 @@ def _features_from_manifest(text):
 
 def _stats_with(**fields):
     def text(ws):
-        doc = json.loads(open(ws["stats"]).read())
+        doc = json.loads(Path(ws["stats"]).read_text())
         doc.update(fields)
         return json.dumps(doc)
     return text
 
 
 def _stats_all_std_zero(ws):
-    doc = json.loads(open(ws["stats"]).read())
+    doc = json.loads(Path(ws["stats"]).read_text())
     doc["std"] = {d: 0.0 for d in doc["std"]}
     return json.dumps(doc)
 
@@ -736,7 +737,7 @@ class TestMalformedInputs:
 
     def test_stats_of_no_rows_is_data_error(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
-        manifest.write_text(open(workspace["manifest"]).read().splitlines()[0] + "\n")
+        manifest.write_text(Path(workspace["manifest"]).read_text().splitlines()[0] + "\n")
         stats = tmp_path / "stats.json"
         capsys.readouterr()
         code = cli.main(["features", "--manifest", str(manifest), "--out",
@@ -767,7 +768,7 @@ class TestMalformedInputs:
     def test_features_csv_rows_are_checked(self, workspace, tmp_path, capsys, command, edit):
         # refine once ended a NaN row in a ValueError traceback, and a
         # repeated id silently kept its last row
-        lines = open(workspace["features"]).read().splitlines()
+        lines = Path(workspace["features"]).read_text().splitlines()
         where = edit(lines)
         features = tmp_path / "features_edited.csv"
         features.write_text("\n".join(lines) + "\n")
@@ -1100,10 +1101,10 @@ def test_empty_split_is_one_data_error_line(workspace, tmp_path, capsys, command
 
 def test_manifest_with_byte_order_mark(workspace, tmp_path):
     manifest = tmp_path / "manifest.csv"
-    manifest.write_bytes(b"\xef\xbb\xbf" + open(workspace["manifest"], "rb").read())
+    manifest.write_bytes(b"\xef\xbb\xbf" + Path(workspace["manifest"]).read_bytes())
     out = tmp_path / "features.csv"
     assert cli.main(["features", "--manifest", str(manifest), "--out", str(out)]) == 0
-    assert out.read_bytes() == open(workspace["features"], "rb").read()
+    assert out.read_bytes() == Path(workspace["features"]).read_bytes()
 
 
 def test_outputs_are_utf8_whatever_the_locale(workspace, tmp_path):
@@ -1147,16 +1148,17 @@ def inputs(workspace):
     os.makedirs(sink)
     sink_file = root / "sink.txt"
     sink_file.write_text("")
-    rows = [line.split(",") for line in open(workspace["manifest"]).read().splitlines()[1:]]
+    manifest_lines = Path(workspace["manifest"]).read_text().splitlines()
+    rows = [line.split(",") for line in manifest_lines[1:]]
     files = {
         "config": _json_file({"n_per_class": 3, "seed": 5, "duration_s": 0.8,
                               "overlap": 0.25}),
         "rules": default_ruleset().to_json().encode(),
         "proposals": _json_file(_valid_proposals()),
-        "stats": open(workspace["stats"], "rb").read(),
-        "model": open(workspace["model"], "rb").read(),
-        "features": open(workspace["features"], "rb").read(),
-        "manifest": open(workspace["manifest"], "rb").read(),
+        "stats": Path(workspace["stats"]).read_bytes(),
+        "model": Path(workspace["model"]).read_bytes(),
+        "features": Path(workspace["features"]).read_bytes(),
+        "manifest": Path(workspace["manifest"]).read_bytes(),
         "transcripts": ("sample_id,transcript\n"
                         + "".join(f"{r[0]},i am so {r[2]}\n" for r in rows)).encode(),
         "annotations": ("sample_id,annotator_a,annotator_b,annotator_c\n"
@@ -1176,7 +1178,7 @@ def inputs(workspace):
                 "--tau", "0", *offline, "--out", out]
 
     assert cli.main(predict(out=paths["predictions"])) == 0
-    files["predictions"] = open(paths["predictions"], "rb").read()
+    files["predictions"] = Path(paths["predictions"]).read_bytes()
     commands = {
         "config": lambda f: ["--config", f, "synth", "--out-dir", str(sink_file)],
         "rules": lambda f: ["refine", "--apply", paths["proposals"], "--rules", f,
@@ -1282,6 +1284,22 @@ def test_undecodable_file_keeps_its_exit_code(inputs, kind):
     code, err = _run_quietly(inputs.commands[kind](str(path)))
     _assert_one_error_line(code, err)
     assert code == INPUT_KINDS[kind] and f"{path}: not UTF-8 text" in err, err
+
+
+@pytest.mark.parametrize("case", ["repeated-id", "missing-cell"])
+def test_transcripts_name_a_repeated_id_and_a_missing_cell(inputs, case):
+    lines = inputs.files["transcripts"].decode().splitlines()
+    first = lines[1].split(",")[0]
+    if case == "repeated-id":
+        lines.append(f"{first},again")
+        message = f"line {len(lines)}: duplicate sample_id {first!r}"
+    else:
+        lines[1] = first
+        message = f"line 2: no transcript for sample_id {first!r}"
+    path = inputs.root / f"transcripts.{case}"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = _run_quietly(inputs.commands["transcripts"](str(path)))
+    assert (code, err) == (2, f"data error: {path} {message}\n")
 
 
 @pytest.mark.parametrize("kind", ["manifest", "features", "transcripts", "annotations"])

@@ -1,5 +1,7 @@
 """Manifests, stratified splits, and the synthetic generator."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,8 +167,8 @@ class TestGenerator:
         second = generate_synthetic_corpus(recipe, tmp_path / "b")
         assert [e.sample_id for e in first] == [e.sample_id for e in second]
         for e1, e2 in zip(first, second):
-            data1 = open(e1.audio_path, "rb").read()
-            data2 = open(e2.audio_path, "rb").read()
+            data1 = Path(e1.audio_path).read_bytes()
+            data2 = Path(e2.audio_path).read_bytes()
             assert data1 == data2
 
     def test_layout_and_manifest(self, tmp_path):
@@ -186,8 +188,8 @@ class TestGenerator:
             tmp_path / "mixed")
         by_id_pure = {e.sample_id: e for e in pure}
         for e in mixed:
-            same = (open(e.audio_path, "rb").read()
-                    == open(by_id_pure[e.sample_id].audio_path, "rb").read())
+            same = (Path(e.audio_path).read_bytes()
+                    == Path(by_id_pure[e.sample_id].audio_path).read_bytes())
             if e.gold == "calm" or e.sample_id.endswith("_001"):
                 assert same          # unblended samples are untouched
             else:
@@ -205,8 +207,8 @@ class TestGenerator:
         b = generate_synthetic_corpus(with_variant, tmp_path / "variant")
         pure = {e.sample_id: e for e in a}
         for e in b:
-            same = (open(e.audio_path, "rb").read()
-                    == open(pure[e.sample_id].audio_path, "rb").read())
+            same = (Path(e.audio_path).read_bytes()
+                    == Path(pure[e.sample_id].audio_path).read_bytes())
             assert same == (e.sample_id != "panic_000")
 
     def test_peak_reference_sample(self, tmp_path):

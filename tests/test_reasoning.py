@@ -9,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mockllm import (CANNED_AUTO_RULES, MockLlmServer, ScriptedClient,
                      rules_literal_answer)
@@ -543,7 +545,18 @@ class TestHttpClient:
             assert server.request_count == 2
 
 
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
 class TestAutoGeneration:
+    GOOD = {"id": "g", "statement": "s", "implied_label": "panic", "strength": 0.5,
+            "conditions": [{"dimension": "pitch_std", "comparator": ">", "threshold_z": 1.0}]}
+
     def test_valid_rule_kept_invalid_dropped(self):
         client = ScriptedClient(["Here you go:\n" + CANNED_AUTO_RULES])
         rules, dropped = auto_generate_rules(client)
@@ -571,6 +584,30 @@ class TestAutoGeneration:
         rules, dropped = auto_generate_rules(ScriptedClient([answer]))
         assert [r.id for r in rules.rules] == ["g"]
         assert len(dropped) == 2
+
+    def test_non_object_entry_dropped(self):
+        answer = json.dumps(["x", [["id", "y"]], 7, self.GOOD])
+        rules, dropped = auto_generate_rules(ScriptedClient([answer]))
+        assert [r.id for r in rules.rules] == ["g"]
+        assert dropped[0] == "generated[0]: rule must be a JSON object"
+        assert len(dropped) == 3
+
+    def test_only_non_objects_is_a_data_error(self):
+        with pytest.raises(DataError, match="no generated rule survived schema validation"):
+            auto_generate_rules(ScriptedClient(['Rules: ["x"]']))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(
+        st.just(GOOD),
+        st.fixed_dictionaries({}, optional={k: JSON for k in GOOD}),
+        JSON)))
+    def test_any_json_array_gives_rules_or_a_data_error(self, docs):
+        try:
+            rules, dropped = auto_generate_rules(ScriptedClient([json.dumps(docs)]))
+        except DataError:
+            return
+        assert rules.rules and all(r.origin == "auto" for r in rules.rules)
+        assert len(rules.rules) + len(dropped) == len(docs)
 
     def test_nothing_survives_raises(self):
         bogus = json.dumps([{"id": "x", "statement": "s",
