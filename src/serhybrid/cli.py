@@ -9,9 +9,7 @@ configuration. Exit codes: 0 success, 1 configuration error, 2 data error.
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -21,7 +19,7 @@ import numpy as np
 
 from . import (audio_io, classifier, corpus, evaluation, hybrid, parallel, refine,
                reasoning)
-from .errors import ConfigError, DataError, csv_errors, parse_json, read_text, write_text
+from .errors import ConfigError, DataError, parse_json, read_csv, read_text, write_text
 from .features import (CorpusStats, aggregate, extract_series,
                        read_features_csv, write_features_csv)
 from .labels import CLASSES
@@ -223,20 +221,9 @@ def cmd_train(cfg):
 
 
 def _load_transcripts(path):
-    reader = csv.DictReader(io.StringIO(read_text(path, DataError), newline=""))
-    with csv_errors(path, reader, DataError):
-        missing = [c for c in ("sample_id", "transcript") if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}: transcripts lack columns: {', '.join(missing)}")
-        transcripts = {}
-        for row in reader:
-            where, sample_id = f"{path} line {reader.line_num}", row["sample_id"]
-            if row["transcript"] is None:
-                raise DataError(f"{where}: no transcript for sample_id {sample_id!r}")
-            if sample_id in transcripts:
-                raise DataError(f"{where}: duplicate sample_id {sample_id!r}")
-            transcripts[sample_id] = row["transcript"]
-        return transcripts
+    header, rows = read_csv(path, DataError, ("sample_id", "transcript"))
+    sample_id, transcript = header.index("sample_id"), header.index("transcript")
+    return {cells[sample_id]: cells[transcript] for _, cells in rows}
 
 
 def cmd_predict(cfg):
@@ -297,27 +284,21 @@ ANNOTATORS = ("annotator_a", "annotator_b", "annotator_c")
 
 def cmd_kappa(cfg):
     _require(cfg, "annotations")
+    path = cfg["annotations"]
+    header, records = read_csv(path, DataError, ANNOTATORS)
     rows = []
-    reader = csv.DictReader(io.StringIO(read_text(cfg["annotations"], DataError), newline=""))
-    with csv_errors(cfg["annotations"], reader, DataError):
-        missing = [c for c in ANNOTATORS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"annotation file lacks columns: {', '.join(missing)}")
-        for row in reader:
-            labels = tuple(row[c] for c in ANNOTATORS)
-            for column, label in zip(ANNOTATORS, labels):
-                if label not in CLASSES:
-                    raise DataError(
-                        f"annotation line {reader.line_num} ({row.get('sample_id')!r}): "
-                        f"{column} label {label!r} is not one of {', '.join(CLASSES)}")
-            rows.append(labels)
+    for where, cells in records:
+        row = dict(zip(header, cells))
+        for column in ANNOTATORS:
+            if row[column] not in CLASSES:
+                raise DataError(
+                    f"{where} ({row.get('sample_id')!r}): "
+                    f"{column} label {row[column]!r} is not one of {', '.join(CLASSES)}")
+        rows.append(tuple(row[c] for c in ANNOTATORS))
     if not rows:
-        raise DataError("annotation file has no rows")
-    table = np.zeros((len(rows), len(CLASSES)), dtype=np.int64)
-    for i, labels in enumerate(rows):
-        for label in labels:
-            table[i, CLASSES.index(label)] += 1
-    fleiss = evaluation.fleiss_kappa(table)
+        raise DataError(f"{path}: annotation file has no rows")
+    fleiss = evaluation.fleiss_kappa(
+        np.array([[labels.count(c) for c in CLASSES] for labels in rows], dtype=np.int64))
     pairs = {"A-B": (0, 1), "A-C": (0, 2), "B-C": (1, 2)}
     cohens = {name: evaluation.cohens_kappa([r[i] for r in rows], [r[j] for r in rows])
               for name, (i, j) in pairs.items()}

@@ -9,16 +9,14 @@ toward the other class, which is the ambiguity dial the confidence router
 is evaluated against.
 """
 
-import csv
-import io
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .audio_io import AudioSignal, save_wav
-from .errors import ConfigError, DataError, csv_errors, read_text, write_text
+from .errors import ConfigError, DataError, read_csv, write_csv
 from .labels import CLASSES
 
 SPLITS = ("set1", "set2", "set3", "test", "unassigned")
@@ -50,7 +48,9 @@ MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestEntry))
 def _entry_from_row(row, where):
     """A ManifestEntry from one CSV row of known columns; an empty cell
     takes the field's default."""
-    clean = {key: value for key, value in row.items() if value not in ("", None)}
+    if not row["sample_id"]:
+        raise ConfigError(f"{where}: missing sample_id")
+    clean = {key: value for key, value in row.items() if value}
     try:
         clean["duration_s"] = float(clean.get("duration_s", 0.0))
     except ValueError:
@@ -71,36 +71,13 @@ def _entry_from_row(row, where):
 def load_manifest(path):
     """Parse a CSV manifest whose header names a sample_id column and
     otherwise only MANIFEST_FIELDS; duplicate sample ids are rejected."""
-    reader = csv.DictReader(io.StringIO(read_text(path, ConfigError), newline=""))
-    with csv_errors(path, reader, ConfigError):
-        header = reader.fieldnames or ()
-        if "sample_id" not in header:
-            raise ConfigError(f"{path}: missing manifest header")
-        unknown = [c for c in header if c not in MANIFEST_FIELDS]
-        if unknown:
-            raise ConfigError(f"{path}: unknown columns {unknown}")
-        entries, seen = [], set()
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row:
-                raise ConfigError(f"{where}: {len(header) + len(row[None])} cells, "
-                                  f"the header names {len(header)}")
-            if not row["sample_id"]:
-                raise ConfigError(f"{where}: missing sample_id")
-            if row["sample_id"] in seen:
-                raise DataError(f"{where}: duplicate sample_id {row['sample_id']!r}")
-            seen.add(row["sample_id"])
-            entries.append(_entry_from_row(row, where))
-    return entries
+    header, rows = read_csv(path, ConfigError, ("sample_id",), known=MANIFEST_FIELDS)
+    return [_entry_from_row(dict(zip(header, cells)), where) for where, cells in rows]
 
 
 def save_manifest(path, entries):
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=MANIFEST_FIELDS)
-    writer.writeheader()
-    for e in entries:
-        writer.writerow({k: ("" if v is None else v) for k, v in vars(e).items()})
-    write_text(path, out.getvalue())
+    write_csv(path, MANIFEST_FIELDS,
+              (["" if v is None else v for v in astuple(e)] for e in entries))
 
 
 def _largest_remainder(n, fractions):

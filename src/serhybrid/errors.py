@@ -1,6 +1,6 @@
 """The two error families, the LLM errors whose names runs report, the one
-read step of every input file, the one check of every JSON input and the
-one write step of every output file.
+read step of every input file, the one check of every JSON input and of
+every CSV input, and the one write step of every output file.
 
 The family a raise site picks is the CLI's exit code: configuration
 problems (bad flags, an unreadable config file, schema violations in
@@ -13,8 +13,8 @@ end as a schema violation of that file does. Both steps use UTF-8
 whatever the locale, so every file the pipeline writes, it can read back.
 """
 
-import contextlib
 import csv
+import io
 import json
 
 
@@ -95,14 +95,46 @@ def parse_json(text, where, error, schema):
     return doc
 
 
-@contextlib.contextmanager
-def csv_errors(path, reader, error):
-    """Turn a ``csv.Error`` raised in the block, such as a cell over the
-    csv module's field size limit, into ``error`` naming the line that
-    ``reader`` stopped at."""
+def read_csv(path, error, columns, known=None):
+    """The header and rows of the CSV file at ``path``, the one check of
+    every CSV input: ``(header, [(where, cells), ...])``, where ``where``
+    is ``<path> line N``. The header must name each of ``columns``, no
+    column twice and, when ``known`` is given, no other column; every row
+    must hold one cell per header column. Blank lines are skipped. Each
+    violation, and a ``csv.Error`` such as a cell over the csv module's
+    field size limit, raises ``error`` naming the path or the line; a
+    repeated id in a ``sample_id`` column is a DataError in every file."""
+    reader = csv.reader(io.StringIO(read_text(path, error), newline=""))
     try:
-        yield
+        header = next(reader, [])
+        for what, names in (
+                ("lacks", [c for c in columns if c not in header]),
+                ("repeats", sorted({c for c in header if header.count(c) > 1})),
+                ("names unknown", [c for c in header if known is not None and c not in known])):
+            if names:
+                raise error(f"{path}: the header {what} columns: {', '.join(names)}")
+        ids = header.index("sample_id") if "sample_id" in header else None
+        rows, seen = [], set()
+        for cells in reader:
+            if not cells:
+                continue
+            where = f"{path} line {reader.line_num}"
+            if len(cells) != len(header):
+                raise error(f"{where}: {len(cells)} cells, the header names {len(header)}")
+            if ids is not None:
+                if cells[ids] in seen:
+                    raise DataError(f"{where}: duplicate sample_id {cells[ids]!r}")
+                seen.add(cells[ids])
+            rows.append((where, cells))
     except csv.Error as exc:
-        # a DictReader's own line_num stops at its last whole row
-        line = getattr(reader, "reader", reader).line_num
-        raise error(f"{path} line {line}: {exc}") from None
+        raise error(f"{path} line {reader.line_num}: {exc}") from None
+    return header, rows
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and then each row of ``rows`` to ``path`` through
+    ``write_text``, in the csv module's default dialect (rows end in
+    ``\\r\\n``)."""
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *rows])
+    write_text(path, out.getvalue())

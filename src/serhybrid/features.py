@@ -9,9 +9,7 @@ as a qualitative acoustic profile (z-scored against corpus statistics) for
 the reasoning prompts.
 """
 
-import csv
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, csv_errors, parse_json, read_text, write_text
+from .errors import ConfigError, DataError, parse_json, read_csv, read_text, write_csv
 
 UNVOICED = math.nan
 
@@ -87,40 +85,34 @@ class FeatureVector:
             raise ValueError(f"expected {len(DIMENSIONS)} dimensions, got {self.values.shape}")
 
 
+FEATURE_COLUMNS = ("schema", "sample_id", *DIMENSIONS)
+
+
 def write_features_csv(path, rows):
     """Write (sample_id, FeatureVector) pairs as CSV with a schema column."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["schema", "sample_id", *DIMENSIONS])
-    for sample_id, vec in rows:
-        writer.writerow([SCHEMA_TAG, sample_id, *[repr(float(v)) for v in vec.values]])
-    write_text(path, out.getvalue())
+    write_csv(path, FEATURE_COLUMNS,
+              ([SCHEMA_TAG, sample_id, *[repr(float(v)) for v in vec.values]]
+               for sample_id, vec in rows))
 
 
 def read_features_csv(path):
     """Read the CSV written by write_features_csv; returns {sample_id: FeatureVector}.
-    A non-finite value or a repeated sample id raises DataError naming its line."""
+    A wrong schema tag, a value that is not a finite number or a repeated
+    sample id raises DataError naming its line."""
+    header, rows = read_csv(path, DataError, FEATURE_COLUMNS)
+    if tuple(header) != FEATURE_COLUMNS:
+        raise DataError(f"{path}: unexpected feature CSV header")
     out = {}
-    expected = ["schema", "sample_id", *DIMENSIONS]
-    reader = csv.reader(io.StringIO(read_text(path, DataError), newline=""))
-    with csv_errors(path, reader, DataError):
-        if next(reader, None) != expected:
-            raise DataError(f"{path}: unexpected feature CSV header")
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != len(expected):
-                raise DataError(f"{where}: expected {len(expected)} columns, got {len(row)}")
-            if row[0] != SCHEMA_TAG:
-                raise DataError(f"{where}: expected schema {SCHEMA_TAG!r}, got {row[0]!r}")
-            try:
-                values = np.array([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}")
-            if not np.all(np.isfinite(values)):
-                raise DataError(f"{where}: non-finite feature value")
-            if row[1] in out:
-                raise DataError(f"{where}: duplicate sample_id {row[1]!r}")
-            out[row[1]] = FeatureVector(values)
+    for where, cells in rows:
+        if cells[0] != SCHEMA_TAG:
+            raise DataError(f"{where}: expected schema {SCHEMA_TAG!r}, got {cells[0]!r}")
+        try:
+            values = np.array([float(v) for v in cells[2:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}")
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{where}: non-finite feature value")
+        out[cells[1]] = FeatureVector(values)
     return out
 
 

@@ -8,6 +8,7 @@ warm-cache evaluation run is byte-reproducible.
 
 import base64
 import concurrent.futures
+import contextlib
 import hashlib
 import http.client
 import json
@@ -507,11 +508,16 @@ class HttpLlmClient:
         latency = (time.monotonic() - t0) * 1000.0
         if self.cache_dir:
             # a temp file per writer: concurrent misses on one prompt each
-            # publish a whole file, and the last replace wins
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            # publish a whole file, and the last replace wins. A write that
+            # fails (a full disk, a read-only cache) keeps the answer uncached.
+            with contextlib.suppress(OSError):
+                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+                try:
+                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                    os.replace(tmp, path)
+                except OSError:
+                    os.unlink(tmp)
         return LlmResult(text=text, cached=False, latency_ms=latency)
 
     def _attempt(self, job):
@@ -606,12 +612,15 @@ def auto_generate_rules(client):
     if isinstance(result, LlmError):
         raise type(result)(f"rule generation failed: {result}",
                            result.retryable) from result
-    match = re.search(r"\[.*\]", result.text, re.DOTALL)
-    if not match:
+    # the first "[" that opens a whole JSON array: prose around the array
+    # may hold brackets of its own, such as a citation "[1]"
+    if "[" not in result.text:
         raise DataError("rule generation returned no JSON array")
-    try:
-        docs = json.loads(match.group(0))
-    except json.JSONDecodeError:
+    for start in (i for i, ch in enumerate(result.text) if ch == "["):
+        with contextlib.suppress(json.JSONDecodeError):
+            docs = json.JSONDecoder().raw_decode(result.text, start)[0]
+            break
+    else:
         raise DataError("rule generation returned invalid JSON")
     rules = []
     seen = set()

@@ -374,6 +374,21 @@ class TestKappa:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert all(part in err for part in named)
 
+    def test_repeated_row_and_extra_cell_are_data_errors(self, tmp_path, capsys):
+        # the first file once printed "Fleiss kappa: 0.7273" and exited 0,
+        # with s1 counted twice and the extra cell on s3 dropped
+        path = tmp_path / "annotations.csv"
+        header = "sample_id,annotator_a,annotator_b,annotator_c\n"
+        extra = "s3,panic,panic,calm,calm\n"
+        path.write_text(header + "s0,calm,calm,calm\n" + "s1,angry,angry,angry\n" * 2 + extra)
+        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path} line 4: duplicate sample_id 's1'\n")
+        path.write_text(header + "s0,calm,calm,calm\n" + extra)
+        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path} line 3: 5 cells, the header names 4\n")
+
     def test_empty_annotations_rejected(self, tmp_path):
         path = tmp_path / "annotations.csv"
         path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n")
@@ -1295,7 +1310,7 @@ def test_transcripts_name_a_repeated_id_and_a_missing_cell(inputs, case):
         message = f"line {len(lines)}: duplicate sample_id {first!r}"
     else:
         lines[1] = first
-        message = f"line 2: no transcript for sample_id {first!r}"
+        message = "line 2: 1 cells, the header names 2"
     path = inputs.root / f"transcripts.{case}"
     path.write_text("\n".join(lines) + "\n")
     code, err = _run_quietly(inputs.commands["transcripts"](str(path)))
@@ -1314,6 +1329,33 @@ def test_oversized_csv_cell_keeps_its_exit_code(inputs, kind):
     _assert_one_error_line(code, err)
     assert code == INPUT_KINDS[kind], err
     assert f"{path} line 2: field larger than field limit (131072)" in err, err
+
+
+@pytest.mark.parametrize("case", ["extra-cell", "missing-cell", "repeated-column",
+                                  "repeated-id"])
+@pytest.mark.parametrize("kind", ["manifest", "features", "transcripts", "annotations"])
+def test_malformed_csv_row_keeps_its_exit_code(inputs, kind, case):
+    # each CSV kind once checked row lengths, repeated columns and repeated
+    # sample ids in its own way, and some not at all
+    rows = list(csv.reader(io.StringIO(inputs.files[kind].decode(), newline="")))
+    path, code, n = inputs.root / f"{kind}.{case}", INPUT_KINDS[kind], len(rows[0])
+    if case == "extra-cell":
+        rows[1].append("x")
+        message = f"{path} line 2: {n + 1} cells, the header names {n}"
+    elif case == "missing-cell":
+        rows[1].pop()
+        message = f"{path} line 2: {n - 1} cells, the header names {n}"
+    elif case == "repeated-column":
+        rows[0].append(rows[0][0])
+        message = f"{path}: the header repeats columns: {rows[0][0]}"
+    else:
+        rows.append(rows[1])
+        sample_id = rows[1][rows[0].index("sample_id")]
+        code, message = 2, f"{path} line {len(rows)}: duplicate sample_id {sample_id!r}"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    family = "configuration error" if code == 1 else "data error"
+    assert _run_quietly(inputs.commands[kind](str(path))) == (code, f"{family}: {message}\n")
 
 
 def _retagged_prediction(text, tag):

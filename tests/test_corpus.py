@@ -35,7 +35,7 @@ class TestManifestIO:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         save_manifest(path, [ManifestEntry("x"), ManifestEntry("x")])
-        with pytest.raises(DataError, match="manifest.csv:3: duplicate sample_id 'x'"):
+        with pytest.raises(DataError, match="manifest.csv line 3: duplicate sample_id 'x'"):
             load_manifest(path)
 
     def test_unknown_label_rejected(self, tmp_path):
@@ -59,13 +59,13 @@ class TestManifestIO:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("not,a,manifest\n1,2,3\n")
-        with pytest.raises(ConfigError, match="missing manifest header"):
+        with pytest.raises(ConfigError, match="manifest.csv: the header lacks columns: sample_id"):
             load_manifest(path)
 
     def test_overlong_row_names_its_line(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("sample_id,gold\na,calm\nb,calm,angry\n")
-        with pytest.raises(ConfigError, match=r"manifest.csv:3: 3 cells, the header names 2"):
+        with pytest.raises(ConfigError, match=r"manifest.csv line 3: 3 cells, the header names 2"):
             load_manifest(path)
 
     def test_non_numeric_duration_rejected(self, tmp_path):

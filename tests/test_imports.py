@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and only
-the one write step opens a file for writing.
+"""Every name a package module imports is used in that module, only the
+one write step opens a file for writing, and only the module of the read
+and write steps imports ``csv``.
 
 No linter runs with the suite, so this walks each module's syntax tree
 with the standard library's ``ast``: an ``import a.b`` needs a reference
@@ -114,3 +115,36 @@ def test_only_the_write_step_opens_files_for_writing():
 ])
 def test_scan_finds_file_writers(source, writers):
     assert file_writers(source) == writers
+
+
+def imported_modules(source):
+    """The top-level name of every module that ``source`` imports by an
+    absolute import, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_only_the_read_and_write_steps_import_csv():
+    # errors.read_csv reads and checks every CSV input, and errors.write_csv
+    # writes every CSV output
+    importers = {p.name for p in PACKAGE.glob("*.py")
+                 if "csv" in imported_modules(p.read_text(encoding="utf-8"))}
+    assert importers == {"errors.py"}
+
+
+@pytest.mark.parametrize("source, modules", [
+    ("import csv\n", {"csv"}),
+    ("import csv as table\n", {"csv"}),
+    ("from csv import reader\n", {"csv"}),
+    ("def f():\n    import csv\n", {"csv"}),
+    ("import os.path, json\n", {"os", "json"}),
+    ("from . import csv\n", set()),
+    ("from .errors import read_csv\n", set()),
+])
+def test_scan_finds_imported_modules(source, modules):
+    assert imported_modules(source) == modules

@@ -1,5 +1,6 @@
 """Rules, prompts, answer parsing, and the LLM client."""
 
+import errno
 import http.client
 import json
 import os
@@ -516,6 +517,28 @@ class TestHttpClient:
         assert [parse_label(r.text) for r in results] == ["panic", "panic"]
         assert [p.suffix for p in cache.iterdir()] == [".txt"]
 
+    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    def test_failed_cache_write_keeps_every_answer(self, tmp_path, monkeypatch, step):
+        # a full disk once ended the batch in OSError after the endpoint had
+        # answered every prompt
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(reasoning.tempfile if step == "mkstemp" else reasoning.os,
+                            step, no_space)
+        cache = tmp_path / "cache"
+        words = ["panic", "angry", "calm", "panic", "calm"]
+        items = [(f"s{i}", build_transcript_prompt(f"sample {i}: i feel {w}"))
+                 for i, w in enumerate(words)]
+        with MockLlmServer() as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url, max_in_flight=2),
+                                   cache_dir=str(cache))
+            results = client.complete_batch(items)
+            assert server.request_count == len(words)
+        assert [parse_label(r.text) for r in results] == words
+        assert not any(r.cached for r in results)
+        assert list(cache.iterdir()) == []
+
     def test_batch_preserves_input_order(self, tmp_path):
         with MockLlmServer() as server:
             cfg = _cfg(base_url=server.base_url, max_in_flight=3)
@@ -572,6 +595,16 @@ class TestAutoGeneration:
     def test_invalid_json_raises(self):
         with pytest.raises(DataError, match="rule generation returned invalid JSON"):
             auto_generate_rules(ScriptedClient(["[{not valid json]"]))
+
+    @pytest.mark.parametrize("answer", [
+        "{rules}\nThese follow the literature [1].",
+        "Each rule is one object [see below]:\n{rules}",
+    ], ids=["bracket-after", "bracket-before"])
+    def test_brackets_in_prose_keep_the_array(self, answer):
+        # a "]" after the array once made the whole answer invalid JSON
+        answer = answer.format(rules=json.dumps([self.GOOD]))
+        rules, dropped = auto_generate_rules(ScriptedClient([answer]))
+        assert [r.id for r in rules.rules] == ["g"] and dropped == []
 
     def test_malformed_rule_objects_dropped(self):
         good = {"id": "g", "statement": "s", "implied_label": "panic",
