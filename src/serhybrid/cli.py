@@ -5,10 +5,12 @@ refine, synth, compare. ``COMMANDS`` declares each one's settings once:
 the parser makes a flag of each, and a JSON config file may give any of
 them, read as its flag reads its text (flags win). Settings left unset
 keep the library's defaults; every run report embeds the resolved
-configuration. Exit codes: 0 success, 1 configuration error, 2 data error.
+configuration. Exit codes: 0 success (also when the reader of stdout
+stops reading), 1 configuration error, 2 data error.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -270,12 +272,12 @@ def cmd_evaluate(cfg):
     _require(cfg, "predictions", "manifest")
     ids, gold, predicted = _labelled_run(cfg)
     report = evaluation.metrics(zip(ids, predicted), zip(ids, gold))
-    print(report.render_confusion())
-    print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}")
     if cfg.get("out"):
         _write_json(cfg["out"], {"metrics": report.to_dict(),
                                  "confusion": report.confusion.tolist(),
                                  "classes": list(CLASSES)})
+    print(report.render_confusion())
+    print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}")
     return 0
 
 
@@ -308,14 +310,14 @@ def cmd_kappa(cfg):
     def fmt(v):
         return f"{v:.4f}" if v is not None else "UNDEFINED"
 
-    print(f"Fleiss kappa: {fmt(fleiss)}")
-    print(f"Avg pairwise Cohen kappa: {fmt(avg)}")
-    for name, v in cohens.items():
-        print(f"Cohen kappa {name}: {fmt(v)}")
     if cfg.get("out"):
         _write_json(cfg["out"], {
             "fleiss_kappa": fleiss, "avg_pairwise": avg, "pairwise": cohens,
             "n_items": len(rows)})
+    print(f"Fleiss kappa: {fmt(fleiss)}")
+    print(f"Avg pairwise Cohen kappa: {fmt(avg)}")
+    for name, v in cohens.items():
+        print(f"Cohen kappa {name}: {fmt(v)}")
     return 0
 
 
@@ -459,10 +461,21 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolved(args, _load_config(args.config))
-        return COMMANDS[args.command][0](cfg)
+        code = COMMANDS[args.command][0](cfg)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader of stdout stopped reading: every output file is
+        # written, and what is left for stdout goes to the null device, so
+        # the flush at exit cannot fail again
+        with contextlib.suppress(OSError, ValueError):  # stdout has no descriptor
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return 0
     except (DataError, OSError, UnicodeEncodeError) as exc:
         # a path the OS cannot encode fails as one it cannot open
         print(f"data error: {exc}", file=sys.stderr)

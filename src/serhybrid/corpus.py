@@ -15,6 +15,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from . import parallel
 from .audio_io import AudioSignal, save_wav
 from .errors import ConfigError, DataError, read_csv, write_csv
 from .labels import CLASSES
@@ -192,7 +193,11 @@ PEAK_REFERENCE = 0.98
 
 
 def _synthesize(recipe, rng, duration_s, sample_rate):
-    """One tone complex following a ClassRecipe, with per-sample variation."""
+    """One tone complex following a ClassRecipe, with per-sample variation.
+
+    The signal is built in four arrays updated in place, each step with
+    the operands of the plain expression in its comment, so the samples
+    are those of that expression bit for bit."""
     n = int(duration_s * sample_rate)
     t = np.arange(n) / sample_rate
     base = recipe.base_pitch_hz * (1.0 + recipe.pitch_var * rng.standard_normal())
@@ -203,32 +208,50 @@ def _synthesize(recipe, rng, duration_s, sample_rate):
     phi_p, phi_e = rng.uniform(0, 2 * np.pi, size=2)
     h2, h3 = rng.uniform(0.0, recipe.harmonics, size=2)
     phi_h2, phi_h3 = rng.uniform(0, 2 * np.pi, size=2)
-    modulator = np.sin(2 * np.pi * rate * t + phi_p)
+    # modulator = sin(2 pi rate t + phi_p)
+    phase = np.multiply(2 * np.pi * rate, t)
+    np.sin(np.add(phase, phi_p, out=phase), out=phase)
     if recipe.pitch_waveform == "flat":
-        modulator = np.tanh(2.5 * modulator) / np.tanh(2.5)
-    freq = base * (1.0 + p_jit * modulator)
-    freq = np.clip(freq, 65.0, 395.0)
-    phase = 2 * np.pi * np.cumsum(freq) / sample_rate
-    carrier = (np.sin(phase) + h2 * np.sin(2 * phase + phi_h2)
-               + h3 * np.sin(3 * phase + phi_h3))
+        # modulator = tanh(2.5 modulator) / tanh(2.5)
+        np.tanh(np.multiply(2.5, phase, out=phase), out=phase)
+        np.divide(phase, np.tanh(2.5), out=phase)
+    # freq = clip(base (1 + p_jit modulator), 65, 395)
+    np.multiply(p_jit, phase, out=phase)
+    np.multiply(base, np.add(1.0, phase, out=phase), out=phase)
+    np.clip(phase, 65.0, 395.0, out=phase)
+    # phase = 2 pi cumsum(freq) / sample_rate
+    np.cumsum(phase, out=phase)
+    np.divide(np.multiply(2 * np.pi, phase, out=phase), sample_rate, out=phase)
+    # carrier = sin(phase) + h2 sin(2 phase + phi_h2) + h3 sin(3 phase + phi_h3)
+    carrier = np.sin(phase)
+    harmonic = np.multiply(2, phase)
+    np.sin(np.add(harmonic, phi_h2, out=harmonic), out=harmonic)
+    np.add(carrier, np.multiply(h2, harmonic, out=harmonic), out=carrier)
+    np.multiply(3, phase, out=phase)
+    np.sin(np.add(phase, phi_h3, out=phase), out=phase)
+    np.add(carrier, np.multiply(h3, phase, out=phase), out=carrier)
     carrier /= math.sqrt(1.0 + h2 * h2 + h3 * h3)
-    amp = energy * (1.0 + e_jit * np.sin(2 * np.pi * rate * 1.3 * t + phi_e))
-    amp = np.maximum(amp, 0.02 * energy)
-    x = amp * carrier + 0.002 * rng.standard_normal(n)
-    x = np.clip(x, -PEAK_REFERENCE + 1e-6, PEAK_REFERENCE - 1e-6)
+    # amp = max(energy (1 + e_jit sin(2 pi rate 1.3 t + phi_e)), 0.02 energy)
+    amp = np.multiply(2 * np.pi * rate * 1.3, t, out=t)
+    np.sin(np.add(amp, phi_e, out=amp), out=amp)
+    np.multiply(e_jit, amp, out=amp)
+    np.multiply(energy, np.add(1.0, amp, out=amp), out=amp)
+    np.maximum(amp, 0.02 * energy, out=amp)
+    # x = clip(amp carrier + 0.002 noise)
+    x = np.multiply(amp, carrier, out=carrier)
+    noise = rng.standard_normal(out=harmonic)
+    np.add(x, np.multiply(0.002, noise, out=noise), out=x)
+    np.clip(x, -PEAK_REFERENCE + 1e-6, PEAK_REFERENCE - 1e-6, out=x)
     x[0] = PEAK_REFERENCE
     return x
 
 
-def generate_synthetic_corpus(recipe, out_dir):
-    """Write per-class WAVs plus a manifest; deterministic given the seed.
-
-    Returns the manifest entries. The first ceil(overlap * n) samples of
-    the angry and panic classes are drawn from recipes blended halfway
-    toward the other class.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    entries = []
+def _samples(recipe):
+    """(class index, index in class, label, active ClassRecipe) of every
+    sample of a SynthRecipe, in manifest order. The first round(overlap *
+    n_per_class) samples of the angry and panic classes take recipes
+    blended halfway toward the other class, unless planted variants take
+    them."""
     n_blend = int(round(recipe.overlap * recipe.n_per_class))
     n_variant = int(math.ceil(recipe.variant_fraction * recipe.n_per_class))
     blend_partner = {"angry": "panic", "panic": "angry"}
@@ -240,14 +263,29 @@ def generate_synthetic_corpus(recipe, out_dir):
                 active = recipe.variants[label]
             elif label in blend_partner and i < n_blend:
                 active = class_recipe.blend(recipe.classes[blend_partner[label]], 0.5)
-            rng = np.random.default_rng([recipe.seed, ci, i])
-            x = _synthesize(active, rng, recipe.duration_s, recipe.sample_rate)
-            sample_id = f"{label}_{i:03d}"
-            path = os.path.join(out_dir, sample_id + ".wav")
-            save_wav(path, AudioSignal(x, recipe.sample_rate))
-            entries.append(ManifestEntry(
-                sample_id=sample_id, audio_path=path, gold=label,
-                source_kind="synthetic", duration_s=recipe.duration_s))
-    manifest_path = os.path.join(out_dir, "manifest.csv")
-    save_manifest(manifest_path, entries)
+            yield ci, i, label, active
+
+
+def generate_synthetic_corpus(recipe, out_dir):
+    """Write per-class WAVs plus a manifest; deterministic given the seed.
+
+    Returns the manifest entries. Samples are synthesized and written on
+    the shared pool; each draws from its own generator seeded by (seed,
+    class index, index in class), and entries are taken in order, so the
+    files do not depend on the thread count.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+
+    def write(sample):
+        ci, i, label, active = sample
+        rng = np.random.default_rng([recipe.seed, ci, i])
+        x = _synthesize(active, rng, recipe.duration_s, recipe.sample_rate)
+        sample_id = f"{label}_{i:03d}"
+        path = os.path.join(out_dir, sample_id + ".wav")
+        save_wav(path, AudioSignal(x, recipe.sample_rate))
+        return ManifestEntry(sample_id=sample_id, audio_path=path, gold=label,
+                             source_kind="synthetic", duration_s=recipe.duration_s)
+
+    entries = list(parallel.ordered_map(write, _samples(recipe)))
+    save_manifest(os.path.join(out_dir, "manifest.csv"), entries)
     return entries

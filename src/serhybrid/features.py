@@ -12,6 +12,7 @@ the reasoning prompts.
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +147,56 @@ def frame_signal(signal):
     return frame_matrix(x, frame_len, hop_len)
 
 
+# the frame DSP works through at most BLOCK_ROWS frames at a time in
+# buffers that each thread keeps from call to call: a clip's temporaries
+# are not faulted in afresh for every clip, and a thread's scratch stays
+# bounded whatever the clip length. Every result is computed per row, so
+# each row comes out bit-identical to a pass over the whole matrix.
+BLOCK_ROWS = 256
+
+# numpy computes ``a * b`` into ``b`` when ``b`` is a temporary of at least
+# this many bytes (temporary elision), which makes spec * conj(spec) the
+# product conj(spec) * spec; the two orders round a complex product's
+# imaginary part differently where the multiply fuses (FMA)
+_ELIDE_BYTES = 256 * 1024
+
+
+class _Scratch(threading.local):
+    def __init__(self):
+        self.buffers = {}
+
+
+_scratch = _Scratch()
+
+
+def _scratch_array(slot, shape, dtype=np.float64):
+    """This thread's buffer ``slot`` as an array of ``shape`` whose
+    contents are left over from earlier calls. The buffer grows to the
+    largest size asked for and is kept; the extractors run one after
+    another on a thread and share slots, so no result may be a view of
+    one."""
+    size = math.prod(shape)
+    buf = _scratch.buffers.get(slot)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = _scratch.buffers[slot] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _blocks(n_rows):
+    """Slices of at most BLOCK_ROWS consecutive rows that cover n_rows."""
+    return [slice(lo, min(lo + BLOCK_ROWS, n_rows)) for lo in range(0, n_rows, BLOCK_ROWS)]
+
+
 def rms_energy(frames):
     """Root-mean-square of each row of an (n_frames, frame_len) matrix of
     unwindowed frames."""
     x = np.asarray(frames, dtype=np.float64)
-    return np.sqrt(np.mean(x * x, axis=1))
+    out = np.empty(len(x))
+    for rows in _blocks(len(x)):
+        block = x[rows]
+        squares = np.multiply(block, block, out=_scratch_array("squares", block.shape))
+        np.mean(squares, axis=1, out=out[rows])
+    return np.sqrt(out, out=out)
 
 
 def estimate_pitch(frames, sample_rate):
@@ -163,44 +209,69 @@ def estimate_pitch(frames, sample_rate):
     below VOICING_CLARITY are UNVOICED.
     """
     x = np.asarray(frames, dtype=np.float64)
-    rows = np.arange(x.shape[0])
     n = x.shape[1]
-    pitch = np.full(len(rows), UNVOICED)
+    pitch = np.full(x.shape[0], UNVOICED)
     lag_min = max(1, int(sample_rate / PITCH_FMAX))
     # the two windows of a lag overlap in n - lag samples; at least one fmax
     # period of them keeps a lag near n from a normalized ACF of exactly +-1
     lag_max = min(n - lag_min, int(math.ceil(sample_rate / PITCH_FMIN)))
     if lag_max <= lag_min:
         return pitch
-    # mean removal leaves a DC-only row a residual of rounding error, whose
-    # normalized ACF is 1 at every lag; a row counts as signal only when its
-    # residual exceeds that error bound
-    floor = n * np.finfo(np.float64).eps * np.abs(x).max(axis=1)
-    x = x - x.mean(axis=1, keepdims=True)
-    has_signal = np.abs(x).max(axis=1) > floor
     # raw autocorrelation via FFT, on the lags the peak picker reads: the
     # window plus one neighbour each side; nfft >= n + n_lags - 1 keeps
     # those lags free of circular wrap-around
     n_lags = min(n, lag_max + 2)
-    lo = lag_min - 1
     nfft = scipy.fft.next_fast_len(n + n_lags - 1, real=True)
-    spec = np.fft.rfft(x, nfft, axis=1)
-    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, lo:n_lags]
+    # the product order a whole-matrix spec * conj(spec) would take
+    conj_first = len(x) * (nfft // 2 + 1) * 16 >= _ELIDE_BYTES
+    for rows in _blocks(len(x)):
+        pitch[rows] = _pitch_block(x[rows], sample_rate, lag_min, lag_max, n_lags, nfft,
+                                   conj_first)
+    return pitch
+
+
+def _pitch_block(x, sample_rate, lag_min, lag_max, n_lags, nfft, conj_first):
+    """estimate_pitch of the rows of ``x``, at most BLOCK_ROWS of them, in
+    this thread's scratch buffers."""
+    n_rows, n = x.shape
+    rows = np.arange(n_rows)
+    pitch = np.full(n_rows, UNVOICED)
+    lo = lag_min - 1
+    xc = _scratch_array("frames", (n_rows, n))
+    csum = _scratch_array("squares", (n_rows, n + 1))
+    # mean removal leaves a DC-only row a residual of rounding error, whose
+    # normalized ACF is 1 at every lag; a row counts as signal only when its
+    # residual exceeds that error bound
+    floor = n * np.finfo(np.float64).eps * np.abs(x, out=xc).max(axis=1)
+    np.subtract(x, x.mean(axis=1, keepdims=True), out=xc)
+    has_signal = np.abs(xc, out=csum[:, 1:]).max(axis=1) > floor
+    spec = np.fft.rfft(xc, nfft, axis=1,
+                       out=_scratch_array("spectrum", (n_rows, nfft // 2 + 1), np.complex128))
+    power = np.conjugate(spec, out=_scratch_array("product", spec.shape, np.complex128))
+    if conj_first:
+        np.multiply(power, spec, out=power)
+    else:
+        np.multiply(spec, power, out=power)
+    acf = np.fft.irfft(power, nfft, axis=1,
+                       out=_scratch_array("acf", (n_rows, nfft)))[:, lo:n_lags]
     # normalization: r[t] / sqrt(e0[t] * e1[t]) with e0, e1 the energies of
     # the two overlapping windows of length n - t; column i is lag lo + i
-    csum = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(x * x, axis=1)), axis=1)
+    csum[:, 0] = 0.0
+    np.cumsum(np.multiply(xc, xc, out=csum[:, 1:]), axis=1, out=csum[:, 1:])
     e0 = csum[:, n - lo:n - n_lags:-1]
-    e1 = csum[:, n:] - csum[:, lo:n_lags]
-    denom = np.sqrt(e0 * e1)
+    denom = np.subtract(csum[:, n:], csum[:, lo:n_lags],
+                        out=_scratch_array("denom", (n_rows, n_lags - lo)))
+    np.sqrt(np.multiply(e0, denom, out=denom), out=denom)
     # the FFT leaves every lag a rounding error of about eps * energy *
     # log2(nfft); where the two windows hold almost none of the frame's
     # energy (a one-sample overlap on a near-zero edge sample) that error
     # would swamp r[t], so those few lags are summed directly
     for row, col in zip(*np.nonzero(denom < 1e-6 * csum[:, n:])):
         lag = lo + col
-        acf[row, col] = np.dot(x[row, :n - lag], x[row, lag:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm = np.where(denom > 0, acf / denom, 0.0)
+        acf[row, col] = np.dot(xc[row, :n - lag], xc[row, lag:])
+    positive = denom > 0
+    norm = np.divide(acf, denom, out=acf, where=positive)
+    norm[~positive] = 0.0
     # a periodic signal repeats at every multiple of its period, so the
     # global maximum may sit on a subharmonic; take the smallest lag that
     # is a local maximum within 10% of the peak, else the peak itself
@@ -267,25 +338,37 @@ def mfcc(frames, sample_rate):
     two >= frame length; log floor is 1e-10. Coefficient 0 is retained.
     """
     x = np.asarray(frames, dtype=np.float64)
+    matrix = x.reshape(-1, x.shape[-1])
     nfft = 1 << (x.shape[-1] - 1).bit_length()
-    power = np.abs(np.fft.rfft(x, nfft, axis=-1)) ** 2
     fb = _shared_mel_filterbank(nfft, sample_rate)
-    # plain einsum never calls BLAS, whose thread pool would keep a second
-    # core spinning for this small product
-    log_e = np.log(np.maximum(np.einsum("...k,mk->...m", power, fb), 1e-10))
-    coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1)
-    return coeffs[..., :N_MFCC]
+    coeffs = np.empty((len(matrix), N_MFCC))
+    for rows in _blocks(len(matrix)):
+        spec = np.fft.rfft(matrix[rows], nfft, axis=1, out=_scratch_array(
+            "spectrum", (rows.stop - rows.start, nfft // 2 + 1), np.complex128))
+        power = np.abs(spec, out=_scratch_array("squares", spec.shape))
+        np.square(power, out=power)
+        # plain einsum never calls BLAS, whose thread pool would keep a
+        # second core spinning for this small product
+        log_e = np.log(np.maximum(np.einsum("...k,mk->...m", power, fb), 1e-10))
+        coeffs[rows] = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1)[:, :N_MFCC]
+    return coeffs.reshape(x.shape[:-1] + (N_MFCC,))
 
 
 def extract_series(signal):
     """Run the three frame-level extractors over a standardized signal.
 
-    Pitch and energy see raw frames; the MFCC path applies a Hann window.
+    Pitch and energy see raw frames; the MFCC path applies a Hann window,
+    to one block of frames at a time in this thread's scratch.
     """
     frames = frame_signal(signal)
     pitch = estimate_pitch(frames, signal.sample_rate)
     energy = rms_energy(frames)
-    mfccs = mfcc(frames * np.hanning(frames.shape[1]), signal.sample_rate)
+    hann = np.hanning(frames.shape[1])
+    mfccs = np.concatenate([
+        mfcc(np.multiply(frames[rows], hann,
+                         out=_scratch_array("frames", (rows.stop - rows.start, len(hann)))),
+             signal.sample_rate)
+        for rows in _blocks(len(frames))])
     return FrameSeries(pitch_hz=pitch, energy_rms=energy, mfcc=mfccs)
 
 

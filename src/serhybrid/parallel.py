@@ -1,11 +1,13 @@
 """One process-wide thread pool, and an ordered map over it.
 
 numpy's FFTs and array operations release the interpreter lock, so the
-per-file work of ``preprocess`` and ``features`` runs on every usable CPU
-from the threads of one process. The pool is sized to those CPUs, created
+per-file work of ``preprocess``, ``features`` and ``synth`` runs on every
+usable CPU from the threads of one process. The pool is sized to those CPUs, created
 on first use and kept for the life of the process: every later command
 reuses its threads, so commands run one after another in one process
-neither start new threads nor let memory creep.
+neither start new threads nor let memory creep. A thread keeps its frame
+DSP scratch buffers (``features.py``) from item to item, bounded by one
+block of frames.
 """
 
 import collections

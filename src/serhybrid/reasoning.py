@@ -617,9 +617,15 @@ def auto_generate_rules(client):
     if "[" not in result.text:
         raise DataError("rule generation returned no JSON array")
     for start in (i for i, ch in enumerate(result.text) if ch == "["):
-        with contextlib.suppress(json.JSONDecodeError):
+        try:
             docs = json.JSONDecoder().raw_decode(result.text, start)[0]
             break
+        except json.JSONDecodeError:
+            continue
+        except RecursionError:
+            # nested past the parser's recursion limit; retrying from each
+            # "[" inside the nesting would take quadratic time
+            raise DataError("rule generation returned invalid JSON") from None
     else:
         raise DataError("rule generation returned invalid JSON")
     rules = []

@@ -5,21 +5,30 @@ Fraction) rather than vectorized numpy, so a shared bug with the package
 implementations is unlikely. The DSP references keep numpy only for one
 dot product or one FFT per frame. ``smo_direct`` is the exception: it is
 the solver's earlier numpy form, kept so the cached solver can be held to
-it bit for bit. The ``*_direct`` file forms at the end spell out each
-written file's members one by one, as the writers once did, so the
-writers derived from their dataclasses can be held to them byte for byte.
+it bit for bit. The ``*_direct`` file forms spell out each written file's
+members one by one, as the writers once did, so the writers derived from
+their dataclasses can be held to them byte for byte. The ``*_whole`` DSP
+forms and ``synthetic_corpus_serial`` at the end are the earlier forms of
+the blocked, scratch-buffer DSP and of the pooled corpus generator, kept
+so those can be held to them bit for bit.
 """
 
 import json
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 
+from serhybrid.audio_io import AudioSignal, save_wav
 from serhybrid.classifier import MlEvidence
+from serhybrid.corpus import PEAK_REFERENCE, ManifestEntry, save_manifest
 from serhybrid.errors import DataError
-from serhybrid.features import FeatureVector
+from serhybrid.features import (MEL_FMAX, MEL_FMIN, N_MELS, N_MFCC, PITCH_FMAX,
+                                PITCH_FMIN, UNVOICED, VOICING_CLARITY, FeatureVector,
+                                frame_signal, mel_filterbank)
 from serhybrid.labels import CLASSES
 from serhybrid.reasoning import RULES_SCHEMA
 
@@ -415,3 +424,139 @@ def blend_direct(recipe, other, weight):
                           "jitter_var", "energy_var", "ejitter_var",
                           "rate_var", "harmonics")}
     return type(recipe)(pitch_waveform=recipe.pitch_waveform, **mixed)
+
+
+# -- the frame DSP and the corpus generator in their earlier forms -------------
+#
+# One pass over the whole frame matrix with fresh temporaries, and one
+# sample after another on the calling thread. The package now works in
+# blocks of rows through per-thread scratch buffers and on the shared
+# pool; these keep the arithmetic it must reproduce bit for bit.
+
+def estimate_pitch_whole(frames, sample_rate):
+    """features.estimate_pitch over the whole matrix at once."""
+    x = np.asarray(frames, dtype=np.float64)
+    rows = np.arange(x.shape[0])
+    n = x.shape[1]
+    pitch = np.full(len(rows), UNVOICED)
+    lag_min = max(1, int(sample_rate / PITCH_FMAX))
+    lag_max = min(n - lag_min, int(math.ceil(sample_rate / PITCH_FMIN)))
+    if lag_max <= lag_min:
+        return pitch
+    floor = n * np.finfo(np.float64).eps * np.abs(x).max(axis=1)
+    x = x - x.mean(axis=1, keepdims=True)
+    has_signal = np.abs(x).max(axis=1) > floor
+    n_lags = min(n, lag_max + 2)
+    lo = lag_min - 1
+    nfft = scipy.fft.next_fast_len(n + n_lags - 1, real=True)
+    spec = np.fft.rfft(x, nfft, axis=1)
+    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, lo:n_lags]
+    csum = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(x * x, axis=1)), axis=1)
+    e0 = csum[:, n - lo:n - n_lags:-1]
+    e1 = csum[:, n:] - csum[:, lo:n_lags]
+    denom = np.sqrt(e0 * e1)
+    for row, col in zip(*np.nonzero(denom < 1e-6 * csum[:, n:])):
+        lag = lo + col
+        acf[row, col] = np.dot(x[row, :n - lag], x[row, lag:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.where(denom > 0, acf / denom, 0.0)
+    width = lag_max - lag_min + 1
+    window = norm[:, 1:width + 1]
+    peak = window.max(axis=1, keepdims=True)
+    near = (window >= 0.9 * peak) & (window >= norm[:, :width])
+    right = norm[:, 2:width + 2]
+    near[:, :right.shape[1]] &= window[:, :right.shape[1]] >= right
+    best = lag_min + np.where(near.any(axis=1), near.argmax(axis=1), window.argmax(axis=1))
+    clarity = norm[rows, best - lo]
+    voiced = has_signal & (clarity >= VOICING_CLARITY)
+    a = norm[rows, best - 1 - lo]
+    c = norm[rows, np.minimum(best + 1, n_lags - 1) - lo]
+    curvature = a - 2.0 * clarity + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 0.5 * (a - c) / curvature
+    refine = (best < n_lags - 1) & (curvature != 0.0) & (np.abs(delta) < 1.0)
+    lag = np.where(refine, best + delta, best)
+    pitch[voiced] = sample_rate / lag[voiced]
+    return pitch
+
+
+def mfcc_whole(frames, sample_rate):
+    """features.mfcc over the whole matrix, or one frame, at once."""
+    x = np.asarray(frames, dtype=np.float64)
+    nfft = 1 << (x.shape[-1] - 1).bit_length()
+    power = np.abs(np.fft.rfft(x, nfft, axis=-1)) ** 2
+    fb = mel_filterbank(N_MELS, nfft, sample_rate, MEL_FMIN, MEL_FMAX)
+    log_e = np.log(np.maximum(np.einsum("...k,mk->...m", power, fb), 1e-10))
+    coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1)
+    return coeffs[..., :N_MFCC]
+
+
+def rms_energy_whole(frames):
+    """features.rms_energy over the whole matrix at once."""
+    x = np.asarray(frames, dtype=np.float64)
+    return np.sqrt(np.mean(x * x, axis=1))
+
+
+def extract_series_whole(signal):
+    """features.extract_series through the three whole-matrix forms:
+    (pitch, energy, mfcc)."""
+    frames = frame_signal(signal)
+    return (estimate_pitch_whole(frames, signal.sample_rate), rms_energy_whole(frames),
+            mfcc_whole(frames * np.hanning(frames.shape[1]), signal.sample_rate))
+
+
+def synthesize_whole(recipe, rng, duration_s, sample_rate):
+    """corpus._synthesize with a fresh array for every step."""
+    n = int(duration_s * sample_rate)
+    t = np.arange(n) / sample_rate
+    base = recipe.base_pitch_hz * (1.0 + recipe.pitch_var * rng.standard_normal())
+    p_jit = max(0.0, recipe.pitch_jitter * (1.0 + recipe.jitter_var * rng.standard_normal()))
+    energy = max(0.01, recipe.energy_level * (1.0 + recipe.energy_var * rng.standard_normal()))
+    e_jit = max(0.0, recipe.energy_jitter * (1.0 + recipe.ejitter_var * rng.standard_normal()))
+    rate = max(0.2, recipe.modulation_rate_hz * (1.0 + recipe.rate_var * rng.standard_normal()))
+    phi_p, phi_e = rng.uniform(0, 2 * np.pi, size=2)
+    h2, h3 = rng.uniform(0.0, recipe.harmonics, size=2)
+    phi_h2, phi_h3 = rng.uniform(0, 2 * np.pi, size=2)
+    modulator = np.sin(2 * np.pi * rate * t + phi_p)
+    if recipe.pitch_waveform == "flat":
+        modulator = np.tanh(2.5 * modulator) / np.tanh(2.5)
+    freq = base * (1.0 + p_jit * modulator)
+    freq = np.clip(freq, 65.0, 395.0)
+    phase = 2 * np.pi * np.cumsum(freq) / sample_rate
+    carrier = (np.sin(phase) + h2 * np.sin(2 * phase + phi_h2)
+               + h3 * np.sin(3 * phase + phi_h3))
+    carrier /= math.sqrt(1.0 + h2 * h2 + h3 * h3)
+    amp = energy * (1.0 + e_jit * np.sin(2 * np.pi * rate * 1.3 * t + phi_e))
+    amp = np.maximum(amp, 0.02 * energy)
+    x = amp * carrier + 0.002 * rng.standard_normal(n)
+    x = np.clip(x, -PEAK_REFERENCE + 1e-6, PEAK_REFERENCE - 1e-6)
+    x[0] = PEAK_REFERENCE
+    return x
+
+
+def synthetic_corpus_serial(recipe, out_dir):
+    """corpus.generate_synthetic_corpus one sample after another on the
+    calling thread, through synthesize_whole."""
+    os.makedirs(out_dir, exist_ok=True)
+    entries = []
+    n_blend = int(round(recipe.overlap * recipe.n_per_class))
+    n_variant = int(math.ceil(recipe.variant_fraction * recipe.n_per_class))
+    blend_partner = {"angry": "panic", "panic": "angry"}
+    for ci, label in enumerate(CLASSES):
+        class_recipe = recipe.classes[label]
+        for i in range(recipe.n_per_class):
+            active = class_recipe
+            if label in recipe.variants and i < n_variant:
+                active = recipe.variants[label]
+            elif label in blend_partner and i < n_blend:
+                active = class_recipe.blend(recipe.classes[blend_partner[label]], 0.5)
+            rng = np.random.default_rng([recipe.seed, ci, i])
+            x = synthesize_whole(active, rng, recipe.duration_s, recipe.sample_rate)
+            sample_id = f"{label}_{i:03d}"
+            path = os.path.join(out_dir, sample_id + ".wav")
+            save_wav(path, AudioSignal(x, recipe.sample_rate))
+            entries.append(ManifestEntry(
+                sample_id=sample_id, audio_path=path, gold=label,
+                source_kind="synthetic", duration_s=recipe.duration_s))
+    save_manifest(os.path.join(out_dir, "manifest.csv"), entries)
+    return entries

@@ -394,6 +394,27 @@ class TestKappa:
         path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n")
         assert cli.main(["kappa", "--annotations", str(path)]) == 2
 
+    def test_closed_stdout_exits_zero_silently(self, tmp_path):
+        # `kappa ... | true` once printed "data error: [Errno 32] Broken
+        # pipe" and exited 2; the reader chose to stop, and --out is written
+        path = tmp_path / "annotations.csv"
+        path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n"
+                        "s0,calm,calm,calm\n"
+                        "s1,angry,angry,panic\n")
+        out = tmp_path / "kappa.json"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command writes its first line
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "serhybrid.cli", "kappa", "--annotations", str(path),
+                 "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(out.read_text())["n_items"] == 2
+
 
 class TestRefine:
     def test_mine_then_apply(self, workspace, tmp_path):

@@ -4,15 +4,19 @@ input order, and commands whose outputs do not depend on its size."""
 import contextlib
 import io
 import os
+import shutil
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from serhybrid import audio_io, cli, features, parallel
+import oracles
+from conftest import planted_recipe
+from serhybrid import audio_io, cli, corpus, features, parallel
 
 
 @pytest.fixture
@@ -196,6 +200,23 @@ class TestCommandsOnTheSharedPool:
             assert code == (0, "")
             trees.append(_tree(tmp_path))
         assert trees[0] == trees[1] == trees[2]
+
+    @pytest.mark.parametrize("recipe", [
+        corpus.SynthRecipe(seed=3, n_per_class=4, duration_s=0.5, overlap=0.5),
+        replace(planted_recipe(), n_per_class=5, duration_s=0.5),
+    ], ids=["overlap", "planted-flat"])
+    def test_synth_is_the_serial_corpus_on_any_pool(self, cpus, tmp_path, recipe):
+        # the planted recipe has flat-waveform panic and planted variants
+        out = tmp_path / "corpus"
+        expected = oracles.synthetic_corpus_serial(recipe, str(out))
+        serial = _tree(out)
+        for n in (1, 2, 8):
+            shutil.rmtree(out)
+            cpus(n)
+            with _contended():
+                assert corpus.generate_synthetic_corpus(recipe, str(out)) == expected
+            assert _tree(out) == serial
+        assert len(serial) == 3 * recipe.n_per_class + 1
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_missing_clip_is_the_serial_error(self, cpus, clips, tmp_path, n):

@@ -596,6 +596,11 @@ class TestAutoGeneration:
         with pytest.raises(DataError, match="rule generation returned invalid JSON"):
             auto_generate_rules(ScriptedClient(["[{not valid json]"]))
 
+    def test_deeply_nested_answer_is_invalid_json(self):
+        # raw_decode raised RecursionError, which escaped as a traceback
+        with pytest.raises(DataError, match="rule generation returned invalid JSON"):
+            auto_generate_rules(ScriptedClient(["[" * 100000]))
+
     @pytest.mark.parametrize("answer", [
         "{rules}\nThese follow the literature [1].",
         "Each rule is one object [see below]:\n{rules}",
