@@ -19,6 +19,10 @@ from .features import frame_lengths, frame_matrix, rms_energy
 
 TARGET_RATE = 16000
 TARGET_PEAK = 0.95
+# WAV header sample rates, telephone to studio: resampling a corrupt one
+# would divide by zero or build a filter of up to billions of taps
+MIN_RATE = 8000
+MAX_RATE = 384000
 
 # the VAD: a frame is voiced when its RMS is within 40 dB of the signal's
 # peak, and the 5 frames (50 ms) after a voiced frame stay voiced, so the
@@ -52,14 +56,17 @@ _INT_SCALES = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
 
 
 def load_audio(path):
-    """Load a PCM WAV file (8/16/24-bit int or 32/64-bit float, 1-2 channels)
-    and return an AudioSignal with samples scaled to [-1, 1]."""
+    """Load a PCM WAV file (8/16/24-bit int or 32/64-bit float, 1-2 channels,
+    MIN_RATE to MAX_RATE Hz) and return an AudioSignal with samples scaled
+    to [-1, 1]. A float sample that is NaN or infinite raises DataError."""
     try:
         rate, data = scipy.io.wavfile.read(path)
     except FileNotFoundError:
         raise
     except Exception as exc:
         raise DataError(f"{path}: not a readable PCM WAV file ({exc})")
+    if not MIN_RATE <= rate <= MAX_RATE:
+        raise DataError(f"{path}: sample rate {rate} Hz is outside {MIN_RATE}-{MAX_RATE} Hz")
     if data.ndim == 2:
         if data.shape[1] > 2:
             raise DataError(f"{path}: {data.shape[1]} channels (max 2)")
@@ -71,6 +78,8 @@ def load_audio(path):
         samples = data.astype(np.float64) / _INT_SCALES[dtype]
     elif dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise DataError(f"{path}: non-finite sample value")
     else:
         raise DataError(f"{path}: unsupported sample dtype {dtype}")
     return AudioSignal(samples=samples, sample_rate=int(rate))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, parse_json, read_text, write_text
-from .features import DIMENSIONS, CorpusStats, FeatureVector, finite_array
+from .errors import DataError, parse_json, read_text, write_text
+from .features import DIMENSIONS, CorpusStats, finite_array
 from .labels import CLASSES
 
 MODEL_SCHEMA = "serhybrid-svm-v1"
@@ -20,10 +20,10 @@ MODEL_SCHEMA = "serhybrid-svm-v1"
 # iteration cap per head: max(MAX_ITER_FLOOR, 100 n), as in LIBSVM
 MAX_ITER_FLOOR = 10_000_000
 
-# smallest KKT tolerance a head is solved to: float64 rounding of the
-# gradients keeps the violation from reaching much below it, and a smaller
-# one runs the solver to its iteration cap
-TOL_FLOOR = 1e-12
+# every head is solved at LIBSVM's defaults (Chang & Lin, ACM TIST 2011):
+# penalty C = 1 and KKT tolerance 1e-3 on standardized features
+C = 1.0
+TOL = 1e-3
 
 # bound on the kernel rows a training run keeps: a row and its curvature
 # for every sample fit at the paper's 2,763 clips (2 * 2,763**2 * 8 B)
@@ -31,10 +31,13 @@ ROW_CACHE_BYTES = 128 * 2**20
 
 
 def _as_matrix(vectors):
-    """(n, n_dims) float matrix of FeatureVectors, raw rows or a matrix's
-    rows; no rows give a (0, n_dims) matrix."""
-    rows = [v.values if isinstance(v, FeatureVector) else v for v in vectors]
-    X = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(DIMENSIONS)))
+    """(n, n_dims) float matrix of a list of feature vectors or of a
+    matrix; no rows give a (0, n_dims) matrix. Rows that are not n_dims
+    numbers each, or a non-finite value, raise DataError."""
+    try:
+        X = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), len(DIMENSIONS))
+    except (TypeError, ValueError):  # not rows, or rows of another length
+        raise DataError(f"feature vectors must be rows of {len(DIMENSIONS)} numbers")
     if not np.all(np.isfinite(X)):
         raise DataError("feature matrix contains non-finite values")
     return X
@@ -272,19 +275,13 @@ class SvmModel:
 _MODEL_KEYS = ("classes", "weights", "biases", "platt_a", "platt_b", "scaler", "meta")
 
 
-def train(vectors, labels, C=1.0, tol=1e-3):
-    """Train the 3-class one-vs-rest model.
+def train(vectors, labels):
+    """Train the 3-class one-vs-rest model on feature vectors and their labels.
 
-    Requires all three classes in ``labels``. Each head is solved until its
-    maximal KKT violation is <= ``tol``, which must be finite and at least
-    TOL_FLOOR. Platt parameters are fit on the training decision values (no
-    inner CV).
+    Requires all three classes in ``labels``. Each head is solved at C
+    until its maximal KKT violation is <= TOL. Platt parameters are fit on
+    the training decision values (no inner CV).
     """
-    # an infinite tol stops every head before its first step and writes
-    # tol: Infinity, which is not JSON, into the model
-    if not (0 < C < np.inf and TOL_FLOOR <= tol < np.inf):
-        raise ConfigError(f"SVM needs 0 < C < inf and {TOL_FLOOR:g} <= tol < inf, "
-                          f"got C={C!r}, tol={tol!r}")
     labels = list(labels)
     present = set(labels)
     if present != set(CLASSES):
@@ -301,7 +298,7 @@ def train(vectors, labels, C=1.0, tol=1e-3):
     rows = _KernelRows(X)
     for k, cls_label in enumerate(CLASSES):
         y = np.where(np.array(labels) == cls_label, 1.0, -1.0)
-        alphas, b, n_iter, violation = _smo_binary(rows, y, C, tol, max_iter)
+        alphas, b, n_iter, violation = _smo_binary(rows, y, C, TOL, max_iter)
         w = (alphas * y) @ X
         decision = X @ w + b
         a_k, b_k = _fit_platt(decision, (y > 0).astype(float))
@@ -312,7 +309,7 @@ def train(vectors, labels, C=1.0, tol=1e-3):
         support.append(int(np.count_nonzero(alphas > 0)))
         iterations.append(n_iter)
         violations.append(violation)
-    meta = {"C": C, "tol": tol, "support_counts": support,
+    meta = {"C": C, "tol": TOL, "support_counts": support,
             "iterations": iterations, "kkt_violation": violations}
     return SvmModel(weights=weights, biases=biases, platt_a=platt_a,
                     platt_b=platt_b, scaler=scaler, meta=meta)
@@ -322,10 +319,10 @@ def predict(model, vectors):
     """Margins, calibrated probabilities, and the argmax label of each row.
 
     ``vectors`` is a list or matrix of feature vectors, giving a list with
-    one MlEvidence per row, or one FeatureVector or 1-D array, giving one
+    one MlEvidence per row, or one feature vector (a 1-D array), giving one
     MlEvidence. Ties break by the fixed class order (angry < calm < panic).
     """
-    single = isinstance(vectors, FeatureVector) or getattr(vectors, "ndim", None) == 1
+    single = getattr(vectors, "ndim", None) == 1
     X = _as_matrix([vectors] if single else vectors)
     Xs = model.scaler.transform(X)
     # a stacked matrix-vector product sums each row in the order the

@@ -73,11 +73,10 @@ def _resolved(args, config):
     return merged
 
 
-def _given(cfg, *names, **renamed):
-    """The named settings that are set, as keyword arguments (``renamed``
-    maps a keyword to its setting); unset ones keep the library default."""
-    pairs = [(name, name) for name in names] + list(renamed.items())
-    return {kw: cfg[name] for kw, name in pairs if name in cfg}
+def _given(cfg, *names):
+    """The named settings that are set, as keyword arguments; unset ones
+    keep the library default."""
+    return {name: cfg[name] for name in names if name in cfg}
 
 
 def _require(cfg, *keys):
@@ -214,7 +213,7 @@ def cmd_train(cfg):
     hybrid.require_all(gold, feats, "feature vectors")
     vectors = [feats[i] for i in gold]
     labels = list(gold.values())
-    model = classifier.train(vectors, labels, **_given(cfg, C="svm_c", tol="svm_tol"))
+    model = classifier.train(vectors, labels)
     correct = sum(ml.label == y for ml, y in zip(classifier.predict(model, vectors), labels))
     model.save(cfg["model_out"])
     print(f"trained on {len(vectors)} samples; training accuracy "
@@ -337,7 +336,7 @@ def cmd_refine(cfg):
     feats = read_features_csv(cfg["features"])
     stats = CorpusStats.load(cfg["stats"])
     hybrid.require_all(ids, feats, "feature vectors")
-    patterns = refine.mine_error_patterns(gold, predicted, [feats[i].values for i in ids],
+    patterns = refine.mine_error_patterns(gold, predicted, [feats[i] for i in ids],
                                           stats, **_given(cfg, "min_support"))
     proposals = refine.propose_rules(patterns, _load_rules_arg(cfg).version)
     if cfg.get("accept_all"):
@@ -416,8 +415,7 @@ COMMANDS = {
     "features": (cmd_features, "extract feature vectors for a manifest", (
         ("manifest", str), ("out", str), ("stats_out", str))),
     "train": (cmd_train, "train the SVM classifier", (
-        ("manifest", str), ("features", str), ("model_out", str), ("split", str),
-        ("svm_c", float), ("svm_tol", float))),
+        ("manifest", str), ("features", str), ("model_out", str), ("split", str))),
     "predict": (cmd_predict, "run inference over a manifest", (
         ("manifest", str), ("features", str), ("model", str), ("stats", str),
         ("rules", str), ("version", str), ("tau", float), ("split", str),

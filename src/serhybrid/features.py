@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import threading
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,29 +76,23 @@ class FrameSeries:
             raise ValueError("pitch, energy and mfcc streams must have equal frame counts")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fixed 37-dimensional feature aggregation, ordered per DIMENSIONS."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (len(DIMENSIONS),):
-            raise ValueError(f"expected {len(DIMENSIONS)} dimensions, got {self.values.shape}")
+# a feature vector is a float64 array of the DIMENSIONS, in their order;
+# the name stays for callers that still spell it
+FeatureVector = typing.NewType("FeatureVector", np.ndarray)
 
 
 FEATURE_COLUMNS = ("schema", "sample_id", *DIMENSIONS)
 
 
 def write_features_csv(path, rows):
-    """Write (sample_id, FeatureVector) pairs as CSV with a schema column."""
+    """Write (sample_id, feature vector) pairs as CSV with a schema column."""
     write_csv(path, FEATURE_COLUMNS,
-              ([SCHEMA_TAG, sample_id, *[repr(float(v)) for v in vec.values]]
+              ([SCHEMA_TAG, sample_id, *[repr(float(v)) for v in vec]]
                for sample_id, vec in rows))
 
 
 def read_features_csv(path):
-    """Read the CSV written by write_features_csv; returns {sample_id: FeatureVector}.
+    """Read the CSV written by write_features_csv; returns {sample_id: feature vector}.
     A wrong schema tag, a value that is not a finite number or a repeated
     sample id raises DataError naming its line."""
     header, rows = read_csv(path, DataError, FEATURE_COLUMNS)
@@ -113,7 +108,7 @@ def read_features_csv(path):
             raise DataError(f"{where}: {exc}")
         if not np.all(np.isfinite(values)):
             raise DataError(f"{where}: non-finite feature value")
-        out[cells[1]] = FeatureVector(values)
+        out[cells[1]] = values
     return out
 
 
@@ -373,7 +368,7 @@ def extract_series(signal):
 
 
 def aggregate(series):
-    """Collapse a FrameSeries into the 37-dimensional FeatureVector.
+    """Collapse a FrameSeries into its 37-dimensional feature vector.
 
     Pitch statistics cover voiced frames only; with zero voiced frames
     they are 0 and voiced_ratio is 0. Stds are population stds.
@@ -391,8 +386,7 @@ def aggregate(series):
     en = [e.mean(), e.std(), e.min(), e.max(), e.max() - e.min()]
     m_mean = series.mfcc.mean(axis=0)
     m_std = series.mfcc.std(axis=0)
-    values = np.array([*p, *en, *m_mean, *m_std], dtype=np.float64)
-    return FeatureVector(values)
+    return np.array([*p, *en, *m_mean, *m_std], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -410,8 +404,7 @@ class CorpusStats:
 
     @classmethod
     def from_vectors(cls, vectors):
-        rows = [v.values for v in vectors]
-        return cls.from_matrix(np.array(rows).reshape(len(rows), len(DIMENSIONS)))
+        return cls.from_matrix(np.reshape(vectors, (len(vectors), len(DIMENSIONS))))
 
     @classmethod
     def from_matrix(cls, X):
@@ -501,14 +494,13 @@ def level_for_z(z):
 
 
 def describe(vectors, stats):
-    """The acoustic profile of each FeatureVector in the list ``vectors``:
+    """The acoustic profile of each feature vector in ``vectors``:
     the deterministic block embedded in prompts, which gives the five
     summary cues with their level and z-score against ``stats``. The rows
     are z-scored in one standardization of their matrix."""
     if stats.mean.shape != (len(DIMENSIONS),):
         raise ConfigError("corpus stats do not cover the feature schema")
-    rows = [v.values for v in vectors]
-    Z = stats.transform(np.array(rows).reshape(len(rows), len(DIMENSIONS)))
+    Z = stats.transform(np.reshape(vectors, (len(vectors), len(DIMENSIONS))))
     out = []
     for z in Z.tolist():
         lines = ["Acoustic profile of the utterance:"]

@@ -422,6 +422,8 @@ class HttpLlmClient:
         self._target = url.path + (f"?{url.query}" if url.query else "")
         self._headers = {"Content-Type": "application/json"}
         key = os.environ.get(cfg.api_key_ref, "")
+        if re.search(r"[\x00-\x1f\x7f]", key):  # the message must not show the key
+            raise ConfigError(f"the API key in ${cfg.api_key_ref} holds a control character")
         if key:
             self._headers["Authorization"] = f"Bearer {key}"
         self._proxy = None

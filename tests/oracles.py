@@ -27,8 +27,8 @@ from serhybrid.classifier import MlEvidence
 from serhybrid.corpus import PEAK_REFERENCE, ManifestEntry, save_manifest
 from serhybrid.errors import DataError
 from serhybrid.features import (MEL_FMAX, MEL_FMIN, N_MELS, N_MFCC, PITCH_FMAX,
-                                PITCH_FMIN, UNVOICED, VOICING_CLARITY, FeatureVector,
-                                frame_signal, mel_filterbank)
+                                PITCH_FMIN, UNVOICED, VOICING_CLARITY, frame_signal,
+                                mel_filterbank)
 from serhybrid.labels import CLASSES
 from serhybrid.reasoning import RULES_SCHEMA
 
@@ -186,7 +186,7 @@ def predict_direct(model, vector):
 
     Ties break by the fixed class order (angry < calm < panic).
     """
-    x = vector.values if isinstance(vector, FeatureVector) else np.asarray(vector, dtype=np.float64)
+    x = np.asarray(vector, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise DataError("feature vector contains non-finite values")
     xs = model.scaler.transform(x)

@@ -47,7 +47,7 @@ def _oracle_consistent_proposals(predictions, bundle, rules, pair=None):
     whose direction matches the corpus recipes (the human-review stand-in)."""
     patterns = mine_error_patterns([bundle.gold[p.sample_id] for p in predictions],
                                    [p.label for p in predictions],
-                                   [bundle.features[p.sample_id].values for p in predictions],
+                                   [bundle.features[p.sample_id] for p in predictions],
                                    bundle.stats, min_support=5)
     accepted = []
     for proposal in propose_rules(patterns, rules.version):

@@ -1,6 +1,7 @@
 """WAV I/O, standardization, voice activity detection, segmentation."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -67,6 +68,33 @@ class TestLoadSave:
         path = tmp_path / "not.wav"
         path.write_bytes(b"this is not a wav file at all")
         with pytest.raises(DataError, match="not a readable PCM WAV file"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("rate", [0, 1, 7999, 384001, 2**31 - 1])
+    def test_sample_rate_outside_range_rejected(self, tmp_path, rate):
+        # rate 0 once ended in a ZeroDivisionError, and rate 1 turned 64
+        # samples into a million
+        path = tmp_path / "x.wav"
+        scipy.io.wavfile.write(path, rate, np.zeros(64, dtype=np.int16))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: sample rate {rate} Hz "
+                                            "is outside 8000-384000 Hz$"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("rate", [8000, 384000])
+    def test_sample_rate_range_is_inclusive(self, tmp_path, rate):
+        path = tmp_path / "x.wav"
+        scipy.io.wavfile.write(path, rate, np.zeros(64, dtype=np.int16))
+        assert load_audio(path).sample_rate == rate
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_float_sample_rejected(self, tmp_path, dtype, bad):
+        # a NaN sample once passed features, which wrote a CSV its reader rejects
+        path = tmp_path / "x.wav"
+        data = np.zeros((64, 2), dtype=dtype)
+        data[10, 1] = bad
+        scipy.io.wavfile.write(path, SR, data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite sample value$"):
             load_audio(path)
 
     def test_missing_file(self, tmp_path):

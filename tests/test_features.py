@@ -11,7 +11,7 @@ import oracles
 from serhybrid.audio_io import AudioSignal, load_audio, standardize
 from serhybrid.errors import ConfigError, DataError
 from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
-                                CorpusStats, FeatureVector, FrameSeries,
+                                CorpusStats, FrameSeries,
                                 aggregate, describe, estimate_pitch,
                                 extract_series, frame_lengths, frame_matrix,
                                 frame_signal, level_for_z, mel_filterbank,
@@ -32,7 +32,7 @@ def vec(**overrides):
     values = np.zeros(len(DIMENSIONS))
     for name, value in overrides.items():
         values[DIM_INDEX[name]] = value
-    return FeatureVector(values)
+    return values
 
 
 class TestFraming:
@@ -247,7 +247,7 @@ class TestBatchedParity:
         with open(PINNED) as fh:
             pinned = json.load(fh)["vectors"]
         for sample_id, values in pinned.items():
-            np.testing.assert_allclose(overlap_corpus.features[sample_id].values,
+            np.testing.assert_allclose(overlap_corpus.features[sample_id],
                                        values, rtol=1e-9, atol=0.0)
 
 
@@ -259,7 +259,7 @@ class TestAggregate:
                            mfcc=np.zeros((n, N_MFCC)))
 
     def _aggregate(self, pitch, energy):
-        return dict(zip(DIMENSIONS, aggregate(self._series(pitch, energy)).values))
+        return dict(zip(DIMENSIONS, aggregate(self._series(pitch, energy))))
 
     def test_hand_computed_statistics(self):
         out = self._aggregate([100.0, 200.0, UNVOICED], [1.0, 2.0, 3.0])
@@ -287,19 +287,14 @@ class TestAggregate:
 
 
 class TestFeatureVector:
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureVector(np.zeros(5))
-
     def test_csv_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
-        rows = [(f"s{i}", FeatureVector(rng.normal(size=len(DIMENSIONS))))
-                for i in range(5)]
+        rows = [(f"s{i}", rng.normal(size=len(DIMENSIONS))) for i in range(5)]
         path = tmp_path / "features.csv"
         write_features_csv(path, rows)
         loaded = read_features_csv(path)
         for sid, v in rows:
-            assert np.array_equal(loaded[sid].values, v.values)
+            assert np.array_equal(loaded[sid], v)
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -332,7 +327,7 @@ class TestCorpusStats:
         stats = CorpusStats.from_vectors(vectors)
         assert stats.mean[DIM_INDEX["pitch_mean"]] == 150.0
         assert stats.std[DIM_INDEX["pitch_mean"]] == 50.0
-        assert stats.transform(vec(pitch_mean=200.0).values)[DIM_INDEX["pitch_mean"]] == 1.0
+        assert stats.transform(vec(pitch_mean=200.0))[DIM_INDEX["pitch_mean"]] == 1.0
 
     def test_zero_rows_rejected(self):
         # stacking no rows once ended in a ValueError, and a matrix of zero
@@ -348,12 +343,12 @@ class TestCorpusStats:
         assert "energy_mean" in stats.zero_variance
         assert "pitch_mean" not in stats.zero_variance
         assert np.all(stats.std >= 1e-8)
-        assert np.all(np.isfinite(stats.transform(vec().values)))
+        assert np.all(np.isfinite(stats.transform(vec())))
 
     def test_json_roundtrip_exact(self):
         rng = np.random.default_rng(10)
         stats = CorpusStats.from_vectors(
-            [FeatureVector(rng.normal(size=len(DIMENSIONS))) for _ in range(4)])
+            [rng.normal(size=len(DIMENSIONS)) for _ in range(4)])
         loaded = CorpusStats.from_json(stats.to_json())
         assert np.array_equal(loaded.mean, stats.mean)
         assert np.array_equal(loaded.std, stats.std)

@@ -32,7 +32,7 @@ def planted_proposals(planted_corpus):
                                   PromptVersion.v2_rules)
     patterns = mine_error_patterns([bundle.gold[p.sample_id] for p in predictions],
                                    [p.label for p in predictions],
-                                   [bundle.features[p.sample_id].values for p in predictions],
+                                   [bundle.features[p.sample_id] for p in predictions],
                                    bundle.stats, min_support=2)
     pending = propose_rules(patterns, rules.version)
     assert pending
