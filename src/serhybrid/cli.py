@@ -190,8 +190,11 @@ def cmd_preprocess(cfg):
 
 
 def _clip_features(entry):
-    std = audio_io.standardize(audio_io.load_audio(entry.audio_path))
-    return entry.sample_id, aggregate(extract_series(std))
+    signal = audio_io.load_audio(entry.audio_path)  # its errors name the path
+    try:
+        return entry.sample_id, aggregate(extract_series(audio_io.standardize(signal)))
+    except DataError as exc:
+        raise DataError(f"{entry.audio_path}: {exc}") from None
 
 
 def cmd_features(cfg):
@@ -269,8 +272,8 @@ def _labelled_run(cfg):
 
 def cmd_evaluate(cfg):
     _require(cfg, "predictions", "manifest")
-    ids, gold, predicted = _labelled_run(cfg)
-    report = evaluation.metrics(zip(ids, predicted), zip(ids, gold))
+    _, gold, predicted = _labelled_run(cfg)
+    report = evaluation.metrics(predicted, gold)
     if cfg.get("out"):
         _write_json(cfg["out"], {"metrics": report.to_dict(),
                                  "confusion": report.confusion.tolist(),
@@ -296,8 +299,8 @@ def cmd_kappa(cfg):
                     f"{where} ({row.get('sample_id')!r}): "
                     f"{column} label {row[column]!r} is not one of {', '.join(CLASSES)}")
         rows.append(tuple(row[c] for c in ANNOTATORS))
-    if not rows:
-        raise DataError(f"{path}: annotation file has no rows")
+    if len(rows) < 2:
+        raise DataError(f"{path}: kappa needs at least 2 annotated rows, got {len(rows)}")
     fleiss = evaluation.fleiss_kappa(
         np.array([[labels.count(c) for c in CLASSES] for labels in rows], dtype=np.int64))
     pairs = {"A-B": (0, 1), "A-C": (0, 2), "B-C": (1, 2)}
@@ -362,7 +365,7 @@ def cmd_synth(cfg):
 def cmd_compare(cfg):
     _require(cfg, "manifest", "features", "model", "stats", "out_dir")
     entries = _in_split(cfg)
-    gold = _gold_by_id(entries)
+    gold = list(_gold_by_id(entries).values())  # in manifest order, as predictions are
     feats = read_features_csv(cfg["features"])
     model = classifier.SvmModel.load(cfg["model"])
     stats = CorpusStats.load(cfg["stats"])
@@ -384,7 +387,7 @@ def cmd_compare(cfg):
         predictions, report = hybrid.run_pipeline(
             entries, feats, model, rules_for[version], stats, client, version,
             **_given(cfg, "tau"))
-        rep = evaluation.metrics({p.sample_id: p.label for p in predictions}, gold)
+        rep = evaluation.metrics([p.label for p in predictions], gold)
         report["metrics"] = rep.to_dict()
         runs.append((version.value, rep))
         outputs.append((version.value, predictions, report))

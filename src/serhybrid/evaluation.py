@@ -57,21 +57,13 @@ def confusion_counts(pred_labels, gold_labels):
 
 
 def metrics(preds, gold):
-    """Accuracy, per-class precision/recall/F1 and macro averages.
-
-    ``preds`` and ``gold`` are mappings sample_id -> label (or aligned
-    lists of (sample_id, label) pairs); they must cover the same ids.
-    """
-    preds = dict(preds)
-    gold = dict(gold)
-    if not preds or not gold:
+    """Accuracy, per-class precision/recall/F1 and macro averages of two
+    aligned label lists, predicted and gold."""
+    if len(preds) != len(gold):
+        raise DataError(f"metrics need aligned labels: {len(preds)} predicted, {len(gold)} gold")
+    if not preds:
         raise DataError("metrics need at least one sample")
-    if set(preds) != set(gold):
-        only_p = sorted(set(preds) - set(gold))[:3]
-        only_g = sorted(set(gold) - set(preds))[:3]
-        raise DataError(f"prediction/gold ids differ (e.g. {only_p} vs {only_g})")
-    ids = sorted(preds)
-    cm = confusion_counts([preds[i] for i in ids], [gold[i] for i in ids])
+    cm = confusion_counts(preds, gold)
     n = int(cm.sum())
     per_class = {}
     for k, label in enumerate(CLASSES):
@@ -127,7 +119,7 @@ def fleiss_kappa(table):
 
 
 def cohens_kappa(a, b):
-    """Cohen's kappa between two aligned label sequences.
+    """Cohen's kappa between two aligned sequences of class labels.
 
     Returns None (undefined) when expected agreement is 1.
     """
@@ -137,11 +129,7 @@ def cohens_kappa(a, b):
         raise DataError(f"label sequences differ in length: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise DataError("need at least 2 items")
-    cats = sorted(set(a) | set(b))
-    idx = {c: i for i, c in enumerate(cats)}
-    m = np.zeros((len(cats), len(cats)), dtype=np.float64)
-    for x, y in zip(a, b):
-        m[idx[x], idx[y]] += 1
+    m = confusion_counts(b, a)  # rows a, columns b
     n = m.sum()
     p_o = float(np.trace(m)) / n
     p_e = float(np.sum(m.sum(axis=1) * m.sum(axis=0))) / (n * n)

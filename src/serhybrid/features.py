@@ -102,13 +102,8 @@ def read_features_csv(path):
     for where, cells in rows:
         if cells[0] != SCHEMA_TAG:
             raise DataError(f"{where}: expected schema {SCHEMA_TAG!r}, got {cells[0]!r}")
-        try:
-            values = np.array([float(v) for v in cells[2:]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{where}: {exc}")
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"{where}: non-finite feature value")
-        out[cells[1]] = values
+        out[cells[1]] = finite_array(cells[2:], (len(DIMENSIONS),),
+                                     f"{where}: feature vector", DataError)
     return out
 
 

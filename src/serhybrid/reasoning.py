@@ -13,6 +13,7 @@ import hashlib
 import http.client
 import json
 import math
+import operator
 import os
 import re
 import selectors
@@ -31,7 +32,9 @@ from .labels import CLASSES
 
 RULES_SCHEMA = "serhybrid-rules-v1"
 
-COMPARATORS = ("<", "<=", ">", ">=")
+# a condition's comparator -> the comparison it makes
+COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+COMPARATORS = tuple(COMPARISONS)
 
 ANSWER_INSTRUCTION = ("Answer with exactly one line in the form:\n"
                       "LABEL: <calm|angry|panic>")
@@ -59,13 +62,7 @@ class Condition:
     threshold_z: float
 
     def holds(self, z):
-        if self.comparator == "<":
-            return z < self.threshold_z
-        if self.comparator == "<=":
-            return z <= self.threshold_z
-        if self.comparator == ">":
-            return z > self.threshold_z
-        return z >= self.threshold_z
+        return COMPARISONS[self.comparator](z, self.threshold_z)
 
     def render(self):
         return f"{self.dimension} z {self.comparator} {self.threshold_z:+.2f}"
@@ -422,8 +419,10 @@ class HttpLlmClient:
         self._target = url.path + (f"?{url.query}" if url.query else "")
         self._headers = {"Content-Type": "application/json"}
         key = os.environ.get(cfg.api_key_ref, "")
-        if re.search(r"[\x00-\x1f\x7f]", key):  # the message must not show the key
-            raise ConfigError(f"the API key in ${cfg.api_key_ref} holds a control character")
+        # a header value is Latin-1 without controls; the message must not show the key
+        if re.search(r"[^\x20-\x7e\x80-\xff]", key):
+            raise ConfigError(f"the API key in ${cfg.api_key_ref} holds a character "
+                              "an HTTP header cannot carry")
         if key:
             self._headers["Authorization"] = f"Bearer {key}"
         self._proxy = None

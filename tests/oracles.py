@@ -10,7 +10,8 @@ members one by one, as the writers once did, so the writers derived from
 their dataclasses can be held to them byte for byte. The ``*_whole`` DSP
 forms and ``synthetic_corpus_serial`` at the end are the earlier forms of
 the blocked, scratch-buffer DSP and of the pooled corpus generator, kept
-so those can be held to them bit for bit.
+so those can be held to them bit for bit, and ``metrics_by_id`` and
+``cohens_kappa_by_index`` are the earlier forms of the label counts.
 """
 
 import json
@@ -26,6 +27,7 @@ from serhybrid.audio_io import AudioSignal, save_wav
 from serhybrid.classifier import MlEvidence
 from serhybrid.corpus import PEAK_REFERENCE, ManifestEntry, save_manifest
 from serhybrid.errors import DataError
+from serhybrid.evaluation import ClassMetrics, MetricsReport
 from serhybrid.features import (MEL_FMAX, MEL_FMIN, N_MELS, N_MFCC, PITCH_FMAX,
                                 PITCH_FMIN, UNVOICED, VOICING_CLARITY, frame_signal,
                                 mel_filterbank)
@@ -560,3 +562,53 @@ def synthetic_corpus_serial(recipe, out_dir):
                 source_kind="synthetic", duration_s=recipe.duration_s))
     save_manifest(os.path.join(out_dir, "manifest.csv"), entries)
     return entries
+
+
+# -- the label counts in their earlier forms ------------------------------------
+
+def metrics_by_id(preds, gold):
+    """The metrics report of two mappings sample_id -> label that cover
+    the same ids, counted in sorted id order."""
+    preds = dict(preds)
+    gold = dict(gold)
+    if not preds or not gold:
+        raise DataError("metrics need at least one sample")
+    if set(preds) != set(gold):
+        raise DataError("prediction/gold ids differ")
+    cm = np.zeros((len(CLASSES), len(CLASSES)), dtype=np.int64)
+    for i in sorted(preds):
+        cm[CLASSES.index(gold[i]), CLASSES.index(preds[i])] += 1
+    n = int(cm.sum())
+    per_class = {}
+    for k, label in enumerate(CLASSES):
+        tp = float(cm[k, k])
+        pred_pos = float(cm[:, k].sum())
+        gold_pos = float(cm[k, :].sum())
+        flag = pred_pos == 0 or gold_pos == 0
+        precision = tp / pred_pos if pred_pos > 0 else 0.0
+        recall = tp / gold_pos if gold_pos > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per_class[label] = ClassMetrics(precision=precision, recall=recall, f1=f1,
+                                        support=int(gold_pos), zero_division_flag=flag)
+    macro_p = sum(m.precision for m in per_class.values()) / len(CLASSES)
+    macro_r = sum(m.recall for m in per_class.values()) / len(CLASSES)
+    macro_f = sum(m.f1 for m in per_class.values()) / len(CLASSES)
+    return MetricsReport(accuracy=float(np.trace(cm)) / n, macro_precision=macro_p,
+                         macro_recall=macro_r, macro_f1=macro_f,
+                         per_class=per_class, n=n, confusion=cm)
+
+
+def cohens_kappa_by_index(a, b):
+    """Cohen's kappa of two aligned label sequences of equal length >= 2,
+    counted into a table over the labels present, in sorted order."""
+    cats = sorted(set(a) | set(b))
+    idx = {c: i for i, c in enumerate(cats)}
+    m = np.zeros((len(cats), len(cats)), dtype=np.float64)
+    for x, y in zip(a, b):
+        m[idx[x], idx[y]] += 1
+    n = m.sum()
+    p_o = float(np.trace(m)) / n
+    p_e = float(np.sum(m.sum(axis=1) * m.sum(axis=0))) / (n * n)
+    if p_e == 1.0:
+        return None
+    return (p_o - p_e) / (1.0 - p_e)

@@ -99,8 +99,7 @@ def test_criterion_02_metric_identities():
         n = int(rng.integers(10, 200))
         gold = [CLASSES[i] for i in rng.integers(0, 3, size=n)]
         preds = [CLASSES[i] for i in rng.integers(0, 3, size=n)]
-        ids = [f"s{i}" for i in range(n)]
-        report = metrics(dict(zip(ids, preds)), dict(zip(ids, gold)))
+        report = metrics(preds, gold)
         reference = oracles.macro_f1_direct(preds, gold, CLASSES)
         mean_of_f1 = sum(m.f1 for m in report.per_class.values()) / len(CLASSES)
         worst = max(worst, abs(report.macro_f1 - reference),
@@ -113,8 +112,7 @@ def test_criterion_02_metric_identities():
     for k, label in enumerate(CLASSES):
         gold += [label] * 100
         preds += [label] * 85 + [CLASSES[(k + 1) % 3]] * 15
-    ids = [f"s{i}" for i in range(len(gold))]
-    report = metrics(dict(zip(ids, preds)), dict(zip(ids, gold)))
+    report = metrics(preds, gold)
     for m in report.per_class.values():
         assert m.precision == 0.85 and m.recall == 0.85
         assert abs(m.f1 - 0.85) < 1e-12

@@ -395,10 +395,22 @@ class TestKappa:
         assert capsys.readouterr().err == (
             f"data error: {path} line 3: 5 cells, the header names 4\n")
 
-    def test_empty_annotations_rejected(self, tmp_path):
+    def test_empty_annotations_rejected(self, tmp_path, capsys):
         path = tmp_path / "annotations.csv"
         path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n")
         assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: kappa needs at least 2 annotated rows, got 0\n")
+
+    def test_one_row_names_the_file(self, tmp_path, capsys):
+        # it once ended in "annotation table must be 2-D with >= 2 items",
+        # naming neither the file nor the count
+        path = tmp_path / "annotations.csv"
+        path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n"
+                        "s0,calm,calm,angry\n")
+        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: kappa needs at least 2 annotated rows, got 1\n")
 
     def test_closed_stdout_exits_zero_silently(self, tmp_path):
         # `kappa ... | true` once printed "data error: [Errno 32] Broken
@@ -645,7 +657,7 @@ def _refine_on_short_features(ws, tmp_path):
 def _nan_first_row(lines):
     cells = lines[1].split(",")
     lines[1] = ",".join(cells[:2] + ["nan"] * (len(cells) - 2))
-    return "line 2: non-finite feature value"
+    return "line 2: feature vector has non-finite values"
 
 
 def _first_row_repeated(lines):
@@ -935,19 +947,32 @@ class TestClientSettings:
         assert err.count("\n") == 1
         assert next(iter(settings)) in err
 
-    @pytest.mark.parametrize("key", ["sk-abc\n", "sk-\rabc", "sk-abc\x7f", "\x01"],
-                             ids=["newline", "carriage-return", "delete", "start-of-heading"])
+    @staticmethod
+    def _text_baseline(workspace, tmp_path):
+        transcripts = tmp_path / "transcripts.csv"
+        transcripts.write_text("sample_id,transcript\n" + "".join(
+            f"{e.sample_id},i am calm\n" for e in corpus.load_manifest(workspace["manifest"])))
+        return ["predict", "--version", "text_baseline", "--out", str(tmp_path / "p.jsonl"),
+                "--transcripts", str(transcripts)]
+
+    @staticmethod
+    def _set_key(monkeypatch, key):
+        # os.environ as a dict, so a key the locale cannot encode still
+        # reaches the client as the text it is
+        monkeypatch.setattr(os, "environ", {**os.environ, "SERHYBRID_API_KEY": key})
+
+    @pytest.mark.parametrize("key", ["sk-abc\n", "sk-\rabc", "sk-abc\x7f", "\x01",
+                                     "sk-\u00e9\u0101", "sk-\U0001f511"],
+                             ids=["newline", "carriage-return", "delete", "start-of-heading",
+                                  "beyond-latin-1", "astral"])
     @pytest.mark.parametrize("command", ["predict", "compare"])
     def test_api_key_a_header_cannot_carry(self, workspace, tmp_path, capsys, monkeypatch,
                                            command, key):
         # a key ending in a newline once ended predict in a traceback that
-        # printed it; no request is made, and the message never shows the key
-        monkeypatch.setenv("SERHYBRID_API_KEY", key)
-        transcripts = tmp_path / "transcripts.csv"
-        transcripts.write_text("sample_id,transcript\n" + "".join(
-            f"{e.sample_id},i am calm\n" for e in corpus.load_manifest(workspace["manifest"])))
-        argv = (["predict", "--version", "text_baseline", "--out", str(tmp_path / "p.jsonl"),
-                 "--transcripts", str(transcripts)] if command == "predict"
+        # printed it, and one beyond Latin-1 in a data error after the run
+        # began; no request is made, and the message never shows the key
+        self._set_key(monkeypatch, key)
+        argv = (self._text_baseline(workspace, tmp_path) if command == "predict"
                 else ["compare", "--features", workspace["features"],
                       "--model", workspace["model"], "--stats", workspace["stats"],
                       "--out-dir", str(tmp_path / "ablation")])
@@ -957,9 +982,17 @@ class TestClientSettings:
         err = capsys.readouterr().err
         assert code == 1
         assert err == ("configuration error: the API key in $SERHYBRID_API_KEY "
-                       "holds a control character\n")
+                       "holds a character an HTTP header cannot carry\n")
         assert not os.path.exists(tmp_path / "p.jsonl")
         assert not os.path.exists(tmp_path / "ablation")
+
+    def test_latin_1_api_key_is_sent(self, workspace, tmp_path, monkeypatch):
+        self._set_key(monkeypatch, "sk-\u00e9")
+        with MockLlmServer() as server:
+            assert cli.main([*self._text_baseline(workspace, tmp_path),
+                             "--manifest", workspace["manifest"],
+                             "--endpoint-url", server.base_url, "--model-name", "m"]) == 0
+            assert server.request_count == 1  # nine samples with one transcript text
 
 
 class TestPreprocess:
@@ -1075,6 +1108,22 @@ class TestPreprocess:
         report = json.loads((tmp_path / "segments" / "preprocess_report.json").read_text())
         assert report["errors"] == [{"file": "clip.wav", "error":
                                      f"{in_dir / 'clip.wav'}: non-finite sample value"}]
+
+    @pytest.mark.parametrize("n_samples, error", [
+        (100, "signal has 100 samples, frame needs 400"),
+        (0, "cannot standardize an empty signal"),
+    ], ids=["shorter-than-a-frame", "empty"])
+    def test_a_clip_that_cannot_be_framed_is_named(self, tmp_path, capsys, n_samples, error):
+        # features once printed the error alone, with no clip to find
+        wav = tmp_path / "short.wav"
+        scipy.io.wavfile.write(wav, 16000, np.zeros(n_samples, dtype=np.int16))
+        corpus.save_manifest(tmp_path / "manifest.csv", [
+            corpus.ManifestEntry(sample_id="short", audio_path=str(wav))])
+        capsys.readouterr()
+        code = cli.main(["features", "--manifest", str(tmp_path / "manifest.csv"),
+                         "--out", str(tmp_path / "features.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {wav}: {error}\n"
 
 
 @pytest.mark.parametrize("data", ["int16", "float32", "float32-nan"])

@@ -86,8 +86,7 @@ class TestMetrics:
         gold = ["angry"] * 3 + ["calm"] * 3 + ["panic"] * 3
         preds = ["angry", "angry", "calm", "calm", "calm", "panic",
                  "panic", "panic", "angry"]
-        ids = [f"s{i}" for i in range(9)]
-        report = metrics(dict(zip(ids, preds)), dict(zip(ids, gold)))
+        report = metrics(preds, gold)
         assert abs(report.accuracy - 2 / 3) < 1e-12
         for m in report.per_class.values():
             assert abs(m.precision - 2 / 3) < 1e-12
@@ -97,19 +96,18 @@ class TestMetrics:
         assert report.n == 9
 
     def test_absent_class_flags_zero_division(self):
-        report = metrics({"a": "calm", "b": "calm"}, {"a": "calm", "b": "angry"})
+        report = metrics(["calm", "calm"], ["calm", "angry"])
         assert report.per_class["panic"].zero_division_flag
         assert report.per_class["panic"].precision == 0.0
         assert report.per_class["panic"].recall == 0.0
 
-    def test_id_mismatch(self):
-        with pytest.raises(DataError,
-                           match=r"prediction/gold ids differ \(e.g. \['a'\] vs \['b'\]\)"):
-            metrics({"a": "calm"}, {"b": "calm"})
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="metrics need aligned labels: 1 predicted, 2 gold"):
+            metrics(["calm"], ["calm", "angry"])
 
     def test_empty_input(self):
         with pytest.raises(DataError, match="metrics need at least one sample"):
-            metrics({}, {})
+            metrics([], [])
 
     def test_confusion_counts_layout(self):
         cm = confusion_counts(["calm", "panic"], ["angry", "panic"])
@@ -121,10 +119,7 @@ class TestMetrics:
     @given(st.lists(st.tuples(st.sampled_from(CLASSES), st.sampled_from(CLASSES)),
                     min_size=1, max_size=60))
     def test_macro_f1_is_mean_of_per_class_f1(self, pairs):
-        ids = [f"s{i}" for i in range(len(pairs))]
-        preds = {i: p for i, (p, _) in zip(ids, pairs)}
-        gold = {i: g for i, (_, g) in zip(ids, pairs)}
-        report = metrics(preds, gold)
+        report = metrics([p for p, _ in pairs], [g for _, g in pairs])
         mean_f1 = sum(m.f1 for m in report.per_class.values()) / len(CLASSES)
         assert abs(report.macro_f1 - mean_f1) < 1e-12
         assert 0.0 <= report.accuracy <= 1.0
@@ -136,8 +131,7 @@ class TestConfusionMatrix:
     on its report, and their text table."""
 
     def test_counts_and_render(self):
-        report = metrics({"s0": "calm", "s1": "calm", "s2": "angry"},
-                         {"s0": "calm", "s1": "angry", "s2": "angry"})
+        report = metrics(["calm", "calm", "angry"], ["calm", "angry", "angry"])
         cm = report.confusion
         assert cm.sum() == 3
         assert cm[1, 1] == 1          # calm predicted calm
@@ -150,15 +144,14 @@ class TestConfusionMatrix:
                             "panic        0      0      0")
         assert "confusion" not in report.to_dict()
 
-    def test_id_mismatch(self):
-        with pytest.raises(DataError, match="prediction/gold ids differ"):
-            metrics({"s0": "calm"}, {"other": "calm"})
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="metrics need aligned labels: 2 predicted, 1 gold"):
+            metrics(["calm", "calm"], ["calm"])
 
 
 class TestCompareReport:
     def _report(self, labels):
-        ids = [f"s{i}" for i in range(len(labels))]
-        return metrics(dict(zip(ids, labels)), dict(zip(ids, labels)))
+        return metrics(labels, labels)
 
     def test_row_order_and_formats(self):
         # rows keep the input order; cmd_compare passes v1-v5 in order
@@ -174,3 +167,32 @@ class TestCompareReport:
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="compare_report needs at least one run"):
             compare_report([])
+
+
+# aligned label lists, each side drawn from its own subset of the classes,
+# so a class can be missing from one side or both
+_present = st.lists(st.sampled_from(CLASSES), min_size=1, max_size=3, unique=True)
+_aligned = st.tuples(_present, _present).flatmap(
+    lambda sides: st.lists(st.tuples(*map(st.sampled_from, sides)), min_size=1, max_size=60)
+).map(lambda pairs: ([x for x, _ in pairs], [y for _, y in pairs]))
+
+
+class TestLabelCountsAgainstEarlierForms:
+    """metrics and cohens_kappa count aligned lists with confusion_counts;
+    they equal, under ==, the id-keyed metrics and the label-indexed
+    kappa table they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_aligned)
+    def test_metrics_equal_id_keyed_metrics(self, labels):
+        preds, gold = labels
+        ids = [f"s{i}" for i in range(len(preds))]
+        ours = metrics(preds, gold)
+        reference = oracles.metrics_by_id(zip(ids, preds), zip(ids, gold))
+        assert ours == reference  # every field but the confusion counts
+        assert np.array_equal(ours.confusion, reference.confusion)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_aligned.filter(lambda labels: len(labels[0]) >= 2))
+    def test_cohens_kappa_equals_label_indexed_table(self, labels):
+        assert cohens_kappa(*labels) == oracles.cohens_kappa_by_index(*labels)

@@ -310,7 +310,17 @@ class TestFeatureVector:
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + "," + value
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=r"features.csv line 3: non-finite feature value"):
+        with pytest.raises(DataError,
+                           match=r"features.csv line 3: feature vector has non-finite values"):
+            read_features_csv(path)
+
+    def test_csv_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_features_csv(path, [("a", vec())])
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",loud"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"features.csv line 2: feature vector must be numbers"):
             read_features_csv(path)
 
     def test_csv_repeated_sample_id_rejected(self, tmp_path):

@@ -87,8 +87,7 @@ def test_prediction_line_of_each_source(separable_corpus, separable_model, tmp_p
 
 def test_metrics_with_a_zero_division_class():
     # panic is neither predicted nor gold, angry is gold but never predicted
-    report = metrics({"a": "calm", "b": "calm", "c": "calm"},
-                     {"a": "calm", "b": "angry", "c": "calm"})
+    report = metrics(["calm", "calm", "calm"], ["calm", "angry", "calm"])
     assert any(m.zero_division_flag for m in report.per_class.values())
     # every writer of metrics sorts keys
     assert (json.dumps(report.to_dict(), indent=2, sort_keys=True)
