@@ -17,12 +17,11 @@ import operator
 import os
 import re
 import selectors
-import tempfile
 import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .errors import (ConfigError, DataError, LlmError, LlmRateLimited, LlmTimeout,
@@ -371,13 +370,39 @@ def _peer_closed(sock):
         return bool(selector.select(0))
 
 
+CACHE_FILE = "cache.jsonl"
+_CACHE_KEY = re.compile(r"[0-9a-f]{64}")
+
+
+def _read_cache(path):
+    """The answers in the cache file at ``path`` by key. A line that is not
+    a UTF-8 JSON object with a ``key`` of 64 hex digits and a ``text``
+    string that UTF-8 can encode, such as a blank line or a record cut
+    short, is skipped; a repeated key keeps its first record. A missing
+    file is an empty cache."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return {}
+    index = {}
+    for line in data.split(b"\n"):
+        try:
+            record = parse_json(line.decode("utf-8"), path, DataError, None)
+            key, text = record.get("key"), record.get("text")
+            if isinstance(key, str) and _CACHE_KEY.fullmatch(key) and isinstance(text, str):
+                text.encode("utf-8")
+                index.setdefault(key, text)
+        except (UnicodeError, DataError):
+            continue
+    return index
+
+
 @dataclass(eq=False)
 class _Job:
-    """One distinct prompt of a batch, the input positions that hold it,
-    and the state of its attempts."""
+    """One distinct prompt of a batch and the state of its attempts."""
 
     prompt: str
-    indices: list = field(default_factory=list)
     not_before: float = 0.0  # time.monotonic() before which no attempt starts
     failed_at: float = 0.0
     latency_ms: float = 0.0  # round trips of the attempts so far
@@ -387,11 +412,14 @@ class _Job:
 class HttpLlmClient:
     """Caching client for an OpenAI-style chat-completions endpoint.
 
-    ``complete`` makes one attempt at a prompt and returns an LlmResult;
-    responses are cached in ``cache_dir`` keyed by sha256(model_name +
-    prompt). ``complete_batch`` sends each distinct prompt once on at most
-    ``cfg.max_in_flight`` worker threads, retries the failures that may
-    succeed later, and returns results in input order.
+    ``complete`` makes one attempt at a prompt and returns an LlmResult.
+    Answers are cached in ``cache_dir``/``cache.jsonl``, one record
+    ``{"key": sha256(model_name + "\\x00" + prompt), "text": answer}`` a
+    line; the file is read once, when the client is made, and each new
+    answer is appended to it and to that index. ``complete_batch`` answers
+    the cached prompts on the calling thread, sends each other distinct
+    prompt once on at most ``cfg.max_in_flight`` worker threads, retries
+    the failures that may succeed later, and returns results in input order.
 
     Each thread keeps one keep-alive HTTP/1.1 connection. The endpoint is
     reached through the proxy that ``http_proxy``/``https_proxy`` name,
@@ -400,9 +428,12 @@ class HttpLlmClient:
 
     def __init__(self, cfg, cache_dir=None):
         self.cfg = cfg
-        self.cache_dir = cache_dir
+        self._cache_file = None
+        self._index = {}  # cache key -> answer
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
+            self._cache_file = os.path.join(cache_dir, CACHE_FILE)
+            self._index = _read_cache(self._cache_file)
         url = urllib.parse.urlsplit(cfg.base_url.rstrip("/") + "/chat/completions")
         try:
             port = url.port
@@ -450,10 +481,9 @@ class HttpLlmClient:
         self._local = threading.local()
         self._connections = []
 
-    def _cache_path(self, prompt):
-        digest = hashlib.sha256(
+    def _cache_key(self, prompt):
+        return hashlib.sha256(
             (self.cfg.model_name + "\x00" + prompt).encode("utf-8")).hexdigest()
-        return os.path.join(self.cache_dir, digest + ".txt")
 
     def _body(self, prompt):
         return json.dumps({
@@ -496,29 +526,29 @@ class HttpLlmClient:
     def complete(self, prompt):
         """One attempt at ``prompt``: the cached answer if there is one, else
         one request, whose answer is then cached. Raises LlmError."""
-        if self.cache_dir:
-            path = self._cache_path(prompt)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    return LlmResult(text=fh.read(), cached=True, latency_ms=0.0)
-            except (FileNotFoundError, UnicodeDecodeError):
-                pass  # not cached, or not text this client wrote: ask again
+        key = self._cache_key(prompt)
+        text = self._index.get(key)
+        if text is not None:
+            return LlmResult(text=text, cached=True, latency_ms=0.0)
         body = self._body(prompt)
         t0 = time.monotonic()
         text = query_llm(self._connection(), self._target, body, self._headers)
         latency = (time.monotonic() - t0) * 1000.0
-        if self.cache_dir:
-            # a temp file per writer: concurrent misses on one prompt each
-            # publish a whole file, and the last replace wins. A write that
-            # fails (a full disk, a read-only cache) keeps the answer uncached.
+        if self._cache_file:
+            # one write on an O_APPEND descriptor, so records of concurrent
+            # writers never interleave. Each starts with a newline, so one
+            # that a full disk or a killed writer cut short never joins the
+            # next. A write that fails (a full disk, a read-only cache) or
+            # is cut short keeps the answer uncached.
+            data = ("\n" + json.dumps({"key": key, "text": text},
+                                       ensure_ascii=False)).encode("utf-8")
             with contextlib.suppress(OSError):
-                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+                fd = os.open(self._cache_file, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
                 try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                    os.replace(tmp, path)
-                except OSError:
-                    os.unlink(tmp)
+                    if os.write(fd, data) == len(data):
+                        self._index.setdefault(key, text)
+                finally:
+                    os.close(fd)
         return LlmResult(text=text, cached=False, latency_ms=latency)
 
     def _attempt(self, job):
@@ -544,7 +574,9 @@ class HttpLlmClient:
         order, of LlmResult or LlmError per item.
 
         Each distinct prompt is sent once, and its outcome goes to every
-        item that holds it. Attempts run in rounds: round k makes attempt k
+        item that holds it. A cached prompt is answered on the calling
+        thread, so a batch that is all cached starts no worker and opens no
+        connection. Attempts run in rounds: round k makes attempt k
         of every prompt still pending, in order of the time each is due. A
         timeout, transport error, 429 or 5xx on attempt k makes the prompt
         due again ``retry_backoff_s * 2**(k-1)`` seconds after it failed,
@@ -552,14 +584,13 @@ class HttpLlmClient:
         when every prompt left in its round is due later, so no worker
         sleeps while another prompt is ready to send.
         """
-        jobs = {}
-        for idx, (_, prompt) in enumerate(items):
-            job = jobs.get(prompt)
-            if job is None:
-                job = jobs[prompt] = _Job(prompt)
-            job.indices.append(idx)
-        results = [None] * len(items)
-        pending = list(jobs.values())
+        jobs = {prompt: _Job(prompt) for _, prompt in items}
+        pending = []
+        for job in jobs.values():
+            if self._cache_key(job.prompt) in self._index:
+                job.outcome = self.complete(job.prompt)  # a hit: no request
+            else:
+                pending.append(job)
         try:
             with concurrent.futures.ThreadPoolExecutor(
                     max_workers=self.cfg.max_in_flight) as pool:
@@ -575,12 +606,9 @@ class HttpLlmClient:
                             job.not_before = (job.failed_at
                                               + self.cfg.retry_backoff_s * 2 ** attempt)
                             pending.append(job)
-                            continue
-                        for idx in job.indices:
-                            results[idx] = outcome
         finally:
             self.close()
-        return results
+        return [jobs[prompt].outcome for _, prompt in items]
 
 
 def build_rule_generation_prompt():

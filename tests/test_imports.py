@@ -95,8 +95,8 @@ def file_writers(source):
 
 def test_only_the_write_step_opens_files_for_writing():
     # every output goes through errors.write_text (UTF-8, encoded before
-    # the file is opened); the LLM cache publishes each answer through its
-    # own temp file, since concurrent misses on one prompt both write it.
+    # the file is opened); the LLM cache appends each answer to its file in
+    # one write on an O_APPEND descriptor, which write_text does not make.
     # WAVs are written by scipy.io.wavfile, which this scan does not see.
     # cli.main opens the null device, which is no output: it takes what a
     # command had left to print when the reader of stdout stopped reading.

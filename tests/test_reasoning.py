@@ -1,9 +1,12 @@
 """Rules, prompts, answer parsing, and the LLM client."""
 
 import errno
+import hashlib
 import http.client
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -206,8 +209,29 @@ def _cfg(**kw):
     return LlmEndpointConfig(**kw)
 
 
-def _scripted_client(script, **cfg):
-    client = HttpLlmClient(_cfg(**cfg))
+def _key(prompt, model_name="test-model"):
+    """The cache key of ``prompt``: sha256 of model name, NUL, prompt."""
+    return hashlib.sha256((model_name + "\x00" + prompt).encode("utf-8")).hexdigest()
+
+
+def _record(prompt, text):
+    """One cache record as the client appends it."""
+    return ("\n" + json.dumps({"key": _key(prompt), "text": text},
+                              ensure_ascii=False)).encode("utf-8")
+
+
+def _cache_bytes(cache):
+    path = cache / reasoning.CACHE_FILE
+    return path.read_bytes() if path.exists() else b""
+
+
+def _records(cache):
+    """The records of the cache file under ``cache``, in file order."""
+    return [json.loads(line) for line in _cache_bytes(cache).split(b"\n") if line]
+
+
+def _scripted_client(script, cache_dir=None, **cfg):
+    client = HttpLlmClient(_cfg(**cfg), cache_dir=cache_dir)
     conn = _FakeConnection(script)
     client._new_connection = lambda: conn
     return client, conn
@@ -285,7 +309,7 @@ class TestQueryLlm:
         [result] = client.complete_batch([("s1", "p")])
         assert type(result) is LlmTransportError and not result.retryable
         assert conn.calls == 1
-        assert list(cache.iterdir()) == []
+        assert _cache_bytes(cache) == b""
 
     def test_latency_is_round_trips_without_backoff(self):
         client, conn = _scripted_client([_FakeResponse(503), _FakeResponse(200)],
@@ -472,28 +496,33 @@ class TestHttpClient:
         cache = tmp_path / "cache"
         prompt = build_transcript_prompt("so calm today")
         with MockLlmServer() as server:
-            client = HttpLlmClient(_cfg(base_url=server.base_url), cache_dir=str(cache))
-            [first] = client.complete_batch([("s1", prompt)])
-            [path] = cache.iterdir()
-            path.write_bytes(b"LABEL: calm \xff")
-            [second] = client.complete_batch([("s1", prompt)])
+            cfg = _cfg(base_url=server.base_url)
+            [first] = HttpLlmClient(cfg, cache_dir=str(cache)).complete_batch([("s1", prompt)])
+            path = cache / reasoning.CACHE_FILE
+            good = path.read_bytes()
+            bad = good.replace(first.text.encode("utf-8"),
+                               first.text.encode("utf-8") + b" \xff")
+            path.write_bytes(bad)
+            [second] = HttpLlmClient(cfg, cache_dir=str(cache)).complete_batch([("s1", prompt)])
             assert server.request_count == 2
         assert not second.cached
         assert second.text == first.text
-        assert path.read_text(encoding="utf-8") == first.text
+        assert path.read_bytes() == bad + good
 
     def test_concurrent_misses_on_one_prompt_both_complete(self, tmp_path,
                                                            monkeypatch):
-        # both writers reach the cache rename together: a temp file shared
-        # between them is gone by the time the second rename runs
+        # both writers reach the cache append together: each record must
+        # still be whole, and each answer returned
         barrier = threading.Barrier(2, timeout=10)
-        real_replace = os.replace
+        real_write = os.write
+        threads = []
 
-        def replace_together(src, dst):
-            barrier.wait()
-            real_replace(src, dst)
+        def write_together(fd, data):
+            if threading.current_thread() in threads:
+                barrier.wait()
+            return real_write(fd, data)
 
-        monkeypatch.setattr(reasoning.os, "replace", replace_together)
+        monkeypatch.setattr(reasoning.os, "write", write_together)
         cache = tmp_path / "cache"
         prompt = build_transcript_prompt("i panic when this happens")
         results, errors = [], []
@@ -507,7 +536,7 @@ class TestHttpClient:
                 except Exception as exc:  # reported by the assertion below
                     errors.append(exc)
 
-            threads = [threading.Thread(target=run) for _ in range(2)]
+            threads += [threading.Thread(target=run) for _ in range(2)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -515,17 +544,17 @@ class TestHttpClient:
             assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert [parse_label(r.text) for r in results] == ["panic", "panic"]
-        assert [p.suffix for p in cache.iterdir()] == [".txt"]
+        assert [p.name for p in cache.iterdir()] == [reasoning.CACHE_FILE]
+        assert _records(cache) == [{"key": _key(prompt), "text": results[0].text}] * 2
 
-    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    @pytest.mark.parametrize("step", ["open", "write"])
     def test_failed_cache_write_keeps_every_answer(self, tmp_path, monkeypatch, step):
         # a full disk once ended the batch in OSError after the endpoint had
         # answered every prompt
         def no_space(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(reasoning.tempfile if step == "mkstemp" else reasoning.os,
-                            step, no_space)
+        monkeypatch.setattr(reasoning.os, step, no_space)
         cache = tmp_path / "cache"
         words = ["panic", "angry", "calm", "panic", "calm"]
         items = [(f"s{i}", build_transcript_prompt(f"sample {i}: i feel {w}"))
@@ -537,7 +566,126 @@ class TestHttpClient:
             assert server.request_count == len(words)
         assert [parse_label(r.text) for r in results] == words
         assert not any(r.cached for r in results)
-        assert list(cache.iterdir()) == []
+        assert _cache_bytes(cache) == b""
+
+    def test_torn_last_record_is_a_miss_and_the_next_one_parses(self, tmp_path):
+        # a full disk or a killed writer can leave a record cut short
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        whole, torn = "p whole", "p torn"
+        cut = _record(torn, "LABEL: panic")[:-5]
+        (cache / reasoning.CACHE_FILE).write_bytes(_record(whole, "LABEL: angry") + cut)
+        client, conn = _scripted_client([_FakeResponse(200, "LABEL: calm")],
+                                        cache_dir=str(cache))
+        first, second = client.complete_batch([("s1", whole), ("s2", torn)])
+        assert (first.text, first.cached) == ("LABEL: angry", True)
+        assert (second.text, second.cached) == ("LABEL: calm", False)
+        assert conn.calls == 1
+        assert _cache_bytes(cache) == (_record(whole, "LABEL: angry") + cut
+                                       + _record(torn, "LABEL: calm"))
+        again, conn = _scripted_client([], cache_dir=str(cache))
+        assert [r.text for r in again.complete_batch([("s1", whole), ("s2", torn)])] \
+            == ["LABEL: angry", "LABEL: calm"]
+        assert conn.calls == 0
+
+    def test_repeated_key_keeps_its_first_record(self, tmp_path):
+        # two writers that missed one prompt together both append it
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / reasoning.CACHE_FILE).write_bytes(
+            _record("p", "LABEL: panic") + _record("p", "LABEL: calm") + b"\n")
+        client, conn = _scripted_client([], cache_dir=str(cache))
+        [result] = client.complete_batch([("s1", "p")])
+        assert (result.text, result.cached) == ("LABEL: panic", True)
+        assert conn.calls == 0
+
+    @pytest.mark.parametrize("record", [
+        {"key": _key("p"), "text": 5},
+        {"key": _key("p"), "text": None},
+        {"key": _key("p"), "text": ["LABEL: panic"]},
+        {"key": _key("p"), "text": "LABEL: panic \ud83d"},
+        {"key": _key("p").upper(), "text": "LABEL: panic"},
+        {"key": _key("p")[:63], "text": "LABEL: panic"},
+        {"key": 7, "text": "LABEL: panic"},
+        {"key": [_key("p")], "text": "LABEL: panic"},
+        {"text": "LABEL: panic"},
+        [_key("p"), "LABEL: panic"],
+    ], ids=["text-number", "text-null", "text-list", "text-surrogate", "key-upper",
+            "key-short", "key-number", "key-list", "no-key", "array"])
+    def test_malformed_record_is_a_miss(self, tmp_path, record):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        bad = b"\n" + json.dumps(record).encode("utf-8")
+        (cache / reasoning.CACHE_FILE).write_bytes(bad)
+        client, conn = _scripted_client([_FakeResponse(200, "LABEL: calm")],
+                                        cache_dir=str(cache))
+        [result] = client.complete_batch([("s1", "p")])
+        assert (result.text, result.cached) == ("LABEL: calm", False)
+        assert conn.calls == 1
+        assert _cache_bytes(cache) == bad + _record("p", "LABEL: calm")
+
+    def test_warm_batch_starts_no_thread_and_no_connection(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        items = [(f"s{i}", build_transcript_prompt(f"i feel {w}"))
+                 for i, w in enumerate(["panic", "angry", "calm", "panic"])]
+        with MockLlmServer() as server:
+            cold = HttpLlmClient(_cfg(base_url=server.base_url, max_in_flight=2),
+                                 cache_dir=str(cache)).complete_batch(items)
+        warm = HttpLlmClient(_cfg(max_in_flight=2), cache_dir=str(cache))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm batch started a thread or a connection")
+
+        monkeypatch.setattr(warm, "_new_connection", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        results = warm.complete_batch(items)
+        assert [r.text for r in results] == [r.text for r in cold]
+        assert all(r.cached and r.latency_ms == 0.0 for r in results)
+
+    def test_two_processes_append_to_one_cache(self, tmp_path):
+        # each process answers 200 distinct prompts without an endpoint;
+        # both start appending when the parent says go
+        cache = tmp_path / "cache"
+        script = (
+            "import json, sys\n"
+            "from serhybrid import reasoning\n"
+            "reasoning.query_llm = lambda conn, target, body, headers: "
+            "json.loads(body)['messages'][0]['content'].upper()\n"
+            "client = reasoning.HttpLlmClient(reasoning.LlmEndpointConfig("
+            "base_url='http://127.0.0.1:1/v1', model_name='test-model'), cache_dir=sys.argv[2])\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "for i in range(200):\n"
+            "    client.complete(f'{sys.argv[1]} prompt {i}')\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(reasoning.__file__)))
+        procs = [subprocess.Popen([sys.executable, "-c", script, name, str(cache)],
+                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                  text=True, env=env)
+                 for name in ("first", "second")]
+        try:
+            for proc in procs:
+                assert proc.stdout.readline() == "ready\n"
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            for proc in procs:
+                assert proc.wait(timeout=60) == 0
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+                proc.stdin.close()
+                proc.stdout.close()
+        prompts = [f"{name} prompt {i}" for name in ("first", "second") for i in range(200)]
+        records = _records(cache)
+        assert len(records) == 400
+        assert ({r["key"]: r["text"] for r in records}
+                == {_key(p): p.upper() for p in prompts})
+        client, conn = _scripted_client([], cache_dir=str(cache))
+        assert [r.text for r in client.complete_batch([(p, p) for p in prompts])] \
+            == [p.upper() for p in prompts]
+        assert conn.calls == 0
 
     def test_batch_preserves_input_order(self, tmp_path):
         with MockLlmServer() as server:
