@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.io.wavfile
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
@@ -59,6 +58,8 @@ def load_audio(path):
     """Load a PCM WAV file (8/16/24-bit int or 32/64-bit float, 1-2 channels,
     MIN_RATE to MAX_RATE Hz) and return an AudioSignal with samples scaled
     to [-1, 1]. A float sample that is NaN or infinite raises DataError."""
+    import scipy.io.wavfile  # here, so that commands that read no audio never load scipy
+
     try:
         rate, data = scipy.io.wavfile.read(path)
     except FileNotFoundError:
@@ -87,6 +88,8 @@ def load_audio(path):
 
 def save_wav(path, signal):
     """Write a mono AudioSignal as 16-bit PCM WAV."""
+    import scipy.io.wavfile
+
     x = np.clip(signal.samples, -1.0, 1.0)
     pcm = (x * 32767.0).round().astype(np.int16)
     scipy.io.wavfile.write(path, signal.sample_rate, pcm)
@@ -246,18 +249,17 @@ def segment(signal, intervals):
     max_len = int(MAX_SEGMENT_S * sr)
     min_len = int(MIN_SEGMENT_S * sr)
 
+    # depth first, left half first; a stack, not a recursive closure, whose
+    # reference cycle would keep ``x`` alive until the next garbage collection
     pieces = []
-
-    def cut(lo, hi):
+    stack = list(intervals)[::-1]
+    while stack:
+        lo, hi = stack.pop()
         if hi - lo > max_len:
             mid = _split_point(x, sr, lo, hi)
             if mid <= lo or mid >= hi:
                 mid = (lo + hi) // 2
-            cut(lo, mid)
-            cut(mid, hi)
+            stack += [(mid, hi), (lo, mid)]
         else:
             pieces.append((lo, hi))
-
-    for start, end in intervals:
-        cut(start, end)
     return [AudioSignal(x[lo:hi].copy(), sr) for lo, hi in pieces if hi - lo >= min_len]

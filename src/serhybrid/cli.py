@@ -6,7 +6,7 @@ the parser makes a flag of each, and a JSON config file may give any of
 them, read as its flag reads its text (flags win). Settings left unset
 keep the library's defaults; every run report embeds the resolved
 configuration. Exit codes: 0 success (also when the reader of stdout
-stops reading), 1 configuration error, 2 data error.
+stops reading), 1 configuration error (a usage error too), 2 data error.
 """
 
 import argparse
@@ -441,8 +441,19 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (a bad or unknown flag, a missing value or subcommand)
+    is a configuration error, as the same mistake in a config file is; the
+    subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The one parser of the process; each parse makes a new namespace."""
+    parser = _Parser(
         prog="serhybrid",
         description="Hybrid speech emotion recognition pipeline")
     parser.add_argument("--config", help="JSON config file supplying flag defaults")
@@ -459,8 +470,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _resolved(args, _load_config(args.config))
         code = COMMANDS[args.command][0](cfg)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

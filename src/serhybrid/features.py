@@ -17,7 +17,6 @@ import typing
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, parse_json, read_csv, read_text, write_csv
@@ -198,6 +197,8 @@ def estimate_pitch(frames, sample_rate):
     refined with parabolic interpolation. Rows whose peak clarity falls
     below VOICING_CLARITY are UNVOICED.
     """
+    import scipy.fft  # here, so that commands that run no DSP never load scipy
+
     x = np.asarray(frames, dtype=np.float64)
     n = x.shape[1]
     pitch = np.full(x.shape[0], UNVOICED)
@@ -327,6 +328,8 @@ def mfcc(frames, sample_rate):
     has N_MFCC coefficients per frame. FFT size is the next power of
     two >= frame length; log floor is 1e-10. Coefficient 0 is retained.
     """
+    import scipy.fft
+
     x = np.asarray(frames, dtype=np.float64)
     matrix = x.reshape(-1, x.shape[-1])
     nfft = 1 << (x.shape[-1] - 1).bit_length()

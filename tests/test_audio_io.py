@@ -1,9 +1,11 @@
 """WAV I/O, standardization, voice activity detection, segmentation."""
 
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -290,6 +292,24 @@ class TestSegment:
         # pieces tile the voiced span contiguously
         start, end = intervals[0]
         assert np.array_equal(np.concatenate([s.samples for s in segments]), x[start:end])
+
+    def test_signal_freed_without_a_collection(self, monkeypatch):
+        # a reference cycle in segment would keep the whole signal alive
+        # until the garbage collector next ran
+        monkeypatch.setattr(audio_io, "MAX_SEGMENT_S", 2.0)
+        x = _tone(duration_s=10.0)
+        alive = weakref.ref(x)
+        intervals = [(0, 5 * SR), (6 * SR, 10 * SR)]  # each split in pieces
+        expected = np.concatenate([x[lo:hi] for lo, hi in intervals])
+        gc.disable()
+        try:
+            segments = segment(AudioSignal(x, SR), intervals)
+            del x
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert len(segments) >= 4
+        assert np.array_equal(np.concatenate([s.samples for s in segments]), expected)
 
     def test_short_pieces_dropped(self):
         x = _tone(duration_s=0.3)

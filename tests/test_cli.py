@@ -49,6 +49,35 @@ class TestExitCodes:
         assert cli.main(["features", "--out", "x.csv"]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "2.5"], "argument --seed: invalid int value: '2.5'"),
+        (["--sead", "2"], "unrecognized arguments: --sead 2"),
+        (["--seed"], "argument --seed: expected one argument"),
+    ], ids=["bad-value", "unknown-flag", "missing-value"])
+    def test_usage_error_is_config_error(self, tmp_path, capsys, flags, message):
+        # as {"seed": 2.5} in a config file is: one line and exit 1, no
+        # usage block, and main returns rather than raising SystemExit
+        out_dir = tmp_path / "d"
+        capsys.readouterr()
+        assert cli.main(["synth", "--out-dir", str(out_dir), *flags]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_missing_subcommand_is_config_error(self, capsys):
+        capsys.readouterr()
+        assert cli.main([]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: serhybrid") and err == ""
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli.main(["features", "--manifest",
                          str(tmp_path / "absent.csv"), "--out",
@@ -459,6 +488,20 @@ class TestRefine:
                          "--rules-out", str(rules_out)]) == 0
         doc = json.loads(rules_out.read_text())
         assert doc["version"] == 2
+
+    def test_flag_does_not_outlive_its_call(self, workspace, tmp_path):
+        # main parses every call with the one parser of the process: a flag
+        # one call gives is unset in the next call that leaves it out
+        argv = _refine_mine(workspace, tmp_path)
+        proposals = tmp_path / "proposals.json"
+
+        def statuses():
+            return {p["status"] for p in json.loads(proposals.read_text())["proposals"]}
+
+        assert cli.main(argv + ["--accept-all"]) == 0
+        assert statuses() == {"accepted"}
+        assert cli.main(argv) == 0
+        assert statuses() == {"pending"}
 
 
 def _valid_proposals():

@@ -1,16 +1,23 @@
 """Every name a package module imports is used in that module, only the
-one write step opens a file for writing, and only the module of the read
-and write steps imports ``csv``.
+one write step opens a file for writing, only the module of the read
+and write steps imports ``csv``, and no module imports scipy when it is
+imported: only the commands that run DSP load it.
 
 No linter runs with the suite, so this walks each module's syntax tree
 with the standard library's ``ast``: an ``import a.b`` needs a reference
 that starts with ``a.b``, and any other imported name a reference to it.
+What a command loads is checked in a fresh interpreter.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+from serhybrid import cli, corpus, hybrid
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "serhybrid"
 
@@ -120,16 +127,35 @@ def test_scan_finds_file_writers(source, writers):
     assert file_writers(source) == writers
 
 
+def _modules(node):
+    """The top-level name of each module ``node`` imports by an absolute
+    import, if it is an import statement."""
+    if isinstance(node, ast.Import):
+        return {alias.name.partition(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.partition(".")[0]}
+    return set()
+
+
 def imported_modules(source):
     """The top-level name of every module that ``source`` imports by an
     absolute import, at any depth."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found |= {alias.name.partition(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.add(node.module.partition(".")[0])
-    return found
+    return set().union(*map(_modules, ast.walk(ast.parse(source))))
+
+
+def _run_at_import(node):
+    """``node`` and what it holds, but no function body: the statements
+    that run when the module is imported."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _run_at_import(child)
+
+
+def modules_imported_at_import(source):
+    """The top-level name of every module that importing ``source`` imports:
+    at module level, under an ``if`` or ``try`` there, or in a class body."""
+    return set().union(*map(_modules, _run_at_import(ast.parse(source))))
 
 
 def test_only_the_read_and_write_steps_import_csv():
@@ -151,3 +177,94 @@ def test_only_the_read_and_write_steps_import_csv():
 ])
 def test_scan_finds_imported_modules(source, modules):
     assert imported_modules(source) == modules
+
+
+def test_no_module_imports_scipy_at_import():
+    # scipy is imported in the four functions that call it: load_audio,
+    # save_wav, estimate_pitch and mfcc
+    importers = {p.name for p in PACKAGE.glob("*.py")
+                 if "scipy" in modules_imported_at_import(p.read_text(encoding="utf-8"))}
+    assert importers == set()
+
+
+@pytest.mark.parametrize("source, modules", [
+    ("import scipy.fft\n", {"scipy"}),
+    ("from scipy.io import wavfile\n", {"scipy"}),
+    ("try:\n    import scipy\nexcept ImportError:\n    pass\n", {"scipy"}),
+    ("if True:\n    import scipy.fft as f\n", {"scipy"}),
+    ("class C:\n    import json\n", {"json"}),
+    ("def f():\n    import scipy.fft\n", set()),
+    ("async def f():\n    import scipy\n", set()),
+    ("class C:\n    def m(self):\n        import scipy\n", set()),
+    ("from .features import mfcc\n", set()),
+])
+def test_scan_finds_modules_imported_at_import(source, modules):
+    assert modules_imported_at_import(source) == modules
+
+
+def _fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports the package from
+    this source tree; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+EVALUATE = """
+import sys
+import serhybrid.cli
+assert serhybrid.cli.main(["evaluate", "--predictions", sys.argv[1],
+                           "--manifest", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_evaluate_never_loads_scipy(tmp_path):
+    manifest, predictions = tmp_path / "manifest.csv", tmp_path / "predictions.jsonl"
+    corpus.save_manifest(manifest, [corpus.ManifestEntry(sample_id=f"s{i}", gold=label)
+                                    for i, label in enumerate(("calm", "angry"))])
+    hybrid.write_predictions(predictions, [hybrid.Prediction(
+        sample_id=f"s{i}", label="calm", source="fallback_default", ml_evidence=None,
+        prompt_version="text_baseline") for i in range(2)])
+    assert _fresh(EVALUATE, predictions, manifest).splitlines()[-1] == "[]"
+
+
+FEATURES = """
+import sys
+import threading
+if sys.argv[1] == "eager":
+    import scipy.fft  # loaded before the package, as a module-level import did
+from serhybrid import cli, features, parallel
+
+assert ("scipy.fft" in sys.modules) == (sys.argv[1] == "eager")
+parallel.usable_cpus = lambda: 2
+# each pool thread waits at its first clip for the other, so both reach
+# estimate_pitch's first import of scipy.fft together
+started = threading.Barrier(2)
+waited = set()
+pitch = features.estimate_pitch
+
+
+def racing(frames, sample_rate):
+    if threading.get_ident() not in waited:
+        waited.add(threading.get_ident())
+        started.wait(timeout=60)
+    return pitch(frames, sample_rate)
+
+
+features.estimate_pitch = racing
+sys.setswitchinterval(1e-5)
+assert cli.main(["features", "--manifest", sys.argv[2], "--out", sys.argv[3]]) == 0
+assert len(waited) == 2 and "scipy.fft" in sys.modules
+"""
+
+
+def test_features_loads_scipy_fft_on_both_pool_threads(tmp_path):
+    clips = tmp_path / "clips"
+    assert cli.main(["synth", "--out-dir", str(clips), "--n-per-class", "2",
+                     "--seed", "5", "--duration-s", "0.5"]) == 0
+    for order in ("lazy", "eager"):
+        _fresh(FEATURES, order, clips / "manifest.csv", tmp_path / f"{order}.csv")
+    assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
