@@ -139,15 +139,10 @@ def frame_signal(signal):
 # the frame DSP works through at most BLOCK_ROWS frames at a time in
 # buffers that each thread keeps from call to call: a clip's temporaries
 # are not faulted in afresh for every clip, and a thread's scratch stays
-# bounded whatever the clip length. Every result is computed per row, so
-# each row comes out bit-identical to a pass over the whole matrix.
+# bounded whatever the clip length. Every result is computed per row in
+# one operand order, so a row comes out bit-identical whatever the number
+# of rows computed beside it, in a block or in a pass over the whole matrix.
 BLOCK_ROWS = 256
-
-# numpy computes ``a * b`` into ``b`` when ``b`` is a temporary of at least
-# this many bytes (temporary elision), which makes spec * conj(spec) the
-# product conj(spec) * spec; the two orders round a complex product's
-# imaginary part differently where the multiply fuses (FMA)
-_ELIDE_BYTES = 256 * 1024
 
 
 class _Scratch(threading.local):
@@ -213,15 +208,12 @@ def estimate_pitch(frames, sample_rate):
     # those lags free of circular wrap-around
     n_lags = min(n, lag_max + 2)
     nfft = scipy.fft.next_fast_len(n + n_lags - 1, real=True)
-    # the product order a whole-matrix spec * conj(spec) would take
-    conj_first = len(x) * (nfft // 2 + 1) * 16 >= _ELIDE_BYTES
     for rows in _blocks(len(x)):
-        pitch[rows] = _pitch_block(x[rows], sample_rate, lag_min, lag_max, n_lags, nfft,
-                                   conj_first)
+        pitch[rows] = _pitch_block(x[rows], sample_rate, lag_min, lag_max, n_lags, nfft)
     return pitch
 
 
-def _pitch_block(x, sample_rate, lag_min, lag_max, n_lags, nfft, conj_first):
+def _pitch_block(x, sample_rate, lag_min, lag_max, n_lags, nfft):
     """estimate_pitch of the rows of ``x``, at most BLOCK_ROWS of them, in
     this thread's scratch buffers."""
     n_rows, n = x.shape
@@ -238,11 +230,10 @@ def _pitch_block(x, sample_rate, lag_min, lag_max, n_lags, nfft, conj_first):
     has_signal = np.abs(xc, out=csum[:, 1:]).max(axis=1) > floor
     spec = np.fft.rfft(xc, nfft, axis=1,
                        out=_scratch_array("spectrum", (n_rows, nfft // 2 + 1), np.complex128))
+    # conj(spec) * spec in every block, as the oracle's whole-matrix product;
+    # spec * conj(spec) would round the imaginary part differently (FMA)
     power = np.conjugate(spec, out=_scratch_array("product", spec.shape, np.complex128))
-    if conj_first:
-        np.multiply(power, spec, out=power)
-    else:
-        np.multiply(spec, power, out=power)
+    np.multiply(power, spec, out=power)
     acf = np.fft.irfft(power, nfft, axis=1,
                        out=_scratch_array("acf", (n_rows, nfft)))[:, lo:n_lags]
     # normalization: r[t] / sqrt(e0[t] * e1[t]) with e0, e1 the energies of

@@ -452,7 +452,7 @@ def estimate_pitch_whole(frames, sample_rate):
     lo = lag_min - 1
     nfft = scipy.fft.next_fast_len(n + n_lags - 1, real=True)
     spec = np.fft.rfft(x, nfft, axis=1)
-    acf = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, lo:n_lags]
+    acf = np.fft.irfft(np.conj(spec) * spec, nfft, axis=1)[:, lo:n_lags]
     csum = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(x * x, axis=1)), axis=1)
     e0 = csum[:, n - lo:n - n_lags:-1]
     e1 = csum[:, n:] - csum[:, lo:n_lags]

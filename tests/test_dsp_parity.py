@@ -45,13 +45,28 @@ def _assert_parity(frames, sample_rate=SR):
 
 class TestFrameDsp:
     # 48 and 49 rows of 25-ms frames straddle the size at which numpy
-    # starts to elide the whole-matrix spec * conj(spec) temporary
+    # starts to elide a whole-matrix temporary of the spectrum; a row's
+    # result is the same on both sides (test_row_invariance)
     @pytest.mark.parametrize("rows", [1, 2, 48, 49, 198])
     @pytest.mark.parametrize("sample_rate,frame_len,hop", [
         (16000, 400, 160), (8000, 200, 80), (44100, 1102, 441)])
     def test_random_frames(self, rows, sample_rate, frame_len, hop):
         rng = np.random.default_rng([rows, sample_rate])
         _assert_parity(_frames(rng, rows, frame_len, hop), sample_rate)
+
+    @pytest.mark.parametrize("rows", [1, 2, 17, 48])
+    def test_row_invariance(self, rows):
+        # a row's result does not depend on the rows computed beside it: the
+        # leading rows of a 300-row matrix come out the same alone, inside 49
+        # rows and inside all 300. With seed 7 every one of these slices holds
+        # rows whose pitch takes other last bits in the other product order.
+        frames = _frames(np.random.default_rng([7, 7]), 300)
+        windowed = frames * np.hanning(frames.shape[1])
+        for extract, x in [(lambda f: estimate_pitch(f, SR), frames), (rms_energy, frames),
+                           (lambda f: mfcc(f, SR), windowed)]:
+            alone = extract(x[:rows])
+            assert _same(alone, extract(x[:49])[:rows])
+            assert _same(alone, extract(x)[:rows])
 
     def test_dc_zero_and_too_short_rows(self):
         rng = np.random.default_rng(5)
