@@ -257,8 +257,6 @@ def segment(signal, intervals):
         lo, hi = stack.pop()
         if hi - lo > max_len:
             mid = _split_point(x, sr, lo, hi)
-            if mid <= lo or mid >= hi:
-                mid = (lo + hi) // 2
             stack += [(mid, hi), (lo, mid)]
         else:
             pieces.append((lo, hi))

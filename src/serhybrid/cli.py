@@ -192,7 +192,7 @@ def cmd_preprocess(cfg):
 def _clip_features(entry):
     signal = audio_io.load_audio(entry.audio_path)  # its errors name the path
     try:
-        return entry.sample_id, aggregate(extract_series(audio_io.standardize(signal)))
+        return entry.sample_id, aggregate(*extract_series(audio_io.standardize(signal)))
     except DataError as exc:
         raise DataError(f"{entry.audio_path}: {exc}") from None
 

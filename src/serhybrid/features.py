@@ -61,20 +61,6 @@ SUMMARY_DIMS = (
 )
 
 
-@dataclass(frozen=True)
-class FrameSeries:
-    """Per-frame streams; pitch uses UNVOICED (NaN) for aperiodic frames."""
-
-    pitch_hz: np.ndarray
-    energy_rms: np.ndarray
-    mfcc: np.ndarray  # (n_frames, N_MFCC)
-
-    def __post_init__(self):
-        n = len(self.pitch_hz)
-        if len(self.energy_rms) != n or self.mfcc.shape[0] != n:
-            raise ValueError("pitch, energy and mfcc streams must have equal frame counts")
-
-
 # a feature vector is a float64 array of the DIMENSIONS, in their order;
 # the name stays for callers that still spell it
 FeatureVector = typing.NewType("FeatureVector", np.ndarray)
@@ -339,7 +325,9 @@ def mfcc(frames, sample_rate):
 
 
 def extract_series(signal):
-    """Run the three frame-level extractors over a standardized signal.
+    """Run the three frame-level extractors over a standardized signal:
+    (pitch_hz, energy_rms, mfcc), one row per frame, with pitch UNVOICED
+    (NaN) for aperiodic frames and mfcc of shape (n_frames, N_MFCC).
 
     Pitch and energy see raw frames; the MFCC path applies a Hann window,
     to one block of frames at a time in this thread's scratch.
@@ -353,29 +341,28 @@ def extract_series(signal):
                          out=_scratch_array("frames", (rows.stop - rows.start, len(hann)))),
              signal.sample_rate)
         for rows in _blocks(len(frames))])
-    return FrameSeries(pitch_hz=pitch, energy_rms=energy, mfcc=mfccs)
+    return pitch, energy, mfccs
 
 
-def aggregate(series):
-    """Collapse a FrameSeries into its 37-dimensional feature vector.
+def aggregate(pitch_hz, energy_rms, mfcc):
+    """Collapse the frame streams of extract_series into their
+    37-dimensional feature vector.
 
     Pitch statistics cover voiced frames only; with zero voiced frames
     they are 0 and voiced_ratio is 0. Stds are population stds.
     """
-    n = len(series.pitch_hz)
+    n = len(pitch_hz)
     if n == 0:
         raise DataError("cannot aggregate an empty frame series")
-    voiced = series.pitch_hz[~np.isnan(series.pitch_hz)]
+    voiced = pitch_hz[~np.isnan(pitch_hz)]
     if voiced.size:
         p = [voiced.mean(), voiced.std(), voiced.min(), voiced.max(),
              voiced.max() - voiced.min(), voiced.size / n]
     else:
         p = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    e = series.energy_rms
+    e = energy_rms
     en = [e.mean(), e.std(), e.min(), e.max(), e.max() - e.min()]
-    m_mean = series.mfcc.mean(axis=0)
-    m_std = series.mfcc.std(axis=0)
-    return np.array([*p, *en, *m_mean, *m_std], dtype=np.float64)
+    return np.array([*p, *en, *mfcc.mean(axis=0), *mfcc.std(axis=0)], dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -306,12 +306,22 @@ class LlmEndpointConfig:
     def __post_init__(self):
         if self.max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
-        if not 0.0 < self.timeout_s < math.inf:
-            raise ConfigError("timeout_s must be a positive finite number")
+        # a socket timeout or a wait beyond threading.TIMEOUT_MAX is one the
+        # OS clock cannot hold
+        if not 0.0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise ConfigError("timeout_s must be a positive number of at most "
+                              f"threading.TIMEOUT_MAX = {threading.TIMEOUT_MAX:.0f} s")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if not 0.0 <= self.retry_backoff_s < math.inf:
             raise ConfigError("retry_backoff_s must be a non-negative finite number")
+        # the longest backoff, retry_backoff_s * 2**(max_retries - 1), held
+        # against the bound without computing it: ldexp never overflows here
+        if self.max_retries and self.retry_backoff_s > math.ldexp(threading.TIMEOUT_MAX,
+                                                                  1 - self.max_retries):
+            raise ConfigError(
+                "retry_backoff_s * 2**(max_retries - 1), the longest backoff, must be at "
+                f"most threading.TIMEOUT_MAX = {threading.TIMEOUT_MAX:.0f} s")
 
 
 @dataclass(frozen=True)
@@ -556,7 +566,9 @@ class HttpLlmClient:
         through ``complete`` and record its outcome and round trip."""
         delay = job.not_before - time.monotonic()
         if delay > 0:
-            time.sleep(delay)
+            # time.sleep fails once the clock plus the delay passes what the
+            # OS can hold; an Event wait takes any timeout to TIMEOUT_MAX
+            threading.Event().wait(min(delay, threading.TIMEOUT_MAX))
         t0 = time.monotonic()
         try:
             result = self.complete(job.prompt)
@@ -603,8 +615,8 @@ class HttpLlmClient:
                         outcome = job.outcome
                         if (isinstance(outcome, LlmError) and outcome.retryable
                                 and attempt < self.cfg.max_retries):
-                            job.not_before = (job.failed_at
-                                              + self.cfg.retry_backoff_s * 2 ** attempt)
+                            job.not_before = job.failed_at + math.ldexp(
+                                self.cfg.retry_backoff_s, attempt)
                             pending.append(job)
         finally:
             self.close()

@@ -29,7 +29,7 @@ def extract_corpus(entries):
     features = {}
     for entry in entries:
         signal = standardize(load_audio(entry.audio_path))
-        features[entry.sample_id] = aggregate(extract_series(signal))
+        features[entry.sample_id] = aggregate(*extract_series(signal))
     return features
 
 

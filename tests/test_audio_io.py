@@ -280,18 +280,32 @@ class TestVadOracle:
 
 
 class TestSegment:
-    def test_long_interval_split_under_max(self, monkeypatch):
-        monkeypatch.setattr(audio_io, "MAX_SEGMENT_S", 2.0)
-        x = _tone(duration_s=5.0)
-        sig = AudioSignal(x, SR)
-        intervals = detect_voice_activity(sig)
-        segments = segment(sig, intervals)
-        assert len(segments) >= 3
-        assert all(s.duration_seconds <= 2.0 for s in segments)
-        assert all(s.duration_seconds >= 0.5 for s in segments)
-        # pieces tile the voiced span contiguously
-        start, end = intervals[0]
-        assert np.array_equal(np.concatenate([s.samples for s in segments]), x[start:end])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6000), max_samples=st.integers(2, 3000),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_long_interval_split_under_max(self, n, max_samples, cuts, seed):
+        # every split point falls strictly inside its interval, whether it
+        # is the lowest-energy frame start or the midpoint, so the pieces
+        # tile each interval in order and none is longer than max_len
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * rng.uniform(0.0, 1.0, size=n)
+        points = sorted({int(c * n) for c in cuts})
+        intervals = list(zip(points[::2], points[1::2]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(audio_io, "MAX_SEGMENT_S", max_samples / SR)
+            mp.setattr(audio_io, "MIN_SEGMENT_S", 0.0)
+            max_len = int(audio_io.MAX_SEGMENT_S * SR)
+            pieces = iter(segment(AudioSignal(x, SR), intervals))
+        for lo, hi in intervals:
+            at = lo
+            while at < hi:
+                piece = next(pieces).samples
+                assert 1 <= len(piece) <= max_len
+                assert np.array_equal(piece, x[at:at + len(piece)])
+                at += len(piece)
+            assert at == hi
+        assert next(pieces, None) is None
 
     def test_signal_freed_without_a_collection(self, monkeypatch):
         # a reference cycle in segment would keep the whole signal alive

@@ -5,9 +5,12 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
+import socket
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,6 +25,7 @@ import walkthrough
 from mockllm import MockLlmServer
 from serhybrid import cli, corpus, reasoning
 from serhybrid.audio_io import AudioSignal, save_wav
+from serhybrid.errors import ConfigError
 from serhybrid.reasoning import default_ruleset
 
 
@@ -969,9 +973,12 @@ class TestClientSettings:
         {"max_in_flight": "many"}, {"retry_backoff_s": "later"},
         {"timeout_s": None}, {"timeout_s": 0}, {"max_retries": -1},
         {"retry_backoff_s": -0.5},
+        # these two once ended in "OverflowError: timestamp out of range for
+        # platform time_t", from the socket and from time.sleep
+        {"timeout_s": 1e300}, {"retry_backoff_s": 1e300, "max_retries": 1},
     ], ids=["in-flight-zero", "timeout-word", "retries-word", "in-flight-word",
             "backoff-word", "timeout-null", "timeout-zero", "retries-negative",
-            "backoff-negative"])
+            "backoff-negative", "timeout-past-the-clock", "backoff-past-the-clock"])
     def test_one_configuration_error_line(self, workspace, tmp_path, capsys,
                                           settings):
         config = tmp_path / "cfg.json"
@@ -1036,6 +1043,86 @@ class TestClientSettings:
                              "--manifest", workspace["manifest"],
                              "--endpoint-url", server.base_url, "--model-name", "m"]) == 0
             assert server.request_count == 1  # nine samples with one transcript text
+
+
+class TestClientWaitBounds:
+    """Client waits that the OS clock cannot hold: a longest backoff above
+    threading.TIMEOUT_MAX is a configuration error (TestClientSettings runs
+    it and a timeout above it through a config file); at or under the
+    bound, the run never ends in a traceback."""
+
+    @staticmethod
+    def _predict(workspace, tmp_path, url="http://127.0.0.1:1/v1"):
+        return ["predict", "--manifest", workspace["manifest"],
+                "--features", workspace["features"], "--model", workspace["model"],
+                "--stats", workspace["stats"], "--version", "v1_basic",
+                "--endpoint-url", url, "--model-name", "m",
+                "--out", str(tmp_path / "p.jsonl")]
+
+    @pytest.mark.parametrize("max_retries, backoff, accepted", [
+        (34, math.ldexp(threading.TIMEOUT_MAX, -33), True),
+        (34, math.nextafter(math.ldexp(threading.TIMEOUT_MAX, -33), math.inf), False),
+        (35, math.ldexp(threading.TIMEOUT_MAX, -33), False),
+        (10 ** 400, 5e-324, False),
+        (10 ** 400, 0.0, True),
+        (0, 1e300, True),
+    ], ids=["at-the-bound", "just-above", "one-retry-more", "retries-past-float-range",
+            "no-backoff", "no-retry"])
+    def test_longest_backoff_bound(self, max_retries, backoff, accepted):
+        # retry_backoff_s * 2**(max_retries - 1) against TIMEOUT_MAX, exact
+        # and without overflow for any count of retries
+        settings = dict(base_url="http://127.0.0.1:1/v1", model_name="m",
+                        max_retries=max_retries, retry_backoff_s=backoff)
+        if accepted:
+            reasoning.LlmEndpointConfig(**settings)
+        else:
+            with pytest.raises(ConfigError, match="longest backoff"):
+                reasoning.LlmEndpointConfig(**settings)
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-retries", "1025", "--retry-backoff-s", "0", "--timeout-s", "0.2"],
+        ["--timeout-s", str(threading.TIMEOUT_MAX)],
+    ], ids=["backoffs-past-float-range", "timeout-at-the-bound"])
+    def test_every_prediction_falls_back(self, workspace, tmp_path, flags):
+        # 0 * 2**1024 once ended in "OverflowError: int too large to convert
+        # to float" at attempt 1,024
+        code, err = _run_quietly([*self._predict(workspace, tmp_path), *flags])
+        assert (code, err) == (0, "")
+        rows = [json.loads(line) for line in (tmp_path / "p.jsonl").read_text().splitlines()]
+        assert len(rows) == 9 and {row["source"] for row in rows} == {"fallback_ml"}
+
+    def test_longest_backoff_at_the_bound_is_waited(self, workspace, tmp_path):
+        # time.sleep once failed on this wait ("data error: [Errno 22]
+        # Invalid argument"), since the clock plus the delay passed what
+        # the OS can hold. A server that closes every connection makes each
+        # first attempt fail at once; the process must then be waiting.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            attempted = threading.Event()
+
+            def refuse():
+                with contextlib.suppress(OSError):
+                    while True:
+                        server.accept()[0].close()
+                        attempted.set()
+
+            threading.Thread(target=refuse, daemon=True).start()
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/v1"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "serhybrid.cli", *self._predict(workspace, tmp_path, url),
+                 "--max-retries", "1", "--retry-backoff-s", str(threading.TIMEOUT_MAX),
+                 "--timeout-s", "0.2"],
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            try:
+                assert attempted.wait(60)
+                with pytest.raises(subprocess.TimeoutExpired):
+                    proc.wait(1.0)
+            finally:
+                proc.kill()
+                _, err = proc.communicate()
+                server.shutdown(socket.SHUT_RDWR)
+        assert err == ""
+        assert not (tmp_path / "p.jsonl").exists()
 
 
 class TestPreprocess:

@@ -23,6 +23,13 @@ def _same(a, b):
     return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
 
 
+def _assert_same_streams(streams, expected):
+    """(pitch, energy, mfcc) equal to the oracle's, element by element."""
+    assert len(streams) == len(expected) == 3
+    for got, want in zip(streams, expected):
+        assert _same(got, want)
+
+
 def _signal(rng, n):
     """Noise over a gliding tone, at a random level: voiced and unvoiced
     frames both."""
@@ -92,12 +99,9 @@ class TestFrameDsp:
 
     def test_clip_longer_than_one_block(self):
         signal = AudioSignal(_signal(np.random.default_rng(3), 7 * SR), SR)
-        series = extract_series(signal)
-        assert len(series.pitch_hz) > 2 * BLOCK_ROWS
-        pitch, energy, mfccs = oracles.extract_series_whole(signal)
-        assert _same(series.pitch_hz, pitch)
-        assert _same(series.energy_rms, energy)
-        assert _same(series.mfcc, mfccs)
+        streams = extract_series(signal)
+        assert len(streams[0]) > 2 * BLOCK_ROWS
+        _assert_same_streams(streams, oracles.extract_series_whole(signal))
 
     def test_frame_counts_alternate_on_one_thread(self):
         # each call reuses buffers that the last call left larger, smaller
@@ -131,11 +135,8 @@ class TestFrameDsp:
             sys.setswitchinterval(interval)
         for k in range(2):
             assert len(results[k]) == 3 * len(signals[k])
-            for series, signal in zip(results[k], signals[k] * 3):
-                pitch, energy, mfccs = oracles.extract_series_whole(signal)
-                assert _same(series.pitch_hz, pitch)
-                assert _same(series.energy_rms, energy)
-                assert _same(series.mfcc, mfccs)
+            for streams, signal in zip(results[k], signals[k] * 3):
+                _assert_same_streams(streams, oracles.extract_series_whole(signal))
 
 
 class TestSynthesize:

@@ -11,7 +11,7 @@ import oracles
 from serhybrid.audio_io import AudioSignal, load_audio, standardize
 from serhybrid.errors import ConfigError, DataError
 from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
-                                CorpusStats, FrameSeries,
+                                CorpusStats,
                                 aggregate, describe, estimate_pitch,
                                 extract_series, frame_lengths, frame_matrix,
                                 frame_signal, level_for_z, mel_filterbank,
@@ -131,22 +131,17 @@ class TestMel:
 
 class TestExtractSeries:
     def test_streams_aligned(self):
-        series = extract_series(AudioSignal(_tone(150.0), SR))
-        n = len(series.pitch_hz)
-        assert len(series.energy_rms) == n
-        assert series.mfcc.shape == (n, N_MFCC)
+        pitch, energy, mfccs = extract_series(AudioSignal(_tone(150.0), SR))
+        n = len(pitch)
+        assert len(energy) == n
+        assert mfccs.shape == (n, N_MFCC)
 
     def test_tone_pitch_and_energy(self):
-        series = extract_series(AudioSignal(_tone(220.0, amp=0.4), SR))
-        voiced = series.pitch_hz[~np.isnan(series.pitch_hz)]
-        assert voiced.size / len(series.pitch_hz) > 0.95
+        pitch, energy, _ = extract_series(AudioSignal(_tone(220.0, amp=0.4), SR))
+        voiced = pitch[~np.isnan(pitch)]
+        assert voiced.size / len(pitch) > 0.95
         assert np.all(np.abs(voiced - 220.0) <= 2.0)
-        assert np.allclose(series.energy_rms, 0.4 / math.sqrt(2), atol=1e-3)
-
-    def test_misaligned_streams_rejected(self):
-        with pytest.raises(ValueError):
-            FrameSeries(pitch_hz=np.zeros(3), energy_rms=np.zeros(2),
-                        mfcc=np.zeros((3, N_MFCC)))
+        assert np.allclose(energy, 0.4 / math.sqrt(2), atol=1e-3)
 
 
 def _assert_matches_per_frame(frames):
@@ -253,13 +248,11 @@ class TestBatchedParity:
 
 class TestAggregate:
     def _series(self, pitch, energy):
-        n = len(pitch)
-        return FrameSeries(pitch_hz=np.array(pitch, dtype=np.float64),
-                           energy_rms=np.array(energy, dtype=np.float64),
-                           mfcc=np.zeros((n, N_MFCC)))
+        return (np.array(pitch, dtype=np.float64), np.array(energy, dtype=np.float64),
+                np.zeros((len(pitch), N_MFCC)))
 
     def _aggregate(self, pitch, energy):
-        return dict(zip(DIMENSIONS, aggregate(self._series(pitch, energy))))
+        return dict(zip(DIMENSIONS, aggregate(*self._series(pitch, energy))))
 
     def test_hand_computed_statistics(self):
         out = self._aggregate([100.0, 200.0, UNVOICED], [1.0, 2.0, 3.0])
@@ -283,7 +276,7 @@ class TestAggregate:
 
     def test_empty_series_rejected(self):
         with pytest.raises(DataError, match="cannot aggregate an empty frame series"):
-            aggregate(self._series([], []))
+            aggregate(*self._series([], []))
 
 
 class TestFeatureVector:
