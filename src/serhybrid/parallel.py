@@ -11,7 +11,6 @@ block of frames.
 """
 
 import collections
-import concurrent.futures
 import itertools
 import os
 import threading
@@ -33,6 +32,7 @@ def _shared_pool():
     """The executor, and how many items may be submitted and not yet
     yielded: twice its thread count."""
     global _shared
+    import concurrent.futures  # here, so that commands that map nothing never load it
     with _lock:
         if _shared is None:
             workers = usable_cpus()
@@ -52,6 +52,7 @@ def ordered_map(fn, items):
     re-raised unchanged; the same happens when the caller stops
     iterating early. ``fn`` must not itself wait on the pool.
     """
+    import concurrent.futures
     pool, window = _shared_pool()
     items = iter(items)
     pending = collections.deque(

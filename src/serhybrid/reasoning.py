@@ -6,21 +6,16 @@ responses are cached content-addressed by hash(model_name + prompt) so a
 warm-cache evaluation run is byte-reproducible.
 """
 
-import base64
-import concurrent.futures
 import contextlib
 import hashlib
-import http.client
 import json
 import math
 import operator
 import os
+import queue
 import re
-import selectors
 import threading
 import time
-import urllib.parse
-import urllib.request
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -340,6 +335,7 @@ def query_llm(conn, target, body, headers):
     not. A timeout or transport error closes ``conn``, so its next request
     opens a new connection.
     """
+    import http.client  # here, so that commands that send no request never load it
     try:
         conn.request("POST", target, body=body, headers=headers)
         resp = conn.getresponse()
@@ -375,6 +371,7 @@ def _peer_closed(sock):
     """Whether an idle keep-alive socket is readable. With no request
     outstanding, that means the peer has closed it (urllib3's
     ``is_connection_dropped`` makes the same test)."""
+    import selectors
     with selectors.DefaultSelector() as selector:
         selector.register(sock, selectors.EVENT_READ)
         return bool(selector.select(0))
@@ -431,12 +428,17 @@ class HttpLlmClient:
     prompt once on at most ``cfg.max_in_flight`` worker threads, retries
     the failures that may succeed later, and returns results in input order.
 
-    Each thread keeps one keep-alive HTTP/1.1 connection. The endpoint is
+    A request takes a keep-alive HTTP/1.1 connection from one pool of idle
+    ones, or opens one, and puts it back when it ends; a batch thus opens at
+    most ``cfg.max_in_flight`` and closes them when it ends. The endpoint is
     reached through the proxy that ``http_proxy``/``https_proxy`` name,
     unless ``no_proxy`` excludes its host.
     """
 
     def __init__(self, cfg, cache_dir=None):
+        import http.client  # here, so that commands that send no request never load them
+        import urllib.parse
+        import urllib.request
         self.cfg = cfg
         self._cache_file = None
         self._index = {}  # cache key -> answer
@@ -477,6 +479,7 @@ class HttpLlmClient:
                 raise ConfigError(f"bad proxy URL {proxy!r}: {exc}")
             auth = {}
             if purl.username:
+                import base64
                 creds = (urllib.parse.unquote(purl.username) + ":"
                          + urllib.parse.unquote(purl.password or ""))
                 auth["Proxy-Authorization"] = (
@@ -487,9 +490,7 @@ class HttpLlmClient:
                 # a plain-HTTP proxy takes the absolute URI of the endpoint
                 self._target = urllib.parse.urlunsplit(url)
                 self._headers.update(auth)
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._connections = []
+        self._idle = queue.SimpleQueue()  # connections that no request holds
 
     def _cache_key(self, prompt):
         return hashlib.sha256(
@@ -503,6 +504,7 @@ class HttpLlmClient:
         }).encode("utf-8")
 
     def _new_connection(self):
+        import http.client
         if self._proxy is None:
             return self._connection_class(*self._endpoint, timeout=self.cfg.timeout_s)
         conn = self._connection_class(*self._proxy, timeout=self.cfg.timeout_s)
@@ -510,28 +512,11 @@ class HttpLlmClient:
             conn.set_tunnel(*self._endpoint, headers=self._tunnel_headers)
         return conn
 
-    def _connection(self):
-        """This thread's connection, made on first use. A kept-alive socket
-        that the peer has closed while idle is closed here, so the request
-        reconnects instead of failing on it."""
-        local = self._local
-        conn = getattr(local, "conn", None)
-        if conn is None:
-            conn = local.conn = self._new_connection()
-            with self._lock:
-                self._connections.append(conn)
-        elif conn.sock is not None and _peer_closed(conn.sock):
-            conn.close()
-        return conn
-
     def close(self):
-        """Close every thread's connection; call with no request in flight.
-        The next request on any thread makes a new one."""
-        with self._lock:
-            connections, self._connections = self._connections, []
-            self._local = threading.local()
-        for conn in connections:
-            conn.close()
+        """Close the idle connections; call with no request in flight. The
+        next request opens a new one."""
+        while not self._idle.empty():
+            self._idle.get_nowait().close()
 
     def complete(self, prompt):
         """One attempt at ``prompt``: the cached answer if there is one, else
@@ -541,8 +526,19 @@ class HttpLlmClient:
         if text is not None:
             return LlmResult(text=text, cached=True, latency_ms=0.0)
         body = self._body(prompt)
+        try:
+            conn = self._idle.get_nowait()
+        except queue.Empty:
+            conn = self._new_connection()
+        else:
+            # closed by the peer while idle: reconnect rather than fail on it
+            if conn.sock is not None and _peer_closed(conn.sock):
+                conn.close()
         t0 = time.monotonic()
-        text = query_llm(self._connection(), self._target, body, self._headers)
+        try:
+            text = query_llm(conn, self._target, body, self._headers)
+        finally:
+            self._idle.put(conn)
         latency = (time.monotonic() - t0) * 1000.0
         if self._cache_file:
             # one write on an O_APPEND descriptor, so records of concurrent
@@ -603,6 +599,7 @@ class HttpLlmClient:
                 job.outcome = self.complete(job.prompt)  # a hit: no request
             else:
                 pending.append(job)
+        import concurrent.futures  # here, so that commands that send no request never load it
         try:
             with concurrent.futures.ThreadPoolExecutor(
                     max_workers=self.cfg.max_in_flight) as pool:

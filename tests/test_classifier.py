@@ -1,6 +1,8 @@
 """Standardizer, SVM training, calibration, and model serialization."""
 
+import inspect
 import json
+import sys
 import warnings
 from dataclasses import replace
 
@@ -272,6 +274,63 @@ def _solve_both(rows, X, y, C):
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
     return got
+
+
+def _platt_objective(ab, f, t):
+    """Platt's negative log-likelihood under _fit_platt's smoothed targets,
+    written with logaddexp instead of its two branches."""
+    prior1 = t.sum()
+    prior0 = len(t) - prior1
+    ty = np.where(t > 0, (prior1 + 1.0) / (prior1 + 2.0), 1.0 / (prior0 + 2.0))
+    z = ab[0] * f + ab[1]
+    return float(np.sum(np.logaddexp(0.0, z) - (1.0 - ty) * z))
+
+
+def _runs_of_line(fn, marker, *args):
+    """``fn(*args)``, and how many times the line of ``fn`` holding
+    ``marker`` ran."""
+    lines, first = inspect.getsourcelines(fn)
+    target = first + next(i for i, line in enumerate(lines) if marker in line)
+    runs = 0
+
+    def trace(frame, event, arg):
+        nonlocal runs
+        if frame.f_code is not fn.__code__:
+            return None
+        runs += event == "line" and frame.f_lineno == target
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, runs
+
+
+class TestPlatt:
+    # decision values in the hundreds make Newton's full step overshoot, so
+    # the line search halves it: the second input's search accepts a halved
+    # step, and the other two halve theirs below min_step and stop there
+    @pytest.mark.parametrize("decision, target", [
+        ([-165.618, -396.812, 310.925, 404.655, 227.757, -802.26, 821.935, -59.114, -600.639],
+         [1, 0, 0, 1, 1, 0, 1, 0, 1]),
+        ([170.158, -412.192, 258.497, -609.659, -221.993, 14.522, -500.861, 260.804, -7.416,
+          -414.429], [0, 0, 1, 1, 1, 0, 1, 1, 1, 0]),
+        ([216.128, -460.888, -620.475, -829.703, 870.382, 271.154, 647.295, -149.615, 449.007],
+         [1, 1, 0, 0, 1, 0, 0, 0, 1]),
+    ])
+    def test_line_search_reaches_the_minimum(self, decision, target):
+        from scipy.optimize import minimize
+
+        f, t = np.array(decision), np.array(target, dtype=float)
+        (a, b), halvings = _runs_of_line(classifier._fit_platt, "step /= 2.0", f, t)
+        assert halvings > 0
+        best = minimize(_platt_objective, [0.0, 0.0], args=(f, t), method="Nelder-Mead",
+                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20_000})
+        assert best.success
+        assert _platt_objective((a, b), f, t) == pytest.approx(best.fun, rel=1e-9)
 
 
 class TestPredict:

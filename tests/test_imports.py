@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, only the
 one write step opens a file for writing, only the module of the read
 and write steps imports ``csv``, and no module imports scipy when it is
-imported: only the commands that run DSP load it.
+imported: only the commands that run DSP load it. ``evaluate`` loads
+neither scipy nor the modules that send requests or run a thread pool.
 
 No linter runs with the suite, so this walks each module's syntax tree
 with the standard library's ``ast``: an ``import a.b`` needs a reference
@@ -10,6 +11,7 @@ What a command loads is checked in a fresh interpreter.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -213,22 +215,37 @@ def _fresh(code, *args):
 
 
 EVALUATE = """
+import json
 import sys
 import serhybrid.cli
 assert serhybrid.cli.main(["evaluate", "--predictions", sys.argv[1],
                            "--manifest", sys.argv[2]]) == 0
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_evaluate_never_loads_scipy(tmp_path):
+def _loaded_by_evaluate(tmp_path):
+    """The modules a fresh interpreter holds after ``import serhybrid.cli``
+    and one ``evaluate``."""
     manifest, predictions = tmp_path / "manifest.csv", tmp_path / "predictions.jsonl"
     corpus.save_manifest(manifest, [corpus.ManifestEntry(sample_id=f"s{i}", gold=label)
                                     for i, label in enumerate(("calm", "angry"))])
     hybrid.write_predictions(predictions, [hybrid.Prediction(
         sample_id=f"s{i}", label="calm", source="fallback_default", ml_evidence=None,
         prompt_version="text_baseline") for i in range(2)])
-    assert _fresh(EVALUATE, predictions, manifest).splitlines()[-1] == "[]"
+    return set(json.loads(_fresh(EVALUATE, predictions, manifest).splitlines()[-1]))
+
+
+def test_evaluate_never_loads_scipy(tmp_path):
+    assert sorted(m for m in _loaded_by_evaluate(tmp_path)
+                  if m == "scipy" or m.startswith("scipy.")) == []
+
+
+def test_evaluate_never_loads_the_network_modules(tmp_path):
+    # only predict and compare send requests, and only synth, preprocess
+    # and features map over the shared thread pool
+    network = {"http.client", "ssl", "urllib.request", "concurrent.futures"}
+    assert _loaded_by_evaluate(tmp_path) & network == set()
 
 
 FEATURES = """

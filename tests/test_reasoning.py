@@ -476,6 +476,21 @@ class TestTransport:
         assert [p for p, _ in server.log] == prompts + prompts[:1]
         assert server.log[-1][1] - server.log[0][1] >= backoff
 
+    def test_retry_rounds_share_the_batch_connections(self):
+        prompts = [build_transcript_prompt(f"calm {i}") for i in range(8)]
+        with _RecordingServer(refuse_first=set(prompts[::2])) as server:
+            client = HttpLlmClient(_cfg(base_url=server.base_url, max_in_flight=2))
+            results = client.complete_batch([(f"s{i}", p) for i, p in enumerate(prompts)])
+            # every refused prompt is sent again, over the same connections
+            assert len(server.log) == 12
+            first = len(server.accepted)
+            assert 1 <= first <= 2
+            # the batch closed each connection when it ended
+            assert all(server.closed.acquire(timeout=10) for _ in range(first))
+            again = client.complete_batch([("s0", build_transcript_prompt("panic"))])
+            assert len(server.accepted) == first + 1
+        assert [parse_label(r.text) for r in results + again] == ["calm"] * 8 + ["panic"]
+
 
 class TestHttpClient:
     def test_cache_hit_is_byte_identical_and_free(self, tmp_path):
