@@ -197,8 +197,6 @@ def detect_voice_activity(signal):
     if x.size == 0:
         raise DataError("cannot run VAD on an empty signal")
     peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        return []
     frame_len, hop_len = frame_lengths(signal.sample_rate)
     thr = peak * 10.0 ** (VAD_FLOOR_DB / 20.0)
     rms = rms_energy(frame_matrix(x, frame_len, hop_len))

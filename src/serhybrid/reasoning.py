@@ -405,17 +405,6 @@ def _read_cache(path):
     return index
 
 
-@dataclass(eq=False)
-class _Job:
-    """One distinct prompt of a batch and the state of its attempts."""
-
-    prompt: str
-    not_before: float = 0.0  # time.monotonic() before which no attempt starts
-    failed_at: float = 0.0
-    latency_ms: float = 0.0  # round trips of the attempts so far
-    outcome: object = None  # LlmResult or LlmError of the last attempt
-
-
 class HttpLlmClient:
     """Caching client for an OpenAI-style chat-completions endpoint.
 
@@ -557,26 +546,6 @@ class HttpLlmClient:
                     os.close(fd)
         return LlmResult(text=text, cached=False, latency_ms=latency)
 
-    def _attempt(self, job):
-        """On a worker thread: wait until the job is due, make one attempt
-        through ``complete`` and record its outcome and round trip."""
-        delay = job.not_before - time.monotonic()
-        if delay > 0:
-            # time.sleep fails once the clock plus the delay passes what the
-            # OS can hold; an Event wait takes any timeout to TIMEOUT_MAX
-            threading.Event().wait(min(delay, threading.TIMEOUT_MAX))
-        t0 = time.monotonic()
-        try:
-            result = self.complete(job.prompt)
-        except LlmError as exc:
-            job.failed_at = time.monotonic()
-            job.latency_ms += (job.failed_at - t0) * 1000.0
-            job.outcome = exc
-        else:
-            job.outcome = result if result.cached else replace(
-                result, latency_ms=job.latency_ms + result.latency_ms)
-        return job
-
     def complete_batch(self, items):
         """items: list of (sample_id, prompt). Returns a list, in input
         order, of LlmResult or LlmError per item.
@@ -584,40 +553,59 @@ class HttpLlmClient:
         Each distinct prompt is sent once, and its outcome goes to every
         item that holds it. A cached prompt is answered on the calling
         thread, so a batch that is all cached starts no worker and opens no
-        connection. Attempts run in rounds: round k makes attempt k
-        of every prompt still pending, in order of the time each is due. A
-        timeout, transport error, 429 or 5xx on attempt k makes the prompt
-        due again ``retry_backoff_s * 2**(k-1)`` seconds after it failed,
-        up to ``max_retries`` retries. A worker waits for a due time only
-        when every prompt left in its round is due later, so no worker
-        sleeps while another prompt is ready to send.
+        connection. Attempts run in rounds: round k makes attempt k of every
+        prompt still pending, in input order. A timeout, transport error,
+        429 or 5xx keeps the prompt pending, up to ``max_retries`` retries.
+        Before round k + 1 the calling thread waits once, until the last
+        failure of round k is ``retry_backoff_s * 2**(k-1)`` seconds old, so
+        no prompt is retried sooner than its backoff after its own failure
+        and no worker sleeps.
         """
-        jobs = {prompt: _Job(prompt) for _, prompt in items}
+        outcomes = {}  # prompt -> LlmResult or LlmError of its last attempt
         pending = []
-        for job in jobs.values():
-            if self._cache_key(job.prompt) in self._index:
-                job.outcome = self.complete(job.prompt)  # a hit: no request
+        for prompt in dict.fromkeys(prompt for _, prompt in items):
+            if self._cache_key(prompt) in self._index:
+                outcomes[prompt] = self.complete(prompt)  # a hit: no request
             else:
-                pending.append(job)
+                pending.append(prompt)
+        latency_ms = dict.fromkeys(pending, 0.0)  # round trips of failed attempts
+        failed_at = {}
+
+        def attempt(prompt):
+            # the outcome goes into the dict, not back through the pool: a
+            # future holding an error would hold its traceback, whose frames
+            # lead back to the future, a cycle only the collector breaks
+            t0 = time.monotonic()
+            try:
+                result = self.complete(prompt)
+            except LlmError as exc:
+                failed_at[prompt] = time.monotonic()
+                latency_ms[prompt] += (failed_at[prompt] - t0) * 1000.0
+                outcomes[prompt] = exc
+            else:
+                outcomes[prompt] = result if result.cached else replace(
+                    result, latency_ms=latency_ms[prompt] + result.latency_ms)
+
         import concurrent.futures  # here, so that commands that send no request never load it
         try:
             with concurrent.futures.ThreadPoolExecutor(
                     max_workers=self.cfg.max_in_flight) as pool:
-                for attempt in range(self.cfg.max_retries + 1):
+                for k in range(self.cfg.max_retries + 1):
                     if not pending:
                         break
-                    due = sorted(pending, key=lambda job: job.not_before)
-                    pending = []
-                    for job in pool.map(self._attempt, due):
-                        outcome = job.outcome
-                        if (isinstance(outcome, LlmError) and outcome.retryable
-                                and attempt < self.cfg.max_retries):
-                            job.not_before = job.failed_at + math.ldexp(
-                                self.cfg.retry_backoff_s, attempt)
-                            pending.append(job)
+                    if k:
+                        delay = (max(failed_at[p] for p in pending) - time.monotonic()
+                                 + math.ldexp(self.cfg.retry_backoff_s, k - 1))
+                        # time.sleep fails once the clock plus the delay passes what
+                        # the OS can hold; an Event wait takes any timeout to
+                        # TIMEOUT_MAX, and returns at once for one of 0 or less
+                        threading.Event().wait(min(delay, threading.TIMEOUT_MAX))
+                    list(pool.map(attempt, pending))
+                    pending = [p for p in pending if isinstance(outcomes[p], LlmError)
+                               and outcomes[p].retryable]
         finally:
             self.close()
-        return [jobs[prompt].outcome for _, prompt in items]
+        return [outcomes[prompt] for _, prompt in items]
 
 
 def build_rule_generation_prompt():

@@ -458,6 +458,14 @@ class TestSerialization:
         with pytest.raises(DataError, match=message):
             SvmModel.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["scaler", "meta"])
+    def test_scaler_and_meta_must_be_objects(self, key):
+        vectors, labels = _blobs(seed=4)
+        doc = json.loads(train(vectors, labels).to_json())
+        doc[key] = list(doc[key].values())
+        with pytest.raises(DataError, match="^model scaler and meta must be JSON objects$"):
+            SvmModel.from_json(json.dumps(doc))
+
     def test_non_json_model_rejected(self):
         with pytest.raises(DataError, match="model: invalid JSON"):
             SvmModel.from_json("not json")

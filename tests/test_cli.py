@@ -836,6 +836,17 @@ class TestMalformedInputs:
         assert code == 2
         assert not (tmp_path / "proposals.json").exists()
 
+    def test_train_on_entries_without_gold_is_data_error(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("sample_id,gold\na,\nb,calm\n")
+        argv = ["train", "--manifest", str(manifest), "--features", workspace["features"],
+                "--model-out", str(tmp_path / "model.json")]
+        capsys.readouterr()
+        code = cli.main(argv)
+        assert capsys.readouterr().err == "data error: entries without gold labels: ['a']\n"
+        assert code == 2
+        assert not (tmp_path / "model.json").exists()
+
     def test_stats_of_no_rows_is_data_error(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(Path(workspace["manifest"]).read_text().splitlines()[0] + "\n")

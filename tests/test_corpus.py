@@ -80,6 +80,13 @@ class TestManifestIO:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert load_manifest(path) == _entries(2)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        save_manifest(path, _entries(2))
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", rows[0], "", "", rows[1], "", ""]))
+        assert load_manifest(path) == _entries(2)
+
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_bytes(b"\xff\xfesample_id\na\n")

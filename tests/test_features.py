@@ -191,6 +191,18 @@ class TestBatchedParity:
         pitch = _assert_matches_per_frame(frames)
         assert np.isnan(pitch[0]) and np.isnan(pitch[1])
 
+    @pytest.mark.parametrize("zeros,freq", [(170, 200.0), (140, 123.0), (150, 277.0)])
+    def test_leading_silence(self, zeros, freq):
+        # a zero-mean tone after exact zeros: at lags past 400 - zeros the
+        # leading window holds only samples at rounding level, where the
+        # FFT's error swamps r[t] and read about 60 Hz until those lags were
+        # summed directly
+        t = np.arange(400 - zeros) / SR
+        tone = 0.5 * np.sin(2 * np.pi * freq * t)
+        frame = np.concatenate([np.zeros(zeros), tone - tone.mean()])
+        pitch = _assert_matches_per_frame(frame[None])
+        np.testing.assert_allclose(pitch, [freq], rtol=1e-3)
+
     @pytest.mark.parametrize("sample_rate,frame_ms", [
         (16000, 10.0), (16000, 12.5), (16000, 16.75), (8000, 10.0), (8000, 25.0),
         (44100, 25.0),
@@ -294,6 +306,21 @@ class TestFeatureVector:
         path.write_text("wrong,header\n1,2\n")
         with pytest.raises(DataError, match="header"):
             read_features_csv(path)
+
+    @pytest.mark.parametrize("change", ["swap", "add"])
+    def test_csv_header_must_be_the_feature_columns(self, tmp_path, change):
+        # each header names every column once, but not as written
+        path = tmp_path / "features.csv"
+        write_features_csv(path, [("a", vec())])
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        if change == "swap":
+            header[3], header[4] = header[4], header[3]
+        else:
+            header, row = header + ["extra"], row + ["0.0"]
+        path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+        with pytest.raises(DataError) as err:
+            read_features_csv(path)
+        assert str(err.value) == f"{path}: unexpected feature CSV header"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_csv_non_finite_value_rejected(self, tmp_path, value):
