@@ -111,9 +111,7 @@ def _in_split(cfg):
 
 
 def _gold_by_id(entries):
-    missing = [e.sample_id for e in entries if e.gold is None]
-    if missing:
-        raise DataError(f"entries without gold labels: {missing[:5]}")
+    corpus.require_labels(entries)
     return {e.sample_id: e.gold for e in entries}
 
 
@@ -211,7 +209,8 @@ def cmd_features(cfg):
 
 def cmd_train(cfg):
     _require(cfg, "manifest", "features", "model_out")
-    gold = _gold_by_id(_in_split(cfg))
+    # in sample_id order, so the model does not depend on the manifest's row order
+    gold = _gold_by_id(sorted(_in_split(cfg), key=lambda e: e.sample_id))
     feats = read_features_csv(cfg["features"])
     hybrid.require_all(gold, feats, "feature vectors")
     vectors = [feats[i] for i in gold]
@@ -283,24 +282,14 @@ def cmd_evaluate(cfg):
     return 0
 
 
-ANNOTATORS = ("annotator_a", "annotator_b", "annotator_c")
-
-
 def cmd_kappa(cfg):
-    _require(cfg, "annotations")
-    path = cfg["annotations"]
-    header, records = read_csv(path, DataError, ANNOTATORS)
-    rows = []
-    for where, cells in records:
-        row = dict(zip(header, cells))
-        for column in ANNOTATORS:
-            if row[column] not in CLASSES:
-                raise DataError(
-                    f"{where} ({row.get('sample_id')!r}): "
-                    f"{column} label {row[column]!r} is not one of {', '.join(CLASSES)}")
-        rows.append(tuple(row[c] for c in ANNOTATORS))
+    _require(cfg, "manifest")
+    entries = corpus.load_manifest(cfg["manifest"])
+    corpus.require_labels(entries, corpus.VOTES)
+    rows = [tuple(getattr(e, c) for c in corpus.VOTES) for e in entries]
     if len(rows) < 2:
-        raise DataError(f"{path}: kappa needs at least 2 annotated rows, got {len(rows)}")
+        raise DataError(f"{cfg['manifest']}: kappa needs at least 2 annotated rows, "
+                        f"got {len(rows)}")
     fleiss = evaluation.fleiss_kappa(
         np.array([[labels.count(c) for c in CLASSES] for labels in rows], dtype=np.int64))
     pairs = {"A-B": (0, 1), "A-C": (0, 2), "B-C": (1, 2)}
@@ -426,7 +415,7 @@ COMMANDS = {
     "evaluate": (cmd_evaluate, "score a predictions file against gold labels", (
         ("predictions", str), ("manifest", str), ("out", str))),
     "kappa": (cmd_kappa, "inter-annotator agreement statistics", (
-        ("annotations", str), ("out", str))),
+        ("manifest", str), ("out", str))),
     "refine": (cmd_refine, "mine error patterns and manage rule proposals", (
         ("predictions", str), ("manifest", str), ("features", str), ("stats", str),
         ("rules", str), ("proposals_out", str), ("min_support", int),

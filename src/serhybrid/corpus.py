@@ -45,6 +45,8 @@ class ManifestEntry:
 
 MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestEntry))
 
+VOTES = ("annotator_a", "annotator_b", "annotator_c")
+
 
 def _entry_from_row(row, where):
     """A ManifestEntry from one CSV row of known columns; an empty cell
@@ -76,6 +78,15 @@ def load_manifest(path):
     return [_entry_from_row(dict(zip(header, cells)), where) for where, cells in rows]
 
 
+def require_labels(entries, columns=("gold",)):
+    """The one check that entries carry the labels a command needs: an entry
+    with an empty cell in one of ``columns`` raises one DataError naming up
+    to five of their sample ids."""
+    missing = [e.sample_id for e in entries if any(getattr(e, c) is None for c in columns)]
+    if missing:
+        raise DataError(f"entries without {'/'.join(columns)} labels: {missing[:5]}")
+
+
 def save_manifest(path, entries):
     write_csv(path, MANIFEST_FIELDS,
               (["" if v is None else v for v in astuple(e)] for e in entries))
@@ -97,9 +108,7 @@ def stratified_split(entries, fractions=DEFAULT_FRACTIONS, seed=0):
 
     Deterministic given the seed; every entry lands in exactly one split.
     """
-    if any(e.gold is None for e in entries):
-        missing = [e.sample_id for e in entries if e.gold is None][:3]
-        raise DataError(f"entries without gold labels (e.g. {missing})")
+    require_labels(entries)
     names = SPLITS[:len(fractions)]
     assignment = {}
     for ci, cls_label in enumerate(CLASSES):

@@ -6,8 +6,8 @@ The family a raise site picks is the CLI's exit code: configuration
 problems (bad flags, an unreadable config file, schema violations in
 config-like inputs: config, rules, proposals, corpus stats, manifests)
 raise ConfigError and exit with status 1, data problems (malformed audio,
-models, predictions, features, transcripts or annotations, and any other
-path that cannot be opened) raise DataError and exit with status 2. Each
+models, predictions, features or transcripts, and any other path that
+cannot be opened) raise DataError and exit with status 2. Each
 reader passes ``read_text`` the family of its file, so undecodable bytes
 end as a schema violation of that file does. Both steps use UTF-8
 whatever the locale, so every file the pipeline writes, it can read back.
@@ -24,8 +24,8 @@ class ConfigError(Exception):
 
 
 class DataError(Exception):
-    """Bad data: audio, models, predictions, features, transcripts,
-    annotations and degenerate inputs. The CLI exits with status 2."""
+    """Bad data: audio, models, predictions, features, transcripts and
+    degenerate inputs. The CLI exits with status 2."""
 
 
 class LlmError(DataError):

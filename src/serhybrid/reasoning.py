@@ -572,16 +572,18 @@ class HttpLlmClient:
         failed_at = {}
 
         def attempt(prompt):
-            # the outcome goes into the dict, not back through the pool: a
-            # future holding an error would hold its traceback, whose frames
-            # lead back to the future, a cycle only the collector breaks
+            # the outcome goes into the dict, not back through the pool, and
+            # an error goes in without its traceback and the error it
+            # replaced: their frames lead back to the future or to this dict,
+            # a cycle only the collector breaks
             t0 = time.monotonic()
             try:
                 result = self.complete(prompt)
             except LlmError as exc:
                 failed_at[prompt] = time.monotonic()
                 latency_ms[prompt] += (failed_at[prompt] - t0) * 1000.0
-                outcomes[prompt] = exc
+                exc.__context__ = None
+                outcomes[prompt] = exc.with_traceback(None)
             else:
                 outcomes[prompt] = result if result.cached else replace(
                     result, latency_ms=latency_ms[prompt] + result.latency_ms)

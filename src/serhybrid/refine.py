@@ -9,6 +9,7 @@ rule-set version.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -120,7 +121,27 @@ class RuleProposal:
     @classmethod
     def from_dict(cls, doc, where):
         """Validate one proposal; its candidate must be a valid rule-file
-        rule. Raises ConfigError naming ``where``."""
+        rule, its pattern name known labels and dimensions with finite
+        numbers and a support of at least 0, and its ``base_version``,
+        ``support`` and ``direction`` be JSON integers, as a rule file's
+        ``version`` is. Raises ConfigError naming ``where``."""
+
+        def integer(value, name):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{where}: {name} must be an integer, got {value!r}")
+            return value
+
+        def finite(value, name):
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{where}: {name} must be a finite number, got {value!r}")
+            return float(value)
+
+        def known(value, names, name):
+            if value not in names:
+                raise ConfigError(f"{where}: unknown {name} {value!r}")
+            return value
+
         try:
             status = doc["status"]
             if status not in PROPOSAL_STATUSES:
@@ -128,14 +149,19 @@ class RuleProposal:
                                   f"{', '.join(PROPOSAL_STATUSES)}, got {status!r}")
             rule = parse_rule(doc["candidate"], f"{where}: candidate")
             p = doc["pattern"]
-            pattern = ErrorPattern(gold=p["gold"], predicted=p["predicted"],
-                                   support=int(p["support"]),
-                                   top_deltas=tuple(Delta(d["dimension"],
-                                                          float(d["effect_size"]),
-                                                          int(d["direction"]),
-                                                          float(d["error_median_z"]))
-                                                    for d in p["top_deltas"]))
-            base_version = int(doc["base_version"])
+            support = integer(p["support"], "support")
+            if support < 0:
+                raise ConfigError(f"{where}: support must be at least 0, got {support}")
+            pattern = ErrorPattern(
+                gold=known(p["gold"], CLASSES, "pattern label"),
+                predicted=known(p["predicted"], CLASSES, "pattern label"),
+                support=support,
+                top_deltas=tuple(Delta(known(d["dimension"], DIMENSIONS, "delta dimension"),
+                                       finite(d["effect_size"], "effect_size"),
+                                       integer(d["direction"], "direction"),
+                                       finite(d["error_median_z"], "error_median_z"))
+                                 for d in p["top_deltas"]))
+            base_version = integer(doc["base_version"], "base_version")
         except KeyError as exc:
             raise ConfigError(f"{where}: missing field {exc}")
         except (TypeError, ValueError, OverflowError) as exc:

@@ -26,6 +26,7 @@ from mockllm import MockLlmServer
 from serhybrid import cli, corpus, reasoning
 from serhybrid.audio_io import AudioSignal, save_wav
 from serhybrid.errors import ConfigError
+from serhybrid.features import write_features_csv
 from serhybrid.reasoning import default_ruleset
 
 
@@ -326,6 +327,25 @@ def test_walkthrough_warm_reruns_are_byte_identical(tmp_path):
     assert warm[0] == warm[1]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_train_does_not_depend_on_manifest_row_order(overlap_corpus, tmp_path, seed):
+    # SMO breaks ties, and sums, in row order: a permuted manifest once
+    # trained a model whose confidences differed in the fourth decimal
+    entries = overlap_corpus.entries
+    features = tmp_path / "features.csv"
+    write_features_csv(features, [(e.sample_id, overlap_corpus.features[e.sample_id])
+                                  for e in entries])
+    permuted = [entries[i] for i in np.random.default_rng(seed).permutation(len(entries))]
+    models = []
+    for name, rows in (("original", entries), ("permuted", permuted)):
+        corpus.save_manifest(tmp_path / f"{name}.csv", rows)
+        assert cli.main(["train", "--manifest", str(tmp_path / f"{name}.csv"),
+                         "--features", str(features),
+                         "--model-out", str(tmp_path / f"{name}.json")]) == 0
+        models.append((tmp_path / f"{name}.json").read_bytes())
+    assert models[0] == models[1]
+
+
 class TestPredictEvaluate:
     def test_v4_tau_zero_runs_offline(self, workspace, tmp_path):
         # tau 0 answers everything from the classifier: the endpoint is
@@ -381,74 +401,105 @@ class TestPredictEvaluate:
 
 
 class TestKappa:
+    """kappa reads the three annotator columns of a manifest, through the
+    manifest's one validator."""
+
     def test_agreement_report(self, tmp_path, capsys):
-        path = tmp_path / "annotations.csv"
+        path = tmp_path / "manifest.csv"
         path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n"
                         "s0,calm,calm,calm\n"
                         "s1,angry,angry,panic\n"
                         "s2,panic,panic,panic\n"
                         "s3,calm,angry,calm\n")
         out = tmp_path / "kappa.json"
-        assert cli.main(["kappa", "--annotations", str(path),
+        capsys.readouterr()
+        assert cli.main(["kappa", "--manifest", str(path),
                          "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["n_items"] == 4
         assert -1.0 <= doc["fleiss_kappa"] <= 1.0
         assert set(doc["pairwise"]) == {"A-B", "A-C", "B-C"}
-        assert "Fleiss kappa" in capsys.readouterr().out
+        # a file of sample ids and votes was an annotations file, and is a
+        # manifest: its figures stay the same
+        assert capsys.readouterr().out == ("Fleiss kappa: 0.4894\n"
+                                           "Avg pairwise Cohen kappa: 0.5232\n"
+                                           "Cohen kappa A-B: 0.6364\n"
+                                           "Cohen kappa A-C: 0.6000\n"
+                                           "Cohen kappa B-C: 0.3333\n")
 
-    @pytest.mark.parametrize("table,named", [
+    def test_votes_beside_the_other_manifest_columns(self, workspace, tmp_path, capsys):
+        entries = corpus.load_manifest(workspace["manifest"])
+        voted = [dataclasses.replace(e, annotator_a=e.gold, annotator_b=e.gold,
+                                     annotator_c="calm") for e in entries]
+        path = tmp_path / "manifest.csv"
+        corpus.save_manifest(path, voted)
+        capsys.readouterr()
+        assert cli.main(["kappa", "--manifest", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "Cohen kappa A-B: 1.0000"
+
+    @pytest.mark.parametrize("table,code,message", [
         ("sample_id,annotator_a,annotator_b,annotator_c\n"
          "s0,calm,calm,calm\n"
-         "s1,angry,furious,panic\n", ["line 3", "s1", "'furious'"]),
+         "s1,angry,furious,panic\n",
+         1, "configuration error: {path} line 3: unknown label 'furious'\n"),
         ("sample_id,annotator_a,annotator_b\n"
-         "s0,calm,calm\n", ["annotator_c"]),
-    ], ids=["unknown-label", "missing-column"])
-    def test_bad_annotations_are_data_errors(self, tmp_path, capsys, table,
-                                             named):
-        path = tmp_path / "annotations.csv"
+         "s0,calm,calm\n",
+         2, "data error: entries without annotator_a/annotator_b/annotator_c labels: ['s0']\n"),
+        ("sample_id,annotator_a,annotator_b,annotator_c\n"
+         "s0,calm,calm,calm\n"
+         "s1,angry,,panic\n",
+         2, "data error: entries without annotator_a/annotator_b/annotator_c labels: ['s1']\n"),
+        ("annotator_a,annotator_b,annotator_c\n"
+         "calm,calm,calm\n",
+         1, "configuration error: {path}: the header lacks columns: sample_id\n"),
+        ("sample_id,annotator_a,annotator_b,annotator_c,annotator_d\n"
+         "s0,calm,calm,calm,calm\n",
+         1, "configuration error: {path}: the header names unknown columns: annotator_d\n"),
+    ], ids=["unknown-label", "missing-column", "missing-vote", "no-sample-id",
+            "unknown-column"])
+    def test_bad_votes_are_rejected(self, tmp_path, capsys, table, code, message):
+        path = tmp_path / "manifest.csv"
         path.write_text(table)
-        assert cli.main(["kappa", "--annotations", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1
-        assert all(part in err for part in named)
+        capsys.readouterr()
+        assert cli.main(["kappa", "--manifest", str(path)]) == code
+        assert capsys.readouterr().err == message.format(path=path)
 
-    def test_repeated_row_and_extra_cell_are_data_errors(self, tmp_path, capsys):
+    def test_repeated_row_and_extra_cell_are_rejected(self, tmp_path, capsys):
         # the first file once printed "Fleiss kappa: 0.7273" and exited 0,
         # with s1 counted twice and the extra cell on s3 dropped
-        path = tmp_path / "annotations.csv"
+        path = tmp_path / "manifest.csv"
         header = "sample_id,annotator_a,annotator_b,annotator_c\n"
         extra = "s3,panic,panic,calm,calm\n"
         path.write_text(header + "s0,calm,calm,calm\n" + "s1,angry,angry,angry\n" * 2 + extra)
-        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert cli.main(["kappa", "--manifest", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"data error: {path} line 4: duplicate sample_id 's1'\n")
         path.write_text(header + "s0,calm,calm,calm\n" + extra)
-        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert cli.main(["kappa", "--manifest", str(path)]) == 1
         assert capsys.readouterr().err == (
-            f"data error: {path} line 3: 5 cells, the header names 4\n")
+            f"configuration error: {path} line 3: 5 cells, the header names 4\n")
 
     def test_empty_annotations_rejected(self, tmp_path, capsys):
-        path = tmp_path / "annotations.csv"
+        path = tmp_path / "manifest.csv"
         path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n")
-        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert cli.main(["kappa", "--manifest", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"data error: {path}: kappa needs at least 2 annotated rows, got 0\n")
 
     def test_one_row_names_the_file(self, tmp_path, capsys):
         # it once ended in "annotation table must be 2-D with >= 2 items",
         # naming neither the file nor the count
-        path = tmp_path / "annotations.csv"
+        path = tmp_path / "manifest.csv"
         path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n"
                         "s0,calm,calm,angry\n")
-        assert cli.main(["kappa", "--annotations", str(path)]) == 2
+        assert cli.main(["kappa", "--manifest", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"data error: {path}: kappa needs at least 2 annotated rows, got 1\n")
 
     def test_closed_stdout_exits_zero_silently(self, tmp_path):
         # `kappa ... | true` once printed "data error: [Errno 32] Broken
         # pipe" and exited 2; the reader chose to stop, and --out is written
-        path = tmp_path / "annotations.csv"
+        path = tmp_path / "manifest.csv"
         path.write_text("sample_id,annotator_a,annotator_b,annotator_c\n"
                         "s0,calm,calm,calm\n"
                         "s1,angry,angry,panic\n")
@@ -457,7 +508,7 @@ class TestKappa:
         os.close(read_end)  # closed before the command writes its first line
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "serhybrid.cli", "kappa", "--annotations", str(path),
+                [sys.executable, "-m", "serhybrid.cli", "kappa", "--manifest", str(path),
                  "--out", str(out)],
                 env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
                 stdout=write_end, stderr=subprocess.PIPE, text=True)
@@ -1428,7 +1479,8 @@ def _json_file(doc):
 
 @pytest.fixture(scope="module")
 def inputs(workspace):
-    """A valid file of each of the ten kinds the CLI reads, and a command
+    """A valid file of each of the nine kinds the CLI reads, the manifest
+    twice (as ``annotations``, with its votes filled in), and a command
     that reads it. Each command's output goes to a directory (synth's to a
     regular file), so a command that gets past its readers still ends in a
     data error: every run exits 1 or 2."""
@@ -1450,9 +1502,13 @@ def inputs(workspace):
         "manifest": Path(workspace["manifest"]).read_bytes(),
         "transcripts": ("sample_id,transcript\n"
                         + "".join(f"{r[0]},i am so {r[2]}\n" for r in rows)).encode(),
-        "annotations": ("sample_id,annotator_a,annotator_b,annotator_c\n"
-                        + "".join(f"{r[0]},{r[2]},{r[2]},calm\n" for r in rows)).encode(),
     }
+    # the manifest with its three annotator columns filled, as kappa reads it;
+    # every other command that reads a manifest reads it too
+    voted = [dataclasses.replace(e, annotator_a=e.gold, annotator_b=e.gold, annotator_c="calm")
+             for e in corpus.load_manifest(workspace["manifest"])]
+    corpus.save_manifest(root / "annotations.valid", voted)
+    files["annotations"] = (root / "annotations.valid").read_bytes()
     paths = {kind: str(root / f"{kind}.valid") for kind in INPUT_KINDS}
     for kind, data in files.items():
         with open(paths[kind], "wb") as fh:
@@ -1483,7 +1539,7 @@ def inputs(workspace):
         "transcripts": lambda f: ["predict", "--manifest", paths["manifest"],
                                   "--version", "text_baseline", "--transcripts", f,
                                   *offline, "--out", sink],
-        "annotations": lambda f: ["kappa", "--annotations", f, "--out", sink],
+        "annotations": lambda f: ["kappa", "--manifest", f, "--out", sink],
     }
     configs = _valid_configs(root, {**paths, "sink": sink, "sink_file": str(sink_file)})
     return _Inputs(root=root, files=files, commands=commands, configs=configs)
@@ -1494,7 +1550,7 @@ def inputs(workspace):
 def _setting_values(p):
     return {
         "in_dir": str(p["root"]), "out_dir": p["sink_file"], "source_kind": "synthetic",
-        "manifest": p["manifest"], "out": p["sink"], "stats_out": p["sink"],
+        "manifest": p["annotations"], "out": p["sink"], "stats_out": p["sink"],
         "features": p["features"], "model_out": p["sink"],
         "split": "all", "model": p["model"],
         "stats": p["stats"], "rules": p["rules"], "version": "v4_hybrid", "tau": 0.0,
@@ -1502,7 +1558,7 @@ def _setting_values(p):
         "model_name": "m", "cache": p["sink"], "max_in_flight": 1, "timeout_s": 1.0,
         "max_retries": 0, "retry_backoff_s": 0.01, "api_key_ref": "SERHYBRID_API_KEY",
         "report": p["sink"], "predictions": p["predictions"],
-        "annotations": p["annotations"], "refined_rules": p["rules"],
+        "refined_rules": p["rules"],
         "proposals_out": p["sink"], "min_support": 2,
         "accept_all": True, "apply": p["proposals"], "rules_out": p["sink"],
         "n_per_class": 3, "overlap": 0.25, "seed": 5, "duration_s": 0.8,
@@ -1538,7 +1594,7 @@ class _Inputs(SimpleNamespace):
 # exit code of a file of each kind that its reader rejects
 INPUT_KINDS = {"config": 1, "rules": 1, "proposals": 1, "stats": 1, "manifest": 1,
                "model": 2, "predictions": 2, "features": 2, "transcripts": 2,
-               "annotations": 2}
+               "annotations": 1}
 
 
 def _run_quietly(argv):

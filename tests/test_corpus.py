@@ -137,8 +137,12 @@ class TestStratifiedSplit:
         assert a != c
 
     def test_missing_gold_rejected(self):
-        with pytest.raises(DataError, match=r"entries without gold labels \(e.g. \['a'\]\)"):
-            stratified_split([ManifestEntry("a")])
+        # the one label check of train, evaluate, refine and compare: it
+        # names up to five sample ids
+        entries = [ManifestEntry(f"s{i}", gold=None if i % 2 else "calm") for i in range(14)]
+        with pytest.raises(DataError) as err:
+            stratified_split(entries)
+        assert str(err.value) == "entries without gold labels: ['s1', 's3', 's5', 's7', 's9']"
 
 
 class TestRecipes:

@@ -1,11 +1,13 @@
 """Rules, prompts, answer parsing, and the LLM client."""
 
+import contextlib
 import errno
 import gc
 import hashlib
 import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -546,6 +548,47 @@ class TestTransport:
                 gc.enable()
         assert [parse_label(r.text) for r in results] == ["calm"] * 6
         assert len(errors) == 3
+        assert alive == 0
+
+    @pytest.mark.parametrize("how", ["refused", "timed-out"])
+    def test_returned_errors_leave_no_garbage(self, monkeypatch, how):
+        # an error the batch returns must be freed with its results, without
+        # the collector: its traceback, and the TimeoutError a timeout
+        # replaced, hold frames that lead back to the batch
+        errors = []
+
+        def spy(*args):
+            try:
+                return query_llm(*args)
+            except LlmError as exc:
+                errors.append(weakref.ref(exc))
+                raise
+
+        monkeypatch.setattr(reasoning, "query_llm", spy)
+        prompts = [build_transcript_prompt(f"calm {i}") for i in range(6)]
+        with contextlib.ExitStack() as stack:
+            if how == "refused":
+                server = stack.enter_context(_RecordingServer(refuse_first=set(prompts[::2])))
+                base_url = server.base_url
+            else:
+                # accepts connections into its backlog and never answers
+                silent = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
+                base_url = "http://127.0.0.1:%d/v1" % silent.getsockname()[1]
+            client = HttpLlmClient(_cfg(base_url=base_url, max_in_flight=2, max_retries=0,
+                                        timeout_s=0.2))
+            gc.disable()
+            try:
+                results = client.complete_batch([(f"s{i}", p) for i, p in enumerate(prompts)])
+                kinds = [type(r).__name__ for r in results]
+                del results
+                alive = sum(ref() is not None for ref in errors)
+            finally:
+                gc.enable()
+        if how == "refused":
+            assert kinds == ["LlmTransportError", "LlmResult"] * 3
+        else:
+            assert kinds == ["LlmTimeout"] * 6
+        assert len(errors) == 6 - kinds.count("LlmResult")
         assert alive == 0
 
     def test_retry_rounds_share_the_batch_connections(self):

@@ -1,5 +1,7 @@
 """Error mining, rule proposals, and refinement application."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,38 @@ class TestProposals:
         write_proposals(path, proposals)
         loaded = read_proposals(path)
         assert loaded == proposals
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("base_version", True, "base_version must be an integer, got True"),
+        ("base_version", 1.9, "base_version must be an integer, got 1.9"),
+        ("base_version", "1", "base_version must be an integer, got '1'"),
+        ("gold", "happy", "unknown pattern label 'happy'"),
+        ("predicted", None, "unknown pattern label None"),
+        ("support", -4, "support must be at least 0, got -4"),
+        ("support", 2.0, "support must be an integer, got 2.0"),
+        ("dimension", "no_such_dim", "unknown delta dimension 'no_such_dim'"),
+        ("effect_size", "nan", "effect_size must be a finite number, got 'nan'"),
+        ("effect_size", float("nan"), "effect_size must be a finite number, got nan"),
+        ("error_median_z", float("inf"), "error_median_z must be a finite number, got inf"),
+        ("direction", 0.5, "direction must be an integer, got 0.5"),
+    ], ids=["version-true", "version-float", "version-string", "gold", "predicted",
+            "negative-support", "float-support", "dimension", "effect-string",
+            "effect-nan", "median-inf", "direction-float"])
+    def test_pattern_and_version_validated_as_rule_files_are(self, tmp_path, field, value,
+                                                             message):
+        # each of these once loaded, the versions as version 1
+        path = tmp_path / "proposals.json"
+        write_proposals(path, propose_rules([self._pattern()] * 2, base_version=1))
+        doc = json.loads(path.read_text())
+        proposal = doc["proposals"][1]
+        target = (proposal if field == "base_version" else proposal["pattern"]
+                  if field in ("gold", "predicted", "support") else
+                  proposal["pattern"]["top_deltas"][0])
+        target[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            read_proposals(path)
+        assert str(err.value) == f"{path}: proposals[1]: {message}"
 
 
 class TestApplyRefinement:

@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/walkthrough.py OUT_DIR CACHE_DIR
 
 runs ``synth`` (120 samples, seed 11, overlap 0.4), ``features``, ``train``,
-``predict`` v4_hybrid, ``evaluate``, ``refine --accept-all --min-support 2``,
-``refine --apply``, ``compare`` v1-v5 and a text-baseline ``predict``, and
+``predict`` v4_hybrid, ``evaluate``, ``kappa`` on a copy of the manifest with
+votes made from gold, ``refine --accept-all --min-support 2``, ``refine
+--apply``, ``compare`` v1-v5 and a text-baseline ``predict``, and
 writes every artifact under OUT_DIR, which it empties first. LLM answers are
 cached in CACHE_DIR, so a run whose cache is warm sends no request. Runs into
 the same OUT_DIR with a warm cache write byte-identical trees, so the output
@@ -16,12 +17,14 @@ import json
 import os
 import shutil
 import sys
+from dataclasses import replace
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from mockllm import MockLlmServer  # noqa: E402
 from serhybrid import cli, corpus, reasoning  # noqa: E402
+from serhybrid.labels import CLASSES  # noqa: E402
 
 PORT = 18571
 
@@ -57,6 +60,16 @@ def run(out_dir, cache_dir, base_url):
          "--out", o("pred_v4.jsonl"), "--report", o("report_v4.json"))
     step("--config", config, "evaluate", "--predictions", o("pred_v4.jsonl"),
          "--manifest", manifest, "--out", o("eval_v4.json"))
+    entries = corpus.load_manifest(manifest)
+
+    def vote(i, k, gold):
+        # annotator k names the class after gold on every (k + 5)th sample
+        return CLASSES[(CLASSES.index(gold) + (i % (k + 5) == k)) % len(CLASSES)]
+
+    corpus.save_manifest(o("manifest_voted.csv"), [
+        replace(e, **{column: vote(i, k, e.gold) for k, column in enumerate(corpus.VOTES)})
+        for i, e in enumerate(entries)])
+    step("kappa", "--manifest", o("manifest_voted.csv"), "--out", o("kappa.json"))
     reasoning.default_ruleset().save(o("rules.json"))
     step("--config", config, "refine", "--predictions", o("pred_v4.jsonl"), "--manifest", manifest,
          "--features", o("features.csv"), "--stats", o("stats.json"),
@@ -69,7 +82,7 @@ def run(out_dir, cache_dir, base_url):
     # every third transcript names the gold label, the rest are neutral
     with open(o("transcripts.csv"), "w") as fh:
         fh.write("sample_id,transcript\n")
-        for i, e in enumerate(corpus.load_manifest(manifest)):
+        for i, e in enumerate(entries):
             fh.write(f"{e.sample_id},{f'i am so {e.gold}' if i % 3 == 0 else NEUTRAL}\n")
     step("--config", config, "predict", "--manifest", manifest, "--version", "text_baseline",
          "--transcripts", o("transcripts.csv"), "--out", o("pred_text.jsonl"),
