@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, parse_json, read_text, write_text
+from .errors import DataError, member, parse_json, read_text, write_text
 from .features import DIMENSIONS, CorpusStats, finite_array
 from .labels import CLASSES
 
@@ -208,11 +208,24 @@ class MlEvidence:
         }
 
     @classmethod
-    def from_dict(cls, doc):
-        return cls(label=doc["label"],
-                   confidence=float(doc["confidence"]),
-                   per_class_probs=np.array([float(p) for p in doc["per_class_probs"]]),
-                   margins=np.array([float(m) for m in doc["margins"]]))
+    def from_dict(cls, doc, where, error):
+        """The evidence ``to_dict`` wrote: a label of CLASSES, a confidence,
+        and one probability and one margin per class, each number finite
+        and written as a number or a numeric string. ``error`` names
+        ``where`` otherwise."""
+        k = len(CLASSES)
+        probs = member(doc, "per_class_probs", list, where, error)
+        margins = member(doc, "margins", list, where, error)
+        if len(probs) != k or len(margins) != k:
+            raise error(f"{where}: per_class_probs and margins must hold {k} numbers each, "
+                        f"got {len(probs)} and {len(margins)}")
+        # the seven numbers in one finite_array call: read_predictions makes
+        # it for every line, and each call costs about 1.5 us
+        numbers = finite_array([doc.get("confidence"), *probs, *margins], (2 * k + 1,),
+                               f"{where}: confidence, per_class_probs and margins", error)
+        return cls(label=member(doc, "label", str, where, error, CLASSES),
+                   confidence=float(numbers[0]),
+                   per_class_probs=numbers[1:k + 1], margins=numbers[k + 1:])
 
 
 @dataclass(frozen=True)
@@ -245,24 +258,20 @@ class SvmModel:
     @classmethod
     def from_json(cls, text):
         doc = parse_json(text, "model", DataError, MODEL_SCHEMA)
-        missing = [k for k in _MODEL_KEYS if k not in doc]
-        if missing:
-            raise DataError(f"model lacks {', '.join(missing)}")
-        scaler, meta = doc["scaler"], doc["meta"]
-        if not isinstance(scaler, dict) or not isinstance(meta, dict):
-            raise DataError("model scaler and meta must be JSON objects")
-        if doc["classes"] != list(CLASSES):
-            raise DataError(f"model classes {doc['classes']!r}, expected {list(CLASSES)}")
+        classes = member(doc, "classes", list, "model", DataError)
+        if classes != list(CLASSES):
+            raise DataError(f"model: classes {classes!r}, expected {list(CLASSES)}")
         heads, dims = (len(CLASSES),), (len(DIMENSIONS),)
-        return cls(
-            weights=finite_array(doc["weights"], heads + dims, "model weights", DataError),
-            biases=finite_array(doc["biases"], heads, "model biases", DataError),
-            platt_a=finite_array(doc["platt_a"], heads, "model platt_a", DataError),
-            platt_b=finite_array(doc["platt_b"], heads, "model platt_b", DataError),
-            scaler=CorpusStats.checked(scaler.get("mean"), scaler.get("std"),
-                                       scaler.get("zero_variance"), "model scaler", DataError),
-            meta=meta,
-        )
+
+        def array(key, shape):
+            return finite_array(member(doc, key, list, "model", DataError), shape,
+                                f"model: {key}", DataError)
+
+        return cls(weights=array("weights", heads + dims), biases=array("biases", heads),
+                   platt_a=array("platt_a", heads), platt_b=array("platt_b", heads),
+                   scaler=CorpusStats.checked(member(doc, "scaler", dict, "model", DataError),
+                                              "model: scaler", DataError),
+                   meta=member(doc, "meta", dict, "model", DataError))
 
     def save(self, path):
         write_text(path, self.to_json())
@@ -270,9 +279,6 @@ class SvmModel:
     @classmethod
     def load(cls, path):
         return cls.from_json(read_text(path, DataError))
-
-
-_MODEL_KEYS = ("classes", "weights", "biases", "platt_a", "platt_b", "scaler", "meta")
 
 
 def train(vectors, labels):

@@ -58,6 +58,9 @@ def _entry_from_row(row, where):
         clean["duration_s"] = float(clean.get("duration_s", 0.0))
     except ValueError:
         raise ConfigError(f"{where}: duration_s must be a number, got {row['duration_s']!r}")
+    if not 0.0 <= clean["duration_s"] < math.inf:
+        raise ConfigError(f"{where}: duration_s must be finite and at least 0, "
+                          f"got {row['duration_s']!r}")
     entry = ManifestEntry(**clean)
     if "\0" in entry.audio_path:  # no file system opens such a path
         raise ConfigError(f"{where}: audio_path {entry.audio_path!r} holds a NUL byte")

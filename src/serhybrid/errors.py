@@ -1,6 +1,7 @@
 """The two error families, the LLM errors whose names runs report, the one
-read step of every input file, the one check of every JSON input and of
-every CSV input, and the one write step of every output file.
+read step of every input file, the one check of every JSON input, of every
+member a JSON reader takes from it and of every CSV input, and the one write
+step of every output file.
 
 The family a raise site picks is the CLI's exit code: configuration
 problems (bad flags, an unreadable config file, schema violations in
@@ -16,6 +17,7 @@ whatever the locale, so every file the pipeline writes, it can read back.
 import csv
 import io
 import json
+import sys
 
 
 class ConfigError(Exception):
@@ -93,6 +95,43 @@ def parse_json(text, where, error, schema):
     if schema is not None and doc.get("schema") != schema:
         raise error(f"{where}: expected schema {schema!r}, got {doc.get('schema')!r}")
     return doc
+
+
+_KINDS = {str: "a string", int: "an integer", float: "a finite number",
+          list: "a list", dict: "an object"}
+
+_REQUIRED = object()
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def member(doc, key, kind, where, error, allowed=None, default=_REQUIRED):
+    """Member ``key`` of the JSON object ``doc``, the one check of a member
+    a JSON reader takes. ``kind`` is str, int, float (a finite number,
+    returned as a float; an integer counts), list or dict; a boolean is
+    never a number. With ``allowed``, the value must be one of those. An
+    absent or null member takes ``default`` when one is given. A ``doc``
+    that is not an object, an absent member without a default, a value of
+    another kind and one not allowed each raise ``error`` naming ``where``
+    and ``key``."""
+    try:
+        value = doc.get(key)
+    except AttributeError:  # of the JSON values, only an object has get
+        raise error(f"{where}: expected a JSON object, got {type(doc).__name__}") from None
+    if value is None and default is not _REQUIRED:
+        return default
+    if value is None and key not in doc:
+        raise error(f"{where}: {key} is missing")
+    if kind is float:
+        ok = type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+        value = float(value) if ok else value
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise error(f"{where}: {key} must be {_KINDS[kind]}, got {value!r}")
+    if allowed is not None and value not in allowed:
+        raise error(f"{where}: {key} must be one of {', '.join(allowed)}, got {value!r}")
+    return value
 
 
 def read_csv(path, error, columns, known=None):

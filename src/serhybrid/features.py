@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, parse_json, read_csv, read_text, write_csv
+from .errors import ConfigError, DataError, member, parse_json, read_csv, read_text, write_csv
 
 UNVOICED = math.nan
 
@@ -407,31 +407,32 @@ class CorpusStats:
         }, indent=2)
 
     @classmethod
-    def checked(cls, mean, std, zero_variance, where, error):
-        """CorpusStats from JSON values, as a stats file and a model's
-        scaler hold them: ``mean`` and ``std`` list one finite number (or
-        numeric string) per dimension, every std is > 0, and
-        ``zero_variance`` lists dimension names. ``error`` names ``where``
-        otherwise."""
-        mean = finite_array(mean, (len(DIMENSIONS),), f"{where} mean", error)
-        std = finite_array(std, (len(DIMENSIONS),), f"{where} std", error)
+    def checked(cls, doc, where, error):
+        """CorpusStats from the JSON object of a model's scaler, or of a
+        stats file once its keyed means and stds are put in dimension
+        order: ``mean`` and ``std`` list one finite number (or numeric
+        string) per dimension, every std is > 0, and ``zero_variance``
+        lists dimension names. ``error`` names ``where`` otherwise."""
+        dims = (len(DIMENSIONS),)
+        mean = finite_array(member(doc, "mean", list, where, error), dims, f"{where}: mean", error)
+        std = finite_array(member(doc, "std", list, where, error), dims, f"{where}: std", error)
         if np.any(std <= 0):
-            raise error(f"{where} std must be positive")
-        if not isinstance(zero_variance, list) or any(d not in DIMENSIONS for d in zero_variance):
-            raise error(f"{where} zero_variance must list feature dimensions")
+            raise error(f"{where}: std must be positive")
+        zero_variance = member(doc, "zero_variance", list, where, error)
+        if any(d not in DIMENSIONS for d in zero_variance):
+            raise error(f"{where}: zero_variance must list feature dimensions")
         return cls(mean=mean, std=std, zero_variance=tuple(zero_variance))
 
     @classmethod
     def from_json(cls, text, where="corpus stats"):
         doc = parse_json(text, where, ConfigError, STATS_SCHEMA)
-        if not (isinstance(doc.get("mean"), dict) and isinstance(doc.get("std"), dict)):
-            raise ConfigError(f"{where}: needs 'mean' and 'std' objects keyed by dimension")
-        missing = [d for d in DIMENSIONS if d not in doc["mean"] or d not in doc["std"]]
+        mean = member(doc, "mean", dict, where, ConfigError)
+        std = member(doc, "std", dict, where, ConfigError)
+        missing = [d for d in DIMENSIONS if d not in mean or d not in std]
         if missing:
             raise ConfigError(f"{where}: missing dimensions: {missing}")
-        return cls.checked([doc["mean"][d] for d in DIMENSIONS],
-                           [doc["std"][d] for d in DIMENSIONS],
-                           doc.get("zero_variance"), where, ConfigError)
+        return cls.checked({**doc, "mean": [mean[d] for d in DIMENSIONS],
+                            "std": [std[d] for d in DIMENSIONS]}, where, ConfigError)
 
     @classmethod
     def load(cls, path):
@@ -443,15 +444,15 @@ def finite_array(values, shape, what, error):
     or for a 2-D shape a list of lists, of numbers or numeric strings.
     ``error`` names ``what`` otherwise."""
     try:
-        rows = values if len(shape) == 2 else [values]
-        arr = np.array([[float(v) for v in row] for row in rows])
+        floats = ([float(v) for v in values] if len(shape) == 1
+                  else [[float(v) for v in row] for row in values])
+        arr = np.array(floats)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} must be numbers")
-    if len(shape) == 1:
-        arr = arr.reshape(-1)
     if arr.shape != shape:
         raise error(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    # math.isfinite over the floats costs less than np.isfinite on a short array
+    if not all(map(math.isfinite, floats if len(shape) == 1 else arr.ravel().tolist())):
         raise error(f"{what} has non-finite values")
     return arr
 

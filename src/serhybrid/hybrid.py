@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .classifier import MlEvidence, predict
-from .errors import ConfigError, DataError, LlmError, parse_json, read_text, write_text
+from .errors import (ConfigError, DataError, LlmError, member, parse_json, read_text,
+                     write_text)
 from .features import describe
 from .labels import CLASSES
 from .reasoning import (PromptVersion, auto_generate_rules, build_prompt,
@@ -43,24 +44,19 @@ class Prediction:
                 "ml_evidence": self.ml_evidence.to_dict() if self.ml_evidence else None}
 
     @classmethod
-    def from_dict(cls, doc):
-        """Raises KeyError for a missing field and ValueError for a sample
-        id that is not a string, a label outside CLASSES or a source
-        outside SOURCES."""
-        if not isinstance(doc["sample_id"], str):
-            raise ValueError(f"sample_id {doc['sample_id']!r} is not a string")
-        if doc["label"] not in CLASSES:
-            raise ValueError(f"label {doc['label']!r} is not one of {', '.join(CLASSES)}")
-        if doc["source"] not in SOURCES:
-            raise ValueError(f"source {doc['source']!r} is not one of {', '.join(SOURCES)}")
-        ml = doc.get("ml_evidence")
-        return cls(sample_id=doc["sample_id"], label=doc["label"],
-                   source=doc["source"],
-                   ml_evidence=MlEvidence.from_dict(ml) if ml else None,
-                   prompt_version=doc["prompt_version"],
-                   rationale=doc.get("rationale"),
-                   reason_code=doc.get("reason_code"),
-                   latency_ms=doc.get("latency_ms", 0.0))
+    def from_dict(cls, doc, where):
+        """The Prediction of one predictions line; DataError names ``where``."""
+        ml = member(doc, "ml_evidence", dict, where, DataError, default=None)
+        if ml is not None:
+            ml = MlEvidence.from_dict(ml, f"{where}: ml_evidence", DataError)
+        return cls(sample_id=member(doc, "sample_id", str, where, DataError),
+                   label=member(doc, "label", str, where, DataError, CLASSES),
+                   source=member(doc, "source", str, where, DataError, SOURCES),
+                   ml_evidence=ml,
+                   prompt_version=member(doc, "prompt_version", str, where, DataError),
+                   rationale=member(doc, "rationale", str, where, DataError, default=None),
+                   reason_code=member(doc, "reason_code", str, where, DataError, default=None),
+                   latency_ms=member(doc, "latency_ms", float, where, DataError, default=0.0))
 
 
 def _fallback(sample_id, ml, version, reason_code, rationale=None):
@@ -211,13 +207,8 @@ def read_predictions(path):
         if not line.strip():
             continue
         where = f"{path} line {n}"
-        doc = parse_json(line, where, DataError, PREDICTIONS_SCHEMA)
-        try:
-            prediction = Prediction.from_dict(doc)
-        except KeyError as exc:
-            raise DataError(f"{where}: prediction lacks {exc}")
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{where}: malformed prediction ({exc})")
+        prediction = Prediction.from_dict(parse_json(line, where, DataError, PREDICTIONS_SCHEMA),
+                                          where)
         if prediction.sample_id in seen:
             raise DataError(f"{where}: duplicate sample_id {prediction.sample_id!r}")
         seen.add(prediction.sample_id)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .errors import (ConfigError, DataError, LlmError, LlmRateLimited, LlmTimeout,
-                     LlmTransportError, parse_json, read_text, write_text)
+                     LlmTransportError, member, parse_json, read_text, write_text)
 from .features import DIMENSIONS
 from .labels import CLASSES
 
@@ -73,7 +73,7 @@ class Rule:
     conditions: tuple  # of Condition, all must hold
     implied_label: str
     strength: float
-    origin: str  # human | refined | auto
+    origin: str  # one of ORIGINS
 
 
 @dataclass(frozen=True)
@@ -97,78 +97,48 @@ class RuleSet:
         write_text(path, self.to_json())
 
 
-def parse_rule(doc, where):
-    """Validate one rule object of a rule file; ConfigError names ``where``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: rule must be a JSON object")
-    for key in ("id", "statement", "conditions", "implied_label", "strength", "origin"):
-        if key not in doc:
-            raise ConfigError(f"{where}: rule missing field {key!r}")
-    if not isinstance(doc["conditions"], list):
-        raise ConfigError(f"{where}: conditions must be a list")
+ORIGINS = ("human", "refined", "auto")
+
+
+def parse_rule(doc, where, origin=None):
+    """Validate one rule object of a rule file; ConfigError names ``where``.
+    A rule generated for v5 passes its ``origin`` instead of reading it."""
+    rule_id = member(doc, "id", str, where, ConfigError)
+    statement = member(doc, "statement", str, where, ConfigError)
     conditions = []
-    for i, c in enumerate(doc["conditions"]):
-        if not isinstance(c, dict):
-            raise ConfigError(f"{where}: condition {i} must be a JSON object")
-        dim = c.get("dimension")
-        if dim not in DIMENSIONS:
-            raise ConfigError(f"{where}: unknown dimension {dim!r} in condition {i}")
-        cmp_ = c.get("comparator")
-        if cmp_ not in COMPARATORS:
-            raise ConfigError(f"{where}: bad comparator {cmp_!r} in condition {i}")
-        try:
-            thr = float(c["threshold_z"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{where}: bad threshold in condition {i}")
-        if not thr == thr or thr in (float("inf"), float("-inf")):
-            raise ConfigError(f"{where}: non-finite threshold in condition {i}")
-        conditions.append(Condition(dim, cmp_, thr))
-    label = doc["implied_label"]
-    if label not in CLASSES:
-        raise ConfigError(f"{where}: unknown implied label {label!r}")
-    try:
-        strength = float(doc["strength"])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: strength must be a number, got {doc['strength']!r}")
+    for i, c in enumerate(member(doc, "conditions", list, where, ConfigError)):
+        at = f"{where}: conditions[{i}]"
+        conditions.append(Condition(member(c, "dimension", str, at, ConfigError, DIMENSIONS),
+                                    member(c, "comparator", str, at, ConfigError, COMPARATORS),
+                                    member(c, "threshold_z", float, at, ConfigError)))
+    label = member(doc, "implied_label", str, where, ConfigError, CLASSES)
+    strength = member(doc, "strength", float, where, ConfigError)
     if not 0.0 < strength <= 1.0:
         raise ConfigError(f"{where}: strength must be in (0, 1], got {strength}")
-    origin = doc["origin"]
-    if origin not in ("human", "refined", "auto"):
-        raise ConfigError(f"{where}: unknown origin {origin!r}")
-    return Rule(id=str(doc["id"]), statement=str(doc["statement"]),
-                conditions=tuple(conditions), implied_label=label,
-                strength=strength, origin=origin)
+    return Rule(id=rule_id, statement=statement, conditions=tuple(conditions),
+                implied_label=label, strength=strength,
+                origin=origin or member(doc, "origin", str, where, ConfigError, ORIGINS))
 
 
 def parse_ruleset(text, where="ruleset"):
     doc = parse_json(text, where, ConfigError, RULES_SCHEMA)
-    version = doc.get("version", 1)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise ConfigError(f"{where}: version must be an integer, got {version!r}")
-    for key in ("rules", "confusion_notes"):
-        if not isinstance(doc.get(key, []), list):
-            raise ConfigError(f"{where}: {key} must be a list")
+    version = member(doc, "version", int, where, ConfigError, default=1)
     rules = []
     seen = set()
-    for i, rdoc in enumerate(doc.get("rules", [])):
+    for i, rdoc in enumerate(member(doc, "rules", list, where, ConfigError, default=[])):
         rule = parse_rule(rdoc, f"{where}: rules[{i}]")
         if rule.id in seen:
             raise ConfigError(f"{where}: duplicate rule id {rule.id!r}")
         seen.add(rule.id)
         rules.append(rule)
     notes = []
-    for i, ndoc in enumerate(doc.get("confusion_notes", [])):
-        if not isinstance(ndoc, dict) or "text" not in ndoc:
-            raise ConfigError(f"{where}: confusion_notes[{i}] must be an object "
-                              "with labels and text")
-        pair = ndoc.get("labels")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{where}: confusion_notes[{i}]: labels must be a "
-                              "list of two labels")
-        for lbl in pair:
-            if lbl not in CLASSES:
-                raise ConfigError(f"{where}: confusion note names unknown label {lbl!r}")
-        notes.append(ConfusionNote(labels=tuple(pair), text=str(ndoc["text"])))
+    for i, ndoc in enumerate(member(doc, "confusion_notes", list, where, ConfigError, default=[])):
+        at = f"{where}: confusion_notes[{i}]"
+        labels = member(ndoc, "labels", list, at, ConfigError)
+        if len(labels) != 2 or any(label not in CLASSES for label in labels):
+            raise ConfigError(f"{at}: labels must be two of {', '.join(CLASSES)}, got {labels!r}")
+        notes.append(ConfusionNote(labels=tuple(labels),
+                                   text=member(ndoc, "text", str, at, ConfigError)))
     return RuleSet(version=version, rules=tuple(rules), confusion_notes=tuple(notes))
 
 
@@ -661,8 +631,7 @@ def auto_generate_rules(client):
     dropped = []
     for i, doc in enumerate(docs):
         try:
-            rule = parse_rule({**doc, "origin": "auto"} if isinstance(doc, dict) else doc,
-                              f"generated[{i}]")
+            rule = parse_rule(doc, f"generated[{i}]", origin="auto")
         except ConfigError as exc:
             dropped.append(str(exc))
             continue

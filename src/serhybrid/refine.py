@@ -9,12 +9,11 @@ rule-set version.
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, parse_json, read_text, write_text
+from .errors import ConfigError, DataError, member, parse_json, read_text, write_text
 from .features import DIMENSIONS
 from .labels import CLASSES
 from .reasoning import Condition, Rule, RuleSet, parse_rule
@@ -121,53 +120,30 @@ class RuleProposal:
     @classmethod
     def from_dict(cls, doc, where):
         """Validate one proposal; its candidate must be a valid rule-file
-        rule, its pattern name known labels and dimensions with finite
-        numbers and a support of at least 0, and its ``base_version``,
-        ``support`` and ``direction`` be JSON integers, as a rule file's
-        ``version`` is. Raises ConfigError naming ``where``."""
-
-        def integer(value, name):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{where}: {name} must be an integer, got {value!r}")
-            return value
-
-        def finite(value, name):
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise ConfigError(f"{where}: {name} must be a finite number, got {value!r}")
-            return float(value)
-
-        def known(value, names, name):
-            if value not in names:
-                raise ConfigError(f"{where}: unknown {name} {value!r}")
-            return value
-
-        try:
-            status = doc["status"]
-            if status not in PROPOSAL_STATUSES:
-                raise ConfigError(f"{where}: status must be one of "
-                                  f"{', '.join(PROPOSAL_STATUSES)}, got {status!r}")
-            rule = parse_rule(doc["candidate"], f"{where}: candidate")
-            p = doc["pattern"]
-            support = integer(p["support"], "support")
-            if support < 0:
-                raise ConfigError(f"{where}: support must be at least 0, got {support}")
-            pattern = ErrorPattern(
-                gold=known(p["gold"], CLASSES, "pattern label"),
-                predicted=known(p["predicted"], CLASSES, "pattern label"),
-                support=support,
-                top_deltas=tuple(Delta(known(d["dimension"], DIMENSIONS, "delta dimension"),
-                                       finite(d["effect_size"], "effect_size"),
-                                       integer(d["direction"], "direction"),
-                                       finite(d["error_median_z"], "error_median_z"))
-                                 for d in p["top_deltas"]))
-            base_version = integer(doc["base_version"], "base_version")
-        except KeyError as exc:
-            raise ConfigError(f"{where}: missing field {exc}")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{where}: malformed proposal ({exc})")
-        return cls(candidate=rule, pattern=pattern, status=status,
-                   base_version=base_version)
+        rule and its pattern name known labels and dimensions with finite
+        numbers and a support of at least 0. Raises ConfigError naming
+        ``where``."""
+        status = member(doc, "status", str, where, ConfigError, PROPOSAL_STATUSES)
+        base_version = member(doc, "base_version", int, where, ConfigError)
+        candidate = parse_rule(member(doc, "candidate", dict, where, ConfigError),
+                               f"{where}: candidate")
+        at = f"{where}: pattern"
+        p = member(doc, "pattern", dict, where, ConfigError)
+        gold = member(p, "gold", str, at, ConfigError, CLASSES)
+        predicted = member(p, "predicted", str, at, ConfigError, CLASSES)
+        support = member(p, "support", int, at, ConfigError)
+        if support < 0:
+            raise ConfigError(f"{at}: support must be at least 0, got {support}")
+        deltas = []
+        for i, d in enumerate(member(p, "top_deltas", list, at, ConfigError)):
+            at_delta = f"{at}: top_deltas[{i}]"
+            deltas.append(Delta(member(d, "dimension", str, at_delta, ConfigError, DIMENSIONS),
+                                member(d, "effect_size", float, at_delta, ConfigError),
+                                member(d, "direction", int, at_delta, ConfigError),
+                                member(d, "error_median_z", float, at_delta, ConfigError)))
+        return cls(candidate=candidate,
+                   pattern=ErrorPattern(gold, predicted, support, tuple(deltas)),
+                   status=status, base_version=base_version)
 
 
 def propose_rules(patterns, base_version):
@@ -210,10 +186,8 @@ def write_proposals(path, proposals):
 def read_proposals(path):
     """Load and validate a proposals file."""
     doc = parse_json(read_text(path, ConfigError), path, ConfigError, PROPOSALS_SCHEMA)
-    if not isinstance(doc.get("proposals"), list):
-        raise ConfigError(f"{path}: 'proposals' must be a list")
     return [RuleProposal.from_dict(p, f"{path}: proposals[{i}]")
-            for i, p in enumerate(doc["proposals"])]
+            for i, p in enumerate(member(doc, "proposals", list, path, ConfigError))]
 
 
 def apply_refinement(rules, accepted):

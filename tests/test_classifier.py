@@ -435,21 +435,21 @@ class TestSerialization:
             SvmModel.from_json('{"schema": "something-else"}')
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.pop("platt_b"), "model lacks platt_b"),
-        (lambda doc: doc["scaler"].pop("std"), "model scaler std must be numbers"),
-        (lambda doc: doc["weights"].pop(), r"model weights has shape \(2, 37\)"),
-        (lambda doc: doc["biases"].append("0.0"), r"model biases has shape \(4,\)"),
+        (lambda doc: doc.pop("platt_b"), "^model: platt_b is missing$"),
+        (lambda doc: doc["scaler"].pop("std"), "^model: scaler: std is missing$"),
+        (lambda doc: doc["weights"].pop(), r"model: weights has shape \(2, 37\)"),
+        (lambda doc: doc["biases"].append("0.0"), r"model: biases has shape \(4,\)"),
         (lambda doc: doc["weights"][0].__setitem__(0, "nan"),
-         "model weights has non-finite values"),
+         "model: weights has non-finite values"),
         (lambda doc: doc["scaler"]["mean"].__setitem__(0, "abc"),
-         "model scaler mean must be numbers"),
+         "model: scaler: mean must be numbers"),
         (lambda doc: doc["scaler"]["std"].__setitem__(0, "0.0"),
-         "model scaler std must be positive"),
+         "model: scaler: std must be positive"),
         (lambda doc: doc.__setitem__("classes", ["calm", "angry", "panic"]),
-         r"model classes \['calm', 'angry', 'panic'\]"),
-        (lambda doc: doc["weights"][0].__setitem__(0, 10 ** 400), "model weights must be numbers"),
+         r"model: classes \['calm', 'angry', 'panic'\]"),
+        (lambda doc: doc["weights"][0].__setitem__(0, 10 ** 400), "model: weights must be numbers"),
         (lambda doc: doc["scaler"].__setitem__("zero_variance", [["pitch_std"]]),
-         "model scaler zero_variance must list feature dimensions"),
+         "model: scaler: zero_variance must list feature dimensions"),
     ], ids=[f"<lambda>{i}" for i in range(10)])
     def test_malformed_model_rejected(self, edit, message):
         vectors, labels = _blobs(seed=4)
@@ -463,7 +463,7 @@ class TestSerialization:
         vectors, labels = _blobs(seed=4)
         doc = json.loads(train(vectors, labels).to_json())
         doc[key] = list(doc[key].values())
-        with pytest.raises(DataError, match="^model scaler and meta must be JSON objects$"):
+        with pytest.raises(DataError, match=f"^model: {key} must be an object, got \\[.*\\]$"):
             SvmModel.from_json(json.dumps(doc))
 
     def test_non_json_model_rejected(self):
@@ -474,7 +474,7 @@ class TestSerialization:
         evidence = MlEvidence(label="panic", confidence=0.875,
                               per_class_probs=np.array([0.0625, 0.0625, 0.875]),
                               margins=np.array([-1.5, -2.0, 1.25]))
-        loaded = MlEvidence.from_dict(evidence.to_dict())
+        loaded = MlEvidence.from_dict(evidence.to_dict(), "evidence", DataError)
         assert loaded.label == evidence.label
         assert loaded.confidence == evidence.confidence
         assert np.array_equal(loaded.per_class_probs, evidence.per_class_probs)

@@ -720,6 +720,15 @@ def _evaluate_prediction_with(field, value):
     return case
 
 
+def _evaluate_evidence_with(key, value):
+    def case(ws, tmp_path):
+        preds, rows = _written_predictions(ws, tmp_path)
+        rows[2]["ml_evidence"][key] = value
+        preds.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return ["evaluate", "--predictions", str(preds), "--manifest", ws["manifest"]]
+    return case
+
+
 def _features_without_first_row(ws, tmp_path):
     lines = Path(ws["features"]).read_text().splitlines()
     short = tmp_path / "features_short.csv"
@@ -840,6 +849,9 @@ class TestMalformedInputs:
         _features_from_a_directory,
         _features_into_a_directory,
         _evaluate_a_directory,
+        _evaluate_evidence_with("label", "joyful"),
+        _evaluate_evidence_with("confidence", "nan"),
+        _evaluate_evidence_with("per_class_probs", ["1.0"]),
     ], ids=["features-cell-abc", "stats-not-json", "stats-without-mean",
             "transcripts-without-column", "prediction-without-label",
             "prediction-label-happy", "train-on-empty-split",
@@ -847,7 +859,8 @@ class TestMalformedInputs:
             "manifest-unknown-column-long-row", "manifest-long-row",
             "manifest-duration-abc", "manifest-audio-path-nul", "stats-zero-variance-5", "stats-std-zero",
             "stats-schema-x", "manifest-is-a-directory", "features-out-is-a-directory",
-            "predictions-is-a-directory"])
+            "predictions-is-a-directory", "evidence-label-joyful", "evidence-confidence-nan",
+            "evidence-one-probability"])
     def test_one_line_never_a_traceback(self, workspace, tmp_path, capsys,
                                         case):
         argv = case(workspace, tmp_path)
@@ -859,7 +872,8 @@ class TestMalformedInputs:
         assert err.startswith(("configuration error: ", "data error: "))
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field, value", [("label", "happy"), ("source", "oracle")])
+    @pytest.mark.parametrize("field, value", [("label", "happy"), ("source", "oracle"),
+                                              ("latency_ms", "slow"), ("rationale", 7)])
     def test_prediction_outside_vocabulary_is_data_error(self, workspace, tmp_path,
                                                          capsys, field, value):
         argv = _evaluate_prediction_with(field, value)(workspace, tmp_path)
@@ -984,6 +998,30 @@ def _strength_overflows(doc):
     doc["rules"][0]["strength"] = 10 ** 400
 
 
+def _strength_true(doc):
+    doc["rules"][0]["strength"] = True
+
+
+def _threshold_true(doc):
+    doc["rules"][0]["conditions"][0]["threshold_z"] = True
+
+
+def _threshold_a_numeric_string(doc):
+    doc["rules"][0]["conditions"][0]["threshold_z"] = "1.5"
+
+
+def _statement_a_list(doc):
+    doc["rules"][0]["statement"] = ["x"]
+
+
+def _id_a_number(doc):
+    doc["rules"][0]["id"] = 5
+
+
+def _note_text_a_number(doc):
+    doc["confusion_notes"][0]["text"] = 7
+
+
 def _refine_apply_with_rules(ws, tmp_path, rules):
     proposals = tmp_path / "proposals.json"
     proposals.write_text(json.dumps(_valid_proposals()))
@@ -1007,9 +1045,13 @@ class TestMalformedRuleFiles:
     @pytest.mark.parametrize("corrupt", [
         _note_without_text, _version_word, _note_is_a_string, _rules_is_a_number,
         _note_labels_a_number, _dimension_is_a_list, _strength_overflows,
+        _strength_true, _threshold_true, _threshold_a_numeric_string, _statement_a_list,
+        _id_a_number, _note_text_a_number,
     ], ids=["note-without-text", "version-word", "note-is-a-string",
             "rules-is-a-number", "note-labels-a-number", "dimension-is-a-list",
-            "strength-overflows"])
+            "strength-overflows", "strength-true", "threshold-true",
+            "threshold-numeric-string", "statement-a-list", "id-a-number",
+            "note-text-a-number"])
     def test_one_configuration_error_line(self, workspace, tmp_path, capsys,
                                           corrupt, command):
         doc = json.loads(default_ruleset().to_json())

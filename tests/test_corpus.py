@@ -68,11 +68,20 @@ class TestManifestIO:
         with pytest.raises(ConfigError, match=r"manifest.csv line 3: 3 cells, the header names 2"):
             load_manifest(path)
 
-    def test_non_numeric_duration_rejected(self, tmp_path):
+    @pytest.mark.parametrize("cell, message", [
+        ("abc", "duration_s must be a number, got 'abc'"),
+        # each of these once loaded as the entry's duration
+        ("nan", "duration_s must be finite and at least 0, got 'nan'"),
+        ("inf", "duration_s must be finite and at least 0, got 'inf'"),
+        ("-inf", "duration_s must be finite and at least 0, got '-inf'"),
+        ("-3", "duration_s must be finite and at least 0, got '-3'"),
+    ], ids=["abc", "nan", "inf", "-inf", "-3"])
+    def test_bad_duration_rejected(self, tmp_path, cell, message):
         path = tmp_path / "manifest.csv"
-        path.write_text("sample_id,duration_s\na,abc\n")
-        with pytest.raises(ConfigError, match="duration_s must be a number, got 'abc'"):
+        path.write_text(f"sample_id,duration_s\na,1.5\nb,{cell}\n")
+        with pytest.raises(ConfigError) as err:
             load_manifest(path)
+        assert str(err.value) == f"{path} line 3: {message}"
 
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "manifest.csv"

@@ -402,10 +402,10 @@ class TestCorpusStats:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(schema="x"), "expected schema 'serhybrid-stats-v1', got 'x'"),
         (lambda doc: doc.pop("schema"), "expected schema 'serhybrid-stats-v1', got None"),
-        (lambda doc: doc.update(zero_variance=5), "zero_variance must list feature dimensions"),
+        (lambda doc: doc.update(zero_variance=5), "zero_variance must be a list, got 5"),
         (lambda doc: doc.update(zero_variance=["pitch_sdt"]),
          "zero_variance must list feature dimensions"),
-        (lambda doc: doc.pop("zero_variance"), "zero_variance must list feature dimensions"),
+        (lambda doc: doc.pop("zero_variance"), "zero_variance is missing"),
         (lambda doc: doc.update(std={d: 0.0 for d in DIMENSIONS}), "std must be positive"),
         (lambda doc: doc["std"].update(pitch_std="-1.0"), "std must be positive"),
         (lambda doc: doc["mean"].update(pitch_std="nan"), "mean has non-finite values"),
@@ -423,8 +423,9 @@ class TestCorpusStats:
     @pytest.mark.parametrize("error", [ConfigError, DataError])
     def test_checked_raises_the_callers_error(self, error):
         n = len(DIMENSIONS)
-        with pytest.raises(error, match="^scaler std must be positive$"):
-            CorpusStats.checked([0.0] * n, [0.0] * n, [], "scaler", error)
+        with pytest.raises(error, match="^scaler: std must be positive$"):
+            CorpusStats.checked({"mean": [0.0] * n, "std": [0.0] * n, "zero_variance": []},
+                                "scaler", error)
 
 
 class TestDescribe:

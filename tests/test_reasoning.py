@@ -88,25 +88,41 @@ class TestRuleSets:
         (lambda d: d.update(schema="wrong"),
          "expected schema 'serhybrid-rules-v1', got 'wrong'"),
         (lambda d: d["rules"][0]["conditions"][0].update(dimension="nope"),
-         "unknown dimension 'nope' in condition 0"),
+         r"rules\[0\]: conditions\[0\]: dimension must be one of pitch_mean, .*, got 'nope'$"),
         (lambda d: d["rules"][0]["conditions"][0].update(comparator="!="),
-         "bad comparator '!=' in condition 0"),
+         r"conditions\[0\]: comparator must be one of <, <=, >, >=, got '!='"),
         (lambda d: d["rules"][0]["conditions"][0].update(threshold_z="NaN"),
-         "non-finite threshold in condition 0"),
-        (lambda d: d["rules"][0].update(implied_label="joyful"), "unknown implied label 'joyful'"),
+         r"conditions\[0\]: threshold_z must be a finite number, got 'NaN'"),
+        (lambda d: d["rules"][0].update(implied_label="joyful"),
+         "implied_label must be one of angry, calm, panic, got 'joyful'"),
         (lambda d: d["rules"][0].update(strength=0.0), r"strength must be in \(0, 1\], got 0.0"),
         (lambda d: d["rules"][0].update(strength=1.5), r"strength must be in \(0, 1\], got 1.5"),
-        (lambda d: d["rules"][0].update(origin="alien"), "unknown origin 'alien'"),
-        (lambda d: d["rules"][0].pop("statement"), "rule missing field 'statement'"),
+        (lambda d: d["rules"][0].update(origin="alien"),
+         "origin must be one of human, refined, auto, got 'alien'"),
+        (lambda d: d["rules"][0].pop("statement"), r"rules\[0\]: statement is missing"),
         (lambda d: d["rules"][1].update(id=d["rules"][0]["id"]),
          "duplicate rule id 'panic-variability'"),
         (lambda d: d["confusion_notes"][0].update(labels=["calm", "joyful"]),
-         "confusion note names unknown label 'joyful'"),
-        (lambda d: d["rules"][0].update(strength="high"), "strength must be a number, got 'high'"),
-        (lambda d: d["rules"][0].update(conditions="pitch_std > 1"), "conditions must be a list"),
+         r"confusion_notes\[0\]: labels must be two of angry, calm, panic, "
+         r"got \['calm', 'joyful'\]"),
+        (lambda d: d["rules"][0].update(strength="high"),
+         "strength must be a finite number, got 'high'"),
+        (lambda d: d["rules"][0].update(conditions="pitch_std > 1"),
+         "conditions must be a list, got 'pitch_std > 1'"),
         (lambda d: d["rules"][0]["conditions"].append("pitch_std > 1"),
-         "condition 2 must be a JSON object"),
-    ], ids=[f"<lambda>{i}" for i in range(14)])
+         r"conditions\[2\]: expected a JSON object, got str"),
+        # each of these once loaded: float() took the boolean and the
+        # numeric string, and str() made the list and the number text
+        (lambda d: d["rules"][0].update(strength=True), "strength must be a finite number, got True"),
+        (lambda d: d["rules"][0]["conditions"][0].update(threshold_z=True),
+         r"conditions\[0\]: threshold_z must be a finite number, got True"),
+        (lambda d: d["rules"][0]["conditions"][0].update(threshold_z="1.5"),
+         r"conditions\[0\]: threshold_z must be a finite number, got '1.5'"),
+        (lambda d: d["rules"][0].update(statement=["x"]), r"statement must be a string, got \['x'\]"),
+        (lambda d: d["rules"][0].update(id=5), r"rules\[0\]: id must be a string, got 5"),
+        (lambda d: d["confusion_notes"][0].update(text=7),
+         r"confusion_notes\[0\]: text must be a string, got 7"),
+    ], ids=[f"<lambda>{i}" for i in range(20)])
     def test_schema_violations_rejected(self, mutate, message):
         doc = self._doc()
         mutate(doc)
@@ -905,7 +921,7 @@ class TestAutoGeneration:
         answer = json.dumps(["x", [["id", "y"]], 7, self.GOOD])
         rules, dropped = auto_generate_rules(ScriptedClient([answer]))
         assert [r.id for r in rules.rules] == ["g"]
-        assert dropped[0] == "generated[0]: rule must be a JSON object"
+        assert dropped[0] == "generated[0]: expected a JSON object, got str"
         assert len(dropped) == 3
 
     def test_only_non_objects_is_a_data_error(self):

@@ -214,29 +214,44 @@ class TestProposals:
         ("base_version", True, "base_version must be an integer, got True"),
         ("base_version", 1.9, "base_version must be an integer, got 1.9"),
         ("base_version", "1", "base_version must be an integer, got '1'"),
-        ("gold", "happy", "unknown pattern label 'happy'"),
-        ("predicted", None, "unknown pattern label None"),
-        ("support", -4, "support must be at least 0, got -4"),
-        ("support", 2.0, "support must be an integer, got 2.0"),
-        ("dimension", "no_such_dim", "unknown delta dimension 'no_such_dim'"),
-        ("effect_size", "nan", "effect_size must be a finite number, got 'nan'"),
-        ("effect_size", float("nan"), "effect_size must be a finite number, got nan"),
-        ("error_median_z", float("inf"), "error_median_z must be a finite number, got inf"),
-        ("direction", 0.5, "direction must be an integer, got 0.5"),
+        ("gold", "happy", "pattern: gold must be one of angry, calm, panic, got 'happy'"),
+        ("predicted", None, "pattern: predicted must be a string, got None"),
+        ("support", -4, "pattern: support must be at least 0, got -4"),
+        ("support", 2.0, "pattern: support must be an integer, got 2.0"),
+        ("dimension", "no_such_dim", f"pattern: top_deltas[0]: dimension must be one of "
+                                     f"{', '.join(DIMENSIONS)}, got 'no_such_dim'"),
+        ("effect_size", "nan",
+         "pattern: top_deltas[0]: effect_size must be a finite number, got 'nan'"),
+        ("effect_size", float("nan"),
+         "pattern: top_deltas[0]: effect_size must be a finite number, got nan"),
+        ("error_median_z", float("inf"),
+         "pattern: top_deltas[0]: error_median_z must be a finite number, got inf"),
+        ("direction", 0.5, "pattern: top_deltas[0]: direction must be an integer, got 0.5"),
+        ("strength", True, "candidate: strength must be a finite number, got True"),
+        ("threshold_z", True,
+         "candidate: conditions[0]: threshold_z must be a finite number, got True"),
+        ("threshold_z", "1.5",
+         "candidate: conditions[0]: threshold_z must be a finite number, got '1.5'"),
+        ("statement", ["x"], "candidate: statement must be a string, got ['x']"),
+        ("id", 5, "candidate: id must be a string, got 5"),
     ], ids=["version-true", "version-float", "version-string", "gold", "predicted",
             "negative-support", "float-support", "dimension", "effect-string",
-            "effect-nan", "median-inf", "direction-float"])
+            "effect-nan", "median-inf", "direction-float", "strength-true",
+            "threshold-true", "threshold-string", "statement-list", "id-number"])
     def test_pattern_and_version_validated_as_rule_files_are(self, tmp_path, field, value,
                                                              message):
-        # each of these once loaded, the versions as version 1
+        # each of these once loaded, the versions as version 1, and the
+        # candidate's boolean, numeric string, list and number through
+        # float() and str()
         path = tmp_path / "proposals.json"
         write_proposals(path, propose_rules([self._pattern()] * 2, base_version=1))
         doc = json.loads(path.read_text())
         proposal = doc["proposals"][1]
-        target = (proposal if field == "base_version" else proposal["pattern"]
-                  if field in ("gold", "predicted", "support") else
-                  proposal["pattern"]["top_deltas"][0])
-        target[field] = value
+        pattern, candidate = proposal["pattern"], proposal["candidate"]
+        owner = {"base_version": proposal, "gold": pattern, "predicted": pattern,
+                 "support": pattern, "strength": candidate, "statement": candidate,
+                 "id": candidate, "threshold_z": candidate["conditions"][0]}
+        owner.get(field, pattern["top_deltas"][0])[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as err:
             read_proposals(path)
