@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, member, parse_json, read_text, write_text
-from .features import DIMENSIONS, CorpusStats, finite_array
+from .errors import DataError, member, member_array, parse_json, read_text, write_text
+from .features import DIMENSIONS, CorpusStats
 from .labels import CLASSES
 
 MODEL_SCHEMA = "serhybrid-svm-v1"
@@ -137,6 +137,13 @@ def _smo_binary(rows, y, C, tol, max_iter):
     return alphas, b, iteration, violation
 
 
+def _platt_sigmoid(z):
+    """1 / (1 + exp(z)) of each element, in the form whose exp cannot
+    overflow on its side of 0. np.where computes both forms, so exp may
+    overflow in the one it drops: callers that mind run it under errstate."""
+    return np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+
+
 def _fit_platt(decision, target):
     """Platt's sigmoid fit (Lin/Weng/Keerthi variant): returns (A, B) such
     that P(positive | f) = 1 / (1 + exp(A*f + B))."""
@@ -159,8 +166,7 @@ def _fit_platt(decision, target):
 
     fval = objective(a, b)
     for _ in range(max_iter):
-        z = a * f + b
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        p = _platt_sigmoid(a * f + b)
         q = 1.0 - p
         d1 = ty - p
         d2 = p * q
@@ -200,32 +206,19 @@ class MlEvidence:
     margins: np.ndarray
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "confidence": repr(self.confidence),
-            "per_class_probs": [repr(float(p)) for p in self.per_class_probs],
-            "margins": [repr(float(m)) for m in self.margins],
-        }
+        return {"label": self.label, "confidence": self.confidence,
+                "per_class_probs": self.per_class_probs.tolist(), "margins": self.margins.tolist()}
 
     @classmethod
     def from_dict(cls, doc, where, error):
         """The evidence ``to_dict`` wrote: a label of CLASSES, a confidence,
-        and one probability and one margin per class, each number finite
-        and written as a number or a numeric string. ``error`` names
-        ``where`` otherwise."""
-        k = len(CLASSES)
-        probs = member(doc, "per_class_probs", list, where, error)
-        margins = member(doc, "margins", list, where, error)
-        if len(probs) != k or len(margins) != k:
-            raise error(f"{where}: per_class_probs and margins must hold {k} numbers each, "
-                        f"got {len(probs)} and {len(margins)}")
-        # the seven numbers in one finite_array call: read_predictions makes
-        # it for every line, and each call costs about 1.5 us
-        numbers = finite_array([doc.get("confidence"), *probs, *margins], (2 * k + 1,),
-                               f"{where}: confidence, per_class_probs and margins", error)
+        and one probability and one margin per class, each a finite JSON
+        number. ``error`` names ``where`` otherwise."""
+        per_class = (len(CLASSES),)
         return cls(label=member(doc, "label", str, where, error, CLASSES),
-                   confidence=float(numbers[0]),
-                   per_class_probs=numbers[1:k + 1], margins=numbers[k + 1:])
+                   confidence=member(doc, "confidence", float, where, error),
+                   per_class_probs=member_array(doc, "per_class_probs", per_class, where, error),
+                   margins=member_array(doc, "margins", per_class, where, error))
 
 
 @dataclass(frozen=True)
@@ -243,15 +236,11 @@ class SvmModel:
         return json.dumps({
             "schema": MODEL_SCHEMA,
             "classes": list(CLASSES),
-            "weights": [[repr(float(w)) for w in row] for row in self.weights],
-            "biases": [repr(float(b)) for b in self.biases],
-            "platt_a": [repr(float(a)) for a in self.platt_a],
-            "platt_b": [repr(float(b)) for b in self.platt_b],
-            "scaler": {
-                "mean": [repr(float(m)) for m in self.scaler.mean],
-                "std": [repr(float(s)) for s in self.scaler.std],
-                "zero_variance": list(self.scaler.zero_variance),
-            },
+            "weights": self.weights.tolist(),
+            "biases": self.biases.tolist(),
+            "platt_a": self.platt_a.tolist(),
+            "platt_b": self.platt_b.tolist(),
+            "scaler": self.scaler.to_dict(),
             "meta": self.meta,
         }, indent=2)
 
@@ -263,14 +252,13 @@ class SvmModel:
             raise DataError(f"model: classes {classes!r}, expected {list(CLASSES)}")
         heads, dims = (len(CLASSES),), (len(DIMENSIONS),)
 
-        def array(key, shape):
-            return finite_array(member(doc, key, list, "model", DataError), shape,
-                                f"model: {key}", DataError)
+        def array(key, shape=heads):
+            return member_array(doc, key, shape, "model", DataError)
 
-        return cls(weights=array("weights", heads + dims), biases=array("biases", heads),
-                   platt_a=array("platt_a", heads), platt_b=array("platt_b", heads),
-                   scaler=CorpusStats.checked(member(doc, "scaler", dict, "model", DataError),
-                                              "model: scaler", DataError),
+        return cls(weights=array("weights", heads + dims), biases=array("biases"),
+                   platt_a=array("platt_a"), platt_b=array("platt_b"),
+                   scaler=CorpusStats.from_dict(member(doc, "scaler", dict, "model", DataError),
+                                                "model: scaler", DataError),
                    meta=member(doc, "meta", dict, "model", DataError))
 
     def save(self, path):
@@ -335,10 +323,8 @@ def predict(model, vectors):
     # one-vector product does, so batched margins equal per-row ones bit
     # for bit; X @ W.T reorders the sums and moves the last ulp
     margins = np.matmul(model.weights, Xs[:, :, None])[..., 0] + model.biases
-    z = model.platt_a * margins + model.platt_b
-    # np.where computes both branches: exp may overflow in the one it drops
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sig = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        sig = _platt_sigmoid(model.platt_a * margins + model.platt_b)
         total = sig.sum(axis=1, keepdims=True)
         probs = np.where(total > 0, sig / total, 1.0 / len(CLASSES))
     best = probs.argmax(axis=1)  # the first maximum: fixed-order tie-break

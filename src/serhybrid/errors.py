@@ -1,7 +1,7 @@
 """The two error families, the LLM errors whose names runs report, the one
 read step of every input file, the one check of every JSON input, of every
-member a JSON reader takes from it and of every CSV input, and the one write
-step of every output file.
+member a JSON reader takes from it, of every JSON number and of every CSV
+input, and the one write step of every output file.
 
 The family a raise site picks is the CLI's exit code: configuration
 problems (bad flags, an unreadable config file, schema violations in
@@ -18,6 +18,8 @@ import csv
 import io
 import json
 import sys
+
+import numpy as np
 
 
 class ConfigError(Exception):
@@ -105,6 +107,12 @@ _REQUIRED = object()
 _FLOAT_MAX = sys.float_info.max
 
 
+def _finite_number(value):
+    """Whether a JSON value is a number: an integer or a finite float, never
+    a boolean or a string."""
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+
+
 def member(doc, key, kind, where, error, allowed=None, default=_REQUIRED):
     """Member ``key`` of the JSON object ``doc``, the one check of a member
     a JSON reader takes. ``kind`` is str, int, float (a finite number,
@@ -123,7 +131,7 @@ def member(doc, key, kind, where, error, allowed=None, default=_REQUIRED):
     if value is None and key not in doc:
         raise error(f"{where}: {key} is missing")
     if kind is float:
-        ok = type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+        ok = _finite_number(value)
         value = float(value) if ok else value
     else:
         ok = type(value) is kind
@@ -132,6 +140,22 @@ def member(doc, key, kind, where, error, allowed=None, default=_REQUIRED):
     if allowed is not None and value not in allowed:
         raise error(f"{where}: {key} must be one of {', '.join(allowed)}, got {value!r}")
     return value
+
+
+def member_array(doc, key, shape, where, error):
+    """Member ``key`` of the JSON object ``doc`` as a float array of exactly
+    ``shape``: a list, or for a 2-D shape a list of lists, of numbers as
+    ``member`` reads a float, never a boolean or a string. ``error`` names
+    ``where`` and ``key`` otherwise."""
+    # an object array takes the lists' nesting as its shape and keeps every
+    # value that is not a list as it is
+    cells = np.array(member(doc, key, list, where, error), dtype=object)
+    if cells.shape != shape:
+        raise error(f"{where}: {key} must be a list of shape {shape}")
+    bad = [v for v in cells.ravel().tolist() if not _finite_number(v)]
+    if bad:
+        raise error(f"{where}: {key} must be finite numbers, got {bad[0]!r}")
+    return cells.astype(np.float64)
 
 
 def read_csv(path, error, columns, known=None):

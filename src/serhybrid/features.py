@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, member, parse_json, read_csv, read_text, write_csv
+from .errors import (ConfigError, DataError, member, member_array, parse_json, read_csv,
+                     read_text, write_csv)
 
 UNVOICED = math.nan
 
 SCHEMA_TAG = "serhybrid-features-v1"
 
-STATS_SCHEMA = "serhybrid-stats-v1"
+STATS_SCHEMA = "serhybrid-stats-v2"
 
 # the analysis frame: 25-ms frames every 10 ms
 FRAME_MS = 25.0
@@ -87,8 +88,13 @@ def read_features_csv(path):
     for where, cells in rows:
         if cells[0] != SCHEMA_TAG:
             raise DataError(f"{where}: expected schema {SCHEMA_TAG!r}, got {cells[0]!r}")
-        out[cells[1]] = finite_array(cells[2:], (len(DIMENSIONS),),
-                                     f"{where}: feature vector", DataError)
+        try:
+            floats = [float(cell) for cell in cells[2:]]
+        except ValueError:
+            raise DataError(f"{where}: feature vector must be numbers") from None
+        if not all(map(math.isfinite, floats)):
+            raise DataError(f"{where}: feature vector has non-finite values")
+        out[cells[1]] = np.array(floats)
     return out
 
 
@@ -398,24 +404,21 @@ class CorpusStats:
         """z-scores of a raw vector or of each row of a matrix."""
         return (X - self.mean) / self.std
 
-    def to_json(self):
-        return json.dumps({
-            "schema": STATS_SCHEMA,
-            "mean": {d: repr(float(v)) for d, v in zip(DIMENSIONS, self.mean)},
-            "std": {d: repr(float(v)) for d, v in zip(DIMENSIONS, self.std)},
-            "zero_variance": list(self.zero_variance),
-        }, indent=2)
+    def to_dict(self):
+        """The JSON object of the stats: a model's scaler, and after its
+        schema tag the whole stats file."""
+        return {"mean": self.mean.tolist(), "std": self.std.tolist(),
+                "zero_variance": list(self.zero_variance)}
 
     @classmethod
-    def checked(cls, doc, where, error):
-        """CorpusStats from the JSON object of a model's scaler, or of a
-        stats file once its keyed means and stds are put in dimension
-        order: ``mean`` and ``std`` list one finite number (or numeric
-        string) per dimension, every std is > 0, and ``zero_variance``
-        lists dimension names. ``error`` names ``where`` otherwise."""
+    def from_dict(cls, doc, where, error):
+        """CorpusStats from the JSON object ``to_dict`` wrote: ``mean`` and
+        ``std`` list one finite number per dimension, in DIMENSIONS order,
+        every std is > 0, and ``zero_variance`` lists dimension names.
+        ``error`` names ``where`` otherwise."""
         dims = (len(DIMENSIONS),)
-        mean = finite_array(member(doc, "mean", list, where, error), dims, f"{where}: mean", error)
-        std = finite_array(member(doc, "std", list, where, error), dims, f"{where}: std", error)
+        mean = member_array(doc, "mean", dims, where, error)
+        std = member_array(doc, "std", dims, where, error)
         if np.any(std <= 0):
             raise error(f"{where}: std must be positive")
         zero_variance = member(doc, "zero_variance", list, where, error)
@@ -423,38 +426,16 @@ class CorpusStats:
             raise error(f"{where}: zero_variance must list feature dimensions")
         return cls(mean=mean, std=std, zero_variance=tuple(zero_variance))
 
+    def to_json(self):
+        return json.dumps({"schema": STATS_SCHEMA, **self.to_dict()}, indent=2)
+
     @classmethod
     def from_json(cls, text, where="corpus stats"):
-        doc = parse_json(text, where, ConfigError, STATS_SCHEMA)
-        mean = member(doc, "mean", dict, where, ConfigError)
-        std = member(doc, "std", dict, where, ConfigError)
-        missing = [d for d in DIMENSIONS if d not in mean or d not in std]
-        if missing:
-            raise ConfigError(f"{where}: missing dimensions: {missing}")
-        return cls.checked({**doc, "mean": [mean[d] for d in DIMENSIONS],
-                            "std": [std[d] for d in DIMENSIONS]}, where, ConfigError)
+        return cls.from_dict(parse_json(text, where, ConfigError, STATS_SCHEMA), where, ConfigError)
 
     @classmethod
     def load(cls, path):
         return cls.from_json(read_text(path, ConfigError), where=str(path))
-
-
-def finite_array(values, shape, what, error):
-    """A finite float array of exactly ``shape`` from JSON values: a list,
-    or for a 2-D shape a list of lists, of numbers or numeric strings.
-    ``error`` names ``what`` otherwise."""
-    try:
-        floats = ([float(v) for v in values] if len(shape) == 1
-                  else [[float(v) for v in row] for row in values])
-        arr = np.array(floats)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} must be numbers")
-    if arr.shape != shape:
-        raise error(f"{what} has shape {arr.shape}, expected {shape}")
-    # math.isfinite over the floats costs less than np.isfinite on a short array
-    if not all(map(math.isfinite, floats if len(shape) == 1 else arr.ravel().tolist())):
-        raise error(f"{what} has non-finite values")
-    return arr
 
 
 def level_for_z(z):

@@ -122,6 +122,10 @@ def parse_rule(doc, where, origin=None):
 
 def parse_ruleset(text, where="ruleset"):
     doc = parse_json(text, where, ConfigError, RULES_SCHEMA)
+    # its members have defaults, so a misspelt one would load as absent
+    unknown = [key for key in doc if key not in ("schema", "version", "rules", "confusion_notes")]
+    if unknown:
+        raise ConfigError(f"{where}: unknown member {unknown[0]!r}")
     version = member(doc, "version", int, where, ConfigError, default=1)
     rules = []
     seen = set()

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -437,26 +438,61 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("platt_b"), "^model: platt_b is missing$"),
         (lambda doc: doc["scaler"].pop("std"), "^model: scaler: std is missing$"),
-        (lambda doc: doc["weights"].pop(), r"model: weights has shape \(2, 37\)"),
-        (lambda doc: doc["biases"].append("0.0"), r"model: biases has shape \(4,\)"),
-        (lambda doc: doc["weights"][0].__setitem__(0, "nan"),
-         "model: weights has non-finite values"),
+        (lambda doc: doc["weights"].pop(), r"^model: weights must be a list of shape \(3, 37\)$"),
+        (lambda doc: doc["biases"].append(0.0), r"^model: biases must be a list of shape \(3,\)$"),
+        (lambda doc: doc["weights"][0].__setitem__(0, math.nan),
+         "^model: weights must be finite numbers, got nan$"),
         (lambda doc: doc["scaler"]["mean"].__setitem__(0, "abc"),
-         "model: scaler: mean must be numbers"),
-        (lambda doc: doc["scaler"]["std"].__setitem__(0, "0.0"),
-         "model: scaler: std must be positive"),
+         "^model: scaler: mean must be finite numbers, got 'abc'$"),
+        (lambda doc: doc["scaler"]["std"].__setitem__(0, 0.0),
+         "^model: scaler: std must be positive$"),
         (lambda doc: doc.__setitem__("classes", ["calm", "angry", "panic"]),
          r"model: classes \['calm', 'angry', 'panic'\]"),
-        (lambda doc: doc["weights"][0].__setitem__(0, 10 ** 400), "model: weights must be numbers"),
+        (lambda doc: doc["weights"][0].__setitem__(0, 10 ** 400),
+         "^model: weights must be finite numbers, got 10{400}$"),
         (lambda doc: doc["scaler"].__setitem__("zero_variance", [["pitch_std"]]),
          "model: scaler: zero_variance must list feature dimensions"),
-    ], ids=[f"<lambda>{i}" for i in range(10)])
+        # each of these once loaded: a boolean as 1.0, a numeric string as its number
+        (lambda doc: doc["weights"][1].__setitem__(2, True),
+         "^model: weights must be finite numbers, got True$"),
+        (lambda doc: doc["weights"][1].__setitem__(2, "0.5"),
+         "^model: weights must be finite numbers, got '0.5'$"),
+        (lambda doc: doc["platt_b"].__setitem__(2, True),
+         "^model: platt_b must be finite numbers, got True$"),
+        (lambda doc: doc["platt_b"].__setitem__(2, "0.5"),
+         "^model: platt_b must be finite numbers, got '0.5'$"),
+        (lambda doc: doc["scaler"]["mean"].__setitem__(2, True),
+         "^model: scaler: mean must be finite numbers, got True$"),
+        (lambda doc: doc["scaler"]["mean"].__setitem__(2, "0.5"),
+         "^model: scaler: mean must be finite numbers, got '0.5'$"),
+    ], ids=[f"<lambda>{i}" for i in range(16)])
     def test_malformed_model_rejected(self, edit, message):
         vectors, labels = _blobs(seed=4)
         doc = json.loads(train(vectors, labels).to_json())
         edit(doc)
         with pytest.raises(DataError, match=message):
             SvmModel.from_json(json.dumps(doc))
+
+    def test_model_json_writes_numbers(self):
+        vectors, labels = _blobs(seed=4)
+        doc = json.loads(train(vectors, labels).to_json())
+        numbers = [*np.ravel(doc["weights"]).tolist(), *doc["biases"], *doc["platt_a"],
+                   *doc["platt_b"], *doc["scaler"]["mean"], *doc["scaler"]["std"]]
+        assert len(numbers) == 3 * _D + 9 + 2 * _D
+        assert all(type(v) is float for v in numbers)
+
+    def test_model_roundtrip_keeps_extreme_floats(self):
+        extremes = np.array([-0.0, 5e-324, 1.7976931348623157e308])
+        scaler = CorpusStats(mean=np.resize(extremes, _D), std=np.resize(extremes[1:], _D),
+                             zero_variance=())
+        model = SvmModel(weights=np.resize(extremes, (3, _D)), biases=extremes,
+                         platt_a=extremes[::-1].copy(), platt_b=-extremes, scaler=scaler,
+                         meta={})
+        loaded = SvmModel.from_json(model.to_json())
+        for key in ("weights", "biases", "platt_a", "platt_b"):
+            assert getattr(loaded, key).tobytes() == getattr(model, key).tobytes()
+        assert loaded.scaler.mean.tobytes() == scaler.mean.tobytes()
+        assert loaded.scaler.std.tobytes() == scaler.std.tobytes()
 
     @pytest.mark.parametrize("key", ["scaler", "meta"])
     def test_scaler_and_meta_must_be_objects(self, key):
@@ -479,3 +515,30 @@ class TestSerialization:
         assert loaded.confidence == evidence.confidence
         assert np.array_equal(loaded.per_class_probs, evidence.per_class_probs)
         assert np.array_equal(loaded.margins, evidence.margins)
+
+    def test_evidence_roundtrip_keeps_extreme_floats(self):
+        evidence = MlEvidence(label="calm", confidence=5e-324,
+                              per_class_probs=np.array([-0.0, 5e-324, 1.7976931348623157e308]),
+                              margins=np.array([1.7976931348623157e308, -0.0, -5e-324]))
+        doc = json.loads(json.dumps(evidence.to_dict()))
+        assert type(doc["confidence"]) is float
+        loaded = MlEvidence.from_dict(doc, "evidence", DataError)
+        assert loaded.confidence == 5e-324
+        assert loaded.per_class_probs.tobytes() == evidence.per_class_probs.tobytes()
+        assert loaded.margins.tobytes() == evidence.margins.tobytes()
+
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["boolean", "numeric-string"])
+    @pytest.mark.parametrize("key", ["confidence", "per_class_probs", "margins"])
+    def test_evidence_non_number_rejected(self, key, value):
+        # a boolean once read as 1.0 and a numeric string as its number
+        doc = MlEvidence(label="panic", confidence=0.875,
+                         per_class_probs=np.array([0.0625, 0.0625, 0.875]),
+                         margins=np.array([-1.5, -2.0, 1.25])).to_dict()
+        if key == "confidence":
+            doc[key] = value
+            message = f"^evidence: confidence must be a finite number, got {value!r}$"
+        else:
+            doc[key][1] = value
+            message = f"^evidence: {key} must be finite numbers, got {value!r}$"
+        with pytest.raises(DataError, match=message):
+            MlEvidence.from_dict(doc, "evidence", DataError)

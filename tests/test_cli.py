@@ -811,7 +811,7 @@ def _stats_with(**fields):
 
 def _stats_all_std_zero(ws):
     doc = json.loads(Path(ws["stats"]).read_text())
-    doc["std"] = {d: 0.0 for d in doc["std"]}
+    doc["std"] = [0.0] * len(doc["std"])
     return json.dumps(doc)
 
 
@@ -850,7 +850,7 @@ class TestMalformedInputs:
         _features_into_a_directory,
         _evaluate_a_directory,
         _evaluate_evidence_with("label", "joyful"),
-        _evaluate_evidence_with("confidence", "nan"),
+        _evaluate_evidence_with("confidence", math.nan),
         _evaluate_evidence_with("per_class_probs", ["1.0"]),
     ], ids=["features-cell-abc", "stats-not-json", "stats-without-mean",
             "transcripts-without-column", "prediction-without-label",
@@ -883,6 +883,34 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith(f"data error: {argv[2]} line 3: ")
         assert repr(value) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["boolean", "numeric-string"])
+    def test_non_number_is_one_error_line(self, workspace, tmp_path, capsys, value):
+        # each was once read as a number: the boolean as 1.0, the string as 0.5
+        preds, rows = _written_predictions(workspace, tmp_path)
+        rows[2]["ml_evidence"]["margins"][0] = value
+        preds.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        model = json.loads(Path(workspace["model"]).read_text())
+        model["weights"][0][0] = value
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        stats = json.loads(Path(workspace["stats"]).read_text())
+        stats["mean"][0] = value
+        (tmp_path / "stats.json").write_text(json.dumps(stats))
+        numbers = f"must be finite numbers, got {value!r}\n"
+        for argv, code, err in [
+                (["evaluate", "--predictions", str(preds), "--manifest", workspace["manifest"]],
+                 2, f"data error: {preds} line 3: ml_evidence: margins {numbers}"),
+                (_predict_with_stats(lambda ws: json.dumps(stats))(workspace, tmp_path),
+                 1, f"configuration error: {tmp_path / 'stats.json'}: mean {numbers}"),
+                (["predict", "--manifest", workspace["manifest"], "--features",
+                  workspace["features"], "--model", str(tmp_path / "model.json"),
+                  "--stats", workspace["stats"], "--version", "v4_hybrid", "--tau", "0",
+                  "--endpoint-url", "http://127.0.0.1:1/v1", "--model-name", "m",
+                  "--out", str(tmp_path / "p.jsonl")],
+                 2, f"data error: model: weights {numbers}")]:
+            capsys.readouterr()
+            assert cli.main(argv) == code
+            assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("command", ["evaluate", "refine"])
     def test_repeated_prediction_id_is_data_error(self, workspace, tmp_path, capsys,
@@ -1039,6 +1067,20 @@ def _predict_with_rules(ws, tmp_path, rules):
 class TestMalformedRuleFiles:
     """Every malformed part of a rules object is a one-line configuration
     error, in each command that reads a rules file."""
+
+    @pytest.mark.parametrize("command", [_refine_apply_with_rules, _predict_with_rules],
+                             ids=["refine-apply", "predict-rules"])
+    def test_misspelt_member_names_the_member(self, workspace, tmp_path, capsys, command):
+        # confusion_note once loaded as no notes, which no prompt then carried
+        doc = json.loads(default_ruleset().to_json())
+        doc["confusion_note"] = doc.pop("confusion_notes")
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(doc))
+        argv = command(workspace, tmp_path, rules)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (f"configuration error: {rules}: "
+                                           f"unknown member 'confusion_note'\n")
 
     @pytest.mark.parametrize("command", [_refine_apply_with_rules, _predict_with_rules],
                              ids=["refine-apply", "predict-rules"])

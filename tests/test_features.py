@@ -384,12 +384,28 @@ class TestCorpusStats:
         assert np.array_equal(loaded.std, stats.std)
         assert loaded.zero_variance == stats.zero_variance
 
+    def test_json_roundtrip_keeps_extreme_floats(self):
+        # JSON numbers read back bit for bit, signed zero and subnormals too
+        n = len(DIMENSIONS)
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308]
+        stats = CorpusStats(mean=np.resize(extremes, n), std=np.resize(extremes[1:], n),
+                            zero_variance=())
+        doc = json.loads(stats.to_json())
+        assert doc["mean"][:3] == extremes and all(type(v) is float for v in doc["mean"])
+        loaded = CorpusStats.from_json(stats.to_json())
+        assert loaded.mean.tobytes() == stats.mean.tobytes()
+        assert loaded.std.tobytes() == stats.std.tobytes()
+
+    def test_stats_file_is_the_scaler_object(self):
+        stats = CorpusStats.from_vectors([vec(), vec(pitch_mean=1.0)])
+        assert json.loads(stats.to_json()) == {"schema": "serhybrid-stats-v2", **stats.to_dict()}
+
     def test_missing_dimension_rejected(self):
-        import json
+        # one number per dimension, in DIMENSIONS order: a short list is rejected
         stats = CorpusStats.from_vectors([vec(), vec(pitch_mean=1.0)])
         doc = json.loads(stats.to_json())
-        del doc["mean"]["pitch_std"]
-        with pytest.raises(ConfigError, match=r"missing dimensions: \['pitch_std'\]"):
+        del doc["mean"][DIM_INDEX["pitch_std"]]
+        with pytest.raises(ConfigError, match=r"^corpus stats: mean must be a list of shape \(37,\)$"):
             CorpusStats.from_json(json.dumps(doc))
 
     def test_one_vector_stats_load(self):
@@ -400,20 +416,28 @@ class TestCorpusStats:
         assert np.array_equal(loaded.std, stats.std)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update(schema="x"), "expected schema 'serhybrid-stats-v1', got 'x'"),
-        (lambda doc: doc.pop("schema"), "expected schema 'serhybrid-stats-v1', got None"),
+        (lambda doc: doc.update(schema="x"), "expected schema 'serhybrid-stats-v2', got 'x'"),
+        (lambda doc: doc.pop("schema"), "expected schema 'serhybrid-stats-v2', got None"),
         (lambda doc: doc.update(zero_variance=5), "zero_variance must be a list, got 5"),
         (lambda doc: doc.update(zero_variance=["pitch_sdt"]),
          "zero_variance must list feature dimensions"),
         (lambda doc: doc.pop("zero_variance"), "zero_variance is missing"),
-        (lambda doc: doc.update(std={d: 0.0 for d in DIMENSIONS}), "std must be positive"),
-        (lambda doc: doc["std"].update(pitch_std="-1.0"), "std must be positive"),
-        (lambda doc: doc["mean"].update(pitch_std="nan"), "mean has non-finite values"),
-        (lambda doc: doc["mean"].update(pitch_std=[1.0]), "mean must be numbers"),
-        (lambda doc: doc["mean"].update(pitch_std=10 ** 400), "mean must be numbers"),
+        (lambda doc: doc.update(std=[0.0] * len(DIMENSIONS)), "std must be positive"),
+        (lambda doc: doc["std"].__setitem__(1, -1.0), "std must be positive"),
+        (lambda doc: doc["mean"].__setitem__(1, math.nan), "mean must be finite numbers, got nan"),
+        (lambda doc: doc["mean"].__setitem__(1, [1.0]),
+         r"mean must be finite numbers, got \[1.0\]"),
+        (lambda doc: doc["mean"].__setitem__(1, 10 ** 400),
+         "mean must be finite numbers, got 10{400}"),
+        # each of these once loaded: a boolean as 1.0, a numeric string as its number
+        (lambda doc: doc["mean"].__setitem__(1, True), "mean must be finite numbers, got True"),
+        (lambda doc: doc["mean"].__setitem__(1, "0.5"), "mean must be finite numbers, got '0.5'"),
+        (lambda doc: doc["std"].__setitem__(1, True), "std must be finite numbers, got True"),
+        (lambda doc: doc["std"].__setitem__(1, "0.5"), "std must be finite numbers, got '0.5'"),
     ], ids=["schema-x", "no-schema", "zero-variance-5", "zero-variance-typo",
             "no-zero-variance", "std-all-zero", "std-negative", "mean-nan",
-            "mean-list", "mean-overflows"])
+            "mean-list", "mean-overflows", "mean-true", "mean-numeric-string",
+            "std-true", "std-numeric-string"])
     def test_malformed_stats_rejected(self, edit, message):
         doc = json.loads(CorpusStats.from_vectors([vec(), vec(pitch_mean=1.0)]).to_json())
         edit(doc)
@@ -421,10 +445,10 @@ class TestCorpusStats:
             CorpusStats.from_json(json.dumps(doc), where="stats.json")
 
     @pytest.mark.parametrize("error", [ConfigError, DataError])
-    def test_checked_raises_the_callers_error(self, error):
+    def test_from_dict_raises_the_callers_error(self, error):
         n = len(DIMENSIONS)
         with pytest.raises(error, match="^scaler: std must be positive$"):
-            CorpusStats.checked({"mean": [0.0] * n, "std": [0.0] * n, "zero_variance": []},
+            CorpusStats.from_dict({"mean": [0.0] * n, "std": [0.0] * n, "zero_variance": []},
                                 "scaler", error)
 
 

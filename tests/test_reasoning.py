@@ -133,6 +133,18 @@ class TestRuleSets:
         with pytest.raises(ConfigError, match="ruleset: invalid JSON"):
             parse_ruleset("{not json")
 
+    @pytest.mark.parametrize("rename", [("confusion_notes", "confusion_note"),
+                                        ("rules", "rule"), ("version", "Version")],
+                             ids=["confusion-note", "rule", "Version"])
+    def test_unknown_top_level_member_rejected(self, rename):
+        # a misspelt confusion_notes once loaded as no notes, which dropped
+        # them from every v2-v5 prompt without a word
+        old, new = rename
+        doc = json.loads(default_ruleset().to_json())
+        doc[new] = doc.pop(old)
+        with pytest.raises(ConfigError, match=f"^ruleset: unknown member '{new}'$"):
+            parse_ruleset(json.dumps(doc))
+
 
 class TestPrompts:
     def test_v1_has_no_rules_block(self):
