@@ -143,36 +143,22 @@ class ClassRecipe:
     # per-sample random harmonic richness: 2nd/3rd harmonic gains are drawn
     # uniformly from [0, harmonics], RMS-normalized so loudness is unchanged
     harmonics: float = 0.5
-    # pitch modulator shape: "sine", or "flat" (saturated sine, which spends
-    # more time near the excursion extremes and so decouples the pitch
-    # spread from the pitch range)
-    pitch_waveform: str = "sine"
 
     def blend(self, other, weight):
-        """Every numeric parameter mixed toward ``other``; the waveform is ours."""
+        """Every parameter mixed toward ``other``."""
         return replace(self, **{f.name: (1 - weight) * getattr(self, f.name)
-                                + weight * getattr(other, f.name)
-                                for f in fields(self) if f.name != "pitch_waveform"})
+                                + weight * getattr(other, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)
 class SynthRecipe:
-    classes: dict = None      # label -> ClassRecipe
     overlap: float = 0.0      # fraction of angry/panic samples blended halfway
     seed: int = 0
     duration_s: float = 2.0
     n_per_class: int = 50
     sample_rate: int = 16000
-    # optional planted variants: label -> ClassRecipe used verbatim for the
-    # first ceil(variant_fraction * n_per_class) samples of that label
-    variants: dict = None
-    variant_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.classes is None:
-            object.__setattr__(self, "classes", dict(DEFAULT_CLASS_RECIPES))
-        if self.variants is None:
-            object.__setattr__(self, "variants", {})
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError("overlap must be in [0, 1]")
         if not (math.isfinite(self.duration_s) and self.duration_s * self.sample_rate >= 1):
@@ -182,8 +168,6 @@ class SynthRecipe:
             raise ConfigError("seed must be >= 0")
         if self.n_per_class < 0:
             raise ConfigError("n_per_class must be >= 0")
-        if not 0.0 <= self.variant_fraction <= 1.0:
-            raise ConfigError("variant_fraction must be in [0, 1]")
 
 
 DEFAULT_CLASS_RECIPES = {
@@ -223,10 +207,6 @@ def _synthesize(recipe, rng, duration_s, sample_rate):
     # modulator = sin(2 pi rate t + phi_p)
     phase = np.multiply(2 * np.pi * rate, t)
     np.sin(np.add(phase, phi_p, out=phase), out=phase)
-    if recipe.pitch_waveform == "flat":
-        # modulator = tanh(2.5 modulator) / tanh(2.5)
-        np.tanh(np.multiply(2.5, phase, out=phase), out=phase)
-        np.divide(phase, np.tanh(2.5), out=phase)
     # freq = clip(base (1 + p_jit modulator), 65, 395)
     np.multiply(p_jit, phase, out=phase)
     np.multiply(base, np.add(1.0, phase, out=phase), out=phase)
@@ -262,19 +242,15 @@ def _samples(recipe):
     """(class index, index in class, label, active ClassRecipe) of every
     sample of a SynthRecipe, in manifest order. The first round(overlap *
     n_per_class) samples of the angry and panic classes take recipes
-    blended halfway toward the other class, unless planted variants take
-    them."""
+    blended halfway toward the other class."""
     n_blend = int(round(recipe.overlap * recipe.n_per_class))
-    n_variant = int(math.ceil(recipe.variant_fraction * recipe.n_per_class))
     blend_partner = {"angry": "panic", "panic": "angry"}
     for ci, label in enumerate(CLASSES):
-        class_recipe = recipe.classes[label]
+        class_recipe = DEFAULT_CLASS_RECIPES[label]
         for i in range(recipe.n_per_class):
             active = class_recipe
-            if label in recipe.variants and i < n_variant:
-                active = recipe.variants[label]
-            elif label in blend_partner and i < n_blend:
-                active = class_recipe.blend(recipe.classes[blend_partner[label]], 0.5)
+            if label in blend_partner and i < n_blend:
+                active = class_recipe.blend(DEFAULT_CLASS_RECIPES[blend_partner[label]], 0.5)
             yield ci, i, label, active
 
 

@@ -9,14 +9,17 @@ session (audio synthesis plus feature extraction is the expensive part):
 * planted:   a fifth of the panic class is synthesized with angry-level
              pitch modulation but loud, angry-like energy, so a literal
              reading of the seed rules mislabels exactly those samples as
-             angry, with pitch_std as the known separating dimension.
+             angry, with pitch_std as the known separating dimension. The
+             package synthesizes only its default classes, so the oracle
+             generator writes this corpus.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import pytest
 
+from oracles import synthetic_corpus_serial
 from serhybrid.audio_io import load_audio, standardize
 from serhybrid.classifier import train
 from serhybrid.corpus import (DEFAULT_CLASS_RECIPES, ClassRecipe, SynthRecipe,
@@ -33,8 +36,8 @@ def extract_corpus(entries):
     return features
 
 
-def _corpus_bundle(recipe, out_dir):
-    entries = generate_synthetic_corpus(recipe, str(out_dir))
+def _corpus_bundle(recipe, out_dir, write=generate_synthetic_corpus):
+    entries = write(recipe, str(out_dir))
     features = extract_corpus(entries)
     gold = {e.sample_id: e.gold for e in entries}
     stats = CorpusStats.from_vectors([features[e.sample_id] for e in entries])
@@ -55,22 +58,27 @@ def overlap_corpus(tmp_path_factory):
 
 
 def planted_recipe():
+    """The planted corpus's recipe for oracles.synthetic_corpus_serial: a
+    SynthRecipe's fields plus its own class recipes, a panic class with the
+    flat (saturated-sine) pitch modulator, and a planted panic variant for
+    the first fifth of the panic samples."""
     classes = dict(DEFAULT_CLASS_RECIPES)
     classes["angry"] = replace(classes["angry"], jitter_var=0.10)
-    classes["panic"] = replace(classes["panic"], energy_level=0.24,
-                               jitter_var=0.06, energy_var=0.20,
-                               ejitter_var=0.25, pitch_waveform="flat")
+    flat_panic = replace(classes["panic"], energy_level=0.24, jitter_var=0.06,
+                         energy_var=0.20, ejitter_var=0.25)
+    classes["panic"] = SimpleNamespace(**asdict(flat_panic), pitch_waveform="flat")
     planted_panic = ClassRecipe(base_pitch_hz=270.0, pitch_jitter=0.095,
                                 energy_level=0.50, energy_jitter=0.30,
                                 modulation_rate_hz=7.0, jitter_var=0.05,
                                 energy_var=0.15, ejitter_var=0.25)
-    return SynthRecipe(seed=13, n_per_class=50, classes=classes,
-                       variants={"panic": planted_panic}, variant_fraction=0.2)
+    return SimpleNamespace(**asdict(SynthRecipe(seed=13, n_per_class=50)), classes=classes,
+                           variants={"panic": planted_panic}, variant_fraction=0.2)
 
 
 @pytest.fixture(scope="session")
 def planted_corpus(tmp_path_factory):
-    return _corpus_bundle(planted_recipe(), tmp_path_factory.mktemp("planted"))
+    return _corpus_bundle(planted_recipe(), tmp_path_factory.mktemp("planted"),
+                          synthetic_corpus_serial)
 
 
 def train_on(bundle):

@@ -25,7 +25,8 @@ import scipy.fft
 
 from serhybrid.audio_io import AudioSignal, save_wav
 from serhybrid.classifier import MlEvidence
-from serhybrid.corpus import PEAK_REFERENCE, ManifestEntry, save_manifest
+from serhybrid.corpus import (DEFAULT_CLASS_RECIPES, PEAK_REFERENCE, ManifestEntry,
+                              save_manifest)
 from serhybrid.errors import DataError
 from serhybrid.evaluation import ClassMetrics, MetricsReport
 from serhybrid.features import (MEL_FMAX, MEL_FMIN, N_MELS, N_MFCC, PITCH_FMAX,
@@ -425,7 +426,7 @@ def blend_direct(recipe, other, weight):
                           "energy_jitter", "modulation_rate_hz", "pitch_var",
                           "jitter_var", "energy_var", "ejitter_var",
                           "rate_var", "harmonics")}
-    return type(recipe)(pitch_waveform=recipe.pitch_waveform, **mixed)
+    return type(recipe)(**mixed)
 
 
 # -- the frame DSP and the corpus generator in their earlier forms -------------
@@ -433,7 +434,10 @@ def blend_direct(recipe, other, weight):
 # One pass over the whole frame matrix with fresh temporaries, and one
 # sample after another on the calling thread. The package now works in
 # blocks of rows through per-thread scratch buffers and on the shared
-# pool; these keep the arithmetic it must reproduce bit for bit.
+# pool; these keep the arithmetic it must reproduce bit for bit. The
+# corpus generator here also keeps the recipe options the package dropped
+# (its own class recipes, planted variants and the flat pitch waveform), so
+# it alone writes the planted corpus of conftest.planted_recipe.
 
 def estimate_pitch_whole(frames, sample_rate):
     """features.estimate_pitch over the whole matrix at once."""
@@ -508,7 +512,9 @@ def extract_series_whole(signal):
 
 
 def synthesize_whole(recipe, rng, duration_s, sample_rate):
-    """corpus._synthesize with a fresh array for every step."""
+    """corpus._synthesize with a fresh array for every step; a recipe
+    whose ``pitch_waveform`` is "flat" saturates the pitch modulator, and
+    one without the attribute, as every package ClassRecipe, is "sine"."""
     n = int(duration_s * sample_rate)
     t = np.arange(n) / sample_rate
     base = recipe.base_pitch_hz * (1.0 + recipe.pitch_var * rng.standard_normal())
@@ -520,7 +526,7 @@ def synthesize_whole(recipe, rng, duration_s, sample_rate):
     h2, h3 = rng.uniform(0.0, recipe.harmonics, size=2)
     phi_h2, phi_h3 = rng.uniform(0, 2 * np.pi, size=2)
     modulator = np.sin(2 * np.pi * rate * t + phi_p)
-    if recipe.pitch_waveform == "flat":
+    if getattr(recipe, "pitch_waveform", "sine") == "flat":
         modulator = np.tanh(2.5 * modulator) / np.tanh(2.5)
     freq = base * (1.0 + p_jit * modulator)
     freq = np.clip(freq, 65.0, 395.0)
@@ -538,20 +544,28 @@ def synthesize_whole(recipe, rng, duration_s, sample_rate):
 
 def synthetic_corpus_serial(recipe, out_dir):
     """corpus.generate_synthetic_corpus one sample after another on the
-    calling thread, through synthesize_whole."""
+    calling thread, through synthesize_whole.
+
+    Besides a package SynthRecipe it takes a recipe that also names
+    ``classes`` (label -> class recipe, in place of the defaults) and
+    ``variants`` (label -> class recipe used verbatim for the first
+    ceil(variant_fraction * n_per_class) samples of that label, ahead of
+    any blend)."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
+    classes = getattr(recipe, "classes", DEFAULT_CLASS_RECIPES)
+    variants = getattr(recipe, "variants", {})
     n_blend = int(round(recipe.overlap * recipe.n_per_class))
-    n_variant = int(math.ceil(recipe.variant_fraction * recipe.n_per_class))
+    n_variant = int(math.ceil(getattr(recipe, "variant_fraction", 0.0) * recipe.n_per_class))
     blend_partner = {"angry": "panic", "panic": "angry"}
     for ci, label in enumerate(CLASSES):
-        class_recipe = recipe.classes[label]
+        class_recipe = classes[label]
         for i in range(recipe.n_per_class):
             active = class_recipe
-            if label in recipe.variants and i < n_variant:
-                active = recipe.variants[label]
+            if label in variants and i < n_variant:
+                active = variants[label]
             elif label in blend_partner and i < n_blend:
-                active = class_recipe.blend(recipe.classes[blend_partner[label]], 0.5)
+                active = class_recipe.blend(classes[blend_partner[label]], 0.5)
             rng = np.random.default_rng([recipe.seed, ci, i])
             x = synthesize_whole(active, rng, recipe.duration_s, recipe.sample_rate)
             sample_id = f"{label}_{i:03d}"

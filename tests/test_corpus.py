@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serhybrid.corpus import (DEFAULT_CLASS_RECIPES, DEFAULT_FRACTIONS,
-                              ClassRecipe, ManifestEntry, SynthRecipe,
-                              _largest_remainder, generate_synthetic_corpus,
-                              load_manifest, save_manifest, stratified_split)
+                              ManifestEntry, SynthRecipe, _largest_remainder,
+                              generate_synthetic_corpus, load_manifest, save_manifest,
+                              stratified_split)
 from serhybrid.errors import ConfigError, DataError
 from serhybrid.labels import CLASSES
 
@@ -161,7 +161,6 @@ class TestRecipes:
         mid = calm.blend(panic, 0.5)
         assert mid.base_pitch_hz == (calm.base_pitch_hz + panic.base_pitch_hz) / 2
         assert mid.energy_level == (calm.energy_level + panic.energy_level) / 2
-        assert mid.pitch_waveform == calm.pitch_waveform
 
     def test_blend_endpoints(self):
         calm = DEFAULT_CLASS_RECIPES["calm"]
@@ -171,7 +170,7 @@ class TestRecipes:
 
     @pytest.mark.parametrize("kwargs", [
         {"overlap": -0.1}, {"overlap": 1.5},
-        {"variant_fraction": -0.2}, {"variant_fraction": 2.0},
+        {"overlap": float("nan")}, {"duration_s": float("nan")},
         {"duration_s": 0.0}, {"duration_s": -1.0}, {"duration_s": 1e-5},
         {"duration_s": float("inf")}, {"seed": -1}, {"n_per_class": -1},
     ])
@@ -214,22 +213,6 @@ class TestGenerator:
                 assert same          # unblended samples are untouched
             else:
                 assert not same      # first blended sample per class differs
-
-    def test_variant_overrides_blend(self, tmp_path):
-        variant = ClassRecipe(base_pitch_hz=100.0, pitch_jitter=0.01,
-                              energy_level=0.2, energy_jitter=0.01,
-                              modulation_rate_hz=1.0)
-        base = SynthRecipe(seed=4, n_per_class=2, duration_s=0.6)
-        with_variant = SynthRecipe(seed=4, n_per_class=2, duration_s=0.6,
-                                   variants={"panic": variant},
-                                   variant_fraction=0.5)
-        a = generate_synthetic_corpus(base, tmp_path / "base")
-        b = generate_synthetic_corpus(with_variant, tmp_path / "variant")
-        pure = {e.sample_id: e for e in a}
-        for e in b:
-            same = (Path(e.audio_path).read_bytes()
-                    == Path(pure[e.sample_id].audio_path).read_bytes())
-            assert same == (e.sample_id != "panic_000")
 
     def test_peak_reference_sample(self, tmp_path):
         from serhybrid.audio_io import load_audio

@@ -8,14 +8,12 @@ import shutil
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
 import oracles
-from conftest import planted_recipe
 from serhybrid import audio_io, cli, corpus, features, parallel
 
 
@@ -203,10 +201,8 @@ class TestCommandsOnTheSharedPool:
 
     @pytest.mark.parametrize("recipe", [
         corpus.SynthRecipe(seed=3, n_per_class=4, duration_s=0.5, overlap=0.5),
-        replace(planted_recipe(), n_per_class=5, duration_s=0.5),
-    ], ids=["overlap", "planted-flat"])
+    ], ids=["overlap"])
     def test_synth_is_the_serial_corpus_on_any_pool(self, cpus, tmp_path, recipe):
-        # the planted recipe has flat-waveform panic and planted variants
         out = tmp_path / "corpus"
         expected = oracles.synthetic_corpus_serial(recipe, str(out))
         serial = _tree(out)

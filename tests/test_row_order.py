@@ -1,6 +1,7 @@
 """Outputs that do not depend on the manifest's row order: a permuted
-manifest permutes the rows of ``features.csv`` and gives each sample the
-same prediction line."""
+manifest permutes the rows of ``features.csv``, gives each sample the
+same prediction line in ``predict`` and in every version of ``compare``,
+and leaves ``compare.txt`` unchanged."""
 
 import json
 from pathlib import Path
@@ -74,3 +75,30 @@ def test_permuted_manifest_keeps_each_prediction_line(tiny, tmp_path, seed):
     assert sources == {"ml_direct", "llm_reasoned"}
     by_id = {json.loads(line)["sample_id"]: line for line in original}
     assert permuted == [by_id[sample_id] for sample_id in order]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_permuted_manifest_keeps_each_compare_line(tiny, tmp_path, seed):
+    manifest, order = _permuted_manifest(tiny, tmp_path, seed)
+    cache = tmp_path / "cache"
+    with MockLlmServer() as server:
+        def compare(manifest, out_dir):
+            assert cli.main(["compare", "--manifest", str(manifest),
+                             "--features", str(tiny["features"]), "--model", str(tiny["model"]),
+                             "--stats", str(tiny["stats"]), "--tau", "0.76",
+                             "--endpoint-url", server.base_url, "--model-name", "m",
+                             "--cache", str(cache), "--out-dir", str(out_dir)]) == 0
+            return out_dir
+
+        compare(tiny["manifest"], tmp_path / "cold")
+        cold_requests = server.request_count
+        original = compare(tiny["manifest"], tmp_path / "original")
+        permuted = compare(manifest, tmp_path / "permuted")
+        assert server.request_count == cold_requests
+    assert (permuted / "compare.txt").read_bytes() == (original / "compare.txt").read_bytes()
+    names = sorted(path.name for path in original.glob("predictions_*.jsonl"))
+    assert len(names) == 5
+    for name in names:
+        lines = (original / name).read_text().splitlines()
+        by_id = {json.loads(line)["sample_id"]: line for line in lines}
+        assert (permuted / name).read_text().splitlines() == [by_id[i] for i in order]
