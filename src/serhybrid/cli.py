@@ -199,7 +199,10 @@ def cmd_features(cfg):
     _require(cfg, "manifest", "out")
     entries = corpus.load_manifest(cfg["manifest"])
     rows = list(parallel.ordered_map(_clip_features, entries))
-    stats = CorpusStats.from_vectors([v for _, v in rows]) if cfg.get("stats_out") else None
+    # reduced in sample_id order, as cmd_train reduces the model's scaler,
+    # so the stats do not depend on the manifest's row order
+    stats = (CorpusStats.from_vectors([v for _, v in sorted(rows, key=lambda r: r[0])])
+             if cfg.get("stats_out") else None)
     write_features_csv(cfg["out"], rows)
     if stats is not None:
         write_text(cfg["stats_out"], stats.to_json())
@@ -261,8 +264,10 @@ def cmd_predict(cfg):
 
 def _labelled_run(cfg):
     """The predictions file read against the manifest's gold labels: the
-    sample ids in prediction order, with the gold and predicted label of each."""
-    predictions = hybrid.read_predictions(cfg["predictions"])
+    sample ids in sample_id order, so that nothing reduced over them depends
+    on the file's row order, with the gold and predicted label of each."""
+    predictions = sorted(hybrid.read_predictions(cfg["predictions"]),
+                         key=lambda p: p.sample_id)
     gold = _gold_by_id(corpus.load_manifest(cfg["manifest"]))
     ids = [p.sample_id for p in predictions]
     hybrid.require_all(ids, gold, "gold labels")
@@ -284,7 +289,8 @@ def cmd_evaluate(cfg):
 
 def cmd_kappa(cfg):
     _require(cfg, "manifest")
-    entries = corpus.load_manifest(cfg["manifest"])
+    # in sample_id order, so the float means do not depend on the manifest's row order
+    entries = sorted(corpus.load_manifest(cfg["manifest"]), key=lambda e: e.sample_id)
     corpus.require_labels(entries, corpus.VOTES)
     rows = [tuple(getattr(e, c) for c in corpus.VOTES) for e in entries]
     if len(rows) < 2:

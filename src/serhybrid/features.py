@@ -272,34 +272,24 @@ def _pitch_block(x, sample_rate, lag_min, lag_max, n_lags, nfft):
     return pitch
 
 
-def mel_scale(f_hz):
-    return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(mel):
-    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_mels, nfft, sample_rate, fmin, fmax):
-    """Triangular mel filterbank over rfft bins; shape (n_mels, nfft//2 + 1)."""
-    mel_pts = np.linspace(mel_scale(fmin), mel_scale(fmax), n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
-    bin_freqs = np.arange(nfft // 2 + 1) * sample_rate / nfft
-    fb = np.zeros((n_mels, len(bin_freqs)))
-    for m in range(n_mels):
-        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
-        up = (bin_freqs - lo) / (center - lo)
-        down = (hi - bin_freqs) / (hi - center)
-        fb[m] = np.maximum(0.0, np.minimum(up, down))
-    return fb
+def mel_filterbank(nfft, sample_rate):
+    """The N_MELS triangular filters over MEL_FMIN..MEL_FMAX on the rfft
+    bins; shape (N_MELS, nfft//2 + 1). Band m rises from edge m to edge
+    m + 1 and falls to edge m + 2, the N_MELS + 2 edges evenly spaced in
+    mel (2595 log10(1 + f/700)); the edges, as column vectors, meet the
+    bin frequencies in one broadcast."""
+    mel_lo, mel_hi = 2595.0 * np.log10(1.0 + np.array((MEL_FMIN, MEL_FMAX)) / 700.0)
+    edges = 700.0 * (10.0 ** (np.linspace(mel_lo, mel_hi, N_MELS + 2) / 2595.0) - 1.0)
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    f = np.arange(nfft // 2 + 1) * sample_rate / nfft
+    return np.maximum(0.0, np.minimum((f - lo) / (center - lo), (hi - f) / (hi - center)))
 
 
 @functools.lru_cache(maxsize=None)
 def _shared_mel_filterbank(nfft, sample_rate):
-    """The MFCC filterbank (N_MELS bands over MEL_FMIN..MEL_FMAX), built
-    once per process for each FFT size and rate and shared read-only
-    between calls."""
-    fb = mel_filterbank(N_MELS, nfft, sample_rate, MEL_FMIN, MEL_FMAX)
+    """mel_filterbank, built once per process for each FFT size and rate
+    and shared read-only between calls."""
+    fb = mel_filterbank(nfft, sample_rate)
     fb.flags.writeable = False
     return fb
 

@@ -8,9 +8,10 @@ the solver's earlier numpy form, kept so the cached solver can be held to
 it bit for bit. The ``*_direct`` file forms spell out each written file's
 members one by one, as the writers once did, so the writers derived from
 their dataclasses can be held to them byte for byte. The ``*_whole`` DSP
-forms and ``synthetic_corpus_serial`` at the end are the earlier forms of
-the blocked, scratch-buffer DSP and of the pooled corpus generator, kept
-so those can be held to them bit for bit, and ``metrics_by_id`` and
+forms, ``mel_filterbank_per_band`` and ``synthetic_corpus_serial`` at the
+end are the earlier forms of the blocked, scratch-buffer DSP, of the
+broadcast mel filterbank and of the pooled corpus generator, kept so those
+can be held to them bit for bit, and ``metrics_by_id`` and
 ``cohens_kappa_by_index`` are the earlier forms of the label counts.
 """
 
@@ -30,8 +31,7 @@ from serhybrid.corpus import (DEFAULT_CLASS_RECIPES, PEAK_REFERENCE, ManifestEnt
 from serhybrid.errors import DataError
 from serhybrid.evaluation import ClassMetrics, MetricsReport
 from serhybrid.features import (MEL_FMAX, MEL_FMIN, N_MELS, N_MFCC, PITCH_FMAX,
-                                PITCH_FMIN, UNVOICED, VOICING_CLARITY, frame_signal,
-                                mel_filterbank)
+                                PITCH_FMIN, UNVOICED, VOICING_CLARITY, frame_signal)
 from serhybrid.labels import CLASSES
 from serhybrid.reasoning import RULES_SCHEMA
 
@@ -434,10 +434,12 @@ def blend_direct(recipe, other, weight):
 # One pass over the whole frame matrix with fresh temporaries, and one
 # sample after another on the calling thread. The package now works in
 # blocks of rows through per-thread scratch buffers and on the shared
-# pool; these keep the arithmetic it must reproduce bit for bit. The
-# corpus generator here also keeps the recipe options the package dropped
-# (its own class recipes, planted variants and the flat pitch waveform), so
-# it alone writes the planted corpus of conftest.planted_recipe.
+# pool, and builds its mel filterbank in one broadcast where this builds
+# it one band at a time; these keep the arithmetic it must reproduce bit
+# for bit. The corpus generator here also keeps the recipe options the
+# package dropped (its own class recipes, planted variants and the flat
+# pitch waveform), so it alone writes the planted corpus of
+# conftest.planted_recipe.
 
 def estimate_pitch_whole(frames, sample_rate):
     """features.estimate_pitch over the whole matrix at once."""
@@ -486,12 +488,33 @@ def estimate_pitch_whole(frames, sample_rate):
     return pitch
 
 
+def mel_filterbank_per_band(nfft, sample_rate):
+    """features.mel_filterbank built one band at a time, with the mel
+    scale and its inverse as separate steps."""
+    def mel_scale(f_hz):
+        return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
+
+    def mel_to_hz(mel):
+        return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
+
+    hz_pts = mel_to_hz(np.linspace(mel_scale(MEL_FMIN), mel_scale(MEL_FMAX), N_MELS + 2))
+    bin_freqs = np.arange(nfft // 2 + 1) * sample_rate / nfft
+    fb = np.zeros((N_MELS, len(bin_freqs)))
+    for m in range(N_MELS):
+        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
+        up = (bin_freqs - lo) / (center - lo)
+        down = (hi - bin_freqs) / (hi - center)
+        fb[m] = np.maximum(0.0, np.minimum(up, down))
+    return fb
+
+
 def mfcc_whole(frames, sample_rate):
-    """features.mfcc over the whole matrix, or one frame, at once."""
+    """features.mfcc over the whole matrix, or one frame, at once, with the
+    per-band filterbank."""
     x = np.asarray(frames, dtype=np.float64)
     nfft = 1 << (x.shape[-1] - 1).bit_length()
     power = np.abs(np.fft.rfft(x, nfft, axis=-1)) ** 2
-    fb = mel_filterbank(N_MELS, nfft, sample_rate, MEL_FMIN, MEL_FMAX)
+    fb = mel_filterbank_per_band(nfft, sample_rate)
     log_e = np.log(np.maximum(np.einsum("...k,mk->...m", power, fb), 1e-10))
     coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1)
     return coeffs[..., :N_MFCC]

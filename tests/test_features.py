@@ -14,9 +14,8 @@ from serhybrid.features import (DIM_INDEX, DIMENSIONS, N_MFCC, UNVOICED,
                                 CorpusStats,
                                 aggregate, describe, estimate_pitch,
                                 extract_series, frame_lengths, frame_matrix,
-                                frame_signal, level_for_z, mel_filterbank,
-                                mel_scale, mel_to_hz, mfcc, read_features_csv,
-                                rms_energy, write_features_csv)
+                                frame_signal, level_for_z, mel_filterbank, mfcc,
+                                read_features_csv, rms_energy, write_features_csv)
 
 SR = 16000
 
@@ -110,12 +109,14 @@ class TestPitch:
 
 
 class TestMel:
-    def test_scale_roundtrip(self):
-        freqs = np.array([0.0, 100.0, 1000.0, 8000.0])
-        assert np.allclose(mel_to_hz(mel_scale(freqs)), freqs)
+    @pytest.mark.parametrize("nfft", [256, 512, 1024])
+    @pytest.mark.parametrize("sample_rate", [8000, 16000, 44100])
+    def test_filterbank_equals_per_band_oracle(self, nfft, sample_rate):
+        assert np.array_equal(mel_filterbank(nfft, sample_rate),
+                              oracles.mel_filterbank_per_band(nfft, sample_rate))
 
     def test_filterbank_shape_and_support(self):
-        fb = mel_filterbank(26, 512, SR, 0.0, 8000.0)
+        fb = mel_filterbank(512, SR)
         assert fb.shape == (26, 257)
         assert np.all(fb >= 0.0)
         # interior bins are covered by at least one filter
@@ -142,6 +143,19 @@ class TestExtractSeries:
         assert voiced.size / len(pitch) > 0.95
         assert np.all(np.abs(voiced - 220.0) <= 2.0)
         assert np.allclose(energy, 0.4 / math.sqrt(2), atol=1e-3)
+
+    @pytest.mark.parametrize("gain", [0.3, 0.5, 0.9])
+    def test_gain_keeps_the_vector_within_rounding(self, separable_corpus, gain):
+        # a metamorphic relation: standardize peak-normalizes, so a clip
+        # scaled without clipping gives its vector again up to rounding
+        entries = separable_corpus.entries[::5]
+        assert len(entries) == 30
+        for entry in entries:
+            signal = load_audio(entry.audio_path)
+            scaled = AudioSignal(signal.samples * gain, signal.sample_rate)
+            np.testing.assert_allclose(aggregate(*extract_series(standardize(scaled))),
+                                       separable_corpus.features[entry.sample_id],
+                                       rtol=1e-12, atol=1e-12, err_msg=entry.sample_id)
 
 
 def _assert_matches_per_frame(frames):

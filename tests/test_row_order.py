@@ -1,8 +1,11 @@
 """Outputs that do not depend on the manifest's row order: a permuted
 manifest permutes the rows of ``features.csv``, gives each sample the
 same prediction line in ``predict`` and in every version of ``compare``,
-and leaves ``compare.txt`` unchanged."""
+and leaves ``compare.txt`` unchanged. ``stats.json``, ``kappa.json`` and
+``refine``'s proposals, which reduce floats over their rows, keep every
+byte when the manifest and the predictions file are permuted."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,6 +14,11 @@ import pytest
 
 from mockllm import MockLlmServer
 from serhybrid import cli, corpus
+from serhybrid.labels import CLASSES
+
+# permutations per byte check: a float reduction in the manifest's row
+# order changes these bytes in about half of all permutations
+PERMUTATIONS = range(1, 6)
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +110,85 @@ def test_permuted_manifest_keeps_each_compare_line(tiny, tmp_path, seed):
         lines = (original / name).read_text().splitlines()
         by_id = {json.loads(line)["sample_id"]: line for line in lines}
         assert (permuted / name).read_text().splitlines() == [by_id[i] for i in order]
+
+
+@pytest.fixture(scope="module")
+def mined(tmp_path_factory):
+    """A 120-sample overlapping corpus with its features, stats, model and
+    v4 predictions at tau 0, each sample answered by the classifier."""
+    root = tmp_path_factory.mktemp("row_order_mined")
+    paths = {"manifest": root / "corpus" / "manifest.csv", "features": root / "features.csv",
+             "stats": root / "stats.json", "model": root / "model.json",
+             "predictions": root / "predictions.jsonl"}
+    assert cli.main(["synth", "--out-dir", str(root / "corpus"), "--n-per-class", "40",
+                     "--overlap", "0.5", "--duration-s", "0.8"]) == 0
+    assert cli.main(["features", "--manifest", str(paths["manifest"]),
+                     "--out", str(paths["features"]), "--stats-out", str(paths["stats"])]) == 0
+    assert cli.main(["train", "--manifest", str(paths["manifest"]),
+                     "--features", str(paths["features"]),
+                     "--model-out", str(paths["model"])]) == 0
+    with MockLlmServer() as server:
+        assert cli.main(["predict", "--manifest", str(paths["manifest"]),
+                         "--features", str(paths["features"]), "--model", str(paths["model"]),
+                         "--stats", str(paths["stats"]), "--version", "v4_hybrid",
+                         "--tau", "0", "--endpoint-url", server.base_url,
+                         "--model-name", "m", "--out", str(paths["predictions"])]) == 0
+        assert server.request_count == 0
+    return paths
+
+
+def test_stats_do_not_depend_on_manifest_row_order(mined, tmp_path):
+    for seed in PERMUTATIONS:
+        manifest, _ = _permuted_manifest(mined, tmp_path, seed)
+        stats = tmp_path / "stats.json"
+        assert cli.main(["features", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "features.csv"),
+                         "--stats-out", str(stats)]) == 0
+        assert stats.read_bytes() == mined["stats"].read_bytes(), f"permutation {seed}"
+
+
+def test_refine_does_not_depend_on_row_order(mined, tmp_path):
+    def refine(manifest, predictions, out):
+        assert cli.main(["refine", "--predictions", str(predictions),
+                         "--manifest", str(manifest), "--features", str(mined["features"]),
+                         "--stats", str(mined["stats"]), "--proposals-out", str(out),
+                         "--min-support", "2"]) == 0
+        return out.read_bytes()
+
+    original = refine(mined["manifest"], mined["predictions"], tmp_path / "original.json")
+    assert json.loads(original)["proposals"]
+    lines = mined["predictions"].read_text().splitlines(keepends=True)
+    for seed in PERMUTATIONS:
+        manifest, _ = _permuted_manifest(mined, tmp_path, seed)
+        predictions = tmp_path / "predictions.jsonl"
+        order = np.random.default_rng(100 + seed).permutation(len(lines))
+        predictions.write_text("".join(lines[i] for i in order))
+        assert refine(manifest, predictions, tmp_path / "permuted.json") == original, \
+            f"permutation {seed}"
+
+
+def test_kappa_does_not_depend_on_manifest_row_order(tmp_path):
+    # 120 rows; each vote names gold with probability 0.85, else another class
+    rng = np.random.default_rng(7)
+
+    def vote(gold):
+        if rng.random() < 0.85:
+            return gold
+        return rng.choice([c for c in CLASSES if c != gold])
+
+    entries = [corpus.ManifestEntry(sample_id=f"s{i:03d}", gold=CLASSES[i % len(CLASSES)])
+               for i in range(120)]
+    entries = [dataclasses.replace(e, **{column: vote(e.gold) for column in corpus.VOTES})
+               for e in entries]
+
+    def kappa(order, out):
+        manifest = tmp_path / "manifest.csv"
+        corpus.save_manifest(manifest, [entries[i] for i in order])
+        assert cli.main(["kappa", "--manifest", str(manifest), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    original = kappa(range(len(entries)), tmp_path / "original.json")
+    assert json.loads(original)["n_items"] == 120
+    for seed in PERMUTATIONS:
+        order = np.random.default_rng(seed).permutation(len(entries))
+        assert kappa(order, tmp_path / "permuted.json") == original, f"permutation {seed}"
